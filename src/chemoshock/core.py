@@ -85,9 +85,6 @@ class Field:
     def from_function(cls, grid: GridSpec, fn) -> "Field":
         return cls(grid, np.asarray(fn(grid.nodes()), dtype=float))
 
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, values)
-
     def __add__(self, other: "Field") -> "Field":
         return Field(self.grid, self.values + other.values)
 

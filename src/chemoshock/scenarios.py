@@ -26,6 +26,7 @@ from .core import (
 )
 from .mollifier import MollifierSpec, mollify
 from .solver import (
+    _BOUNDARY_MATCH_TOL,
     DiagnosticSinks,
     DirichletBoundary,
     RunReport,
@@ -42,7 +43,6 @@ INITIAL_KINDS = (
     "from_file",
 )
 
-_BOUNDARY_TOL = 1e-8
 _ZERO_MASS_TOL = 1e-10
 
 
@@ -339,7 +339,7 @@ def build_initial(cfg: ScenarioConfig) -> tuple[SimState, DirichletBoundary]:
             abs(ov.u_right - boundary.u_right),
             abs(ov.v_right - boundary.v_right),
         )
-        if mismatch > _BOUNDARY_TOL:
+        if mismatch > _BOUNDARY_MATCH_TOL:
             raise ConfigError(
                 f"configured boundary values disagree with the initial data "
                 f"by {mismatch:.3e}"

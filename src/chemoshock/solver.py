@@ -4,26 +4,39 @@
 
 on a uniform grid with Dirichlet far-field boundaries.
 
-Diffusion is treated implicitly (theta-scheme, tridiagonal solve), the
-coupling flux chi*(u v)_x explicitly by central differences, and v is updated
-pointwise from the freshly computed u so that constant states are exact fixed
-points and the discrete v-mass identity holds per step.  The time step is
-recomputed every step from the characteristic speed bound, since v drifts.
+Diffusion is treated implicitly (theta-scheme), the coupling flux
+chi*(u v)_x explicitly by central differences, and v is updated pointwise from
+the freshly computed u so that constant states are exact fixed points and the
+discrete v-mass identity holds per step.  The time step is recomputed every
+step from the characteristic speed bound, since v drifts.
+
+The two Dirichlet rows are left out of the implicit system: the boundary
+values are folded into the first and last right-hand-side entries, and the
+remaining interior system I - a*Laplacian, which is symmetric positive
+definite and tridiagonal, is solved by LAPACK's dptsv.
+
+One array kernel, `_advance`, takes a step on raw nodal arrays and performs
+every per-step check (boundary match, finite u and v, positivity).  `run()`
+marches the arrays and builds `Field`/`SimState` only at the API boundary: at
+snapshots, for the `on_snapshot` callback, and for its `RunReport`.  The public
+`step()` wraps the same kernel for a single `SimState`.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded  # noqa: F401  (perfbench/trace_child.py wraps it by name)
+from scipy.linalg.lapack import dptsv
 
 from .core import (
     ConfigError,
     Field,
+    GridSpec,
     ModelParams,
     NumericalError,
     PositivityError,
@@ -68,37 +81,108 @@ class SchemeConfig:
             )
 
 
+def _speed_bound(u: np.ndarray, v: np.ndarray, chi: float) -> float:
+    """`characteristic_speed_bound` from the raw nodal arrays of u and v."""
+    a = chi * np.abs(v)
+    r = np.maximum(u, 0.0)  # tolerate roundoff at the positivity floor
+    r *= 4.0 * chi
+    r += a * a
+    np.sqrt(r, out=r)
+    r += a
+    return 0.5 * float(r.max())
+
+
 def characteristic_speed_bound(state: SimState, params: ModelParams) -> float:
     """Max spectral radius over nodes of the inviscid Jacobian
     [[-chi*v, -chi*u], [-1, 0]]."""
-    chi = params.chi
-    u = np.maximum(state.u.values, 0.0)  # tolerate roundoff at the positivity floor
-    a = chi * np.abs(state.v.values)
-    return float((0.5 * (a + np.sqrt(a * a + 4.0 * chi * u))).max())
+    return _speed_bound(state.u.values, state.v.values, params.chi)
 
 
-def _check_boundary_match(state: SimState, bc: DirichletBoundary) -> None:
-    errs = (
-        abs(state.u.values[0] - bc.u_left),
-        abs(state.v.values[0] - bc.v_left),
-        abs(state.u.values[-1] - bc.u_right),
-        abs(state.v.values[-1] - bc.v_right),
+def _check_boundary_match(u: np.ndarray, v: np.ndarray, bc: DirichletBoundary) -> None:
+    mismatch = max(
+        abs(u[0] - bc.u_left),
+        abs(v[0] - bc.v_left),
+        abs(u[-1] - bc.u_right),
+        abs(v[-1] - bc.v_right),
     )
-    if max(errs) > _BOUNDARY_MATCH_TOL:
+    if mismatch > _BOUNDARY_MATCH_TOL:
         raise ConfigError(
-            f"state does not match Dirichlet boundary values (max mismatch {max(errs):.3e})"
+            f"state does not match Dirichlet boundary values (max mismatch {mismatch:.3e})"
         )
 
 
-def _theta_system(n: int, a: float) -> np.ndarray:
-    """Banded matrix (for scipy.solve_banded) of I - a*Laplacian on interior
-    rows, identity rows at both boundaries; a = theta*D*dt/dx^2."""
-    ab = np.zeros((3, n))
-    ab[0, 2:] = -a
-    ab[1, :] = 1.0 + 2.0 * a
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[2, : n - 2] = -a
-    return ab
+def _advance(
+    u: np.ndarray,
+    v: np.ndarray,
+    t: float,
+    step_no: int,
+    grid: GridSpec,
+    params: ModelParams,
+    cfg: SchemeConfig,
+    dt_cap: float | None,
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Take step number `step_no` from time t on raw nodal arrays.
+
+    Returns (u_new, v_new, dt, min(u_new)); the inputs are not modified.
+    """
+    bc = cfg.boundary
+    _check_boundary_match(u, v, bc)
+    dx = grid.dx
+    theta = cfg.diffusion_theta
+
+    dt = cfg.cfl * dx / max(_speed_bound(u, v, params.chi), _TINY_SPEED)
+    if dt_cap is not None:
+        dt = min(dt, dt_cap)
+
+    # explicit part on the interior nodes 1..n-2
+    w = u * v
+    rhs = u[1:-1] + dt * (params.chi * ((w[2:] - w[:-2]) / (2.0 * dx)))
+    if theta < 1.0:
+        lap = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+        rhs += dt * (1.0 - theta) * params.D * lap
+
+    # (I - a*Laplacian) u_new = rhs, with the pinned end values moved to the rhs
+    a = theta * params.D * dt / (dx * dx)
+    rhs[0] += a * bc.u_left
+    rhs[-1] += a * bc.u_right
+    m = rhs.size
+    _, _, interior, info = dptsv(
+        np.full(m, 1.0 + 2.0 * a), np.full(m - 1, -a), rhs,
+        overwrite_d=True, overwrite_e=True, overwrite_b=True,
+    )
+    if info != 0:
+        raise NumericalError(
+            f"tridiagonal solve failed (LAPACK info={info}) on step {step_no} "
+            f"(t={t:.6g}, dt={dt:.3e})"
+        )
+    u_new = np.empty_like(u)
+    u_new[0] = bc.u_left
+    u_new[1:-1] = interior
+    u_new[-1] = bc.u_right
+
+    # min and max propagate NaN, so these two reductions cover finiteness too
+    u_min = float(u_new.min())
+    if not (math.isfinite(u_min) and math.isfinite(u_new.max())):
+        raise NumericalError(
+            f"non-finite u after step {step_no} (t={t:.6g}, dt={dt:.3e})"
+        )
+    if u_min <= 0.0:
+        i = int(np.argmin(u_new))
+        raise PositivityError(
+            f"u reached {u_new[i]:.6e} at node {i} (x={grid.nodes()[i]:.6g}) "
+            f"on step {step_no}, t={t + dt:.6g}"
+        )
+
+    v_new = np.empty_like(v)
+    v_new[0] = bc.v_left
+    v_new[1:-1] = v[1:-1] + dt * ((u_new[2:] - u_new[:-2]) / (2.0 * dx))
+    v_new[-1] = bc.v_right
+    if not np.isfinite(v_new).all():
+        bad = int(np.flatnonzero(~np.isfinite(v_new))[0])
+        raise NumericalError(
+            f"non-finite v at node {bad} after step {step_no} (t={t:.6g}, dt={dt:.3e})"
+        )
+    return u_new, v_new, dt, u_min
 
 
 def step(
@@ -108,50 +192,14 @@ def step(
     dt_cap: float | None = None,
 ) -> SimState:
     """Advance one step of size cfl*dx/max(speed, tiny), optionally capped."""
-    _check_boundary_match(state, cfg.boundary)
     grid = state.u.grid
-    dx = grid.dx
-    n = grid.n_nodes
-    theta = cfg.diffusion_theta
-
-    dt = cfg.cfl * dx / max(characteristic_speed_bound(state, params), _TINY_SPEED)
-    if dt_cap is not None:
-        dt = min(dt, dt_cap)
-
-    u = state.u.values
-    v = state.v.values
-    flux = params.chi * np.gradient(u * v, dx, edge_order=2)
-
-    rhs = u + dt * flux
-    if theta < 1.0:
-        lap = np.zeros(n)
-        lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-        rhs += dt * (1.0 - theta) * params.D * lap
-    rhs[0] = cfg.boundary.u_left
-    rhs[-1] = cfg.boundary.u_right
-
-    ab = _theta_system(n, theta * params.D * dt / (dx * dx))
-    u_new = solve_banded((1, 1), ab, rhs, check_finite=False)
-
-    if not np.all(np.isfinite(u_new)):
-        raise NumericalError(
-            f"non-finite u after step {state.step_count + 1} "
-            f"(t={state.t:.6g}, dt={dt:.3e})"
-        )
-    if np.any(u_new <= 0.0):
-        i = int(np.argmin(u_new))
-        raise PositivityError(
-            f"u reached {u_new[i]:.6e} at node {i} (x={grid.nodes()[i]:.6g}) "
-            f"on step {state.step_count + 1}, t={state.t + dt:.6g}"
-        )
-
-    v_new = v + dt * np.gradient(u_new, dx, edge_order=2)
-    v_new[0] = cfg.boundary.v_left
-    v_new[-1] = cfg.boundary.v_right
-
+    u, v, dt, _ = _advance(
+        state.u.values, state.v.values, state.t, state.step_count + 1,
+        grid, params, cfg, dt_cap,
+    )
     return SimState(
-        u=Field(grid, u_new),
-        v=Field(grid, v_new),
+        u=Field(grid, u),
+        v=Field(grid, v),
         t=state.t + dt,
         step_count=state.step_count + 1,
     )
@@ -197,14 +245,15 @@ def run(
     initial state and the final time)."""
     from .diagnostics import front_position  # local import, no cycle at module load
 
-    _check_boundary_match(initial, cfg.boundary)
+    grid = initial.u.grid
+    u, v, t, count = initial.u.values, initial.v.values, initial.t, initial.step_count
+    _check_boundary_match(u, v, cfg.boundary)
     t0 = time.perf_counter()
     emit = sinks.on_snapshot if sinks is not None and sinks.on_snapshot else None
 
     bc = cfg.boundary
     track_front = abs(bc.u_left - bc.u_right) > 1e-12
     level = 0.5 * (bc.u_left + bc.u_right)
-    grid = initial.u.grid
     margin = 0.1 * grid.length
     warning = False
 
@@ -214,8 +263,11 @@ def run(
         pos = front_position(s.u, level)
         return pos - grid.x_min < margin or grid.x_max - pos < margin
 
+    def as_state(u, v, t, count) -> SimState:
+        return SimState(u=Field(grid, u), v=Field(grid, v), t=t, step_count=count)
+
     state = initial
-    min_u = float(state.u.values.min())
+    min_u = float(u.min())
     eps = _TIME_SNAP * max(1.0, cfg.t_end)
 
     if emit:
@@ -225,20 +277,23 @@ def run(
 
     for target in _snapshot_times(cfg)[1:]:
         prev = None
-        while state.t < target - eps:
-            prev = state
-            state = step(state, params, cfg, dt_cap=target - state.t)
-            min_u = min(min_u, float(state.u.values.min()))
-        if abs(state.t - target) <= eps:
-            state = dataclasses.replace(state, t=target)
+        while t < target - eps:
+            prev = (u, v, t, count)
+            u, v, dt, u_min = _advance(u, v, t, count + 1, grid, params, cfg, target - t)
+            t += dt
+            count += 1
+            min_u = min(min_u, u_min)
+        if abs(t - target) <= eps:
+            t = target
+        state = as_state(u, v, t, count)
         if emit:
-            emit(snapshots, state, prev)
+            emit(snapshots, state, None if prev is None else as_state(*prev))
         warning |= near_boundary(state)
         snapshots += 1
 
     return RunReport(
         final_state=state,
-        step_count=state.step_count,
+        step_count=count,
         snapshot_count=snapshots,
         wall_time_s=time.perf_counter() - t0,
         min_u=min_u,

@@ -210,3 +210,60 @@ def test_self_convergence_on_smooth_data():
     err1 = lp_norm(Field(g_c, coarse.u.values - mid.u.values[::2]), 2)
     err2 = lp_norm(Field(mid.u.grid, mid.u.values - fine.u.values[::2]), 2)
     assert err1 / err2 >= 1.8
+
+
+def test_run_matches_chain_of_public_steps():
+    g = GridSpec(0.0, 100.0, 1001)
+    w = TravelingWave.from_end_values(2.0, 1.0, 1.0, P1)
+    state = wave_state(g, w, 30.0)
+    cfg = SchemeConfig(t_end=2.0, snapshot_interval=1.0, boundary=boundary_of(state))
+    seen = []
+    report = run(state, P1, cfg, DiagnosticSinks(on_snapshot=lambda i, s, prev: seen.append(s)))
+
+    eps = 1e-9 * max(1.0, cfg.t_end)
+    chain = [state]
+    for target in (1.0, 2.0):
+        while state.t < target - eps:
+            state = step(state, P1, cfg, dt_cap=target - state.t)
+        if abs(state.t - target) <= eps:
+            state = SimState(state.u, state.v, target, state.step_count)
+        chain.append(state)
+
+    assert len(seen) == len(chain) == report.snapshot_count
+    for got, want in zip(seen, chain):
+        assert got.step_count == want.step_count
+        assert got.t == want.t
+        assert np.abs(got.u.values - want.u.values).max() <= 1e-12
+        assert np.abs(got.v.values - want.v.values).max() <= 1e-12
+    assert report.step_count == chain[-1].step_count > 0
+
+
+def test_snapshot_prev_is_the_state_one_step_earlier():
+    g = GridSpec(0.0, 100.0, 1001)
+    w = TravelingWave.from_end_values(2.0, 1.0, 1.0, P1)
+    state = wave_state(g, w, 30.0)
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=0.5, boundary=boundary_of(state))
+    pairs = []
+    run(state, P1, cfg, DiagnosticSinks(on_snapshot=lambda i, s, prev: pairs.append((s, prev))))
+    assert len(pairs) == 3 and pairs[0][1] is None
+    for s, prev in pairs[1:]:
+        assert prev.step_count == s.step_count - 1
+        redo = step(prev, P1, cfg, dt_cap=s.t - prev.t)
+        assert np.array_equal(redo.u.values, s.u.values)
+        assert np.array_equal(redo.v.values, s.v.values)
+
+
+def test_run_positivity_violation_names_step_node_and_time():
+    p = ModelParams.from_chi(1e-6, 40.0)
+    g = GridSpec(0.0, 10.0, 201)
+    x = g.nodes()
+    u0 = np.full(g.n_nodes, 0.02)
+    u0[:100] = 1.0
+    u0[100] = 0.51
+    v0 = np.tanh((x - 5.0) * 4.0)
+    state = SimState(Field(g, u0), Field(g, v0), 0.0)
+    cfg = SchemeConfig(
+        t_end=5.0, snapshot_interval=5.0, boundary=boundary_of(state), cfl=0.9
+    )
+    with pytest.raises(PositivityError, match=r"at node \d+ \(x=.*\) on step \d+, t="):
+        run(state, p, cfg)

@@ -109,6 +109,14 @@ def ab_functionals(u: Field, v: Field | None = None) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _effective_flux_values(
+    state: SimState, params: ModelParams, ru: np.ndarray, rv: np.ndarray
+) -> np.ndarray:
+    """effective_flux values for a reference already evaluated at state.t."""
+    diff = derivative_x(Field(state.u.grid, state.u.values - ru)).values
+    return params.D * diff + params.chi * (state.u.values * state.v.values - ru * rv)
+
+
 def effective_flux(
     state: SimState, params: ModelParams, reference: Reference | None = None
 ) -> Field:
@@ -122,11 +130,7 @@ def effective_flux(
     if reference is None:
         reference = ConstantReference(1.0, 0.0)
     ru, rv = reference.profile_arrays(state.u.grid, state.t)
-    diff = derivative_x(Field(state.u.grid, state.u.values - ru)).values
-    return Field(
-        state.u.grid,
-        params.D * diff + params.chi * (state.u.values * state.v.values - ru * rv),
-    )
+    return Field(state.u.grid, _effective_flux_values(state, params, ru, rv))
 
 
 def flux_identity_residual(
@@ -143,12 +147,12 @@ def flux_identity_residual(
     if reference is None:
         reference = ConstantReference(1.0, 0.0)
     grid = prev.u.grid
+    ru_prev, rv_prev = reference.profile_arrays(grid, prev.t)
+    ru_next, rv_next = reference.profile_arrays(grid, next_state.t)
     f_mid = 0.5 * (
-        effective_flux(prev, params, reference).values
-        + effective_flux(next_state, params, reference).values
+        _effective_flux_values(prev, params, ru_prev, rv_prev)
+        + _effective_flux_values(next_state, params, ru_next, rv_next)
     )
-    ru_prev, _ = reference.profile_arrays(grid, prev.t)
-    ru_next, _ = reference.profile_arrays(grid, next_state.t)
     dudt = ((next_state.u.values - ru_next) - (prev.u.values - ru_prev)) / dt
     resid = derivative_x(Field(grid, f_mid)).values - dudt
     return lp_norm(Field(grid, resid), 2)

@@ -72,6 +72,12 @@ class ScenarioConfig:
             )
         if self.mollify_delta < 0:
             raise ConfigError("mollify_delta must be nonnegative")
+        if not self.grid.dx <= self.probe_halfwidth <= 0.5 * self.grid.length:
+            raise ConfigError(
+                f"probe_halfwidth {self.probe_halfwidth} must lie between the "
+                f"grid spacing {self.grid.dx} and half the grid length "
+                f"{0.5 * self.grid.length}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +144,14 @@ def parse_scenario(path) -> ScenarioConfig:
     declared = None
     if "states" in cp:
         st = cp["states"]
-        declared = AsymptoticStates(
-            u_minus=_get(st, "u_minus", where="[states]"),
-            u_plus=_get(st, "u_plus", where="[states]"),
-            v_minus=_get(st, "v_minus", where="[states]"),
-            v_plus=_get(st, "v_plus", where="[states]"),
-        )
+        far_fields = {
+            key: _get(st, key, where="[states]")
+            for key in ("u_minus", "u_plus", "v_minus", "v_plus")
+        }
+        try:
+            declared = AsymptoticStates(**far_fields)
+        except ValueError as exc:
+            raise ConfigError(f"bad [states] section: {exc}") from exc
 
     probe_center = None
     probe_halfwidth = 5.0

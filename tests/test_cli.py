@@ -113,3 +113,24 @@ def test_sweep_cli(tmp_path):
                  "--out", str(out_dir)]) == EXIT_CONFIG
     assert main(["sweep", str(cfg), "--axis", "cfl", "--values", "",
                  "--out", str(tmp_path / "sw_empty")]) == EXIT_OK
+
+
+def _assert_rejected_before_writing(tmp_path, text):
+    path = tmp_path / "rejected.cfg"
+    path.write_text(text)
+    out_dir = tmp_path / "out_rejected"
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert main(["run", str(path), "--out", str(out_dir)]) == EXIT_CONFIG
+    assert not list(out_dir.glob("snap_*.dat"))
+
+
+def test_oversized_probe_halfwidth_is_config_error(tmp_path, capsys):
+    text = SMALL_CFG.replace("probe_halfwidth = 2", "probe_halfwidth = 30")
+    _assert_rejected_before_writing(tmp_path, text)
+    assert "probe_halfwidth" in capsys.readouterr().err
+
+
+def test_negative_declared_density_is_config_error(tmp_path, capsys):
+    text = SMALL_CFG + "\n[states]\nu_minus = 2\nu_plus = -1\nv_minus = 0\nv_plus = 1\n"
+    _assert_rejected_before_writing(tmp_path, text)
+    assert "[states]" in capsys.readouterr().err

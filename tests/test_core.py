@@ -11,6 +11,7 @@ from chemoshock.core import (
     ModelParams,
     NumericalError,
     SimState,
+    _SNAPSHOT_BLOCK_ROWS,
     cumulative_integral,
     derivative_x,
     integral,
@@ -203,3 +204,56 @@ def test_snapshot_roundtrip(tmp_path):
     assert np.array_equal(x, g.nodes())
     header = path.read_text().splitlines()[0]
     assert header.startswith("# t=")
+
+
+def _write_snapshot_per_value(path, state, c=None):
+    """Reference writer: one '%.17g' per value, as snapshots were first written."""
+    cols = [state.u.grid.nodes(), state.u.values, state.v.values]
+    if c is not None:
+        cols.append(c.values)
+    with open(path, "w") as fh:
+        fh.write("# t=" + ("%.17g" % state.t) + "\n")
+        for row in np.column_stack(cols):
+            fh.write(" ".join("%.17g" % float(val) for val in row) + "\n")
+
+
+@pytest.mark.parametrize(
+    "n_nodes", [100, _SNAPSHOT_BLOCK_ROWS, 2 * _SNAPSHOT_BLOCK_ROWS + 37]
+)
+@pytest.mark.parametrize("with_c", [False, True])
+def test_snapshot_bytes_match_per_value_formatting(tmp_path, n_nodes, with_c):
+    g = GridSpec(-1.0, 3.0, n_nodes)
+    rng = np.random.default_rng(n_nodes)
+    special = [-0.0, 1e-300, 2.0, 1.0 / 3.0]
+    u = 1.0 + rng.random(n_nodes)
+    v = rng.standard_normal(n_nodes)
+    u[: len(special)] = special
+    v[-len(special) :] = special
+    state = SimState(Field(g, u), Field(g, v), t=1.0 / 3.0)
+    c = Field(g, np.exp(v)) if with_c else None
+
+    write_snapshot(tmp_path / "block.dat", state, c=c)
+    _write_snapshot_per_value(tmp_path / "ref.dat", state, c=c)
+    data = (tmp_path / "block.dat").read_bytes()
+    assert data == (tmp_path / "ref.dat").read_bytes()
+    assert data.endswith(b"\n") and data.count(b"\n") == n_nodes + 1
+    assert data.splitlines()[1].split()[1] == b"-0"
+
+
+def test_snapshot_roundtrip_with_c_column(tmp_path):
+    g = GridSpec(0.0, 2.0, 41)
+    rng = np.random.default_rng(7)
+    state = SimState(
+        Field(g, 1.0 + rng.random(g.n_nodes)),
+        Field(g, rng.standard_normal(g.n_nodes)),
+        t=0.1,
+    )
+    c = Field(g, np.exp(rng.standard_normal(g.n_nodes)))
+    path = tmp_path / "snap_0001.dat"
+    write_snapshot(path, state, c=c)
+    t, x, u, v = read_snapshot(path)
+    assert t == state.t
+    assert np.array_equal(x, g.nodes())
+    assert np.array_equal(u, state.u.values)
+    assert np.array_equal(v, state.v.values)
+    assert np.array_equal(np.loadtxt(path)[:, 3], c.values)

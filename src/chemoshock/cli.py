@@ -17,13 +17,14 @@ from dataclasses import replace
 
 from .core import ConfigError, NumericalError
 from .scenarios import (
+    _fmt,
     build_initial,
     parse_scenario,
     run_scenario,
     sweep,
+    wave_summary,
     wire_reference,
 )
-from .waves import rh_residual, wave_speed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,47 +32,18 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _apply_overrides(cfg, args):
-    if getattr(args, "mollify_delta", None) is not None:
-        cfg = replace(cfg, mollify_delta=args.mollify_delta)
-    return cfg
-
-
 def _wave_block(cfg) -> str:
-    """Key-value text block with the wave quantities for a scenario."""
-    lines = []
+    """The manifest's wave and jump-condition lines for a scenario."""
     state0, boundary = build_initial(cfg)
     setup = wire_reference(state0, cfg.params)
-    if cfg.declared_states is not None:
-        st = cfg.declared_states
-        lines.append(f"declared_states = ({st.u_minus}, {st.u_plus}, {st.v_minus}, {st.v_plus})")
-        try:
-            s = wave_speed(st, cfg.params)
-            res = rh_residual(st, s, cfg.params)
-            lines.append(f"declared_speed = {s:.17g}")
-            lines.append(f"declared_rh_r1 = {res.r1:.17g}")
-            lines.append(f"declared_rh_r2 = {res.r2:.17g}")
-        except ValueError as exc:
-            lines.append(f"declared_speed = n/a ({exc})")
-    if setup.wave is None:
-        lines.append("wave_present = false")
-    else:
-        w = setup.wave
-        res = rh_residual(w.states, w.s, cfg.params)
-        lines.append("wave_present = true")
-        lines.append(f"s = {w.s:.17g}")
-        lines.append(f"lambda = {w.lam:.17g}")
-        lines.append(f"v_minus = {w.states.v_minus:.17g}")
-        lines.append(f"kappa = {w.kappa:.17g}")
-        lines.append(f"rh_r1 = {res.r1:.17g}")
-        lines.append(f"rh_r2 = {res.r2:.17g}")
-        lines.append(f"shift_x0 = {setup.shift.x0:.17g}")
-        lines.append(f"beta_residual = {setup.shift.beta_residual:.17g}")
-    return "\n".join(lines)
+    summary = wave_summary(cfg, boundary, setup)
+    return "\n".join(f"{key} = {_fmt(val)}" for key, val in summary.items())
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(parse_scenario(args.config), args)
+    cfg = parse_scenario(args.config)
+    if args.mollify_delta is not None:
+        cfg = replace(cfg, mollify_delta=args.mollify_delta)
     manifest = run_scenario(cfg, args.out, emit_c=args.emit_c)
     print(f"wrote {args.out}/manifest.txt ({manifest['snapshot_count']} snapshots, "
           f"{manifest['step_count']} steps, {manifest['wall_time_s']:.2f} s)")
@@ -88,10 +60,10 @@ def _cmd_wave(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = parse_scenario(args.config)
-    state0, boundary = build_initial(cfg)
+    block = _wave_block(cfg)
     print(f"scenario '{cfg.name}' ok: {cfg.grid.n_nodes} nodes, "
           f"t_end={cfg.t_end}, initial_kind={cfg.initial_kind}")
-    print(_wave_block(cfg))
+    print(block)
     return EXIT_OK
 
 

@@ -370,15 +370,7 @@ class QuantityDecay:
     decayed: bool
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    quantities: dict[str, QuantityDecay]
-
-    def __getitem__(self, name: str) -> QuantityDecay:
-        return self.quantities[name]
-
-
-def decay_series(records: Sequence[DiagnosticsRecord]) -> DecayReport:
+def decay_series(records: Sequence[DiagnosticsRecord]) -> dict[str, QuantityDecay]:
     """Log-linear tail fit and halving check for each tracked error norm."""
     if len(records) < 3:
         raise ValueError(f"need at least 3 records (got {len(records)})")
@@ -398,7 +390,7 @@ def decay_series(records: Sequence[DiagnosticsRecord]) -> DecayReport:
             tail_slope=slope,
             decayed=bool(series[-1] < 0.5 * series[0]),
         )
-    return DecayReport(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

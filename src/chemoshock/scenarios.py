@@ -6,6 +6,7 @@ series.csv, and a manifest.
 from __future__ import annotations
 
 import configparser
+import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -27,10 +28,10 @@ from .core import (
 from .mollifier import MollifierSpec, mollify
 from .solver import (
     _BOUNDARY_MATCH_TOL,
-    DiagnosticSinks,
     DirichletBoundary,
     RunReport,
     SchemeConfig,
+    _check_scheme,
     run,
 )
 from .waves import TravelingWave, rh_residual, wave_speed
@@ -78,6 +79,7 @@ class ScenarioConfig:
                 f"grid spacing {self.grid.dx} and half the grid length "
                 f"{0.5 * self.grid.length}"
             )
+        _check_scheme(self.t_end, self.snapshot_interval, self.cfl, self.diffusion_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +87,8 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _get(section, key, cast=float, default=None, where=""):
+def _get(section, key, cast=float, where=""):
     if key not in section:
-        if default is not None:
-            return default
         raise ConfigError(f"missing key '{key}' in section {where}")
     try:
         return cast(section[key])
@@ -153,15 +153,18 @@ def parse_scenario(path) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"bad [states] section: {exc}") from exc
 
-    probe_center = None
-    probe_halfwidth = 5.0
-    if "diagnostics" in cp:
-        dg = cp["diagnostics"]
-        if "probe_center" in dg:
-            probe_center = _get(dg, "probe_center", where="[diagnostics]")
-        probe_halfwidth = _get(
-            dg, "probe_halfwidth", default=5.0, where="[diagnostics]"
+    # optional keys are passed only when set, so each default lives in ScenarioConfig
+    optional = {
+        key: _get(cp[section], key, where=f"[{section}]")
+        for section, key in (
+            ("scheme", "cfl"),
+            ("scheme", "diffusion_theta"),
+            ("scenario", "mollify_delta"),
+            ("diagnostics", "probe_center"),
+            ("diagnostics", "probe_halfwidth"),
         )
+        if section in cp and key in cp[section]
+    }
 
     return ScenarioConfig(
         name=sc.get("name", path.stem),
@@ -171,14 +174,10 @@ def parse_scenario(path) -> ScenarioConfig:
         snapshot_interval=_get(scheme, "snapshot_interval", where="[scheme]"),
         initial_kind=sc.get("initial_kind", ""),
         initial_params=initial_params,
-        cfl=_get(scheme, "cfl", default=0.4, where="[scheme]"),
-        diffusion_theta=_get(scheme, "diffusion_theta", default=0.5, where="[scheme]"),
-        mollify_delta=_get(sc, "mollify_delta", default=0.0, where="[scenario]"),
         seed_label=sc.get("seed_label", ""),
         declared_states=declared,
-        probe_center=probe_center,
-        probe_halfwidth=probe_halfwidth,
         boundary_override=boundary_override,
+        **optional,
     )
 
 
@@ -550,12 +549,52 @@ def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> dict:
             )
         )
 
-    report = run(state0, cfg.params, scheme, DiagnosticSinks(on_snapshot=on_snapshot))
+    report = run(state0, cfg.params, scheme, on_snapshot)
     diag.write_series(records, out / "series.csv")
 
     manifest = _build_manifest(cfg, boundary, setup, records, report, probe_center)
     write_manifest(manifest, out / "manifest.txt")
     return manifest
+
+
+def wave_summary(cfg: ScenarioConfig, boundary: DirichletBoundary, setup: WaveSetup) -> dict:
+    """The manifest's wave and jump-condition entries: speed and residuals of
+    the declared far fields, the fitted wave and its residuals, the residuals
+    of the data's end values against that wave, and the mass shift x0."""
+    m = {}
+    declared = cfg.declared_states
+    if declared is not None:
+        try:
+            s = wave_speed(declared, cfg.params)
+        except ValueError:
+            m["declared_speed"] = None
+        else:
+            res = rh_residual(declared, s, cfg.params)
+            m.update(declared_speed=s, declared_rh_r1=res.r1, declared_rh_r2=res.r2)
+    wave = setup.wave
+    m["wave_present"] = wave is not None
+    if wave is not None:
+        res = rh_residual(wave.states, wave.s, cfg.params)
+        data_states = AsymptoticStates(
+            u_minus=boundary.u_left,
+            u_plus=boundary.u_right,
+            v_minus=boundary.v_left,
+            v_plus=boundary.v_right,
+        )
+        data_res = rh_residual(data_states, wave.s, cfg.params)
+        m.update(
+            wave_s=wave.s,
+            wave_lambda=wave.lam,
+            wave_v_minus=wave.states.v_minus,
+            wave_kappa=wave.kappa,
+            wave_rh_r1=res.r1,
+            wave_rh_r2=res.r2,
+            data_rh_r1=data_res.r1,
+            data_rh_r2=data_res.r2,
+            shift_x0=setup.shift.x0,
+            shift_beta_residual=setup.shift.beta_residual,
+        )
+    return m
 
 
 def _build_manifest(
@@ -587,7 +626,6 @@ def _build_manifest(
         "boundary_v_left": boundary.v_left,
         "boundary_u_right": boundary.u_right,
         "boundary_v_right": boundary.v_right,
-        "wave_present": setup.wave is not None,
         "flux_variant": "wave" if setup.wave is not None else "constant",
         "min_u": report.min_u,
         "step_count": report.step_count,
@@ -597,42 +635,9 @@ def _build_manifest(
         "probe_center": probe_center,
         "probe_halfwidth": cfg.probe_halfwidth,
     }
-
-    if cfg.declared_states is not None:
-        try:
-            s_declared = wave_speed(cfg.declared_states, cfg.params)
-        except ValueError:
-            s_declared = None
-        m["declared_speed"] = s_declared
-        if s_declared is not None:
-            res = rh_residual(cfg.declared_states, s_declared, cfg.params)
-            m["declared_rh_r1"] = res.r1
-            m["declared_rh_r2"] = res.r2
-
+    m.update(wave_summary(cfg, boundary, setup))
     if setup.wave is not None:
-        wave = setup.wave
-        res = rh_residual(wave.states, wave.s, cfg.params)
-        m.update(
-            wave_s=wave.s,
-            wave_lambda=wave.lam,
-            wave_v_minus=wave.states.v_minus,
-            wave_kappa=wave.kappa,
-            wave_rh_r1=res.r1,
-            wave_rh_r2=res.r2,
-            shift_x0=setup.shift.x0,
-            shift_beta_residual=setup.shift.beta_residual,
-            probe_reference_level=diag.smooth_probe_reference(wave),
-        )
-        # residuals of the raw end values of the data against the fitted wave
-        data_states = AsymptoticStates(
-            u_minus=boundary.u_left,
-            u_plus=boundary.u_right,
-            v_minus=boundary.v_left,
-            v_plus=boundary.v_right,
-        )
-        data_res = rh_residual(data_states, wave.s, cfg.params)
-        m["data_rh_r1"] = data_res.r1
-        m["data_rh_r2"] = data_res.r2
+        m["probe_reference_level"] = diag.smooth_probe_reference(setup.wave)
 
     if records:
         probes = [r.max_diff_quotient_v for r in records]
@@ -712,8 +717,6 @@ def apply_axis(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
 def sweep(base: ScenarioConfig, axis: str, values, out_dir) -> list[dict]:
     """Run one variant per value, each into its own subdirectory; failures are
     recorded in the cross-run CSV and do not abort the remaining runs."""
-    import csv as _csv
-
     if axis not in SWEEP_AXES:
         raise ConfigError(
             f"unknown sweep axis '{axis}' (use one of {', '.join(SWEEP_AXES)})"
@@ -749,8 +752,8 @@ def sweep(base: ScenarioConfig, axis: str, values, out_dir) -> list[dict]:
         rows.append(row)
 
     with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: _fmt(row.get(k)) if not isinstance(row.get(k), str) else row.get(k) for k in SWEEP_COLUMNS})
+            writer.writerow({k: _fmt(row.get(k)) for k in SWEEP_COLUMNS})
     return manifests

@@ -18,8 +18,8 @@ definite and tridiagonal, is solved by LAPACK's dptsv.
 One array kernel, `_advance`, takes a step on raw nodal arrays and performs
 every per-step check (boundary match, finite u and v, positivity).  `run()`
 marches the arrays and builds `Field`/`SimState` only at the API boundary: at
-snapshots, for the `on_snapshot` callback, and for its `RunReport`.  The public
-`step()` wraps the same kernel for a single `SimState`.
+snapshots, for the plain `on_snapshot(index, state, prev)` callback, and for its
+`RunReport`.  The public `step()` wraps the same kernel for a single `SimState`.
 """
 
 from __future__ import annotations
@@ -67,18 +67,19 @@ class SchemeConfig:
     diffusion_theta: float = 0.5  # 0.5 = Crank-Nicolson, 1 = backward Euler
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.cfl <= 1.0:
-            raise ConfigError(f"cfl must lie in (0, 1] (got {self.cfl})")
-        if not 0.5 <= self.diffusion_theta <= 1.0:
-            raise ConfigError(
-                f"diffusion_theta must lie in [0.5, 1] (got {self.diffusion_theta})"
-            )
-        if self.t_end < 0:
-            raise ConfigError(f"t_end must be nonnegative (got {self.t_end})")
-        if self.snapshot_interval <= 0:
-            raise ConfigError(
-                f"snapshot_interval must be positive (got {self.snapshot_interval})"
-            )
+        _check_scheme(self.t_end, self.snapshot_interval, self.cfl, self.diffusion_theta)
+
+
+def _check_scheme(t_end: float, snapshot_interval: float, cfl: float, theta: float) -> None:
+    """The rule for valid scheme values, shared with `ScenarioConfig`."""
+    if not 0.0 < cfl <= 1.0:
+        raise ConfigError(f"cfl must lie in (0, 1] (got {cfl})")
+    if not 0.5 <= theta <= 1.0:
+        raise ConfigError(f"diffusion_theta must lie in [0.5, 1] (got {theta})")
+    if t_end < 0:
+        raise ConfigError(f"t_end must be nonnegative (got {t_end})")
+    if snapshot_interval <= 0:
+        raise ConfigError(f"snapshot_interval must be positive (got {snapshot_interval})")
 
 
 def _speed_bound(u: np.ndarray, v: np.ndarray, chi: float) -> float:
@@ -209,11 +210,6 @@ def step(
 SnapshotCallback = Callable[[int, SimState, Optional[SimState]], None]
 
 
-@dataclass
-class DiagnosticSinks:
-    on_snapshot: SnapshotCallback | None = None
-
-
 @dataclass(frozen=True)
 class RunReport:
     final_state: SimState
@@ -239,17 +235,20 @@ def run(
     initial: SimState,
     params: ModelParams,
     cfg: SchemeConfig,
-    sinks: DiagnosticSinks | None = None,
+    on_snapshot: SnapshotCallback | None = None,
 ) -> RunReport:
     """March to t_end, emitting a snapshot every snapshot_interval (plus the
-    initial state and the final time)."""
+    initial state and the final time).
+
+    Each snapshot is passed to `on_snapshot(index, state, prev)` when given;
+    `prev` is the state one step before `state`, or None at index 0 and when
+    no step was taken since the last snapshot."""
     from .diagnostics import front_position  # local import, no cycle at module load
 
     grid = initial.u.grid
     u, v, t, count = initial.u.values, initial.v.values, initial.t, initial.step_count
     _check_boundary_match(u, v, cfg.boundary)
     t0 = time.perf_counter()
-    emit = sinks.on_snapshot if sinks is not None and sinks.on_snapshot else None
 
     bc = cfg.boundary
     track_front = abs(bc.u_left - bc.u_right) > 1e-12
@@ -270,8 +269,8 @@ def run(
     min_u = float(u.min())
     eps = _TIME_SNAP * max(1.0, cfg.t_end)
 
-    if emit:
-        emit(0, state, None)
+    if on_snapshot:
+        on_snapshot(0, state, None)
     warning |= near_boundary(state)
     snapshots = 1
 
@@ -286,8 +285,8 @@ def run(
         if abs(t - target) <= eps:
             t = target
         state = as_state(u, v, t, count)
-        if emit:
-            emit(snapshots, state, None if prev is None else as_state(*prev))
+        if on_snapshot:
+            on_snapshot(snapshots, state, None if prev is None else as_state(*prev))
         warning |= near_boundary(state)
         snapshots += 1
 

@@ -134,3 +134,29 @@ def test_negative_declared_density_is_config_error(tmp_path, capsys):
     text = SMALL_CFG + "\n[states]\nu_minus = 2\nu_plus = -1\nv_minus = 0\nv_plus = 1\n"
     _assert_rejected_before_writing(tmp_path, text)
     assert "[states]" in capsys.readouterr().err
+
+
+def test_cfl_above_one_is_config_error(tmp_path, capsys):
+    text = SMALL_CFG.replace("cfl = 0.4", "cfl = 1.7")
+    _assert_rejected_before_writing(tmp_path, text)
+    assert "cfl" in capsys.readouterr().err
+
+
+def test_zero_snapshot_interval_is_config_error(tmp_path, capsys):
+    text = SMALL_CFG.replace("snapshot_interval = 1", "snapshot_interval = 0")
+    _assert_rejected_before_writing(tmp_path, text)
+    assert "snapshot_interval" in capsys.readouterr().err
+
+
+def test_wave_lines_are_manifest_lines(tmp_path, capsys):
+    text = SMALL_CFG + "\n[states]\nu_minus = 2\nu_plus = 1\nv_minus = 0.5\nv_plus = 1\n"
+    path = write_cfg(tmp_path, text)
+    assert main(["wave", str(path)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("declared_rh_r1 = ") for line in lines)
+    assert any(line.startswith("data_rh_r1 = ") for line in lines)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir)]) == EXIT_OK
+    manifest = (out_dir / "manifest.txt").read_text().splitlines()
+    for line in lines:
+        assert line in manifest

@@ -12,7 +12,6 @@ from chemoshock.core import (
     lp_norm,
 )
 from chemoshock.solver import (
-    DiagnosticSinks,
     DirichletBoundary,
     SchemeConfig,
     characteristic_speed_bound,
@@ -141,7 +140,7 @@ def test_zero_horizon_run_emits_single_snapshot():
     state = constant_state(g, 1.0, 0.0)
     cfg = SchemeConfig(t_end=0.0, snapshot_interval=1.0, boundary=boundary_of(state))
     seen = []
-    run(state, P1, cfg, DiagnosticSinks(on_snapshot=lambda i, s, prev: seen.append((i, s.t, prev))))
+    run(state, P1, cfg, lambda i, s, prev: seen.append((i, s.t, prev)))
     assert seen == [(0, 0.0, None)]
 
 
@@ -150,7 +149,7 @@ def test_snapshot_schedule_and_prev_state():
     state = constant_state(g, 1.0, 0.0)
     cfg = SchemeConfig(t_end=1.0, snapshot_interval=0.25, boundary=boundary_of(state))
     seen = []
-    report = run(state, P1, cfg, DiagnosticSinks(on_snapshot=lambda i, s, prev: seen.append((i, s.t, prev is not None))))
+    report = run(state, P1, cfg, lambda i, s, prev: seen.append((i, s.t, prev is not None)))
     assert [t for _, t, _ in seen] == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert [has_prev for _, _, has_prev in seen] == [False, True, True, True, True]
     assert report.snapshot_count == 5
@@ -218,7 +217,7 @@ def test_run_matches_chain_of_public_steps():
     state = wave_state(g, w, 30.0)
     cfg = SchemeConfig(t_end=2.0, snapshot_interval=1.0, boundary=boundary_of(state))
     seen = []
-    report = run(state, P1, cfg, DiagnosticSinks(on_snapshot=lambda i, s, prev: seen.append(s)))
+    report = run(state, P1, cfg, lambda i, s, prev: seen.append(s))
 
     eps = 1e-9 * max(1.0, cfg.t_end)
     chain = [state]
@@ -244,7 +243,7 @@ def test_snapshot_prev_is_the_state_one_step_earlier():
     state = wave_state(g, w, 30.0)
     cfg = SchemeConfig(t_end=1.0, snapshot_interval=0.5, boundary=boundary_of(state))
     pairs = []
-    run(state, P1, cfg, DiagnosticSinks(on_snapshot=lambda i, s, prev: pairs.append((s, prev))))
+    run(state, P1, cfg, lambda i, s, prev: pairs.append((s, prev)))
     assert len(pairs) == 3 and pairs[0][1] is None
     for s, prev in pairs[1:]:
         assert prev.step_count == s.step_count - 1

@@ -44,7 +44,7 @@ def _cmd_run(args) -> int:
     cfg = parse_scenario(args.config)
     if args.mollify_delta is not None:
         cfg = replace(cfg, mollify_delta=args.mollify_delta)
-    manifest = run_scenario(cfg, args.out, emit_c=args.emit_c)
+    manifest, _ = run_scenario(cfg, args.out, emit_c=args.emit_c)
     print(f"wrote {args.out}/manifest.txt ({manifest['snapshot_count']} snapshots, "
           f"{manifest['step_count']} steps, {manifest['wall_time_s']:.2f} s)")
     if manifest.get("boundary_warning"):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -26,8 +26,6 @@ from .core import (
     trapezoid,
 )
 from .waves import TravelingWave
-
-V_ERROR_EXPONENTS = (2, 4, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +131,29 @@ def effective_flux(
     return Field(state.u.grid, _effective_flux_values(state, params, ru, rv))
 
 
+def _flux_residual(
+    prev: SimState,
+    next_state: SimState,
+    params: ModelParams,
+    reference: Reference,
+    ru_next: np.ndarray,
+    rv_next: np.ndarray,
+) -> float:
+    """flux_identity_residual for a reference already evaluated at next_state.t."""
+    dt = next_state.t - prev.t
+    if dt <= 0:
+        raise ValueError(f"states must be time-ordered (got dt={dt})")
+    grid = prev.u.grid
+    ru_prev, rv_prev = reference.profile_arrays(grid, prev.t)
+    f_mid = 0.5 * (
+        _effective_flux_values(prev, params, ru_prev, rv_prev)
+        + _effective_flux_values(next_state, params, ru_next, rv_next)
+    )
+    dudt = ((next_state.u.values - ru_next) - (prev.u.values - ru_prev)) / dt
+    resid = derivative_x(Field(grid, f_mid)).values - dudt
+    return lp_norm(Field(grid, resid), 2)
+
+
 def flux_identity_residual(
     prev: SimState,
     next_state: SimState,
@@ -141,21 +162,10 @@ def flux_identity_residual(
 ) -> float:
     """L2 norm of d/dx F_mid - time difference quotient of (u - R_u), the
     discrete residual of the flux identity F_x = (u - R_u)_t."""
-    dt = next_state.t - prev.t
-    if dt <= 0:
-        raise ValueError(f"states must be time-ordered (got dt={dt})")
     if reference is None:
         reference = ConstantReference(1.0, 0.0)
-    grid = prev.u.grid
-    ru_prev, rv_prev = reference.profile_arrays(grid, prev.t)
-    ru_next, rv_next = reference.profile_arrays(grid, next_state.t)
-    f_mid = 0.5 * (
-        _effective_flux_values(prev, params, ru_prev, rv_prev)
-        + _effective_flux_values(next_state, params, ru_next, rv_next)
-    )
-    dudt = ((next_state.u.values - ru_next) - (prev.u.values - ru_prev)) / dt
-    resid = derivative_x(Field(grid, f_mid)).values - dudt
-    return lp_norm(Field(grid, resid), 2)
+    ru_next, rv_next = reference.profile_arrays(next_state.u.grid, next_state.t)
+    return _flux_residual(prev, next_state, params, reference, ru_next, rv_next)
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +296,26 @@ def front_position(u: Field, level: float) -> float:
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
+    """One snapshot's diagnostics; its fields are the series.csv columns, in order."""
+
     t: float
     sigma: float
     sup_u_err: float
-    lp_v_err: dict[int, float]
+    l2_v: float
+    l4_v: float
+    l6_v: float
     entropy: float
     a_func: float
     b_func: float
-    flux_identity_residual: float
+    flux_res: float
     mass_u: float
     mass_v: float
-    max_diff_quotient_v: float
+    max_dq_v: float
     dq_width: float
-    front_position: float
+    front_pos: float
 
     def __post_init__(self) -> None:
-        scalars = [
-            getattr(self, f.name) for f in fields(self) if f.name != "lp_v_err"
-        ] + list(self.lp_v_err.values())
-        if not all(math.isfinite(val) for val in scalars):
+        if not all(math.isfinite(val) for val in astuple(self)):
             raise ValueError("diagnostics record contains non-finite entries")
 
 
@@ -331,7 +342,7 @@ def assemble_record(
         front = front_position(state.u, front_level)
 
     flux_res = (
-        flux_identity_residual(prev, state, params, reference)
+        _flux_residual(prev, state, params, reference, ru, rv)
         if prev is not None
         else 0.0
     )
@@ -340,26 +351,22 @@ def assemble_record(
         t=state.t,
         sigma=min(1.0, state.t),
         sup_u_err=float(np.abs(u_err).max()),
-        lp_v_err={p: lp_norm(v_err, p) for p in V_ERROR_EXPONENTS},
+        l2_v=lp_norm(v_err, 2),
+        l4_v=lp_norm(v_err, 4),
+        l6_v=lp_norm(v_err, 6),
         entropy=entropy(state.u),
         a_func=a_val,
         b_func=b_val,
-        flux_identity_residual=flux_res,
+        flux_res=flux_res,
         mass_u=integral(state.u),
         mass_v=integral(state.v),
-        max_diff_quotient_v=probe.max_dq,
+        max_dq_v=probe.max_dq,
         dq_width=probe.width_50,
-        front_position=front,
+        front_pos=front,
     )
 
 
 TRACKED_QUANTITIES = ("sup_u_err", "l2_v", "l4_v", "l6_v")
-
-
-def _tracked_value(rec: DiagnosticsRecord, name: str) -> float:
-    if name == "sup_u_err":
-        return rec.sup_u_err
-    return rec.lp_v_err[int(name[1])]
 
 
 @dataclass(frozen=True)
@@ -381,7 +388,7 @@ def decay_series(records: Sequence[DiagnosticsRecord]) -> dict[str, QuantityDeca
     t_tail = np.array([rec.t for rec in tail])
     out = {}
     for name in TRACKED_QUANTITIES:
-        series = np.array([_tracked_value(rec, name) for rec in records])
+        series = np.array([getattr(rec, name) for rec in records])
         logs = np.log(np.maximum(series[len(records) // 2 :], 1e-300))
         slope = float(np.polyfit(t_tail, logs, 1)[0])
         out[name] = QuantityDecay(
@@ -397,46 +404,9 @@ def decay_series(records: Sequence[DiagnosticsRecord]) -> dict[str, QuantityDeca
 # series.csv
 # ---------------------------------------------------------------------------
 
-SERIES_COLUMNS = (
-    "t",
-    "sigma",
-    "sup_u_err",
-    "l2_v",
-    "l4_v",
-    "l6_v",
-    "entropy",
-    "a_func",
-    "b_func",
-    "flux_res",
-    "mass_u",
-    "mass_v",
-    "max_dq_v",
-    "dq_width",
-    "front_pos",
-)
+SERIES_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 _CSV_FMT = "%.17g"
-
-
-def _record_row(rec: DiagnosticsRecord) -> list[str]:
-    vals = (
-        rec.t,
-        rec.sigma,
-        rec.sup_u_err,
-        rec.lp_v_err[2],
-        rec.lp_v_err[4],
-        rec.lp_v_err[6],
-        rec.entropy,
-        rec.a_func,
-        rec.b_func,
-        rec.flux_identity_residual,
-        rec.mass_u,
-        rec.mass_v,
-        rec.max_diff_quotient_v,
-        rec.dq_width,
-        rec.front_position,
-    )
-    return [_CSV_FMT % val for val in vals]
 
 
 def write_series(records: Sequence[DiagnosticsRecord], path) -> None:
@@ -444,7 +414,7 @@ def write_series(records: Sequence[DiagnosticsRecord], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(SERIES_COLUMNS)
         for rec in records:
-            writer.writerow(_record_row(rec))
+            writer.writerow([_CSV_FMT % val for val in astuple(rec)])
 
 
 def read_series(path) -> dict[str, np.ndarray]:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import difflib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -96,6 +97,42 @@ def _get(section, key, cast=float, where=""):
         raise ConfigError(f"bad value for {where}:{key}: {exc}") from exc
 
 
+# The keys each section may hold, lowercased as configparser stores them.
+# [initial] keys depend on initial_kind and are read by build_initial.
+_SECTION_KEYS = {
+    "scenario": ("name", "initial_kind", "mollify_delta", "seed_label"),
+    "grid": ("x_min", "x_max", "n_nodes"),
+    "model": ("d", "chi", "mu", "xi"),
+    "scheme": (
+        "cfl", "diffusion_theta", "t_end", "snapshot_interval",
+        "u_left", "v_left", "u_right", "v_right",
+    ),
+    "initial": None,
+    "states": ("u_minus", "u_plus", "v_minus", "v_plus"),
+    "diagnostics": ("probe_center", "probe_halfwidth"),
+}
+
+
+def _unknown(where: str, kind: str, name: str, valid) -> ConfigError:
+    match = difflib.get_close_matches(name, valid, n=1)
+    hint = f"did you mean '{match[0]}'?" if match else f"expected one of {', '.join(valid)}"
+    return ConfigError(f"{where}: unknown {kind} '{name}' ({hint})")
+
+
+def _check_names(cp: configparser.ConfigParser, path: Path) -> None:
+    """Reject sections and keys that _SECTION_KEYS does not list."""
+    sections = ([cp.default_section] if cp.defaults() else []) + cp.sections()
+    for section in sections:
+        if section not in _SECTION_KEYS:
+            raise _unknown(str(path), "section", section, list(_SECTION_KEYS))
+        allowed = _SECTION_KEYS[section]
+        if allowed is None:
+            continue
+        for key in cp[section]:
+            if key not in allowed:
+                raise _unknown(f"{path} [{section}]", "key", key, allowed)
+
+
 def parse_scenario(path) -> ScenarioConfig:
     path = Path(path)
     if not path.is_file():
@@ -105,6 +142,7 @@ def parse_scenario(path) -> ScenarioConfig:
         cp.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    _check_names(cp, path)
 
     for required in ("scenario", "grid", "model", "scheme", "initial"):
         if required not in cp:
@@ -496,13 +534,14 @@ def _front_speed(records) -> float | None:
     if len(tail) < 2:
         return None
     t = np.array([r.t for r in tail])
-    pos = np.array([r.front_position for r in tail])
+    pos = np.array([r.front_pos for r in tail])
     return float(np.polyfit(t, pos, 1)[0])
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> dict:
+def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[dict, list]:
     """Run one scenario and write snap_<i>.dat, series.csv, and manifest.txt
-    into out_dir.  Returns the manifest as a dict."""
+    into out_dir.  Returns (manifest, records): the manifest as a dict and
+    the per-snapshot records, one per series.csv row."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -554,7 +593,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> dict:
 
     manifest = _build_manifest(cfg, boundary, setup, records, report, probe_center)
     write_manifest(manifest, out / "manifest.txt")
-    return manifest
+    return manifest, records
 
 
 def wave_summary(cfg: ScenarioConfig, boundary: DirichletBoundary, setup: WaveSetup) -> dict:
@@ -640,7 +679,7 @@ def _build_manifest(
         m["probe_reference_level"] = diag.smooth_probe_reference(setup.wave)
 
     if records:
-        probes = [r.max_diff_quotient_v for r in records]
+        probes = [r.max_dq_v for r in records]
         widths = [r.dq_width for r in records]
         first5 = widths[: min(5, len(widths))]
         m.update(
@@ -732,20 +771,12 @@ def sweep(base: ScenarioConfig, axis: str, values, out_dir) -> list[dict]:
         try:
             variant = apply_axis(base, axis, float(value))
             variant = replace(variant, name=f"{base.name}[{tag}]")
-            manifest = run_scenario(variant, sub)
+            manifest, records = run_scenario(variant, sub)
             manifests.append(manifest)
-            series = diag.read_series(sub / "series.csv")
-            row.update(
-                t_final=series["t"][-1],
-                sup_u_err=series["sup_u_err"][-1],
-                l2_v=series["l2_v"][-1],
-                l4_v=series["l4_v"][-1],
-                l6_v=series["l6_v"][-1],
-                entropy=series["entropy"][-1],
-                max_dq_v=series["max_dq_v"][-1],
-                dq_width=series["dq_width"][-1],
-                front_pos=series["front_pos"][-1],
-            )
+            # the value columns are the final series.csv row, its t as t_final
+            final = records[-1]
+            row.update((k, getattr(final, k)) for k in diag.SERIES_COLUMNS if k in SWEEP_COLUMNS)
+            row["t_final"] = final.t
         except Exception as exc:  # noqa: BLE001 - failures belong in the CSV
             row["status"] = "failed"
             row["error"] = f"{type(exc).__name__}: {exc}"

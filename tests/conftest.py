@@ -18,7 +18,7 @@ def scenario_dir() -> Path:
 def _run(name: str, tmp_root: Path):
     cfg = parse_scenario(SCENARIO_DIR / f"{name}.cfg")
     out = tmp_root / name
-    manifest = run_scenario(cfg, out)
+    manifest, _ = run_scenario(cfg, out)
     return cfg, manifest, read_series(out / "series.csv"), out
 
 

@@ -148,6 +148,25 @@ def test_zero_snapshot_interval_is_config_error(tmp_path, capsys):
     assert "snapshot_interval" in capsys.readouterr().err
 
 
+def test_misspelled_key_is_config_error(tmp_path, capsys):
+    text = SMALL_CFG.replace("diffusion_theta = 0.5", "difusion_theta = 1.0")
+    _assert_rejected_before_writing(tmp_path, text)
+    err = capsys.readouterr().err
+    assert "[scheme]: unknown key 'difusion_theta'" in err
+    assert "did you mean 'diffusion_theta'?" in err
+
+
+def test_unknown_section_is_config_error(tmp_path, capsys):
+    _assert_rejected_before_writing(tmp_path, SMALL_CFG + "\n[bogus]\nx = 1\n")
+    err = capsys.readouterr().err
+    assert "unknown section 'bogus'" in err
+    assert "expected one of scenario, grid, model" in err
+    _assert_rejected_before_writing(
+        tmp_path, SMALL_CFG.replace("[diagnostics]", "[diagnostic]")
+    )
+    assert "did you mean 'diagnostics'?" in capsys.readouterr().err
+
+
 def test_wave_lines_are_manifest_lines(tmp_path, capsys):
     text = SMALL_CFG + "\n[states]\nu_minus = 2\nu_plus = 1\nv_minus = 0.5\nv_plus = 1\n"
     path = write_cfg(tmp_path, text)

@@ -235,6 +235,33 @@ def test_wave_relative_flux_vanishes_on_exact_wave():
     assert resid < 1e-3
 
 
+def test_assemble_record_evaluates_reference_once_per_time_level():
+    g = GridSpec(0.0, 200.0, 2001)
+    w = TravelingWave.from_end_values(2.0, 1.0, 1.0, P1)
+    ref = WaveReference(w, x0=-80.0)
+    x = g.nodes()
+    bump = 0.05 * np.exp(-(((x - 100.0) / 5.0) ** 2))
+
+    def perturbed(t):
+        z = x - 80.0 - w.s * t
+        return SimState(Field(g, np.asarray(w.u_profile(z)) + bump),
+                        Field(g, np.asarray(w.v_profile(z))), t)
+
+    class CountingReference:
+        calls = 0
+
+        def profile_arrays(self, grid, t):
+            self.calls += 1
+            return ref.profile_arrays(grid, t)
+
+    counting = CountingReference()
+    prev, nxt = perturbed(3.0), perturbed(3.5)
+    rec = assemble_record(nxt, prev, P1, counting, 100.0, 5.0, 1.5)
+    assert counting.calls == 2
+    assert rec.flux_res > 0.0
+    assert rec.flux_res == flux_identity_residual(prev, nxt, P1, ref)
+
+
 # ---------------------------------------------------------------------------
 # shift and anti-derivatives
 # ---------------------------------------------------------------------------
@@ -403,16 +430,18 @@ def synthetic_record(t, value):
         t=t,
         sigma=min(1.0, t),
         sup_u_err=value,
-        lp_v_err={2: value, 4: value, 6: value},
+        l2_v=value,
+        l4_v=value,
+        l6_v=value,
         entropy=0.0,
         a_func=0.0,
         b_func=0.0,
-        flux_identity_residual=0.0,
+        flux_res=0.0,
         mass_u=0.0,
         mass_v=0.0,
-        max_diff_quotient_v=0.0,
+        max_dq_v=0.0,
         dq_width=0.0,
-        front_position=0.0,
+        front_pos=0.0,
     )
 
 

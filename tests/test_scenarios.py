@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ from chemoshock.core import ConfigError, GridSpec, ModelParams, write_snapshot
 from chemoshock.diagnostics import read_series
 from chemoshock.scenarios import (
     MANIFEST_KEYS,
+    SWEEP_COLUMNS,
     ScenarioConfig,
     apply_axis,
     build_initial,
@@ -245,7 +247,7 @@ def test_parse_reads_values(scenario_dir):
 
 def test_run_scenario_outputs(tmp_path):
     cfg = small_scenario()
-    manifest = run_scenario(cfg, tmp_path / "out")
+    manifest, _ = run_scenario(cfg, tmp_path / "out")
     out = tmp_path / "out"
     assert (out / "manifest.txt").exists()
     assert (out / "series.csv").exists()
@@ -291,7 +293,7 @@ def test_shock_scenario_reports_eleven_snapshots(fig1_consistent_run):
 def test_inconsistent_declared_states_are_reported(tmp_path, scenario_dir):
     cfg = parse_scenario(scenario_dir / "fig1_paper.cfg")
     cfg = replace(cfg, t_end=2.0, snapshot_interval=1.0)
-    manifest = run_scenario(cfg, tmp_path / "out")
+    manifest, _ = run_scenario(cfg, tmp_path / "out")
     assert manifest["declared_rh_r1"] == pytest.approx(3.0 - math.sqrt(3.0), rel=1e-12)
     assert manifest["declared_rh_r2"] == pytest.approx((3.0 - math.sqrt(3.0)) / 2.0, rel=1e-12)
     # the data itself is consistent: the fitted wave has speed sqrt(3) - 1
@@ -334,3 +336,18 @@ def test_sweep_runs_variants_and_records_failures(tmp_path):
     assert "ok" in rows[1]
     assert "failed" in rows[2]
     assert (tmp_path / "sw" / "cfl_0.4" / "series.csv").exists()
+
+
+def test_sweep_row_is_final_series_row(tmp_path, scenario_dir):
+    cfg = replace(parse_scenario(scenario_dir / "thm21.cfg"), t_end=10.0)
+    values = [1001, 2001]
+    sweep(cfg, "n_nodes", values, tmp_path / "sw")
+    with open(tmp_path / "sw" / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(values)
+    for value, row in zip(values, rows):
+        assert row["status"] == "ok"
+        series = read_series(tmp_path / "sw" / f"n_nodes_{value}" / "series.csv")
+        assert float(row["t_final"]) == series["t"][-1]
+        for name in SWEEP_COLUMNS[SWEEP_COLUMNS.index("t_final") + 1 :]:
+            assert float(row[name]) == series[name][-1], name

@@ -21,6 +21,7 @@ from .core import (
     Field,
     GridSpec,
     ModelParams,
+    NumericalError,
     SimState,
     integral,
     read_snapshot,
@@ -37,13 +38,26 @@ from .solver import (
 )
 from .waves import TravelingWave, rh_residual, wave_speed
 
-INITIAL_KINDS = (
-    "piecewise_constant",
-    "ramp_h1",
-    "exact_wave_plus_bump",
-    "constant_plus_jump",
-    "from_file",
+_LR_KEYS = ("u_left", "u_right", "v_left", "v_right")
+_PERT_KEYS = tuple(
+    f"{prefix}_pert_{name}"
+    for prefix in ("u", "v")
+    for name in ("kind", "amplitude", "center", "width", "halfwidth")
 )
+# The [initial] keys build_initial and _pert_arrays read for each initial_kind.
+_INITIAL_KEYS = {
+    "piecewise_constant": ("jump_x",) + _LR_KEYS,
+    "ramp_h1": ("ramp_start", "ramp_end") + _LR_KEYS,
+    "exact_wave_plus_bump": ("u_minus", "u_plus", "v_plus", "front_x", "zero_mass")
+    + _PERT_KEYS,
+    "constant_plus_jump": (
+        "u_base", "v_base",
+        "u_amplitude", "u_block_center", "u_block_width",
+        "v_amplitude", "v_block_center", "v_block_width",
+    ),
+    "from_file": ("path",),
+}
+INITIAL_KINDS = tuple(_INITIAL_KEYS)
 
 _ZERO_MASS_TOL = 1e-10
 
@@ -98,7 +112,7 @@ def _get(section, key, cast=float, where=""):
 
 
 # The keys each section may hold, lowercased as configparser stores them.
-# [initial] keys depend on initial_kind and are read by build_initial.
+# [initial] keys depend on initial_kind: see _INITIAL_KEYS.
 _SECTION_KEYS = {
     "scenario": ("name", "initial_kind", "mollify_delta", "seed_label"),
     "grid": ("x_min", "x_max", "n_nodes"),
@@ -120,14 +134,17 @@ def _unknown(where: str, kind: str, name: str, valid) -> ConfigError:
 
 
 def _check_names(cp: configparser.ConfigParser, path: Path) -> None:
-    """Reject sections and keys that _SECTION_KEYS does not list."""
+    """Reject sections and keys that _SECTION_KEYS does not list, and [initial]
+    keys that _INITIAL_KEYS does not list for the file's initial_kind."""
     sections = ([cp.default_section] if cp.defaults() else []) + cp.sections()
     for section in sections:
         if section not in _SECTION_KEYS:
             raise _unknown(str(path), "section", section, list(_SECTION_KEYS))
         allowed = _SECTION_KEYS[section]
-        if allowed is None:
-            continue
+        if section == "initial":
+            allowed = _INITIAL_KEYS.get(cp.get("scenario", "initial_kind", fallback=""))
+            if allowed is None:  # ScenarioConfig reports the unknown initial_kind
+                continue
         for key in cp[section]:
             if key not in allowed:
                 raise _unknown(f"{path} [{section}]", "key", key, allowed)
@@ -777,7 +794,7 @@ def sweep(base: ScenarioConfig, axis: str, values, out_dir) -> list[dict]:
             final = records[-1]
             row.update((k, getattr(final, k)) for k in diag.SERIES_COLUMNS if k in SWEEP_COLUMNS)
             row["t_final"] = final.t
-        except Exception as exc:  # noqa: BLE001 - failures belong in the CSV
+        except (ConfigError, NumericalError, OSError) as exc:  # failures belong in the CSV
             row["status"] = "failed"
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)

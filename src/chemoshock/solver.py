@@ -12,14 +12,20 @@ step from the characteristic speed bound, since v drifts.
 
 The two Dirichlet rows are left out of the implicit system: the boundary
 values are folded into the first and last right-hand-side entries, and the
-remaining interior system I - a*Laplacian, which is symmetric positive
-definite and tridiagonal, is solved by LAPACK's dptsv.
+remaining interior system I - a*Laplacian = tridiag(-a, 1+2a, -a) is
+symmetric positive definite and Toeplitz.  Its LDL^T pivots have a closed
+form (`_ldl_pivots`), so a step never factorizes: it fills the pivots and the
+unit lower bidiagonal factor and calls LAPACK's dpttrs, which solves in place
+into the interior of the new u.
 
 One array kernel, `_advance`, takes a step on raw nodal arrays and performs
-every per-step check (boundary match, finite u and v, positivity).  `run()`
-marches the arrays and builds `Field`/`SimState` only at the API boundary: at
-snapshots, for the plain `on_snapshot(index, state, prev)` callback, and for its
-`RunReport`.  The public `step()` wraps the same kernel for a single `SimState`.
+every per-step check (boundary match, finite u and v, positivity).  Its
+scratch buffers (pivots, factor, u*v) live in a `_Workspace` that `run()`
+allocates once per run; the public `step()` builds its own.  `run()` marches
+the arrays and builds `Field`/`SimState` only at the API boundary: at
+snapshots, for the plain `on_snapshot(index, state, prev)` callback, and for
+its `RunReport`.  The public `step()` wraps the same kernel for a single
+`SimState`.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401  (perfbench/trace_child.py wraps it by name)
-from scipy.linalg.lapack import dptsv
+from scipy.linalg.lapack import dpttrs
 
 from .core import (
     ConfigError,
@@ -46,6 +52,8 @@ from .core import (
 _TINY_SPEED = 1e-14
 _BOUNDARY_MATCH_TOL = 1e-8
 _TIME_SNAP = 1e-9
+# pivots past the head where q**i < eps/4 equal d_plus to the last bit
+_LOG_QUARTER_EPS = math.log(0.25 * np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,39 @@ def _check_boundary_match(u: np.ndarray, v: np.ndarray, bc: DirichletBoundary) -
         )
 
 
+def _ldl_pivots(a: float, d: np.ndarray) -> None:
+    """Fill d with the pivots D of tridiag(-a, 1+2a, -a) = L D L^T, size d.size.
+
+    With d_plus = (1+2a+sqrt(1+4a))/2 and q = (a/d_plus)**2 the i-th pivot
+    (1-based) is d_plus*(1-q**(i+1))/(1-q**i), evaluated through expm1 so that
+    nothing cancels for small a.  Past the head where q**i < eps/4 it is d_plus.
+    log q is taken as -2*log1p((d_plus-a)/a), which stays nonzero for large a
+    where a/d_plus rounds to 1.
+    """
+    if a == 0.0:  # dt*D/dx**2 underflowed: the system is the identity
+        d.fill(1.0)
+        return
+    s = math.sqrt(1.0 + 4.0 * a)
+    d_plus = 0.5 * (1.0 + 2.0 * a + s)
+    log_q = -2.0 * math.log1p(0.5 * (1.0 + s) / a)
+    k = min(d.size, int(_LOG_QUARTER_EPS / log_q) + 2)
+    t = np.expm1(log_q * np.arange(1.0, k + 2.0))
+    np.divide(t[1:], t[:-1], out=d[:k])
+    d[:k] *= d_plus
+    d[k:] = d_plus
+
+
+class _Workspace:
+    """Scratch buffers of `_advance` for an n-node grid, reused step to step."""
+
+    __slots__ = ("d", "e", "w")
+
+    def __init__(self, n: int) -> None:
+        self.d = np.empty(n - 2)  # pivots of the interior system
+        self.e = np.empty(n - 3)  # subdiagonal of its unit factor L
+        self.w = np.empty(n)  # u*v
+
+
 def _advance(
     u: np.ndarray,
     v: np.ndarray,
@@ -121,10 +162,12 @@ def _advance(
     params: ModelParams,
     cfg: SchemeConfig,
     dt_cap: float | None,
+    ws: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Take step number `step_no` from time t on raw nodal arrays.
 
-    Returns (u_new, v_new, dt, min(u_new)); the inputs are not modified.
+    Returns fresh (u_new, v_new, dt, min(u_new)); the inputs are not modified
+    and `ws` only holds scratch values.
     """
     bc = cfg.boundary
     _check_boundary_match(u, v, bc)
@@ -135,30 +178,32 @@ def _advance(
     if dt_cap is not None:
         dt = min(dt, dt_cap)
 
-    # explicit part on the interior nodes 1..n-2
-    w = u * v
-    rhs = u[1:-1] + dt * (params.chi * ((w[2:] - w[:-2]) / (2.0 * dx)))
+    # explicit part on the interior nodes 1..n-2, built in place in u_new
+    u_new = np.empty_like(u)
+    rhs = u_new[1:-1]
+    w = np.multiply(u, v, out=ws.w)
+    np.subtract(w[2:], w[:-2], out=rhs)
+    rhs *= dt * params.chi / (2.0 * dx)
+    rhs += u[1:-1]
     if theta < 1.0:
-        lap = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-        rhs += dt * (1.0 - theta) * params.D * lap
+        lap = u[2:] + u[:-2]
+        lap -= 2.0 * u[1:-1]
+        lap *= dt * (1.0 - theta) * params.D / (dx * dx)
+        rhs += lap
 
     # (I - a*Laplacian) u_new = rhs, with the pinned end values moved to the rhs
     a = theta * params.D * dt / (dx * dx)
     rhs[0] += a * bc.u_left
     rhs[-1] += a * bc.u_right
-    m = rhs.size
-    _, _, interior, info = dptsv(
-        np.full(m, 1.0 + 2.0 * a), np.full(m - 1, -a), rhs,
-        overwrite_d=True, overwrite_e=True, overwrite_b=True,
-    )
+    _ldl_pivots(a, ws.d)
+    np.divide(-a, ws.d[:-1], out=ws.e)
+    _, info = dpttrs(ws.d, ws.e, rhs, overwrite_b=True)
     if info != 0:
         raise NumericalError(
             f"tridiagonal solve failed (LAPACK info={info}) on step {step_no} "
             f"(t={t:.6g}, dt={dt:.3e})"
         )
-    u_new = np.empty_like(u)
     u_new[0] = bc.u_left
-    u_new[1:-1] = interior
     u_new[-1] = bc.u_right
 
     # min and max propagate NaN, so these two reductions cover finiteness too
@@ -176,7 +221,9 @@ def _advance(
 
     v_new = np.empty_like(v)
     v_new[0] = bc.v_left
-    v_new[1:-1] = v[1:-1] + dt * ((u_new[2:] - u_new[:-2]) / (2.0 * dx))
+    dv = np.subtract(u_new[2:], u_new[:-2], out=v_new[1:-1])
+    dv *= dt / (2.0 * dx)
+    dv += v[1:-1]
     v_new[-1] = bc.v_right
     if not np.isfinite(v_new).all():
         bad = int(np.flatnonzero(~np.isfinite(v_new))[0])
@@ -196,7 +243,7 @@ def step(
     grid = state.u.grid
     u, v, dt, _ = _advance(
         state.u.values, state.v.values, state.t, state.step_count + 1,
-        grid, params, cfg, dt_cap,
+        grid, params, cfg, dt_cap, _Workspace(grid.n_nodes),
     )
     return SimState(
         u=Field(grid, u),
@@ -268,6 +315,7 @@ def run(
     state = initial
     min_u = float(u.min())
     eps = _TIME_SNAP * max(1.0, cfg.t_end)
+    ws = _Workspace(grid.n_nodes)
 
     if on_snapshot:
         on_snapshot(0, state, None)
@@ -278,7 +326,9 @@ def run(
         prev = None
         while t < target - eps:
             prev = (u, v, t, count)
-            u, v, dt, u_min = _advance(u, v, t, count + 1, grid, params, cfg, target - t)
+            u, v, dt, u_min = _advance(
+                u, v, t, count + 1, grid, params, cfg, target - t, ws
+            )
             t += dt
             count += 1
             min_u = min(min_u, u_min)

@@ -179,3 +179,12 @@ def test_wave_lines_are_manifest_lines(tmp_path, capsys):
     manifest = (out_dir / "manifest.txt").read_text().splitlines()
     for line in lines:
         assert line in manifest
+
+
+def test_misspelled_initial_key_is_config_error(tmp_path, capsys):
+    thm22 = Path(__file__).resolve().parent.parent / "scenarios" / "thm22.cfg"
+    text = thm22.read_text().replace("v_pert_kind", "v_pert_knd")
+    _assert_rejected_before_writing(tmp_path, text)
+    err = capsys.readouterr().err
+    assert "[initial]: unknown key 'v_pert_knd'" in err
+    assert "did you mean 'v_pert_kind'?" in err

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chemoshock.core import ConfigError, GridSpec, ModelParams, write_snapshot
+from chemoshock import scenarios
+from chemoshock.core import ConfigError, GridSpec, ModelParams, NumericalError, write_snapshot
 from chemoshock.diagnostics import read_series
 from chemoshock.scenarios import (
     MANIFEST_KEYS,
@@ -336,6 +337,27 @@ def test_sweep_runs_variants_and_records_failures(tmp_path):
     assert "ok" in rows[1]
     assert "failed" in rows[2]
     assert (tmp_path / "sw" / "cfl_0.4" / "series.csv").exists()
+
+
+def test_sweep_records_numerical_failure(tmp_path, monkeypatch):
+    def blow_up(cfg, out_dir, emit_c=False):
+        raise NumericalError("non-finite u after step 3")
+
+    monkeypatch.setattr(scenarios, "run_scenario", blow_up)
+    assert sweep(small_scenario(), "cfl", [0.4], tmp_path / "sw") == []
+    with open(tmp_path / "sw" / "sweep.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["status"] == "failed"
+    assert row["error"] == "NumericalError: non-finite u after step 3"
+
+
+def test_sweep_propagates_unexpected_errors(tmp_path, monkeypatch):
+    def broken(cfg, out_dir, emit_c=False):
+        raise TypeError("a bug, not a failed run")
+
+    monkeypatch.setattr(scenarios, "run_scenario", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        sweep(small_scenario(), "cfl", [0.4], tmp_path / "sw")
 
 
 def test_sweep_row_is_final_series_row(tmp_path, scenario_dir):

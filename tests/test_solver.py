@@ -14,6 +14,9 @@ from chemoshock.core import (
 from chemoshock.solver import (
     DirichletBoundary,
     SchemeConfig,
+    _advance,
+    _ldl_pivots,
+    _Workspace,
     characteristic_speed_bound,
     run,
     step,
@@ -266,3 +269,58 @@ def test_run_positivity_violation_names_step_node_and_time():
     )
     with pytest.raises(PositivityError, match=r"at node \d+ \(x=.*\) on step \d+, t="):
         run(state, p, cfg)
+
+
+@pytest.mark.parametrize("m", [6, 7, 50, 3999])
+def test_ldl_pivots_match_high_precision_recurrence(m):
+    mpmath = pytest.importorskip("mpmath")
+    for a in np.logspace(-8, 8):
+        # pivots of tridiag(-a, 1+2a, -a): d_1 = 1+2a, d_i = 1+2a - a^2/d_(i-1)
+        with mpmath.workdps(40):
+            b, a2 = 1 + 2 * mpmath.mpf(a), mpmath.mpf(a) ** 2
+            ref = [b]
+            for _ in range(m - 1):
+                ref.append(b - a2 / ref[-1])
+            ref = np.array([float(x) for x in ref])
+        d = np.empty(m)
+        _ldl_pivots(float(a), d)
+        assert np.all(np.abs(d - ref) <= 4 * np.spacing(ref)), a
+
+
+def test_ldl_pivots_at_extreme_coupling():
+    d = np.full(5, np.nan)
+    _ldl_pivots(0.0, d)
+    assert np.array_equal(d, np.ones(5))
+    # a/d_plus rounds to 1 here; the pivots tend to a*(i+1)/i
+    _ldl_pivots(1e300, d)
+    assert np.allclose(d / 1e300, [2.0, 3 / 2, 4 / 3, 5 / 4, 6 / 5], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("n", [8, 9, 64])
+def test_advance_matches_dense_theta_system(n, theta):
+    g = GridSpec(0.0, 1.0, n)
+    rng = np.random.default_rng(n)
+    u = 1.0 + 0.5 * rng.random(n)
+    v = 0.3 * rng.standard_normal(n)
+    bc = DirichletBoundary(u[0], v[0], u[-1], v[-1])
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=bc, diffusion_theta=theta)
+    for D in (1e-3, 1.0, 50.0):  # a = theta*D*dt/dx**2 from ~1e-3 to ~1e3
+        p = ModelParams.from_chi(D, 1.0)
+        u_new, v_new, dt, u_min = _advance(u, v, 0.0, 1, g, p, cfg, None, _Workspace(n))
+
+        dx, m = g.dx, n - 2
+        lap = np.diag(np.full(m, -2.0)) + np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
+        full_lap = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
+        w = u * v
+        rhs = u[1:-1] + dt * (p.chi * (w[2:] - w[:-2]) / (2.0 * dx) + (1 - theta) * D * full_lap)
+        a = theta * D * dt / dx**2
+        rhs[0] += a * u[0]
+        rhs[-1] += a * u[-1]
+        want_u = np.concatenate([[u[0]], np.linalg.solve(np.eye(m) - a * lap, rhs), [u[-1]]])
+        want_v = v.copy()
+        want_v[1:-1] += dt * (want_u[2:] - want_u[:-2]) / (2.0 * dx)
+
+        assert np.abs(u_new - want_u).max() <= 1e-13
+        assert np.abs(v_new - want_v).max() <= 1e-13
+        assert u_min == u_new.min()

@@ -558,7 +558,9 @@ def _front_speed(records) -> float | None:
 def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[dict, list]:
     """Run one scenario and write snap_<i>.dat, series.csv, and manifest.txt
     into out_dir.  Returns (manifest, records): the manifest as a dict and
-    the per-snapshot records, one per series.csv row."""
+    the per-snapshot records, one per series.csv row.  When the run fails
+    with a NumericalError, series.csv still gets one row per snapshot
+    written before the failure, and the error propagates."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -605,7 +607,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[di
             )
         )
 
-    report = run(state0, cfg.params, scheme, on_snapshot)
+    try:
+        report = run(state0, cfg.params, scheme, on_snapshot)
+    except NumericalError:
+        diag.write_series(records, out / "series.csv")
+        raise
     diag.write_series(records, out / "series.csv")
 
     manifest = _build_manifest(cfg, boundary, setup, records, report, probe_center)

@@ -20,12 +20,16 @@ into the interior of the new u.
 
 One array kernel, `_advance`, takes a step on raw nodal arrays and performs
 every per-step check (boundary match, finite u and v, positivity).  Its
-scratch buffers (pivots, factor, u*v) live in a `_Workspace` that `run()`
-allocates once per run; the public `step()` builds its own.  `run()` marches
-the arrays and builds `Field`/`SimState` only at the API boundary: at
-snapshots, for the plain `on_snapshot(index, state, prev)` callback, and for
-its `RunReport`.  The public `step()` wraps the same kernel for a single
-`SimState`.
+scratch buffers (pivots, factor, u*v) and the LAPACK routine live in a
+`_Workspace` that `run()` allocates once per run; the public `step()` builds
+its own.  `run()` marches the arrays and builds `Field`/`SimState` only at the
+API boundary: at snapshots, for the plain `on_snapshot(index, state, prev)`
+callback, and for its `RunReport`.  The public `step()` wraps the same kernel
+for a single `SimState`.
+
+Building a workspace is what imports scipy, so LAPACK loads on the first step
+of a `run()` or `step()`.  Importing this module, and the CLI's `validate` and
+`wave`, need no scipy at start-up.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded  # noqa: F401  (perfbench/trace_child.py wraps it by name)
-from scipy.linalg.lapack import dpttrs
 
 from .core import (
     ConfigError,
@@ -142,15 +144,28 @@ def _ldl_pivots(a: float, d: np.ndarray) -> None:
     d[k:] = d_plus
 
 
-class _Workspace:
-    """Scratch buffers of `_advance` for an n-node grid, reused step to step."""
+def solve_banded(*args, **kwargs):
+    """`scipy.linalg.solve_banded`, importing scipy on the first call."""
+    # Nothing here calls it: it is the only hook perfbench/trace_child.py wraps
+    # by this name.  Delete it once the tracer wraps `_advance` (ROADMAP item 1).
+    from scipy.linalg import solve_banded as scipy_solve_banded
 
-    __slots__ = ("d", "e", "w")
+    return scipy_solve_banded(*args, **kwargs)
+
+
+class _Workspace:
+    """Scratch buffers of `_advance` for an n-node grid, reused step to step,
+    and the LAPACK routine it solves with."""
+
+    __slots__ = ("d", "e", "w", "dpttrs")
 
     def __init__(self, n: int) -> None:
+        from scipy.linalg.lapack import dpttrs  # scipy loads here, not at import
+
         self.d = np.empty(n - 2)  # pivots of the interior system
         self.e = np.empty(n - 3)  # subdiagonal of its unit factor L
         self.w = np.empty(n)  # u*v
+        self.dpttrs = dpttrs
 
 
 def _advance(
@@ -197,7 +212,7 @@ def _advance(
     rhs[-1] += a * bc.u_right
     _ldl_pivots(a, ws.d)
     np.divide(-a, ws.d[:-1], out=ws.e)
-    _, info = dpttrs(ws.d, ws.e, rhs, overwrite_b=True)
+    _, info = ws.dpttrs(ws.d, ws.e, rhs, overwrite_b=True)
     if info != 0:
         raise NumericalError(
             f"tridiagonal solve failed (LAPACK info={info}) on step {step_no} "

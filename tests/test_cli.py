@@ -1,6 +1,7 @@
 from pathlib import Path
 
 from chemoshock.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from chemoshock.diagnostics import read_series
 
 SMALL_CFG = """
 [scenario]
@@ -100,6 +101,20 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     code = main(["run", str(path), "--out", str(tmp_path / "boom")])
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_numerical_failure_keeps_series(tmp_path):
+    text = SMALL_CFG.replace("D = 1", "D = 1e-6").replace("chi = 1", "chi = 40")
+    text = text.replace("u_left = 2", "u_left = 0.02").replace("u_right = 1", "u_right = 0.02")
+    text = text.replace("v_left = 0", "v_left = -3").replace("v_right = 1", "v_right = 3")
+    path = tmp_path / "fragile.cfg"
+    path.write_text(text)
+    out_dir = tmp_path / "boom"
+    assert main(["run", str(path), "--out", str(out_dir)]) == EXIT_NUMERICAL
+    snapshots = list(out_dir.glob("snap_*.dat"))
+    assert snapshots
+    series = read_series(out_dir / "series.csv")
+    assert len(series["t"]) == len(snapshots)
 
 
 def test_sweep_cli(tmp_path):

@@ -759,6 +759,8 @@ def apply_axis(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
     if axis == "mollify_delta":
         return replace(cfg, mollify_delta=float(value))
     if axis == "n_nodes":
+        if not float(value).is_integer():
+            raise ConfigError(f"n_nodes sweep values must be integers (got {value})")
         return replace(cfg, grid=replace(cfg.grid, n_nodes=int(value)))
     if axis == "cfl":
         return replace(cfg, cfl=float(value))
@@ -783,12 +785,19 @@ def sweep(base: ScenarioConfig, axis: str, values, out_dir) -> list[dict]:
         raise ConfigError(
             f"unknown sweep axis '{axis}' (use one of {', '.join(SWEEP_AXES)})"
         )
+    tags = {}
+    for value in values:
+        tag = f"{axis}_{value:g}" if isinstance(value, float) else f"{axis}_{value}"
+        if tag in tags:
+            raise ConfigError(
+                f"sweep values {tags[tag]!r} and {value!r} would both write to {tag}/"
+            )
+        tags[tag] = value
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     manifests = []
-    for value in values:
-        tag = f"{axis}_{value:g}" if isinstance(value, float) else f"{axis}_{value}"
+    for tag, value in tags.items():
         sub = out / tag
         row = {"axis": axis, "value": value, "status": "ok", "error": ""}
         try:

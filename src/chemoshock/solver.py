@@ -27,14 +27,23 @@ API boundary: at snapshots, for the plain `on_snapshot(index, state, prev)`
 callback, and for its `RunReport`.  The public `step()` wraps the same kernel
 for a single `SimState`.
 
-Building a workspace is what imports scipy, so LAPACK loads on the first step
-of a `run()` or `step()`.  Importing this module, and the CLI's `validate` and
-`wave`, need no scipy at start-up.
+Building a workspace is what loads LAPACK, so it loads on the first step of a
+`run()` or `step()`; importing this module, and the CLI's `validate` and
+`wave`, need no scipy.  `dpttrs` comes straight from scipy's compiled f2py
+module `scipy.linalg._flapack` (`_load_dpttrs`), once per process, without
+running the `__init__` of `scipy` or `scipy.linalg`: those pull in most of
+scipy's Python layer (~0.16 s per process on a 2-core Xeon), while the
+extension alone loads in ~3 ms.  A later `import scipy.linalg` in the same
+process reuses the loaded extension.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -122,8 +131,9 @@ def _check_boundary_match(u: np.ndarray, v: np.ndarray, bc: DirichletBoundary) -
         )
 
 
-def _ldl_pivots(a: float, d: np.ndarray) -> None:
-    """Fill d with the pivots D of tridiag(-a, 1+2a, -a) = L D L^T, size d.size.
+def _ldl_pivots(a: float, d: np.ndarray) -> tuple[int, float]:
+    """Fill d with the pivots D of tridiag(-a, 1+2a, -a) = L D L^T, size d.size,
+    and return (k, d_plus): every pivot from index k on equals d_plus.
 
     With d_plus = (1+2a+sqrt(1+4a))/2 and q = (a/d_plus)**2 the i-th pivot
     (1-based) is d_plus*(1-q**(i+1))/(1-q**i), evaluated through expm1 so that
@@ -133,7 +143,7 @@ def _ldl_pivots(a: float, d: np.ndarray) -> None:
     """
     if a == 0.0:  # dt*D/dx**2 underflowed: the system is the identity
         d.fill(1.0)
-        return
+        return 0, 1.0
     s = math.sqrt(1.0 + 4.0 * a)
     d_plus = 0.5 * (1.0 + 2.0 * a + s)
     log_q = -2.0 * math.log1p(0.5 * (1.0 + s) / a)
@@ -142,6 +152,7 @@ def _ldl_pivots(a: float, d: np.ndarray) -> None:
     np.divide(t[1:], t[:-1], out=d[:k])
     d[:k] *= d_plus
     d[k:] = d_plus
+    return k, d_plus
 
 
 def solve_banded(*args, **kwargs):
@@ -153,6 +164,27 @@ def solve_banded(*args, **kwargs):
     return scipy_solve_banded(*args, **kwargs)
 
 
+@functools.cache
+def _load_dpttrs():
+    """LAPACK's dpttrs from scipy's compiled module `scipy.linalg._flapack`.
+
+    Finding the scipy package does not import it, and PathFinder picks the
+    extension's platform suffix itself.  A scipy that keeps the module
+    elsewhere gets the same routine through the public import.
+    """
+    scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack", [os.path.join(p, "linalg") for p in scipy_dirs]
+    )
+    if spec is None:
+        from scipy.linalg.lapack import dpttrs
+
+        return dpttrs
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.dpttrs
+
+
 class _Workspace:
     """Scratch buffers of `_advance` for an n-node grid, reused step to step,
     and the LAPACK routine it solves with."""
@@ -160,12 +192,10 @@ class _Workspace:
     __slots__ = ("d", "e", "w", "dpttrs")
 
     def __init__(self, n: int) -> None:
-        from scipy.linalg.lapack import dpttrs  # scipy loads here, not at import
-
         self.d = np.empty(n - 2)  # pivots of the interior system
         self.e = np.empty(n - 3)  # subdiagonal of its unit factor L
         self.w = np.empty(n)  # u*v
-        self.dpttrs = dpttrs
+        self.dpttrs = _load_dpttrs()  # LAPACK loads here, not at import
 
 
 def _advance(
@@ -210,8 +240,11 @@ def _advance(
     a = theta * params.D * dt / (dx * dx)
     rhs[0] += a * bc.u_left
     rhs[-1] += a * bc.u_right
-    _ldl_pivots(a, ws.d)
-    np.divide(-a, ws.d[:-1], out=ws.e)
+    k, d_plus = _ldl_pivots(a, ws.d)
+    # e_i = -a/d_i; from index k on every d_i is d_plus, so one value fills e
+    head = ws.e[:k]
+    np.divide(-a, ws.d[: head.size], out=head)
+    ws.e[k:] = -a / d_plus
     _, info = ws.dpttrs(ws.d, ws.e, rhs, overwrite_b=True)
     if info != 0:
         raise NumericalError(

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from chemoshock.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from chemoshock.diagnostics import read_series
 
@@ -128,6 +130,18 @@ def test_sweep_cli(tmp_path):
                  "--out", str(out_dir)]) == EXIT_CONFIG
     assert main(["sweep", str(cfg), "--axis", "cfl", "--values", "",
                  "--out", str(tmp_path / "sw_empty")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("values, named", [
+    ("0.3000001,0.3000002", "0.3000001 and 0.3000002"),  # both tag as cfl_0.3
+    ("0.4,0.4", "0.4 and 0.4"),
+])
+def test_sweep_rejects_colliding_output_dirs(tmp_path, capsys, values, named):
+    out_dir = tmp_path / "sw"
+    assert main(["sweep", str(write_cfg(tmp_path)), "--axis", "cfl",
+                 "--values", values, "--out", str(out_dir)]) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def _assert_rejected_before_writing(tmp_path, text):

@@ -222,22 +222,23 @@ def _write_snapshot_per_value(path, state, c=None):
 )
 @pytest.mark.parametrize("with_c", [False, True])
 def test_snapshot_bytes_match_per_value_formatting(tmp_path, n_nodes, with_c):
-    g = GridSpec(-1.0, 3.0, n_nodes)
     rng = np.random.default_rng(n_nodes)
     special = [-0.0, 1e-300, 2.0, 1.0 / 3.0]
     u = 1.0 + rng.random(n_nodes)
     v = rng.standard_normal(n_nodes)
     u[: len(special)] = special
     v[-len(special) :] = special
-    state = SimState(Field(g, u), Field(g, v), t=1.0 / 3.0)
-    c = Field(g, np.exp(v)) if with_c else None
+    # two grids with the same n_nodes: the x column is cached per grid
+    for g in (GridSpec(-1.0, 3.0, n_nodes), GridSpec(0.5, 7.25, n_nodes)):
+        state = SimState(Field(g, u), Field(g, v), t=1.0 / 3.0)
+        c = Field(g, np.exp(v)) if with_c else None
 
-    write_snapshot(tmp_path / "block.dat", state, c=c)
-    _write_snapshot_per_value(tmp_path / "ref.dat", state, c=c)
-    data = (tmp_path / "block.dat").read_bytes()
-    assert data == (tmp_path / "ref.dat").read_bytes()
-    assert data.endswith(b"\n") and data.count(b"\n") == n_nodes + 1
-    assert data.splitlines()[1].split()[1] == b"-0"
+        write_snapshot(tmp_path / "block.dat", state, c=c)
+        _write_snapshot_per_value(tmp_path / "ref.dat", state, c=c)
+        data = (tmp_path / "block.dat").read_bytes()
+        assert data == (tmp_path / "ref.dat").read_bytes()
+        assert data.endswith(b"\n") and data.count(b"\n") == n_nodes + 1
+        assert data.splitlines()[1].split()[1] == b"-0"
 
 
 def test_snapshot_roundtrip_with_c_column(tmp_path):

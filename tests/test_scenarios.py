@@ -339,6 +339,16 @@ def test_sweep_runs_variants_and_records_failures(tmp_path):
     assert (tmp_path / "sw" / "cfl_0.4" / "series.csv").exists()
 
 
+def test_sweep_rejects_fractional_n_nodes(tmp_path):
+    assert apply_axis(small_scenario(), "n_nodes", 401.0).grid.n_nodes == 401
+    assert sweep(small_scenario(), "n_nodes", [1000.7], tmp_path / "sw") == []
+    with open(tmp_path / "sw" / "sweep.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["status"] == "failed"
+    assert row["error"] == "ConfigError: n_nodes sweep values must be integers (got 1000.7)"
+    assert not (tmp_path / "sw" / "n_nodes_1000.7").exists()
+
+
 def test_sweep_records_numerical_failure(tmp_path, monkeypatch):
     def blow_up(cfg, out_dir, emit_c=False):
         raise NumericalError("non-finite u after step 3")

@@ -307,9 +307,12 @@ def test_advance_matches_dense_theta_system(n, theta):
     cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=bc, diffusion_theta=theta)
     for D in (1e-3, 1.0, 50.0):  # a = theta*D*dt/dx**2 from ~1e-3 to ~1e3
         p = ModelParams.from_chi(D, 1.0)
-        u_new, v_new, dt, u_min = _advance(u, v, 0.0, 1, g, p, cfg, None, _Workspace(n))
+        ws = _Workspace(n)
+        u_new, v_new, dt, u_min = _advance(u, v, 0.0, 1, g, p, cfg, None, ws)
 
         dx, m = g.dx, n - 2
+        # the factor's tail is filled with one value, bit for bit -a/d_i
+        assert np.array_equal(ws.e, -(theta * D * dt / (dx * dx)) / ws.d[:-1])
         lap = np.diag(np.full(m, -2.0)) + np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
         full_lap = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
         w = u * v

@@ -193,7 +193,9 @@ class SimState:
             raise ValueError("u and v must live on the same grid")
 
 
-_SNAPSHOT_FMT = "%.17g"
+# Text form of every float the package writes (snapshots, series.csv,
+# manifests, sweep.csv): 17 significant digits, enough to round-trip.
+_FLOAT_FMT = "%.17g"
 # Rows formatted by one '%' operation; bounds the temporary tuple and string.
 _SNAPSHOT_BLOCK_ROWS = 1024
 
@@ -201,7 +203,7 @@ _SNAPSHOT_BLOCK_ROWS = 1024
 @functools.lru_cache(maxsize=8)
 def _node_column(grid: GridSpec) -> tuple[str, ...]:
     """The x column of a snapshot on `grid`, formatted once per grid."""
-    return tuple(_SNAPSHOT_FMT % x for x in grid.nodes().tolist())
+    return tuple(_FLOAT_FMT % x for x in grid.nodes().tolist())
 
 
 def write_snapshot(path, state: SimState, c: Field | None = None) -> None:
@@ -217,9 +219,9 @@ def write_snapshot(path, state: SimState, c: Field | None = None) -> None:
     if c is not None:
         cols.append(c.values)
     data = np.column_stack(cols)
-    row_fmt = " ".join(["%s"] + [_SNAPSHOT_FMT] * (data.shape[1] - 1)) + "\n"
+    row_fmt = " ".join(["%s"] + [_FLOAT_FMT] * (data.shape[1] - 1)) + "\n"
     with open(path, "w") as fh:
-        fh.write("# t=" + (_SNAPSHOT_FMT % state.t) + "\n")
+        fh.write("# t=" + (_FLOAT_FMT % state.t) + "\n")
         for start in range(0, len(data), _SNAPSHOT_BLOCK_ROWS):
             block = data[start : start + _SNAPSHOT_BLOCK_ROWS]
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))

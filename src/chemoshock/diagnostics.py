@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
+    _FLOAT_FMT,
     Field,
     GridSpec,
     ModelParams,
@@ -54,7 +55,9 @@ class WaveReference:
 
     def profile_arrays(self, grid: GridSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
         z = grid.nodes() + self.x0 - self.wave.s * t
-        return self.wave.u_profile(z), self.wave.v_profile(z)
+        u = self.wave.u_profile(z)
+        # V = (kappa - U) / s from the same U, as TravelingWave.v_profile computes it
+        return u, (self.wave.kappa - u) / self.wave.s
 
 
 Reference = ConstantReference | WaveReference
@@ -315,7 +318,7 @@ class DiagnosticsRecord:
     front_pos: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(val) for val in astuple(self)):
+        if not all(math.isfinite(getattr(self, name)) for name in SERIES_COLUMNS):
             raise ValueError("diagnostics record contains non-finite entries")
 
 
@@ -406,15 +409,13 @@ def decay_series(records: Sequence[DiagnosticsRecord]) -> dict[str, QuantityDeca
 
 SERIES_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
-_CSV_FMT = "%.17g"
-
 
 def write_series(records: Sequence[DiagnosticsRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SERIES_COLUMNS)
         for rec in records:
-            writer.writerow([_CSV_FMT % val for val in astuple(rec)])
+            writer.writerow([_FLOAT_FMT % getattr(rec, name) for name in SERIES_COLUMNS])
 
 
 def read_series(path) -> dict[str, np.ndarray]:

@@ -16,6 +16,7 @@ import numpy as np
 from . import diagnostics as diag
 from .cole_hopf import from_v
 from .core import (
+    _FLOAT_FMT,
     AsymptoticStates,
     ConfigError,
     Field,
@@ -28,14 +29,7 @@ from .core import (
     write_snapshot,
 )
 from .mollifier import MollifierSpec, mollify
-from .solver import (
-    _BOUNDARY_MATCH_TOL,
-    DirichletBoundary,
-    RunReport,
-    SchemeConfig,
-    _check_scheme,
-    run,
-)
+from .solver import DirichletBoundary, RunReport, SchemeConfig, _check_scheme, run
 from .waves import TravelingWave, rh_residual, wave_speed
 
 _LR_KEYS = ("u_left", "u_right", "v_left", "v_right")
@@ -78,7 +72,6 @@ class ScenarioConfig:
     declared_states: AsymptoticStates | None = None
     probe_center: float | None = None
     probe_halfwidth: float = 5.0
-    boundary_override: DirichletBoundary | None = None
 
     def __post_init__(self) -> None:
         if self.initial_kind not in INITIAL_KINDS:
@@ -102,8 +95,13 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _get(section, key, cast=float, where=""):
+def _get(section, key, where, default=None, cast=float):
+    """section[key] through `cast`, or `default` when the key is absent and a
+    default is given.  `section` is a config section or the [initial] dict;
+    `where` names it in the error messages."""
     if key not in section:
+        if default is not None:
+            return default
         raise ConfigError(f"missing key '{key}' in section {where}")
     try:
         return cast(section[key])
@@ -117,10 +115,7 @@ _SECTION_KEYS = {
     "scenario": ("name", "initial_kind", "mollify_delta", "seed_label"),
     "grid": ("x_min", "x_max", "n_nodes"),
     "model": ("d", "chi", "mu", "xi"),
-    "scheme": (
-        "cfl", "diffusion_theta", "t_end", "snapshot_interval",
-        "u_left", "v_left", "u_right", "v_right",
-    ),
+    "scheme": ("cfl", "diffusion_theta", "t_end", "snapshot_interval"),
     "initial": None,
     "states": ("u_minus", "u_plus", "v_minus", "v_plus"),
     "diagnostics": ("probe_center", "probe_halfwidth"),
@@ -167,40 +162,31 @@ def parse_scenario(path) -> ScenarioConfig:
 
     sc = cp["scenario"]
     grid = GridSpec(
-        x_min=_get(cp["grid"], "x_min", where="[grid]"),
-        x_max=_get(cp["grid"], "x_max", where="[grid]"),
-        n_nodes=_get(cp["grid"], "n_nodes", cast=int, where="[grid]"),
+        x_min=_get(cp["grid"], "x_min", "[grid]"),
+        x_max=_get(cp["grid"], "x_max", "[grid]"),
+        n_nodes=_get(cp["grid"], "n_nodes", "[grid]", cast=int),
     )
     model = cp["model"]
     if "mu" in model and "xi" in model:
         params = ModelParams.from_chemotaxis(
-            D=_get(model, "D", where="[model]"),
-            mu=_get(model, "mu", where="[model]"),
-            xi=_get(model, "xi", where="[model]"),
+            D=_get(model, "D", "[model]"),
+            mu=_get(model, "mu", "[model]"),
+            xi=_get(model, "xi", "[model]"),
         )
     else:
         params = ModelParams.from_chi(
-            D=_get(model, "D", where="[model]"),
-            chi=_get(model, "chi", where="[model]"),
+            D=_get(model, "D", "[model]"),
+            chi=_get(model, "chi", "[model]"),
         )
 
     scheme = cp["scheme"]
-    boundary_override = None
-    if "u_left" in scheme:
-        boundary_override = DirichletBoundary(
-            u_left=_get(scheme, "u_left", where="[scheme]"),
-            v_left=_get(scheme, "v_left", where="[scheme]"),
-            u_right=_get(scheme, "u_right", where="[scheme]"),
-            v_right=_get(scheme, "v_right", where="[scheme]"),
-        )
-
     initial_params = {k: v for k, v in cp["initial"].items()}
 
     declared = None
     if "states" in cp:
         st = cp["states"]
         far_fields = {
-            key: _get(st, key, where="[states]")
+            key: _get(st, key, "[states]")
             for key in ("u_minus", "u_plus", "v_minus", "v_plus")
         }
         try:
@@ -210,7 +196,7 @@ def parse_scenario(path) -> ScenarioConfig:
 
     # optional keys are passed only when set, so each default lives in ScenarioConfig
     optional = {
-        key: _get(cp[section], key, where=f"[{section}]")
+        key: _get(cp[section], key, f"[{section}]")
         for section, key in (
             ("scheme", "cfl"),
             ("scheme", "diffusion_theta"),
@@ -225,13 +211,12 @@ def parse_scenario(path) -> ScenarioConfig:
         name=sc.get("name", path.stem),
         grid=grid,
         params=params,
-        t_end=_get(scheme, "t_end", where="[scheme]"),
-        snapshot_interval=_get(scheme, "snapshot_interval", where="[scheme]"),
+        t_end=_get(scheme, "t_end", "[scheme]"),
+        snapshot_interval=_get(scheme, "snapshot_interval", "[scheme]"),
         initial_kind=sc.get("initial_kind", ""),
         initial_params=initial_params,
         seed_label=sc.get("seed_label", ""),
         declared_states=declared,
-        boundary_override=boundary_override,
         **optional,
     )
 
@@ -289,55 +274,47 @@ def _ramp_values(
     return np.interp(x, [x_lo, x_hi], [left, right], left=left, right=right)
 
 
-def _f(params: dict, key: str, default: float | None = None) -> float:
-    if key not in params:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing [initial] key '{key}'")
-    try:
-        return float(params[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad [initial] value for '{key}': {params[key]}") from exc
-
-
 def _pert_arrays(grid: GridSpec, p: dict, prefix: str) -> np.ndarray:
     kind = p.get(f"{prefix}_pert_kind", "none")
     vals = np.zeros(grid.n_nodes)
     if kind == "none":
         return vals
-    amp = _f(p, f"{prefix}_pert_amplitude")
-    center = _f(p, f"{prefix}_pert_center")
+    amp = _get(p, f"{prefix}_pert_amplitude", "[initial]")
+    center = _get(p, f"{prefix}_pert_center", "[initial]")
     if kind == "block":
-        _add_block(vals, grid, center, _f(p, f"{prefix}_pert_width"), amp)
+        width = _get(p, f"{prefix}_pert_width", "[initial]")
+        _add_block(vals, grid, center, width, amp)
     elif kind == "dipole":
-        _add_dipole(vals, grid, center, _f(p, f"{prefix}_pert_halfwidth"), amp)
+        halfwidth = _get(p, f"{prefix}_pert_halfwidth", "[initial]")
+        _add_dipole(vals, grid, center, halfwidth, amp)
     else:
         raise ConfigError(f"unknown perturbation kind '{kind}' (use none|block|dipole)")
     return vals
 
 
 def build_initial(cfg: ScenarioConfig) -> tuple[SimState, DirichletBoundary]:
-    """Construct (u0, v0) for the scenario, apply mollification if requested,
-    and derive/validate the Dirichlet boundary values."""
+    """Construct (u0, v0) for the scenario and apply mollification if
+    requested.  The Dirichlet boundary values are the data's end values."""
     grid = cfg.grid
     p = cfg.initial_params
     kind = cfg.initial_kind
 
     if kind == "piecewise_constant":
-        jump = _f(p, "jump_x")
-        u0 = _jump_values(grid, jump, _f(p, "u_left"), _f(p, "u_right"))
-        v0 = _jump_values(grid, jump, _f(p, "v_left"), _f(p, "v_right"))
+        jump = _get(p, "jump_x", "[initial]")
+        ul, ur, vl, vr = (_get(p, key, "[initial]") for key in _LR_KEYS)
+        u0 = _jump_values(grid, jump, ul, ur)
+        v0 = _jump_values(grid, jump, vl, vr)
     elif kind == "ramp_h1":
-        lo, hi = _f(p, "ramp_start"), _f(p, "ramp_end")
+        lo, hi = (_get(p, key, "[initial]") for key in ("ramp_start", "ramp_end"))
         if not (grid.x_min <= lo < hi <= grid.x_max):
             raise ConfigError("ramp interval must lie inside the grid")
-        u0 = _ramp_values(grid, lo, hi, _f(p, "u_left"), _f(p, "u_right"))
-        v0 = _ramp_values(grid, lo, hi, _f(p, "v_left"), _f(p, "v_right"))
+        ul, ur, vl, vr = (_get(p, key, "[initial]") for key in _LR_KEYS)
+        u0 = _ramp_values(grid, lo, hi, ul, ur)
+        v0 = _ramp_values(grid, lo, hi, vl, vr)
     elif kind == "exact_wave_plus_bump":
-        wave = TravelingWave.from_end_values(
-            _f(p, "u_minus"), _f(p, "u_plus"), _f(p, "v_plus"), cfg.params
-        )
-        z = grid.nodes() - _f(p, "front_x")
+        ends = (_get(p, key, "[initial]") for key in ("u_minus", "u_plus", "v_plus"))
+        wave = TravelingWave.from_end_values(*ends, cfg.params)
+        z = grid.nodes() - _get(p, "front_x", "[initial]")
         u0 = np.asarray(wave.u_profile(z))
         v0 = np.asarray(wave.v_profile(z))
         du = _pert_arrays(grid, p, "u")
@@ -352,18 +329,15 @@ def build_initial(cfg: ScenarioConfig) -> tuple[SimState, DirichletBoundary]:
         u0 = u0 + du
         v0 = v0 + dv
     elif kind == "constant_plus_jump":
-        u0 = np.full(grid.n_nodes, _f(p, "u_base", 1.0))
-        v0 = np.full(grid.n_nodes, _f(p, "v_base", 0.0))
-        if _f(p, "u_amplitude", 0.0) != 0.0:
-            _add_block(
-                u0, grid, _f(p, "u_block_center"), _f(p, "u_block_width"),
-                _f(p, "u_amplitude"),
-            )
-        if _f(p, "v_amplitude", 0.0) != 0.0:
-            _add_block(
-                v0, grid, _f(p, "v_block_center"), _f(p, "v_block_width"),
-                _f(p, "v_amplitude"),
-            )
+        u0 = np.full(grid.n_nodes, _get(p, "u_base", "[initial]", 1.0))
+        v0 = np.full(grid.n_nodes, _get(p, "v_base", "[initial]", 0.0))
+        for name, vals in (("u", u0), ("v", v0)):
+            amp = _get(p, f"{name}_amplitude", "[initial]", 0.0)
+            if amp != 0.0:
+                _add_block(
+                    vals, grid, _get(p, f"{name}_block_center", "[initial]"),
+                    _get(p, f"{name}_block_width", "[initial]"), amp,
+                )
     elif kind == "from_file":
         if "path" not in p:
             raise ConfigError("from_file initial data needs a 'path' key")
@@ -393,21 +367,6 @@ def build_initial(cfg: ScenarioConfig) -> tuple[SimState, DirichletBoundary]:
         u_left=float(u0[0]), v_left=float(v0[0]),
         u_right=float(u0[-1]), v_right=float(v0[-1]),
     )
-    if cfg.boundary_override is not None:
-        ov = cfg.boundary_override
-        mismatch = max(
-            abs(ov.u_left - boundary.u_left),
-            abs(ov.v_left - boundary.v_left),
-            abs(ov.u_right - boundary.u_right),
-            abs(ov.v_right - boundary.v_right),
-        )
-        if mismatch > _BOUNDARY_MATCH_TOL:
-            raise ConfigError(
-                f"configured boundary values disagree with the initial data "
-                f"by {mismatch:.3e}"
-            )
-        boundary = ov
-
     state = SimState(u=Field(grid, u0), v=Field(grid, v0), t=0.0)
     return state, boundary
 
@@ -526,14 +485,17 @@ def _fmt(val) -> str:
     if isinstance(val, bool):
         return "true" if val else "false"
     if isinstance(val, float):
-        return "%.17g" % val
+        return _FLOAT_FMT % val
     return str(val)
 
 
 def write_manifest(manifest: dict, path) -> None:
     with open(path, "w") as fh:
         for key in MANIFEST_KEYS:
-            fh.write(f"{key} = {_fmt(manifest.get(key))}\n")
+            val = manifest.get(key)
+            # fixed decimals, so the file's size does not follow the measured time
+            text = "%.6f" % val if key == "wall_time_s" and val is not None else _fmt(val)
+            fh.write(f"{key} = {text}\n")
 
 
 def read_manifest(path) -> dict[str, str]:
@@ -767,7 +729,7 @@ def apply_axis(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
     if axis == "jump_height":
         p = dict(cfg.initial_params)
         if cfg.initial_kind == "piecewise_constant":
-            p["u_left"] = str(_f(p, "u_right") + float(value))
+            p["u_left"] = str(_get(p, "u_right", "[initial]") + float(value))
         elif cfg.initial_kind == "constant_plus_jump":
             p["u_amplitude"] = str(float(value))
         else:

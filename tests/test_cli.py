@@ -185,6 +185,21 @@ def test_misspelled_key_is_config_error(tmp_path, capsys):
     assert "did you mean 'diffusion_theta'?" in err
 
 
+def test_scheme_boundary_key_is_config_error(tmp_path, capsys):
+    # the Dirichlet values are the initial data's end values; [scheme] cannot set them
+    text = SMALL_CFG.replace("snapshot_interval = 1", "snapshot_interval = 1\nu_left = 2")
+    _assert_rejected_before_writing(tmp_path, text)
+    assert "[scheme]: unknown key 'u_left'" in capsys.readouterr().err
+
+
+def test_bad_initial_value_is_config_error(tmp_path, capsys):
+    text = SMALL_CFG.replace("jump_x = 10", "jump_x = abc")
+    _assert_rejected_before_writing(tmp_path, text)
+    err = capsys.readouterr().err
+    assert "[initial]" in err
+    assert "jump_x" in err
+
+
 def test_unknown_section_is_config_error(tmp_path, capsys):
     _assert_rejected_before_writing(tmp_path, SMALL_CFG + "\n[bogus]\nx = 1\n")
     err = capsys.readouterr().err

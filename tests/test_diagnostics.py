@@ -235,6 +235,27 @@ def test_wave_relative_flux_vanishes_on_exact_wave():
     assert resid < 1e-3
 
 
+def test_wave_reference_profile_arrays_evaluates_u_profile_once(monkeypatch):
+    g = GridSpec(0.0, 200.0, 2001)
+    w = TravelingWave.from_end_values(2.0, 1.0, 1.0, P1)
+    ref = WaveReference(w, x0=-80.0)
+    z = g.nodes() - 80.0 - w.s * 3.0
+    expected_u, expected_v = w.u_profile(z), w.v_profile(z)
+
+    calls = []
+    u_profile = TravelingWave.u_profile
+
+    def counting(self, zz):
+        calls.append(zz)
+        return u_profile(self, zz)
+
+    monkeypatch.setattr(TravelingWave, "u_profile", counting)
+    ru, rv = ref.profile_arrays(g, 3.0)
+    assert len(calls) == 1
+    assert np.array_equal(ru, expected_u)
+    assert np.array_equal(rv, expected_v)
+
+
 def test_assemble_record_evaluates_reference_once_per_time_level():
     g = GridSpec(0.0, 200.0, 2001)
     w = TravelingWave.from_end_values(2.0, 1.0, 1.0, P1)

@@ -65,8 +65,8 @@ class ScenarioConfig:
     snapshot_interval: float
     initial_kind: str
     initial_params: dict = field(default_factory=dict)
-    cfl: float = 0.4
-    diffusion_theta: float = 0.5
+    cfl: float = SchemeConfig.cfl
+    diffusion_theta: float = SchemeConfig.diffusion_theta
     mollify_delta: float = 0.0
     seed_label: str = ""
     declared_states: AsymptoticStates | None = None
@@ -629,6 +629,13 @@ def _build_manifest(
     report: RunReport,
     probe_center: float,
 ) -> dict:
+    grid = cfg.grid
+    margin = 0.1 * grid.length
+    # only a wave reference has a front level, so only a wave front can warn
+    near_edge = setup.front_level is not None and any(
+        r.front_pos - grid.x_min < margin or grid.x_max - r.front_pos < margin
+        for r in records
+    )
     m = {
         "scenario_name": cfg.name,
         "initial_kind": cfg.initial_kind,
@@ -654,7 +661,7 @@ def _build_manifest(
         "min_u": report.min_u,
         "step_count": report.step_count,
         "snapshot_count": report.snapshot_count,
-        "boundary_warning": report.boundary_warning,
+        "boundary_warning": near_edge,
         "wall_time_s": report.wall_time_s,
         "probe_center": probe_center,
         "probe_halfwidth": cfg.probe_halfwidth,

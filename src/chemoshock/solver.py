@@ -6,9 +6,9 @@ on a uniform grid with Dirichlet far-field boundaries.
 
 Diffusion is treated implicitly (theta-scheme), the coupling flux
 chi*(u v)_x explicitly by central differences, and v is updated pointwise from
-the freshly computed u so that constant states are exact fixed points and the
-discrete v-mass identity holds per step.  The time step is recomputed every
-step from the characteristic speed bound, since v drifts.
+the freshly computed u so that constant states are fixed points to roundoff
+and the discrete v-mass identity holds per step.  The time step is recomputed
+every step from the characteristic speed bound, since v drifts.
 
 The two Dirichlet rows are left out of the implicit system: the boundary
 values are folded into the first and last right-hand-side entries, and the
@@ -312,7 +312,6 @@ class RunReport:
     snapshot_count: int
     wall_time_s: float
     min_u: float
-    boundary_warning: bool
 
 
 def _snapshot_times(cfg: SchemeConfig) -> list[float]:
@@ -338,24 +337,10 @@ def run(
     Each snapshot is passed to `on_snapshot(index, state, prev)` when given;
     `prev` is the state one step before `state`, or None at index 0 and when
     no step was taken since the last snapshot."""
-    from .diagnostics import front_position  # local import, no cycle at module load
-
     grid = initial.u.grid
     u, v, t, count = initial.u.values, initial.v.values, initial.t, initial.step_count
     _check_boundary_match(u, v, cfg.boundary)
     t0 = time.perf_counter()
-
-    bc = cfg.boundary
-    track_front = abs(bc.u_left - bc.u_right) > 1e-12
-    level = 0.5 * (bc.u_left + bc.u_right)
-    margin = 0.1 * grid.length
-    warning = False
-
-    def near_boundary(s: SimState) -> bool:
-        if not track_front:
-            return False
-        pos = front_position(s.u, level)
-        return pos - grid.x_min < margin or grid.x_max - pos < margin
 
     def as_state(u, v, t, count) -> SimState:
         return SimState(u=Field(grid, u), v=Field(grid, v), t=t, step_count=count)
@@ -367,7 +352,6 @@ def run(
 
     if on_snapshot:
         on_snapshot(0, state, None)
-    warning |= near_boundary(state)
     snapshots = 1
 
     for target in _snapshot_times(cfg)[1:]:
@@ -385,7 +369,6 @@ def run(
         state = as_state(u, v, t, count)
         if on_snapshot:
             on_snapshot(snapshots, state, None if prev is None else as_state(*prev))
-        warning |= near_boundary(state)
         snapshots += 1
 
     return RunReport(
@@ -394,5 +377,4 @@ def run(
         snapshot_count=snapshots,
         wall_time_s=time.perf_counter() - t0,
         min_u=min_u,
-        boundary_warning=warning,
     )

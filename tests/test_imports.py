@@ -34,11 +34,11 @@ def mark(name):
 
 
 def _run_fresh(code: str, *args: str):
-    """Run `code` with `args` as sys.argv[1:] in a fresh interpreter and
-    return the JSON value on the last line it prints."""
+    """Run `code` with `args` as sys.argv[1:] in a fresh interpreter that
+    writes no bytecode, and return the JSON value on the last line it prints."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, "-B", "-c", code, *args],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
@@ -206,3 +206,20 @@ print(json.dumps({
     exec(_STEP, ns)  # the same step in this process, through the direct load
     want = ns["step"](ns["state"], ns["params"], ns["cfg"]).u.values.tolist()
     assert out == {"misses": 1, "same": True, "u": want}
+
+
+def test_tracer_finds_every_name_it_wraps():
+    # The benchmark's tracer replaces program functions by name and raises
+    # when one is gone or rebound; catch that here, not only in a traced run.
+    names = _run_fresh(
+        """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import trace_child
+tr = trace_child.Tracer()
+trace_child._install(tr)
+print(json.dumps(tr.names))
+""",
+        str(ROOT / "src"), str(ROOT / "perfbench"),
+    )
+    assert "solver.run" in names and "diagnostics.front_position" in names

@@ -294,6 +294,48 @@ def test_run_scenario_emit_c_adds_column(tmp_path):
     assert len(first_row.split()) == 4
 
 
+def wave_scenario(**kwargs):
+    """The wave (u-, u+, v+) = (2, 1, 1) on [0, 60], front at x = 30."""
+    base = dict(
+        name="wave",
+        grid=GridSpec(0.0, 60.0, 601),
+        params=P1,
+        t_end=26.0,
+        snapshot_interval=13.0,
+        initial_kind="exact_wave_plus_bump",
+        initial_params=dict(u_minus=2.0, u_plus=1.0, v_plus=1.0, front_x=30.0),
+        probe_center=30.0,
+    )
+    base.update(kwargs)
+    return ScenarioConfig(**base)
+
+
+def test_boundary_warning_when_the_front_nears_an_edge(tmp_path):
+    manifest, records = run_scenario(wave_scenario(), tmp_path / "long")
+    assert records[-1].front_pos > 54.0  # within 10% of x = 60
+    assert manifest["boundary_warning"] is True
+    assert read_manifest(tmp_path / "long" / "manifest.txt")["boundary_warning"] == "true"
+    short = wave_scenario(t_end=2.0, snapshot_interval=2.0)
+    manifest, _ = run_scenario(short, tmp_path / "short")
+    assert manifest["boundary_warning"] is False
+
+
+def test_front_is_located_once_per_snapshot(tmp_path, monkeypatch):
+    from chemoshock import diagnostics
+
+    calls = []
+    real = diagnostics.front_position
+
+    def counting(u, level):
+        calls.append(level)
+        return real(u, level)
+
+    monkeypatch.setattr(diagnostics, "front_position", counting)
+    manifest, _ = run_scenario(wave_scenario(), tmp_path / "out")
+    # one per snapshot record, and one for wire_reference's shift guess
+    assert len(calls) == manifest["snapshot_count"] + 1
+
+
 def test_shock_scenario_reports_eleven_snapshots(fig1_consistent_run):
     cfg, manifest, series, out = fig1_consistent_run
     assert manifest["snapshot_count"] == 11

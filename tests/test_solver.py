@@ -159,18 +159,6 @@ def test_snapshot_schedule_and_prev_state():
     assert report.final_state.t == 1.0
 
 
-def test_boundary_proximity_warning():
-    g = GridSpec(0.0, 60.0, 601)
-    w = TravelingWave.from_end_values(2.0, 1.0, 1.0, P1)
-    state = wave_state(g, w, 30.0)
-    cfg = SchemeConfig(t_end=26.0, snapshot_interval=13.0, boundary=boundary_of(state))
-    report = run(state, P1, cfg)
-    assert report.boundary_warning  # front reaches x = 56, within 10% of 60
-    short = run(wave_state(g, w, 30.0), P1,
-                SchemeConfig(t_end=2.0, snapshot_interval=2.0, boundary=boundary_of(state)))
-    assert not short.boundary_warning
-
-
 def test_mollified_outputs_stabilize_as_width_shrinks():
     # solutions from data mollified at width d and d/2 get closer as d drops
     from chemoshock.mollifier import MollifierSpec, mollify

@@ -1,10 +1,14 @@
 """Command-line entry point.
 
 Subcommands:
-    run <cfg> --out <dir> [--mollify-delta <r>] [--emit-c]
+    run <cfg> --out <dir> [--emit-c]
     wave <cfg>                 print wave quantities only
     sweep <cfg> --axis <name> --values <csv-list> --out <dir>
     validate <cfg>             check config and jump-condition residuals
+
+Every scenario value comes from the config file.  [model] needs D and chi, or mu
+and xi: a missing one follows from chi = mu*xi (mu = 1 if chi is alone).  Booleans
+are 1/yes/true/on or 0/no/false/off.  A non-finite number is a config error.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 """
@@ -13,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .core import ConfigError, NumericalError
 from .scenarios import (
@@ -42,8 +45,6 @@ def _wave_block(cfg) -> str:
 
 def _cmd_run(args) -> int:
     cfg = parse_scenario(args.config)
-    if args.mollify_delta is not None:
-        cfg = replace(cfg, mollify_delta=args.mollify_delta)
     manifest, _ = run_scenario(cfg, args.out, emit_c=args.emit_c)
     print(f"wrote {args.out}/manifest.txt ({manifest['snapshot_count']} snapshots, "
           f"{manifest['step_count']} steps, {manifest['wall_time_s']:.2f} s)")
@@ -89,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario and write outputs")
     p_run.add_argument("config")
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--mollify-delta", type=float, default=None,
-                       help="override the scenario's mollifier width (0 disables)")
     p_run.add_argument("--emit-c", action="store_true",
                        help="append the attractant concentration as a 4th snapshot column")
     p_run.set_defaults(fn=_cmd_run)

@@ -157,10 +157,6 @@ class ModelParams:
     def from_chi(cls, D: float, chi: float, mu: float = 1.0) -> "ModelParams":
         return cls(D=D, chi=chi, mu=mu, xi=chi / mu)
 
-    @classmethod
-    def from_chemotaxis(cls, D: float, mu: float, xi: float) -> "ModelParams":
-        return cls(D=D, chi=mu * xi, mu=mu, xi=xi)
-
 
 @dataclass(frozen=True)
 class AsymptoticStates:

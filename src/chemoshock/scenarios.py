@@ -8,6 +8,7 @@ from __future__ import annotations
 import configparser
 import csv
 import difflib
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -79,8 +80,10 @@ class ScenarioConfig:
                 f"unknown initial_kind '{self.initial_kind}' "
                 f"(expected one of {', '.join(INITIAL_KINDS)})"
             )
-        if self.mollify_delta < 0:
-            raise ConfigError("mollify_delta must be nonnegative")
+        if not 0 <= self.mollify_delta < math.inf:
+            raise ConfigError(f"mollify_delta must be finite and >= 0 (got {self.mollify_delta})")
+        if self.probe_center is not None and not math.isfinite(self.probe_center):
+            raise ConfigError(f"probe_center must be finite (got {self.probe_center})")
         if not self.grid.dx <= self.probe_halfwidth <= 0.5 * self.grid.length:
             raise ConfigError(
                 f"probe_halfwidth {self.probe_halfwidth} must lie between the "
@@ -98,15 +101,18 @@ class ScenarioConfig:
 def _get(section, key, where, default=None, cast=float):
     """section[key] through `cast`, or `default` when the key is absent and a
     default is given.  `section` is a config section or the [initial] dict;
-    `where` names it in the error messages."""
+    `where` names it in the error messages.  A float must be finite."""
     if key not in section:
         if default is not None:
             return default
         raise ConfigError(f"missing key '{key}' in section {where}")
     try:
-        return cast(section[key])
-    except ValueError as exc:
+        val = cast(section[key])
+        if cast is float and not math.isfinite(val):
+            raise ValueError(f"{val} is not finite")
+    except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad value for {where}:{key}: {exc}") from exc
+    return val
 
 
 # The keys each section may hold, lowercased as configparser stores them.
@@ -128,16 +134,16 @@ def _unknown(where: str, kind: str, name: str, valid) -> ConfigError:
     return ConfigError(f"{where}: unknown {kind} '{name}' ({hint})")
 
 
-def _check_names(cp: configparser.ConfigParser, path: Path) -> None:
+def _check_names(cp: configparser.ConfigParser, path: Path, initial_kind: str) -> None:
     """Reject sections and keys that _SECTION_KEYS does not list, and [initial]
-    keys that _INITIAL_KEYS does not list for the file's initial_kind."""
+    keys that _INITIAL_KEYS does not list for initial_kind."""
     sections = ([cp.default_section] if cp.defaults() else []) + cp.sections()
     for section in sections:
         if section not in _SECTION_KEYS:
             raise _unknown(str(path), "section", section, list(_SECTION_KEYS))
         allowed = _SECTION_KEYS[section]
         if section == "initial":
-            allowed = _INITIAL_KEYS.get(cp.get("scenario", "initial_kind", fallback=""))
+            allowed = _INITIAL_KEYS.get(initial_kind)
             if allowed is None:  # ScenarioConfig reports the unknown initial_kind
                 continue
         for key in cp[section]:
@@ -149,46 +155,43 @@ def parse_scenario(path) -> ScenarioConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: each value is the text its own key holds
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         cp.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    _check_names(cp, path)
 
     for required in ("scenario", "grid", "model", "scheme", "initial"):
         if required not in cp:
             raise ConfigError(f"{path}: missing [{required}] section")
-
     sc = cp["scenario"]
+    initial_kind = _get(sc, "initial_kind", "[scenario]", "", cast=str)
+    _check_names(cp, path, initial_kind)
     grid = GridSpec(
         x_min=_get(cp["grid"], "x_min", "[grid]"),
         x_max=_get(cp["grid"], "x_max", "[grid]"),
         n_nodes=_get(cp["grid"], "n_nodes", "[grid]", cast=int),
     )
+    # keys that are set are kept; a missing one follows from chi = mu*xi (mu = 1 if chi is alone)
     model = cp["model"]
-    if "mu" in model and "xi" in model:
-        params = ModelParams.from_chemotaxis(
-            D=_get(model, "D", "[model]"),
-            mu=_get(model, "mu", "[model]"),
-            xi=_get(model, "xi", "[model]"),
-        )
-    else:
-        params = ModelParams.from_chi(
-            D=_get(model, "D", "[model]"),
-            chi=_get(model, "chi", "[model]"),
-        )
+    coupling = {key: _get(model, key, "[model]") for key in ("chi", "mu", "xi") if key in model}
+    for key, val in coupling.items():
+        if val <= 0:  # here, before a derived key divides by it
+            raise ConfigError(f"{key} must be a positive finite number (got {val})")
+    if "mu" not in coupling or "xi" not in coupling:
+        chi = _get(coupling, "chi", "[model]")
+        coupling.setdefault("mu", chi / coupling["xi"] if "xi" in coupling else 1.0)
+        coupling.setdefault("xi", chi / coupling["mu"])
+    coupling.setdefault("chi", coupling["mu"] * coupling["xi"])
+    params = ModelParams(D=_get(model, "D", "[model]"), **coupling)
 
     scheme = cp["scheme"]
     initial_params = {k: v for k, v in cp["initial"].items()}
 
     declared = None
     if "states" in cp:
-        st = cp["states"]
-        far_fields = {
-            key: _get(st, key, "[states]")
-            for key in ("u_minus", "u_plus", "v_minus", "v_plus")
-        }
+        far_fields = {key: _get(cp["states"], key, "[states]") for key in _SECTION_KEYS["states"]}
         try:
             declared = AsymptoticStates(**far_fields)
         except ValueError as exc:
@@ -208,14 +211,14 @@ def parse_scenario(path) -> ScenarioConfig:
     }
 
     return ScenarioConfig(
-        name=sc.get("name", path.stem),
+        name=_get(sc, "name", "[scenario]", path.stem, cast=str),
         grid=grid,
         params=params,
         t_end=_get(scheme, "t_end", "[scheme]"),
         snapshot_interval=_get(scheme, "snapshot_interval", "[scheme]"),
-        initial_kind=sc.get("initial_kind", ""),
+        initial_kind=initial_kind,
         initial_params=initial_params,
-        seed_label=sc.get("seed_label", ""),
+        seed_label=_get(sc, "seed_label", "[scenario]", "", cast=str),
         declared_states=declared,
         **optional,
     )
@@ -275,7 +278,7 @@ def _ramp_values(
 
 
 def _pert_arrays(grid: GridSpec, p: dict, prefix: str) -> np.ndarray:
-    kind = p.get(f"{prefix}_pert_kind", "none")
+    kind = _get(p, f"{prefix}_pert_kind", "[initial]", "none", cast=str)
     vals = np.zeros(grid.n_nodes)
     if kind == "none":
         return vals
@@ -319,7 +322,8 @@ def build_initial(cfg: ScenarioConfig) -> tuple[SimState, DirichletBoundary]:
         v0 = np.asarray(wave.v_profile(z))
         du = _pert_arrays(grid, p, "u")
         dv = _pert_arrays(grid, p, "v")
-        if p.get("zero_mass", "false").lower() in ("1", "true", "yes"):
+        if _get(p, "zero_mass", "[initial]", False,
+                cast=lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()]):
             for name, pert in (("u", du), ("v", dv)):
                 mass = integral(Field(grid, pert))
                 if abs(mass) > _ZERO_MASS_TOL:
@@ -339,9 +343,7 @@ def build_initial(cfg: ScenarioConfig) -> tuple[SimState, DirichletBoundary]:
                     _get(p, f"{name}_block_width", "[initial]"), amp,
                 )
     elif kind == "from_file":
-        if "path" not in p:
-            raise ConfigError("from_file initial data needs a 'path' key")
-        _, x, u0, v0 = read_snapshot(p["path"])
+        _, x, u0, v0 = read_snapshot(_get(p, "path", "[initial]", cast=str))
         if u0.size != grid.n_nodes or abs(x[0] - grid.x_min) > 1e-9 or abs(
             x[-1] - grid.x_max
         ) > 1e-9:
@@ -756,6 +758,8 @@ def sweep(base: ScenarioConfig, axis: str, values, out_dir) -> list[dict]:
         )
     tags = {}
     for value in values:
+        if not math.isfinite(value):
+            raise ConfigError(f"sweep value {value!r} is not finite")
         tag = f"{axis}_{value:g}" if isinstance(value, float) else f"{axis}_{value}"
         if tag in tags:
             raise ConfigError(

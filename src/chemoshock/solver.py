@@ -19,7 +19,8 @@ unit lower bidiagonal factor and calls LAPACK's dpttrs, which solves in place
 into the interior of the new u.
 
 One array kernel, `_advance`, takes a step on raw nodal arrays and performs
-every per-step check (boundary match, finite u and v, positivity).  Its
+every per-step check (finite u and v, positivity); `run()` and `step()` check
+the boundary match once per call, since `_advance` pins the end values.  Its
 scratch buffers (pivots, factor, u*v) and the LAPACK routine live in a
 `_Workspace` that `run()` allocates once per run; the public `step()` builds
 its own.  `run()` marches the arrays and builds `Field`/`SimState` only at the
@@ -95,10 +96,10 @@ def _check_scheme(t_end: float, snapshot_interval: float, cfl: float, theta: flo
         raise ConfigError(f"cfl must lie in (0, 1] (got {cfl})")
     if not 0.5 <= theta <= 1.0:
         raise ConfigError(f"diffusion_theta must lie in [0.5, 1] (got {theta})")
-    if t_end < 0:
-        raise ConfigError(f"t_end must be nonnegative (got {t_end})")
-    if snapshot_interval <= 0:
-        raise ConfigError(f"snapshot_interval must be positive (got {snapshot_interval})")
+    if not 0 <= t_end < math.inf:
+        raise ConfigError(f"t_end must be finite and >= 0 (got {t_end})")
+    if not 0 < snapshot_interval < math.inf:
+        raise ConfigError(f"snapshot_interval must be finite and > 0 (got {snapshot_interval})")
 
 
 def _speed_bound(u: np.ndarray, v: np.ndarray, chi: float) -> float:
@@ -215,7 +216,6 @@ def _advance(
     and `ws` only holds scratch values.
     """
     bc = cfg.boundary
-    _check_boundary_match(u, v, bc)
     dx = grid.dx
     theta = cfg.diffusion_theta
 
@@ -289,6 +289,7 @@ def step(
 ) -> SimState:
     """Advance one step of size cfl*dx/max(speed, tiny), optionally capped."""
     grid = state.u.grid
+    _check_boundary_match(state.u.values, state.v.values, cfg.boundary)
     u, v, dt, _ = _advance(
         state.u.values, state.v.values, state.t, state.step_count + 1,
         grid, params, cfg, dt_cap, _Workspace(grid.n_nodes),

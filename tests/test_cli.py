@@ -1,9 +1,11 @@
+import re
 from pathlib import Path
 
 import pytest
 
-from chemoshock.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from chemoshock.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from chemoshock.diagnostics import read_series
+from chemoshock.scenarios import parse_scenario
 
 SMALL_CFG = """
 [scenario]
@@ -78,11 +80,16 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert (out_dir / "snap_0000.dat").exists()
 
 
-def test_run_mollify_override(tmp_path):
+def test_run_mollify_delta_comes_from_config(tmp_path):
     cfg = write_cfg(tmp_path)
     out_dir = tmp_path / "out_mollified"
-    assert main(["run", str(cfg), "--out", str(out_dir), "--mollify-delta", "1.0"]) == EXIT_OK
-    manifest = (out_dir / "manifest.txt").read_text()
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the removed flag
+        main(["run", str(cfg), "--out", str(out_dir), "--mollify-delta", "1.0"])
+    assert exc.value.code == EXIT_CONFIG
+    assert not out_dir.exists()
+    text = SMALL_CFG.replace("name = cli_small", "name = cli_small\nmollify_delta = 1")
+    assert main(["run", str(write_cfg(tmp_path, text)), "--out", str(out_dir)]) == EXIT_OK
+    manifest = (out_dir / "manifest.txt").read_text().splitlines()
     assert "mollify_delta = 1" in manifest
 
 
@@ -232,3 +239,84 @@ def test_misspelled_initial_key_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "[initial]: unknown key 'v_pert_knd'" in err
     assert "did you mean 'v_pert_kind'?" in err
+
+
+def test_misspelled_boolean_is_config_error(tmp_path, capsys):
+    thm22 = Path(__file__).resolve().parent.parent / "scenarios" / "thm22.cfg"
+    text = thm22.read_text().replace("zero_mass = true", "zero_mass = ture")
+    _assert_rejected_before_writing(tmp_path, text)
+    assert "bad value for [initial]:zero_mass: 'ture'" in capsys.readouterr().err
+
+
+def _with_model(model: str) -> str:
+    return SMALL_CFG.replace("D = 1\nchi = 1\n", f"D = 1\n{model}\n")
+
+
+@pytest.mark.parametrize("model, chi, mu, xi", [
+    ("chi = 2", 2.0, 1.0, 2.0),
+    ("chi = 2\nmu = 4", 2.0, 4.0, 0.5),
+    ("chi = 2\nxi = 4", 2.0, 0.5, 4.0),
+    ("chi = 6\nmu = 2\nxi = 3", 6.0, 2.0, 3.0),
+])
+def test_model_keys_that_are_set_are_kept(tmp_path, model, chi, mu, xi):
+    params = parse_scenario(write_cfg(tmp_path, _with_model(model))).params
+    assert (params.chi, params.mu, params.xi) == (chi, mu, xi)
+
+
+def test_model_mu_and_xi_give_chi(tmp_path):
+    text = _with_model("mu = 0.5\nxi = 3").replace("D = 1", "D = 2")
+    params = parse_scenario(write_cfg(tmp_path, text)).params
+    assert params.D == 2.0
+    assert params.chi == pytest.approx(1.5, rel=1e-15)
+    assert (params.mu, params.xi) == (0.5, 3.0)
+
+
+@pytest.mark.parametrize("model, message", [
+    ("chi = 5\nmu = 1\nxi = 1", "inconsistent coupling"),
+    ("mu = 3", "missing key 'chi' in section [model]"),
+    ("", "missing key 'chi' in section [model]"),
+    ("chi = 1\nxi = 0", "xi must be a positive finite number"),
+    ("chi = 1\nmu = -2", "mu must be a positive finite number"),
+])
+def test_bad_model_keys_are_config_errors(tmp_path, capsys, model, message):
+    _assert_rejected_before_writing(tmp_path, _with_model(model))
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("jump_x = 10", "jump_x = nan", "[initial]:jump_x"),
+    ("u_left = 2", "u_left = inf", "[initial]:u_left"),
+    ("t_end = 2", "t_end = nan", "[scheme]:t_end"),
+    ("t_end = 2", "t_end = inf", "[scheme]:t_end"),
+    ("probe_center = 10", "probe_center = nan", "[diagnostics]:probe_center"),
+    ("name = cli_small", "name = cli_small\nmollify_delta = nan", "[scenario]:mollify_delta"),
+    ("jump_x = 10", "jump_x = 10%", "[initial]:jump_x"),
+    ("jump_x = 10", "jump_x = %(x_max)s", "[initial]:jump_x"),
+])
+def test_bad_number_is_config_error(tmp_path, capsys, old, new, named):
+    _assert_rejected_before_writing(tmp_path, SMALL_CFG.replace(old, new))
+    assert f"bad value for {named}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", ["0,nan", "inf"])
+def test_sweep_rejects_non_finite_values(tmp_path, capsys, values):
+    out_dir = tmp_path / "sw"
+    assert main(["sweep", str(write_cfg(tmp_path)), "--axis", "mollify_delta",
+                 "--values", values, "--out", str(out_dir)]) == EXIT_CONFIG
+    assert "not finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_readme_cli_block_matches_parser(capsys):
+    """Every subcommand and --option in README's `## CLI` shell block exists."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split() for line in block.splitlines() if line.startswith("chemoshock ")]
+    assert len(commands) >= 4
+    for words in commands:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([words[1], "--help"])
+        assert exc.value.code == 0, f"README documents unknown subcommand '{words[1]}'"
+        accepted = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        for option in re.findall(r"--[a-z][a-z-]*", " ".join(words[2:])):
+            assert option in accepted, f"README documents '{words[1]} {option}'"

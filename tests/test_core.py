@@ -165,8 +165,6 @@ def test_lp_norm_scales_homogeneously():
 
 
 def test_model_params_coupling_identity():
-    p = ModelParams.from_chemotaxis(D=2.0, mu=0.5, xi=3.0)
-    assert p.chi == pytest.approx(1.5, rel=1e-15)
     with pytest.raises(ConfigError):
         ModelParams(D=1.0, chi=2.0, mu=1.0, xi=1.0)
     with pytest.raises(ConfigError):

@@ -161,6 +161,25 @@ def test_zero_mass_flag_rejects_net_mass_perturbation():
         build_initial(cfg)
 
 
+@pytest.mark.parametrize("flag, enforced", [
+    ("on", True), ("Yes", True), ("1", True), ("off", False), ("0", False),
+])
+def test_zero_mass_takes_configparser_booleans(flag, enforced):
+    cfg = scenario(
+        "exact_wave_plus_bump",
+        dict(u_minus=2.0, u_plus=1.0, v_plus=1.0, front_x=100.0, zero_mass=flag,
+             u_pert_kind="block", u_pert_amplitude=0.3,
+             u_pert_center=120.0, u_pert_width=10.0),
+    )
+    if enforced:
+        with pytest.raises(ConfigError, match="violates zero_mass"):
+            build_initial(cfg)
+    else:
+        build_initial(cfg)
+    with pytest.raises(ConfigError, match=r"bad value for \[initial\]:zero_mass"):
+        build_initial(replace(cfg, initial_params={**cfg.initial_params, "zero_mass": "ture"}))
+
+
 def test_nonpositive_initial_density_rejected():
     cfg = scenario(
         "constant_plus_jump",
@@ -194,6 +213,17 @@ def test_mollified_initial_data_smooths_jump():
     state, _ = build_initial(cfg)
     rough, _ = build_initial(small_scenario())
     assert np.abs(np.diff(state.u.values)).max() < np.abs(np.diff(rough.u.values)).max()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mollify_delta", math.nan),
+    ("mollify_delta", math.inf),
+    ("probe_center", math.nan),
+    ("probe_center", -math.inf),
+])
+def test_scenario_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        small_scenario(**{field: value})
 
 
 def test_unknown_kind_rejected():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,15 @@ def test_scheme_config_validation():
         SchemeConfig(t_end=1.0, snapshot_interval=0.0, boundary=bc)
 
 
+@pytest.mark.parametrize("t_end, snapshot_interval", [
+    (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+])
+def test_scheme_config_rejects_non_finite_times(t_end, snapshot_interval):
+    bc = DirichletBoundary(1, 0, 1, 0)
+    with pytest.raises(ConfigError, match="finite"):
+        SchemeConfig(t_end=t_end, snapshot_interval=snapshot_interval, boundary=bc)
+
+
 def test_characteristic_speed_known_values():
     g = GridSpec(0.0, 1.0, 11)
     assert characteristic_speed_bound(constant_state(g, 1.0, 0.0), P1) == pytest.approx(1.0)
@@ -93,6 +104,16 @@ def test_step_requires_matching_boundary():
     cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=bad)
     with pytest.raises(ConfigError, match="does not match"):
         step(state, P1, cfg)
+
+
+def test_run_requires_matching_boundary():
+    # _advance pins the end values, so run() checks the match once, up front
+    g = GridSpec(0.0, 100.0, 501)
+    state = constant_state(g, 1.0, 0.0)
+    bad = DirichletBoundary(1.0, 0.0, 1.0, 0.5)
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=bad)
+    with pytest.raises(ConfigError, match="does not match"):
+        run(state, P1, cfg)
 
 
 def test_wave_transport_tracks_exact_translation():

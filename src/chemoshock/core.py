@@ -154,8 +154,9 @@ class ModelParams:
             )
 
     @classmethod
-    def from_chi(cls, D: float, chi: float, mu: float = 1.0) -> "ModelParams":
-        return cls(D=D, chi=chi, mu=mu, xi=chi / mu)
+    def from_chi(cls, D: float, chi: float) -> "ModelParams":
+        """Parameters with mu = 1, so xi = chi."""
+        return cls(D=D, chi=chi, mu=1.0, xi=chi)
 
 
 @dataclass(frozen=True)

@@ -766,6 +766,8 @@ def sweep(base: ScenarioConfig, axis: str, values, out_dir) -> list[dict]:
                 f"sweep values {tags[tag]!r} and {value!r} would both write to {tag}/"
             )
         tags[tag] = value
+    if not tags:
+        raise ConfigError("no sweep values")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -18,15 +18,18 @@ form (`_ldl_pivots`), so a step never factorizes: it fills the pivots and the
 unit lower bidiagonal factor and calls LAPACK's dpttrs, which solves in place
 into the interior of the new u.
 
-One array kernel, `_advance`, takes a step on raw nodal arrays and performs
-every per-step check (finite u and v, positivity); `run()` and `step()` check
-the boundary match once per call, since `_advance` pins the end values.  Its
-scratch buffers (pivots, factor, u*v) and the LAPACK routine live in a
-`_Workspace` that `run()` allocates once per run; the public `step()` builds
-its own.  `run()` marches the arrays and builds `Field`/`SimState` only at the
-API boundary: at snapshots, for the plain `on_snapshot(index, state, prev)`
-callback, and for its `RunReport`.  The public `step()` wraps the same kernel
-for a single `SimState`.
+One array kernel, `_advance`, takes a step on raw nodal arrays.  It composes
+four stages, each a module-level function of raw arrays and scalar weights:
+`_time_step` (the CFL dt), `_explicit_rhs` (coupling flux and explicit
+diffusion), `_implicit_solve` (pinned ends folded in, pivots, `dpttrs`) and
+`_update_v`.  Between them it pins the end values and performs every per-step
+check (LAPACK info, finite u and v, positivity); `run()` and `step()` check
+the boundary match once per call.  The scratch buffers (pivots, factor, u*v)
+and the LAPACK routine live in a `_Workspace` that `run()` allocates once per
+run; the public `step()` builds its own.  `run()` marches the arrays and
+builds `Field`/`SimState` only at the API boundary: at snapshots, for the
+plain `on_snapshot(index, state, prev)` callback, and for its `RunReport`.
+The public `step()` wraps the same kernel for a single `SimState`.
 
 Building a workspace is what loads LAPACK, so it loads on the first step of a
 `run()` or `step()`; importing this module, and the CLI's `validate` and
@@ -199,6 +202,59 @@ class _Workspace:
         self.dpttrs = _load_dpttrs()  # LAPACK loads here, not at import
 
 
+def _time_step(
+    u: np.ndarray, v: np.ndarray, chi: float, cfl: float, dx: float, dt_cap: float | None
+) -> float:
+    """The CFL step cfl*dx/max(speed bound, tiny), capped at dt_cap when given."""
+    dt = cfl * dx / max(_speed_bound(u, v, chi), _TINY_SPEED)
+    return dt if dt_cap is None else min(dt, dt_cap)
+
+
+def _explicit_rhs(
+    u: np.ndarray, v: np.ndarray, flux_w: float, diff_w: float, w: np.ndarray
+) -> np.ndarray:
+    """A fresh array holding u + flux_w*(uv_(i+1) - uv_(i-1)) + diff_w*(u_(i+1) - 2u_i + u_(i-1))
+    on the interior nodes, its two ends left unset; w is scratch for uv."""
+    u_new = np.empty_like(u)
+    rhs = u_new[1:-1]
+    np.multiply(u, v, out=w)
+    np.subtract(w[2:], w[:-2], out=rhs)
+    rhs *= flux_w
+    rhs += u[1:-1]
+    if diff_w != 0.0:  # theta = 1 has no explicit diffusion
+        lap = u[2:] + u[:-2]
+        lap -= 2.0 * u[1:-1]
+        lap *= diff_w
+        rhs += lap
+    return u_new
+
+
+def _implicit_solve(rhs: np.ndarray, a: float, left: float, right: float, ws: _Workspace) -> int:
+    """Overwrite rhs with the solution of (I - a*Laplacian) x = rhs on the interior
+    nodes, the pinned end values left and right moved to the rhs; return LAPACK's info."""
+    rhs[0] += a * left
+    rhs[-1] += a * right
+    k, d_plus = _ldl_pivots(a, ws.d)
+    # e_i = -a/d_i; from index k on every d_i is d_plus, so one value fills e
+    head = ws.e[:k]
+    np.divide(-a, ws.d[: head.size], out=head)
+    ws.e[k:] = -a / d_plus
+    _, info = ws.dpttrs(ws.d, ws.e, rhs, overwrite_b=True)
+    return info
+
+
+def _update_v(
+    u_new: np.ndarray, v: np.ndarray, dv_w: float, left: float, right: float
+) -> np.ndarray:
+    """A fresh v: v + dv_w*(u_new_(i+1) - u_new_(i-1)) inside, left and right at the ends."""
+    v_new = np.empty_like(v)
+    v_new[0], v_new[-1] = left, right
+    dv = np.subtract(u_new[2:], u_new[:-2], out=v_new[1:-1])
+    dv *= dv_w
+    dv += v[1:-1]
+    return v_new
+
+
 def _advance(
     u: np.ndarray,
     v: np.ndarray,
@@ -219,33 +275,12 @@ def _advance(
     dx = grid.dx
     theta = cfg.diffusion_theta
 
-    dt = cfg.cfl * dx / max(_speed_bound(u, v, params.chi), _TINY_SPEED)
-    if dt_cap is not None:
-        dt = min(dt, dt_cap)
-
-    # explicit part on the interior nodes 1..n-2, built in place in u_new
-    u_new = np.empty_like(u)
-    rhs = u_new[1:-1]
-    w = np.multiply(u, v, out=ws.w)
-    np.subtract(w[2:], w[:-2], out=rhs)
-    rhs *= dt * params.chi / (2.0 * dx)
-    rhs += u[1:-1]
-    if theta < 1.0:
-        lap = u[2:] + u[:-2]
-        lap -= 2.0 * u[1:-1]
-        lap *= dt * (1.0 - theta) * params.D / (dx * dx)
-        rhs += lap
-
-    # (I - a*Laplacian) u_new = rhs, with the pinned end values moved to the rhs
+    dt = _time_step(u, v, params.chi, cfg.cfl, dx, dt_cap)
+    u_new = _explicit_rhs(
+        u, v, dt * params.chi / (2.0 * dx), dt * (1.0 - theta) * params.D / (dx * dx), ws.w
+    )
     a = theta * params.D * dt / (dx * dx)
-    rhs[0] += a * bc.u_left
-    rhs[-1] += a * bc.u_right
-    k, d_plus = _ldl_pivots(a, ws.d)
-    # e_i = -a/d_i; from index k on every d_i is d_plus, so one value fills e
-    head = ws.e[:k]
-    np.divide(-a, ws.d[: head.size], out=head)
-    ws.e[k:] = -a / d_plus
-    _, info = ws.dpttrs(ws.d, ws.e, rhs, overwrite_b=True)
+    info = _implicit_solve(u_new[1:-1], a, bc.u_left, bc.u_right, ws)
     if info != 0:
         raise NumericalError(
             f"tridiagonal solve failed (LAPACK info={info}) on step {step_no} "
@@ -267,12 +302,7 @@ def _advance(
             f"on step {step_no}, t={t + dt:.6g}"
         )
 
-    v_new = np.empty_like(v)
-    v_new[0] = bc.v_left
-    dv = np.subtract(u_new[2:], u_new[:-2], out=v_new[1:-1])
-    dv *= dt / (2.0 * dx)
-    dv += v[1:-1]
-    v_new[-1] = bc.v_right
+    v_new = _update_v(u_new, v, dt / (2.0 * dx), bc.v_left, bc.v_right)
     if not np.isfinite(v_new).all():
         bad = int(np.flatnonzero(~np.isfinite(v_new))[0])
         raise NumericalError(

@@ -136,7 +136,7 @@ def test_sweep_cli(tmp_path):
     assert main(["sweep", str(cfg), "--axis", "bogus", "--values", "1",
                  "--out", str(out_dir)]) == EXIT_CONFIG
     assert main(["sweep", str(cfg), "--axis", "cfl", "--values", "",
-                 "--out", str(tmp_path / "sw_empty")]) == EXIT_OK
+                 "--out", str(tmp_path / "sw_empty")]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("values, named", [
@@ -148,6 +148,15 @@ def test_sweep_rejects_colliding_output_dirs(tmp_path, capsys, values, named):
     assert main(["sweep", str(write_cfg(tmp_path)), "--axis", "cfl",
                  "--values", values, "--out", str(out_dir)]) == EXIT_CONFIG
     assert named in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("values", ["", " , "])
+def test_sweep_rejects_empty_value_list(tmp_path, capsys, values):
+    out_dir = tmp_path / "sw"
+    assert main(["sweep", str(write_cfg(tmp_path)), "--axis", "cfl",
+                 "--values", values, "--out", str(out_dir)]) == EXIT_CONFIG
+    assert "no sweep values" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

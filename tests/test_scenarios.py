@@ -406,11 +406,9 @@ def test_apply_axis_variants():
 
 
 def test_sweep_empty_values(tmp_path):
-    out = sweep(small_scenario(), "cfl", [], tmp_path / "sw")
-    assert out == []
-    text = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
-    assert len(text) == 1
-    assert text[0].startswith("axis,value,status")
+    with pytest.raises(ConfigError, match="no sweep values"):
+        sweep(small_scenario(), "cfl", [], tmp_path / "sw")
+    assert not (tmp_path / "sw").exists()
 
 
 def test_sweep_runs_variants_and_records_failures(tmp_path):

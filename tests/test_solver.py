@@ -13,11 +13,17 @@ from chemoshock.core import (
     integral,
     lp_norm,
 )
+import chemoshock.solver as solver
 from chemoshock.solver import (
+    _TINY_SPEED,
     DirichletBoundary,
     SchemeConfig,
     _advance,
+    _explicit_rhs,
+    _implicit_solve,
     _ldl_pivots,
+    _time_step,
+    _update_v,
     _Workspace,
     characteristic_speed_bound,
     run,
@@ -336,3 +342,80 @@ def test_advance_matches_dense_theta_system(n, theta):
         assert np.abs(u_new - want_u).max() <= 1e-13
         assert np.abs(v_new - want_v).max() <= 1e-13
         assert u_min == u_new.min()
+
+
+def test_time_step_is_the_cfl_step_under_its_cap():
+    g = GridSpec(0.0, 10.0, 41)
+    rng = np.random.default_rng(3)
+    state = SimState(Field(g, 1.0 + rng.random(41)), Field(g, rng.standard_normal(41)), 0.0)
+    u, v = state.u.values, state.v.values
+    p = ModelParams.from_chi(1.0, 1.7)
+    free = 0.4 * g.dx / characteristic_speed_bound(state, p)
+    assert _time_step(u, v, p.chi, 0.4, g.dx, None) == free
+    assert _time_step(u, v, p.chi, 0.4, g.dx, 2.0 * free) == free
+    assert _time_step(u, v, p.chi, 0.4, g.dx, 1e-7) == 1e-7
+    zero = np.zeros(41)  # no speed at all: the step is set by the floor
+    assert _time_step(zero, zero, p.chi, 0.4, g.dx, None) == 0.4 * g.dx / _TINY_SPEED
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+def test_explicit_rhs_matches_per_node_loop(theta):
+    n, dt, dx, chi, D = 37, 0.013, 0.1, 1.7, 0.9
+    rng = np.random.default_rng(11)
+    u = 1.0 + rng.random(n)
+    v = rng.standard_normal(n)
+    flux_w = dt * chi / (2.0 * dx)
+    diff_w = dt * (1.0 - theta) * D / (dx * dx)
+    got = _explicit_rhs(u, v, flux_w, diff_w, np.empty(n))
+    uf, vf = u.tolist(), v.tolist()
+    for i in range(1, n - 1):
+        want = (uf[i + 1] * vf[i + 1] - uf[i - 1] * vf[i - 1]) * flux_w + uf[i]
+        if theta < 1.0:
+            want += ((uf[i + 1] + uf[i - 1]) - 2.0 * uf[i]) * diff_w
+        assert got[i] == want, i
+
+
+def test_update_v_matches_per_node_loop():
+    n, dv_w = 37, 0.065
+    rng = np.random.default_rng(12)
+    u_new = 1.0 + rng.random(n)
+    v = rng.standard_normal(n)
+    got = _update_v(u_new, v, dv_w, -0.25, 0.5)
+    uf, vf = u_new.tolist(), v.tolist()
+    want = [-0.25] + [(uf[i + 1] - uf[i - 1]) * dv_w + vf[i] for i in range(1, n - 1)] + [0.5]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("m", [6, 7, 62])
+def test_implicit_solve_matches_dense_system(m):
+    rng = np.random.default_rng(m)
+    lap = np.diag(np.full(m, -2.0)) + np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
+    ws = _Workspace(m + 2)
+    for a in np.logspace(-3, 3, 7):
+        rhs = 1.0 + rng.random(m)
+        left, right = 1.3, 0.7
+        x = rhs.copy()
+        assert _implicit_solve(x, a, left, right, ws) == 0
+        b = rhs.copy()
+        b[0] += a * left
+        b[-1] += a * right
+        want = np.linalg.solve(np.eye(m) - a * lap, b)
+        assert np.abs(x - want).max() <= 1e-13, a
+
+
+def test_advance_calls_each_stage_once_per_step(monkeypatch):
+    # _advance looks its stages up as module globals, so a wrapper set on the
+    # module (as a tracer does) sees every call
+    calls = dict.fromkeys(("_time_step", "_explicit_rhs", "_implicit_solve", "_update_v"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(solver, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    g = GridSpec(0.0, 100.0, 201)
+    state = wave_state(g, TravelingWave.from_end_values(2.0, 1.0, 1.0, P1), 30.0)
+    cfg = SchemeConfig(t_end=2.0, snapshot_interval=1.0, boundary=boundary_of(state))
+    report = run(state, P1, cfg)
+    assert report.step_count > 0
+    assert calls == dict.fromkeys(calls, report.step_count)

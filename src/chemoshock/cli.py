@@ -38,8 +38,7 @@ EXIT_IO = 4
 def _wave_block(cfg) -> str:
     """The manifest's wave and jump-condition lines for a scenario."""
     state0, boundary = build_initial(cfg)
-    setup = wire_reference(state0, cfg.params)
-    summary = wave_summary(cfg, boundary, setup)
+    summary = wave_summary(cfg, boundary, wire_reference(state0, cfg.params))
     return "\n".join(f"{key} = {_fmt(val)}" for key, val in summary.items())
 
 

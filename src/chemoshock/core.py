@@ -45,6 +45,7 @@ class GridSpec:
             )
         if int(self.n_nodes) != self.n_nodes or self.n_nodes < 8:
             raise ConfigError(f"n_nodes must be an integer >= 8 (got {self.n_nodes})")
+        object.__setattr__(self, "n_nodes", int(self.n_nodes))  # arrays are sized by it
 
     @property
     def dx(self) -> float:

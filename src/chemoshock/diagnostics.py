@@ -36,10 +36,12 @@ from .waves import TravelingWave
 
 @dataclass(frozen=True)
 class ConstantReference:
-    """Fixed background state (far fields equal)."""
+    """Fixed background state (far fields equal): no wave and no front."""
 
     u_bar: float
     v_bar: float
+    wave = None
+    front_level = None
 
     def profile_arrays(self, grid: GridSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
         n = grid.n_nodes
@@ -48,10 +50,18 @@ class ConstantReference:
 
 @dataclass(frozen=True)
 class WaveReference:
-    """Shifted traveling wave (U, V)(x + x0 - s*t)."""
+    """Shifted traveling wave (U, V)(x + x0 - s*t), as shift_x0 fits it with
+    v-mass defect beta_residual (None for a hand-set x0); its front is tracked
+    at front_level, the midpoint (u_minus + u_plus)/2."""
 
     wave: TravelingWave
     x0: float
+    beta_residual: float | None = None
+
+    @property
+    def front_level(self) -> float:
+        st = self.wave.states
+        return 0.5 * (st.u_minus + st.u_plus)
 
     def profile_arrays(self, grid: GridSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
         z = grid.nodes() + self.x0 - self.wave.s * t
@@ -176,19 +186,12 @@ def flux_identity_residual(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftResult:
-    """Wave shift from mass conservation, and the v-component mass defect
-    left over after shifting (the trace of the neglected diffusion wave)."""
-
-    x0: float
-    beta_residual: float
-
-
 def shift_x0(
     u0: Field, v0: Field, wave: TravelingWave, base_shift: float = 0.0
-) -> ShiftResult:
-    """x0 with u0 ~ U(. + x0): mass of (u0 - U) divided by the jump u+ - u-.
+) -> WaveReference:
+    """The wave shifted so u0 ~ U(. + x0): x0 is the mass of (u0 - U) over the
+    jump u+ - u-; beta_residual is the v-mass defect left over after shifting
+    (the trace of the neglected diffusion wave).
 
     base_shift pre-translates the profile so its front lies inside the grid;
     the returned x0 is absolute (base_shift = 0 reproduces the raw formula,
@@ -201,7 +204,7 @@ def shift_x0(
     defect = integral(u0 - Field(u0.grid, wave.u_profile(x + base_shift)))
     x0 = base_shift + defect / ujump
     beta = integral(v0 - Field(v0.grid, wave.v_profile(x + x0)))
-    return ShiftResult(x0=x0, beta_residual=beta)
+    return WaveReference(wave=wave, x0=x0, beta_residual=beta)
 
 
 @dataclass(frozen=True)
@@ -329,20 +332,22 @@ def assemble_record(
     reference: Reference,
     probe_center: float,
     probe_halfwidth: float,
-    front_level: float | None,
 ) -> DiagnosticsRecord:
+    """One snapshot's record against `reference`: error norms, functionals,
+    the flux residual since `prev` (0 without one), the regularity probe, and
+    the front, tracked at the reference's front level."""
     grid = state.u.grid
     ru, rv = reference.profile_arrays(grid, state.t)
     u_err = state.u.values - ru
     v_err = Field(grid, state.v.values - rv)
 
     probe = regularity_probe(state.v, probe_center, probe_halfwidth)
-    if front_level is None:
+    if reference.front_level is None:
         # degenerate far fields: report where the solution deviates most
         dev = np.abs(u_err)
         front = float(grid.nodes()[int(np.argmax(dev))]) if dev.max() > 0 else grid.x_min
     else:
-        front = front_position(state.u, front_level)
+        front = front_position(state.u, reference.front_level)
 
     flux_res = (
         _flux_residual(prev, state, params, reference, ru, rv)

@@ -236,6 +236,11 @@ def _nearest_node(grid: GridSpec, x: float) -> int:
 
 def _jump_values(grid: GridSpec, jump_x: float, left: float, right: float) -> np.ndarray:
     j = _nearest_node(grid, jump_x)
+    if j in (0, grid.n_nodes - 1):  # an end node would lose one far-field state
+        raise ConfigError(
+            f"bad value for [initial]:jump_x: {jump_x} puts the jump on an end "
+            f"node of the grid [{grid.x_min}, {grid.x_max}]"
+        )
     out = np.where(np.arange(grid.n_nodes) < j, left, right)
     out = out.astype(float)
     out[j] = 0.5 * (left + right)  # jump node takes the average of the limits
@@ -378,36 +383,18 @@ def build_initial(cfg: ScenarioConfig) -> tuple[SimState, DirichletBoundary]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WaveSetup:
-    wave: TravelingWave | None
-    reference: diag.ConstantReference | diag.WaveReference
-    shift: diag.ShiftResult | None
-    front_level: float | None
-
-
-def wire_reference(state: SimState, params: ModelParams) -> WaveSetup:
-    """Choose the diagnostic reference from the initial data: a consistent
-    traveling wave when the far fields support one, else the constant state."""
+def wire_reference(state: SimState, params: ModelParams) -> diag.Reference:
+    """The diagnostic reference for the initial data: when the far fields
+    support a traveling wave, that wave as shift_x0 fits it to the data,
+    else the constant right-end state."""
     u0, v0 = state.u, state.v
     ul, ur = float(u0.values[0]), float(u0.values[-1])
     vr = float(v0.values[-1])
     if abs(ul - ur) > 1e-12 and ul > ur > 0:
         wave = TravelingWave.from_end_values(ul, ur, vr, params)
         guess = diag.front_position(u0, 0.5 * (ul + ur))
-        shift = diag.shift_x0(u0, v0, wave, base_shift=-guess)
-        return WaveSetup(
-            wave=wave,
-            reference=diag.WaveReference(wave=wave, x0=shift.x0),
-            shift=shift,
-            front_level=0.5 * (ul + ur),
-        )
-    return WaveSetup(
-        wave=None,
-        reference=diag.ConstantReference(u_bar=ur, v_bar=vr),
-        shift=None,
-        front_level=None,
-    )
+        return diag.shift_x0(u0, v0, wave, base_shift=-guess)
+    return diag.ConstantReference(u_bar=ur, v_bar=vr)
 
 
 MANIFEST_KEYS = (
@@ -536,13 +523,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[di
         cfl=cfg.cfl,
         diffusion_theta=cfg.diffusion_theta,
     )
-    setup = wire_reference(state0, cfg.params)
+    reference = wire_reference(state0, cfg.params)
 
     probe_center = cfg.probe_center
     if probe_center is None:
         probe_center = (
-            diag.front_position(state0.u, setup.front_level)
-            if setup.front_level is not None
+            diag.front_position(state0.u, reference.front_level)
+            if reference.front_level is not None
             else 0.5 * (cfg.grid.x_min + cfg.grid.x_max)
         )
     probe_halfwidth = cfg.probe_halfwidth
@@ -561,13 +548,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[di
         write_snapshot(out / f"snap_{index:04d}.dat", state, c=c)
         records.append(
             diag.assemble_record(
-                state,
-                prev,
-                cfg.params,
-                setup.reference,
-                probe_center,
-                probe_halfwidth,
-                setup.front_level,
+                state, prev, cfg.params, reference, probe_center, probe_halfwidth
             )
         )
 
@@ -578,12 +559,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[di
         raise
     diag.write_series(records, out / "series.csv")
 
-    manifest = _build_manifest(cfg, boundary, setup, records, report, probe_center)
+    manifest = _build_manifest(cfg, boundary, reference, records, report, probe_center)
     write_manifest(manifest, out / "manifest.txt")
     return manifest, records
 
 
-def wave_summary(cfg: ScenarioConfig, boundary: DirichletBoundary, setup: WaveSetup) -> dict:
+def wave_summary(
+    cfg: ScenarioConfig, boundary: DirichletBoundary, reference: diag.Reference
+) -> dict:
     """The manifest's wave and jump-condition entries: speed and residuals of
     the declared far fields, the fitted wave and its residuals, the residuals
     of the data's end values against that wave, and the mass shift x0."""
@@ -597,7 +580,7 @@ def wave_summary(cfg: ScenarioConfig, boundary: DirichletBoundary, setup: WaveSe
         else:
             res = rh_residual(declared, s, cfg.params)
             m.update(declared_speed=s, declared_rh_r1=res.r1, declared_rh_r2=res.r2)
-    wave = setup.wave
+    wave = reference.wave
     m["wave_present"] = wave is not None
     if wave is not None:
         res = rh_residual(wave.states, wave.s, cfg.params)
@@ -617,8 +600,8 @@ def wave_summary(cfg: ScenarioConfig, boundary: DirichletBoundary, setup: WaveSe
             wave_rh_r2=res.r2,
             data_rh_r1=data_res.r1,
             data_rh_r2=data_res.r2,
-            shift_x0=setup.shift.x0,
-            shift_beta_residual=setup.shift.beta_residual,
+            shift_x0=reference.x0,
+            shift_beta_residual=reference.beta_residual,
         )
     return m
 
@@ -626,15 +609,16 @@ def wave_summary(cfg: ScenarioConfig, boundary: DirichletBoundary, setup: WaveSe
 def _build_manifest(
     cfg: ScenarioConfig,
     boundary: DirichletBoundary,
-    setup: WaveSetup,
+    reference: diag.Reference,
     records,
     report: RunReport,
     probe_center: float,
 ) -> dict:
     grid = cfg.grid
+    wave = reference.wave
     margin = 0.1 * grid.length
     # only a wave reference has a front level, so only a wave front can warn
-    near_edge = setup.front_level is not None and any(
+    near_edge = reference.front_level is not None and any(
         r.front_pos - grid.x_min < margin or grid.x_max - r.front_pos < margin
         for r in records
     )
@@ -659,7 +643,7 @@ def _build_manifest(
         "boundary_v_left": boundary.v_left,
         "boundary_u_right": boundary.u_right,
         "boundary_v_right": boundary.v_right,
-        "flux_variant": "wave" if setup.wave is not None else "constant",
+        "flux_variant": "wave" if wave is not None else "constant",
         "min_u": report.min_u,
         "step_count": report.step_count,
         "snapshot_count": report.snapshot_count,
@@ -668,9 +652,9 @@ def _build_manifest(
         "probe_center": probe_center,
         "probe_halfwidth": cfg.probe_halfwidth,
     }
-    m.update(wave_summary(cfg, boundary, setup))
-    if setup.wave is not None:
-        m["probe_reference_level"] = diag.smooth_probe_reference(setup.wave)
+    m.update(wave_summary(cfg, boundary, reference))
+    if wave is not None:
+        m["probe_reference_level"] = diag.smooth_probe_reference(wave)
 
     if records:
         probes = [r.max_dq_v for r in records]
@@ -696,10 +680,10 @@ def _build_manifest(
             m[f"decay_{name}_slope"] = q.tail_slope
             m[f"decay_{name}_decayed"] = q.decayed
 
-    speed = _front_speed(records) if setup.wave is not None else None
-    if speed is not None and setup.wave is not None:
+    speed = _front_speed(records) if wave is not None else None
+    if speed is not None:
         m["front_speed_estimate"] = speed
-        m["front_speed_rel_err"] = abs(speed - setup.wave.s) / setup.wave.s
+        m["front_speed_rel_err"] = abs(speed - wave.s) / wave.s
     return m
 
 

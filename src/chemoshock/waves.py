@@ -117,17 +117,15 @@ class TravelingWave:
             raise ValueError("wave speed and steepness must be positive")
 
     @classmethod
-    def from_states(
-        cls, states: AsymptoticStates, params: ModelParams, rh_tol: float = RH_TOL
-    ) -> "TravelingWave":
+    def from_states(cls, states: AsymptoticStates, params: ModelParams) -> "TravelingWave":
         if not states.is_shock():
             raise ValueError("profile requires u_minus > u_plus > 0")
         s = wave_speed(states, params)
         res = rh_residual(states, s, params)
-        if res.max_abs() > rh_tol:
+        if res.max_abs() > RH_TOL:
             raise ValueError(
                 f"far-field states are not jump-consistent: residuals "
-                f"({res.r1:.3e}, {res.r2:.3e}) exceed {rh_tol}"
+                f"({res.r1:.3e}, {res.r2:.3e}) exceed {RH_TOL}"
             )
         lam = params.chi * (states.u_minus - states.u_plus) / (params.D * s)
         kappa = states.u_minus + s * states.v_minus

@@ -307,6 +307,14 @@ def test_bad_number_is_config_error(tmp_path, capsys, old, new, named):
     assert f"bad value for {named}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jump_x", ["1e6", "-1e6", "40"])
+def test_jump_on_an_end_node_is_config_error(tmp_path, capsys, jump_x):
+    # an end-node jump would drop one far-field state from the data and the boundary
+    text = SMALL_CFG.replace("jump_x = 10", f"jump_x = {jump_x}")
+    _assert_rejected_before_writing(tmp_path, text)
+    assert "bad value for [initial]:jump_x: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("values", ["0,nan", "inf"])
 def test_sweep_rejects_non_finite_values(tmp_path, capsys, values):
     out_dir = tmp_path / "sw"

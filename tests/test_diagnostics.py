@@ -270,6 +270,7 @@ def test_assemble_record_evaluates_reference_once_per_time_level():
 
     class CountingReference:
         calls = 0
+        front_level = 1.5
 
         def profile_arrays(self, grid, t):
             self.calls += 1
@@ -277,7 +278,7 @@ def test_assemble_record_evaluates_reference_once_per_time_level():
 
     counting = CountingReference()
     prev, nxt = perturbed(3.0), perturbed(3.5)
-    rec = assemble_record(nxt, prev, P1, counting, 100.0, 5.0, 1.5)
+    rec = assemble_record(nxt, prev, P1, counting, 100.0, 5.0)
     assert counting.calls == 2
     assert rec.flux_res > 0.0
     assert rec.flux_res == flux_identity_residual(prev, nxt, P1, ref)
@@ -495,12 +496,12 @@ def test_record_sigma_is_time_clamp_and_rejects_nonfinite():
     g = GridSpec(0.0, 100.0, 1001)
     state = SimState(Field.constant(g, 1.0), Field.constant(g, 0.0), 0.25)
     rec = assemble_record(
-        state, None, P1, ConstantReference(1.0, 0.0), 50.0, 5.0, None
+        state, None, P1, ConstantReference(1.0, 0.0), 50.0, 5.0
     )
     assert rec.sigma == 0.25
     late = assemble_record(
         SimState(Field.constant(g, 1.0), Field.constant(g, 0.0), 7.0),
-        None, P1, ConstantReference(1.0, 0.0), 50.0, 5.0, None,
+        None, P1, ConstantReference(1.0, 0.0), 50.0, 5.0,
     )
     assert late.sigma == 1.0
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 
 from chemoshock import scenarios
 from chemoshock.core import ConfigError, GridSpec, ModelParams, NumericalError, write_snapshot
-from chemoshock.diagnostics import read_series
+from chemoshock.diagnostics import ConstantReference, front_position, read_series, shift_x0
 from chemoshock.scenarios import (
     MANIFEST_KEYS,
     SWEEP_COLUMNS,
@@ -22,6 +22,7 @@ from chemoshock.scenarios import (
     sweep,
     wire_reference,
 )
+from chemoshock.waves import TravelingWave
 
 GRID = GridSpec(0.0, 400.0, 4001)
 P1 = ModelParams.from_chi(1.0, 1.0)
@@ -130,10 +131,37 @@ def test_exact_wave_plus_dipole_zero_mass():
              u_pert_center=120.0, u_pert_halfwidth=5.0),
     )
     state, _ = build_initial(cfg)
-    setup = wire_reference(state, P1)
-    assert setup.wave is not None
-    assert setup.shift.x0 == pytest.approx(-100.0, abs=1e-6)
-    assert abs(setup.shift.beta_residual) < 1e-8
+    ref = wire_reference(state, P1)
+    assert ref.wave is not None
+    assert ref.x0 == pytest.approx(-100.0, abs=1e-6)
+    assert abs(ref.beta_residual) < 1e-8
+
+
+def test_wire_reference_on_equal_far_fields_is_constant_state():
+    cfg = scenario(
+        "constant_plus_jump",
+        dict(u_base=1.0, v_base=0.5, u_amplitude=0.5, u_block_center=200.0,
+             u_block_width=20.0),
+    )
+    state, _ = build_initial(cfg)
+    ref = wire_reference(state, P1)
+    assert ref == ConstantReference(u_bar=1.0, v_bar=0.5)
+    assert ref.wave is None
+    assert ref.front_level is None
+
+
+def test_wire_reference_on_a_shock_is_the_fitted_wave():
+    cfg = scenario(
+        "piecewise_constant",
+        dict(jump_x=100.0, u_left=2.0, u_right=1.0, v_left=0.0, v_right=1.0),
+    )
+    state, _ = build_initial(cfg)
+    u, v = state.u.values, state.v.values
+    ref = wire_reference(state, P1)
+    wave = TravelingWave.from_end_values(u[0], u[-1], v[-1], P1)
+    guess = front_position(state.u, 0.5 * (u[0] + u[-1]))
+    assert ref == shift_x0(state.u, state.v, wave, base_shift=-guess)
+    assert ref.front_level == 0.5 * (u[0] + u[-1])
 
 
 def test_shipped_wave_scenario_satisfies_zero_integral_hypothesis(scenario_dir):
@@ -143,8 +171,8 @@ def test_shipped_wave_scenario_satisfies_zero_integral_hypothesis(scenario_dir):
 
     cfg = parse_scenario(scenario_dir / "thm22.cfg")
     state, _ = build_initial(cfg)
-    setup = wire_reference(state, cfg.params)
-    pair = antiderivatives(state.u, state.v, setup.wave, setup.shift.x0, 0.0)
+    ref = wire_reference(state, cfg.params)
+    pair = antiderivatives(state.u, state.v, ref.wave, ref.x0, 0.0)
     assert abs(pair.zero_mass_residual[0]) < 1e-8
     assert abs(pair.zero_mass_residual[1]) < 1e-8
 
@@ -298,6 +326,8 @@ def test_run_scenario_outputs(tmp_path):
     assert manifest["snapshot_count"] == 5
     on_disk = read_manifest(out / "manifest.txt")
     assert set(MANIFEST_KEYS) <= set(on_disk)
+    # write_manifest drops any key MANIFEST_KEYS does not list
+    assert set(manifest) <= set(MANIFEST_KEYS)
     # six decimals, so the manifest's size does not depend on the run time
     assert on_disk["wall_time_s"] == "%.6f" % manifest["wall_time_s"]
     series = read_series(out / "series.csv")

@@ -92,6 +92,17 @@ def test_constant_state_is_fixed_point():
     assert np.abs(state.v.values - 0.4).max() < 1e-12
 
 
+def test_grid_with_float_node_count_steps():
+    # an integral float is accepted and stored as an int, so arrays can be sized by it
+    g = GridSpec(0.0, 1.0, 11.0)
+    assert type(g.n_nodes) is int
+    state = constant_state(g, 1.0, 0.0)
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=boundary_of(state))
+    out = step(state, P1, cfg)
+    assert out.u.values.shape == (11,)
+    assert np.all(out.u.values == 1.0)
+
+
 def test_step_advances_time_and_counts():
     g = GridSpec(0.0, 100.0, 501)
     state = constant_state(g, 1.0, 0.0)

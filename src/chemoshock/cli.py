@@ -3,7 +3,7 @@
 Subcommands:
     run <cfg> --out <dir> [--emit-c]
     wave <cfg>                 print wave quantities only
-    sweep <cfg> --axis <name> --values <csv-list> --out <dir>
+    sweep <cfg> --axis <[section.]key> --values <csv-list> --out <dir>
     validate <cfg>             check config and jump-condition residuals
 
 Every scenario value comes from the config file.  [model] needs D and chi, or mu
@@ -23,6 +23,7 @@ from .scenarios import (
     _fmt,
     build_initial,
     parse_scenario,
+    read_config,
     run_scenario,
     sweep,
     wave_summary,
@@ -68,13 +69,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = parse_scenario(args.config)
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad --values list: {exc}") from exc
-    manifests = sweep(cfg, args.axis, values, args.out)
-    print(f"swept {args.axis} over {len(values)} values "
+    texts = [text.strip() for text in args.values.split(",") if text.strip()]
+    manifests = sweep(read_config(args.config), args.config, args.axis, texts, args.out)
+    print(f"swept {args.axis} over {len(texts)} values "
           f"({len(manifests)} succeeded); see {args.out}/sweep.csv")
     return EXIT_OK
 
@@ -103,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a one-axis parameter sweep")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--axis", required=True)
+    p_sweep.add_argument("--axis", required=True, metavar="[SECTION.]KEY",
+                         help="the config key to vary, e.g. n_nodes or initial.v_amplitude")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated list, e.g. 0,0.5,1,2")
     p_sweep.add_argument("--out", required=True)

@@ -28,10 +28,12 @@ class MollifierSpec:
             raise ConfigError(f"delta must be a positive finite number (got {self.delta})")
 
     def validate_for(self, grid: GridSpec) -> None:
-        if self.delta < 2.0 * grid.dx:
+        # below 2*dx the kernel is not resolved; past the grid length it mostly
+        # averages the padded end values, and its arrays grow with delta/dx
+        if not 2.0 * grid.dx <= self.delta <= grid.length:
             raise ConfigError(
-                f"delta={self.delta} is below 2*dx={2.0 * grid.dx}; "
-                "the kernel would not be resolvable on this grid"
+                f"delta={self.delta} must lie between 2*dx={2.0 * grid.dx} "
+                f"and the grid length {grid.length}"
             )
 
 

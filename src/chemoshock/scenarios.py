@@ -6,10 +6,11 @@ series.csv, and a manifest.
 from __future__ import annotations
 
 import configparser
+import copy
 import csv
 import difflib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -134,24 +135,27 @@ def _unknown(where: str, kind: str, name: str, valid) -> ConfigError:
     return ConfigError(f"{where}: unknown {kind} '{name}' ({hint})")
 
 
+def _allowed_keys(section: str, initial_kind: str):
+    """The keys `section` may hold; None for an unknown section or initial_kind."""
+    return _INITIAL_KEYS.get(initial_kind) if section == "initial" else _SECTION_KEYS.get(section)
+
+
 def _check_names(cp: configparser.ConfigParser, path: Path, initial_kind: str) -> None:
-    """Reject sections and keys that _SECTION_KEYS does not list, and [initial]
-    keys that _INITIAL_KEYS does not list for initial_kind."""
+    """Reject sections and keys that _allowed_keys does not list."""
     sections = ([cp.default_section] if cp.defaults() else []) + cp.sections()
     for section in sections:
         if section not in _SECTION_KEYS:
             raise _unknown(str(path), "section", section, list(_SECTION_KEYS))
-        allowed = _SECTION_KEYS[section]
-        if section == "initial":
-            allowed = _INITIAL_KEYS.get(initial_kind)
-            if allowed is None:  # ScenarioConfig reports the unknown initial_kind
-                continue
+        allowed = _allowed_keys(section, initial_kind)
+        if allowed is None:  # ScenarioConfig reports the unknown initial_kind
+            continue
         for key in cp[section]:
             if key not in allowed:
                 raise _unknown(f"{path} [{section}]", "key", key, allowed)
 
 
-def parse_scenario(path) -> ScenarioConfig:
+def read_config(path) -> configparser.ConfigParser:
+    """The config file's text, parsed into sections and keys but not checked."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -161,7 +165,16 @@ def parse_scenario(path) -> ScenarioConfig:
         cp.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    return cp
 
+
+def parse_scenario(path) -> ScenarioConfig:
+    return scenario_from_config(read_config(path), path)
+
+
+def scenario_from_config(cp: configparser.ConfigParser, path) -> ScenarioConfig:
+    """The scenario `cp` holds; `path` names the file in messages and the default name."""
+    path = Path(path)
     for required in ("scenario", "grid", "model", "scheme", "initial"):
         if required not in cp:
             raise ConfigError(f"{path}: missing [{required}] section")
@@ -229,29 +242,32 @@ def parse_scenario(path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _nearest_node(grid: GridSpec, x: float) -> int:
+def _inner_node(grid: GridSpec, x: float, keys: str, what: str) -> int:
+    """The node nearest x.  An end node holds a far-field state of the data
+    and the boundary, so putting `what` there is a config error on `keys`."""
     i = int(round((x - grid.x_min) / grid.dx))
-    return min(max(i, 0), grid.n_nodes - 1)
+    if not 0 < i < grid.n_nodes - 1:
+        raise ConfigError(
+            f"bad value for [initial]:{keys}: {x} puts the {what} on or beyond an end "
+            f"node of the grid [{grid.x_min}, {grid.x_max}]"
+        )
+    return i
 
 
 def _jump_values(grid: GridSpec, jump_x: float, left: float, right: float) -> np.ndarray:
-    j = _nearest_node(grid, jump_x)
-    if j in (0, grid.n_nodes - 1):  # an end node would lose one far-field state
-        raise ConfigError(
-            f"bad value for [initial]:jump_x: {jump_x} puts the jump on an end "
-            f"node of the grid [{grid.x_min}, {grid.x_max}]"
-        )
+    j = _inner_node(grid, jump_x, "jump_x", "jump")
     out = np.where(np.arange(grid.n_nodes) < j, left, right)
     out = out.astype(float)
     out[j] = 0.5 * (left + right)  # jump node takes the average of the limits
     return out
 
 
-def _add_block(vals: np.ndarray, grid: GridSpec, center: float, width: float, amp: float):
+def _add_block(vals: np.ndarray, grid: GridSpec, center: float, width: float, amp: float,
+               keys: str):
     if amp == 0.0 or width == 0.0:
         return
-    j1 = _nearest_node(grid, center - 0.5 * width)
-    j2 = _nearest_node(grid, center + 0.5 * width)
+    j1 = _inner_node(grid, center - 0.5 * width, keys, "block's left edge")
+    j2 = _inner_node(grid, center + 0.5 * width, keys, "block's right edge")
     if j2 - j1 < 2:
         raise ConfigError("block width must span at least two grid intervals")
     vals[j1 + 1 : j2] += amp
@@ -259,13 +275,14 @@ def _add_block(vals: np.ndarray, grid: GridSpec, center: float, width: float, am
     vals[j2] += 0.5 * amp
 
 
-def _add_dipole(vals: np.ndarray, grid: GridSpec, center: float, halfwidth: float, amp: float):
+def _add_dipole(vals: np.ndarray, grid: GridSpec, center: float, halfwidth: float, amp: float,
+                keys: str):
     # +amp then -amp blocks sharing the center node: zero mass exactly
     if amp == 0.0 or halfwidth == 0.0:
         return
-    j1 = _nearest_node(grid, center - halfwidth)
-    jc = _nearest_node(grid, center)
-    j2 = _nearest_node(grid, center + halfwidth)
+    j1 = _inner_node(grid, center - halfwidth, keys, "dipole's left edge")
+    jc = _inner_node(grid, center, keys, "dipole's center")
+    j2 = _inner_node(grid, center + halfwidth, keys, "dipole's right edge")
     if jc - j1 < 2 or j2 - jc < 2:
         raise ConfigError("dipole halfwidth must span at least two grid intervals")
     vals[j1 + 1 : jc] += amp
@@ -291,10 +308,11 @@ def _pert_arrays(grid: GridSpec, p: dict, prefix: str) -> np.ndarray:
     center = _get(p, f"{prefix}_pert_center", "[initial]")
     if kind == "block":
         width = _get(p, f"{prefix}_pert_width", "[initial]")
-        _add_block(vals, grid, center, width, amp)
+        _add_block(vals, grid, center, width, amp, f"{prefix}_pert_center/{prefix}_pert_width")
     elif kind == "dipole":
         halfwidth = _get(p, f"{prefix}_pert_halfwidth", "[initial]")
-        _add_dipole(vals, grid, center, halfwidth, amp)
+        keys = f"{prefix}_pert_center/{prefix}_pert_halfwidth"
+        _add_dipole(vals, grid, center, halfwidth, amp, keys)
     else:
         raise ConfigError(f"unknown perturbation kind '{kind}' (use none|block|dipole)")
     return vals
@@ -346,6 +364,7 @@ def build_initial(cfg: ScenarioConfig) -> tuple[SimState, DirichletBoundary]:
                 _add_block(
                     vals, grid, _get(p, f"{name}_block_center", "[initial]"),
                     _get(p, f"{name}_block_width", "[initial]"), amp,
+                    f"{name}_block_center/{name}_block_width",
                 )
     elif kind == "from_file":
         _, x, u0, v0 = read_snapshot(_get(p, "path", "[initial]", cast=str))
@@ -691,8 +710,6 @@ def _build_manifest(
 # parameter sweeps
 # ---------------------------------------------------------------------------
 
-SWEEP_AXES = ("mollify_delta", "n_nodes", "cfl", "jump_height")
-
 SWEEP_COLUMNS = (
     "axis",
     "value",
@@ -710,59 +727,49 @@ SWEEP_COLUMNS = (
 )
 
 
-def apply_axis(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
-    if axis == "mollify_delta":
-        return replace(cfg, mollify_delta=float(value))
-    if axis == "n_nodes":
-        if not float(value).is_integer():
-            raise ConfigError(f"n_nodes sweep values must be integers (got {value})")
-        return replace(cfg, grid=replace(cfg.grid, n_nodes=int(value)))
-    if axis == "cfl":
-        return replace(cfg, cfl=float(value))
-    if axis == "jump_height":
-        p = dict(cfg.initial_params)
-        if cfg.initial_kind == "piecewise_constant":
-            p["u_left"] = str(_get(p, "u_right", "[initial]") + float(value))
-        elif cfg.initial_kind == "constant_plus_jump":
-            p["u_amplitude"] = str(float(value))
-        else:
-            raise ConfigError(
-                f"jump_height sweeps are not defined for kind '{cfg.initial_kind}'"
-            )
-        return replace(cfg, initial_params=p)
-    raise ConfigError(f"unknown sweep axis '{axis}' (use one of {', '.join(SWEEP_AXES)})")
+def _sweep_key(axis: str, path, initial_kind: str) -> tuple[str, str]:
+    """The (section, key) named by `section.key`, or by a key one section alone may hold."""
+    section, _, key = axis.rpartition(".")
+    key = key.lower()  # as configparser stores keys
+    holders = [name for name in ([section] if section else _SECTION_KEYS)
+               if key in (_allowed_keys(name, initial_kind) or ())]
+    if len(holders) == 1:
+        return holders[0], key
+    if holders:
+        spellings = " or ".join(f"'{name}.{key}'" for name in holders)
+        raise ConfigError(f"{path}: sweep axis '{axis}' is ambiguous (use {spellings})")
+    valid = [f"{name}.{k}" for name in _SECTION_KEYS for k in _allowed_keys(name, initial_kind)]
+    raise _unknown(str(path), "sweep axis", axis, valid)
 
 
-def sweep(base: ScenarioConfig, axis: str, values, out_dir) -> list[dict]:
-    """Run one variant per value, each into its own subdirectory; failures are
-    recorded in the cross-run CSV and do not abort the remaining runs."""
-    if axis not in SWEEP_AXES:
-        raise ConfigError(
-            f"unknown sweep axis '{axis}' (use one of {', '.join(SWEEP_AXES)})"
-        )
+def sweep(cp: configparser.ConfigParser, path, axis: str, texts, out_dir) -> list[dict]:
+    """Run one variant per value text into its own subdirectory: `cp` with the
+    key `axis` names set to the text, parsed as `run` parses a file.  Failures
+    are recorded in the cross-run CSV and do not abort the remaining runs."""
+    base = scenario_from_config(cp, path)
+    section, key = _sweep_key(axis, path, base.initial_kind)
     tags = {}
-    for value in values:
-        if not math.isfinite(value):
-            raise ConfigError(f"sweep value {value!r} is not finite")
-        tag = f"{axis}_{value:g}" if isinstance(value, float) else f"{axis}_{value}"
+    for text in texts:
+        value = _get({axis: text}, axis, "sweep --values")
+        tag = f"{axis}_{value:g}"
         if tag in tags:
             raise ConfigError(
-                f"sweep values {tags[tag]!r} and {value!r} would both write to {tag}/"
+                f"sweep values {tags[tag][1]!r} and {value!r} would both write to {tag}/"
             )
-        tags[tag] = value
+        tags[tag] = (text, value)
     if not tags:
         raise ConfigError("no sweep values")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     manifests = []
-    for tag, value in tags.items():
-        sub = out / tag
+    for tag, (text, value) in tags.items():
+        variant = copy.deepcopy(cp)
+        variant["scenario"]["name"] = f"{base.name}[{tag}]"
+        variant.read_dict({section: {key: text}})  # adds the section if the file lacks it
         row = {"axis": axis, "value": value, "status": "ok", "error": ""}
         try:
-            variant = apply_axis(base, axis, float(value))
-            variant = replace(variant, name=f"{base.name}[{tag}]")
-            manifest, records = run_scenario(variant, sub)
+            manifest, records = run_scenario(scenario_from_config(variant, path), out / tag)
             manifests.append(manifest)
             # the value columns are the final series.csv row, its t as t_final
             final = records[-1]

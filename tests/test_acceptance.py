@@ -13,7 +13,6 @@ in the project notes.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from chemoshock.diagnostics import (
     smooth_probe_reference,
 )
 from chemoshock.mollifier import MollifierSpec, mollify
-from chemoshock.scenarios import build_initial, parse_scenario, sweep
+from chemoshock.scenarios import build_initial, parse_scenario, read_config, sweep
 from chemoshock.solver import DirichletBoundary, SchemeConfig, run, step
 from chemoshock.waves import (
     TravelingWave,
@@ -276,9 +275,11 @@ def test_criterion_08_mollifier_contract(scenario_dir, tmp_path):
         for p in (1, 2, 4, math.inf):
             expansive = max(expansive, lp_norm(out, p) / lp_norm(f, p) - 1.0)
 
-    base = parse_scenario(scenario_dir / "fig1_consistent.cfg")
-    base = replace(base, t_end=100.0, snapshot_interval=50.0)
-    sweep(base, "mollify_delta", [0.0, 0.5, 1.0, 2.0], tmp_path / "sweep")
+    path = scenario_dir / "fig1_consistent.cfg"
+    cp = read_config(path)
+    cp["scheme"]["t_end"] = "100"
+    cp["scheme"]["snapshot_interval"] = "50"
+    sweep(cp, path, "mollify_delta", ["0", "0.5", "1", "2"], tmp_path / "sweep")
     import csv
 
     with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:

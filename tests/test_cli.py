@@ -1,3 +1,4 @@
+import csv
 import re
 from pathlib import Path
 
@@ -313,6 +314,66 @@ def test_jump_on_an_end_node_is_config_error(tmp_path, capsys, jump_x):
     text = SMALL_CFG.replace("jump_x = 10", f"jump_x = {jump_x}")
     _assert_rejected_before_writing(tmp_path, text)
     assert "bad value for [initial]:jump_x: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, old, new, keys", [
+    ("thm21", "u_block_center = 150", "u_block_center = 0", "u_block_center/u_block_width"),
+    ("thm21", "v_block_center = 250", "v_block_center = 395", "v_block_center/v_block_width"),
+    ("thm22", "u_pert_center = 120", "u_pert_center = 396",
+     "u_pert_center/u_pert_halfwidth"),
+])
+def test_block_or_dipole_on_an_end_node_is_config_error(tmp_path, capsys, scenario, old, new,
+                                                         keys):
+    # the end node would take half the amplitude and change the far-field state
+    path = Path(__file__).resolve().parent.parent / "scenarios" / f"{scenario}.cfg"
+    text = path.read_text()
+    assert old in text
+    _assert_rejected_before_writing(tmp_path, text.replace(old, new))
+    assert f"bad value for [initial]:{keys}: " in capsys.readouterr().err
+
+
+def test_mollify_delta_wider_than_the_grid_is_config_error(tmp_path, capsys):
+    text = SMALL_CFG.replace("name = cli_small", "name = cli_small\nmollify_delta = 1e9")
+    _assert_rejected_before_writing(tmp_path, text)
+    assert "grid length" in capsys.readouterr().err
+    out_dir = tmp_path / "sw"
+    assert main(["sweep", str(write_cfg(tmp_path)), "--axis", "mollify_delta",
+                 "--values", "0.5,1e9", "--out", str(out_dir)]) == EXIT_OK
+    rows = (out_dir / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[2] for row in rows[1:]] == ["ok", "failed"]
+    assert "grid length" in rows[2]
+
+
+@pytest.mark.parametrize("old, axis, value", [
+    ("cfl = 0.4", "cfl", "1.7"),
+    ("n_nodes = 201", "n_nodes", "1000.7"),
+    ("n_nodes = 201", "n_nodes", "1e3"),
+])
+def test_swept_value_fails_as_in_the_file(tmp_path, capsys, old, axis, value):
+    in_file = tmp_path / "in_file.cfg"
+    in_file.write_text(SMALL_CFG.replace(old, f"{axis} = {value}"))
+    assert main(["validate", str(in_file)]) == EXIT_CONFIG
+    message = capsys.readouterr().err.removeprefix("config error: ").rstrip("\n")
+    out_dir = tmp_path / "sw"
+    assert main(["sweep", str(write_cfg(tmp_path)), "--axis", axis, "--values", value,
+                 "--out", str(out_dir)]) == EXIT_OK
+    with open(out_dir / "sweep.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["status"] == "failed"
+    assert row["error"] == f"ConfigError: {message}"
+
+
+@pytest.mark.parametrize("axis, named", [
+    ("u_plus", "sweep axis 'u_plus' is ambiguous (use 'initial.u_plus' or 'states.u_plus')"),
+    ("initial.u_plu", "unknown sweep axis 'initial.u_plu' (did you mean 'initial.u_plus'?)"),
+])
+def test_sweep_axis_must_name_one_key(tmp_path, capsys, axis, named):
+    cfg = Path(__file__).resolve().parent.parent / "scenarios" / "wave_reference.cfg"
+    out_dir = tmp_path / "sw"
+    assert main(["sweep", str(cfg), "--axis", axis, "--values", "1",
+                 "--out", str(out_dir)]) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("values", ["0,nan", "inf"])

@@ -14,9 +14,9 @@ from chemoshock.scenarios import (
     MANIFEST_KEYS,
     SWEEP_COLUMNS,
     ScenarioConfig,
-    apply_axis,
     build_initial,
     parse_scenario,
+    read_config,
     read_manifest,
     run_scenario,
     sweep,
@@ -424,26 +424,54 @@ def test_inconsistent_declared_states_are_reported(tmp_path, scenario_dir):
 # ---------------------------------------------------------------------------
 
 
-def test_apply_axis_variants():
-    base = small_scenario()
-    assert apply_axis(base, "mollify_delta", 1.5).mollify_delta == 1.5
-    assert apply_axis(base, "n_nodes", 401).grid.n_nodes == 401
-    assert apply_axis(base, "cfl", 0.2).cfl == 0.2
-    jumped = apply_axis(base, "jump_height", 0.5)
-    assert float(jumped.initial_params["u_left"]) == 1.5
-    with pytest.raises(ConfigError):
-        apply_axis(base, "gravity", 1.0)
+# the scenario small_scenario() builds, as a config file
+SMALL_CFG = """
+[scenario]
+name = small
+initial_kind = piecewise_constant
+
+[grid]
+x_min = 0
+x_max = 40
+n_nodes = 201
+
+[model]
+D = 1
+chi = 1
+
+[scheme]
+t_end = 2
+snapshot_interval = 0.5
+
+[initial]
+jump_x = 10
+u_left = 2
+u_right = 1
+v_left = 0
+v_right = 1
+
+[diagnostics]
+probe_center = 10
+probe_halfwidth = 2
+"""
+
+
+def small_config(tmp_path, text=SMALL_CFG):
+    """(parsed config, path) of a small scenario file, as sweep takes them."""
+    path = tmp_path / "small.cfg"
+    path.write_text(text)
+    return read_config(path), path
 
 
 def test_sweep_empty_values(tmp_path):
     with pytest.raises(ConfigError, match="no sweep values"):
-        sweep(small_scenario(), "cfl", [], tmp_path / "sw")
+        sweep(*small_config(tmp_path), "cfl", [], tmp_path / "sw")
     assert not (tmp_path / "sw").exists()
 
 
 def test_sweep_runs_variants_and_records_failures(tmp_path):
     # second value is invalid (cfl > 1) and must be recorded, not fatal
-    manifests = sweep(small_scenario(), "cfl", [0.4, 1.7], tmp_path / "sw")
+    manifests = sweep(*small_config(tmp_path), "cfl", ["0.4", "1.7"], tmp_path / "sw")
     assert len(manifests) == 1
     rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
     assert len(rows) == 3
@@ -453,12 +481,14 @@ def test_sweep_runs_variants_and_records_failures(tmp_path):
 
 
 def test_sweep_rejects_fractional_n_nodes(tmp_path):
-    assert apply_axis(small_scenario(), "n_nodes", 401.0).grid.n_nodes == 401
-    assert sweep(small_scenario(), "n_nodes", [1000.7], tmp_path / "sw") == []
+    assert sweep(*small_config(tmp_path), "n_nodes", ["1000.7"], tmp_path / "sw") == []
     with open(tmp_path / "sw" / "sweep.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert row["status"] == "failed"
-    assert row["error"] == "ConfigError: n_nodes sweep values must be integers (got 1000.7)"
+    assert row["error"] == (
+        "ConfigError: bad value for [grid]:n_nodes: "
+        "invalid literal for int() with base 10: '1000.7'"
+    )
     assert not (tmp_path / "sw" / "n_nodes_1000.7").exists()
 
 
@@ -467,7 +497,7 @@ def test_sweep_records_numerical_failure(tmp_path, monkeypatch):
         raise NumericalError("non-finite u after step 3")
 
     monkeypatch.setattr(scenarios, "run_scenario", blow_up)
-    assert sweep(small_scenario(), "cfl", [0.4], tmp_path / "sw") == []
+    assert sweep(*small_config(tmp_path), "cfl", ["0.4"], tmp_path / "sw") == []
     with open(tmp_path / "sw" / "sweep.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert row["status"] == "failed"
@@ -480,13 +510,15 @@ def test_sweep_propagates_unexpected_errors(tmp_path, monkeypatch):
 
     monkeypatch.setattr(scenarios, "run_scenario", broken)
     with pytest.raises(TypeError, match="a bug"):
-        sweep(small_scenario(), "cfl", [0.4], tmp_path / "sw")
+        sweep(*small_config(tmp_path), "cfl", ["0.4"], tmp_path / "sw")
 
 
 def test_sweep_row_is_final_series_row(tmp_path, scenario_dir):
-    cfg = replace(parse_scenario(scenario_dir / "thm21.cfg"), t_end=10.0)
+    path = scenario_dir / "thm21.cfg"
+    cp = read_config(path)
+    cp["scheme"]["t_end"] = "10"
     values = [1001, 2001]
-    sweep(cfg, "n_nodes", values, tmp_path / "sw")
+    sweep(cp, path, "n_nodes", [str(value) for value in values], tmp_path / "sw")
     with open(tmp_path / "sw" / "sweep.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(values)
@@ -496,3 +528,42 @@ def test_sweep_row_is_final_series_row(tmp_path, scenario_dir):
         assert float(row["t_final"]) == series["t"][-1]
         for name in SWEEP_COLUMNS[SWEEP_COLUMNS.index("t_final") + 1 :]:
             assert float(row[name]) == series[name][-1], name
+
+
+def test_sweep_bare_and_dotted_key_give_the_same_variants(tmp_path, scenario_dir):
+    path = scenario_dir / "thm21.cfg"
+    cp = read_config(path)
+    cp["scheme"]["t_end"] = "2"
+    for axis in ("v_amplitude", "initial.v_amplitude"):
+        sweep(cp, path, axis, ["0.5", "5"], tmp_path / axis)
+    l2_v = []
+    for value in ("0.5", "5"):
+        bare = tmp_path / "v_amplitude" / f"v_amplitude_{value}"
+        dotted = tmp_path / "initial.v_amplitude" / f"initial.v_amplitude_{value}"
+        names = sorted(p.name for p in bare.iterdir())
+        assert names == sorted(p.name for p in dotted.iterdir())
+        for name in names:
+            texts = [
+                [line for line in (d / name).read_text().splitlines()
+                 if not line.startswith(("scenario_name =", "wall_time_s ="))]
+                for d in (bare, dotted)
+            ]
+            assert texts[0] == texts[1], name
+        l2_v.append(read_series(bare / "series.csv")["l2_v"][0])
+    assert l2_v[1] > 5 * l2_v[0]  # the swept amplitude reached the data
+
+
+def test_sweep_model_key_rederives_the_coupling(tmp_path):
+    manifests = sweep(*small_config(tmp_path), "chi", ["2"], tmp_path / "sw")
+    (manifest,) = manifests
+    assert (manifest["model_chi"], manifest["model_mu"], manifest["model_xi"]) == (2.0, 1.0, 2.0)
+    written = read_manifest(tmp_path / "sw" / "chi_2" / "manifest.txt")
+    assert (written["model_mu"], written["model_xi"]) == ("1", "2")
+
+
+def test_sweep_adds_a_key_the_file_does_not_set(tmp_path):
+    text = SMALL_CFG.split("[diagnostics]")[0]
+    cp, path = small_config(tmp_path, text)
+    (manifest,) = sweep(cp, path, "probe_halfwidth", ["3"], tmp_path / "sw")
+    assert manifest["probe_halfwidth"] == 3.0
+    assert "diagnostics" not in cp  # the variant is a copy

@@ -231,8 +231,11 @@ def read_snapshot(path) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         header = fh.readline().strip()
         if not header.startswith("# t="):
             raise ConfigError(f"{path}: missing '# t=' snapshot header")
-        t = float(header[4:])
-        data = np.loadtxt(fh, ndmin=2)
+        try:
+            t = float(header[4:])
+            data = np.loadtxt(fh, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not a snapshot of numbers ({exc})") from exc
     if data.shape[1] < 3:
         raise ConfigError(f"{path}: snapshot needs at least 3 columns (x u v)")
     return t, data[:, 0], data[:, 1], data[:, 2]

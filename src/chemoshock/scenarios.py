@@ -11,6 +11,7 @@ import csv
 import difflib
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -339,7 +340,7 @@ def build_initial(cfg: ScenarioConfig) -> tuple[SimState, DirichletBoundary]:
         v0 = _ramp_values(grid, lo, hi, vl, vr)
     elif kind == "exact_wave_plus_bump":
         ends = (_get(p, key, "[initial]") for key in ("u_minus", "u_plus", "v_plus"))
-        wave = TravelingWave.from_end_values(*ends, cfg.params)
+        wave = _traveling_wave(*ends, cfg.params, "bad value for [initial]:u_minus/u_plus/v_plus")
         z = grid.nodes() - _get(p, "front_x", "[initial]")
         u0 = np.asarray(wave.u_profile(z))
         v0 = np.asarray(wave.v_profile(z))
@@ -402,6 +403,18 @@ def build_initial(cfg: ScenarioConfig) -> tuple[SimState, DirichletBoundary]:
 # ---------------------------------------------------------------------------
 
 
+def _traveling_wave(u_minus: float, u_plus: float, v_plus: float, params: ModelParams,
+                    where: str) -> TravelingWave:
+    """The wave between the far fields; `where` names what sets them."""
+    try:
+        return TravelingWave.from_end_values(u_minus, u_plus, v_plus, params)
+    except ValueError as exc:
+        raise ConfigError(
+            f"{where}: u_minus={u_minus}, u_plus={u_plus}, v_plus={v_plus} "
+            f"admit no traveling wave ({exc})"
+        ) from exc
+
+
 def wire_reference(state: SimState, params: ModelParams) -> diag.Reference:
     """The diagnostic reference for the initial data: when the far fields
     support a traveling wave, that wave as shift_x0 fits it to the data,
@@ -410,81 +423,10 @@ def wire_reference(state: SimState, params: ModelParams) -> diag.Reference:
     ul, ur = float(u0.values[0]), float(u0.values[-1])
     vr = float(v0.values[-1])
     if abs(ul - ur) > 1e-12 and ul > ur > 0:
-        wave = TravelingWave.from_end_values(ul, ur, vr, params)
+        wave = _traveling_wave(ul, ur, vr, params, "the data's end values")
         guess = diag.front_position(u0, 0.5 * (ul + ur))
         return diag.shift_x0(u0, v0, wave, base_shift=-guess)
     return diag.ConstantReference(u_bar=ur, v_bar=vr)
-
-
-MANIFEST_KEYS = (
-    "scenario_name",
-    "initial_kind",
-    "seed_label",
-    "mollify_delta",
-    "grid_x_min",
-    "grid_x_max",
-    "grid_n_nodes",
-    "grid_dx",
-    "model_D",
-    "model_chi",
-    "model_mu",
-    "model_xi",
-    "scheme_cfl",
-    "scheme_diffusion_theta",
-    "scheme_t_end",
-    "scheme_snapshot_interval",
-    "boundary_u_left",
-    "boundary_v_left",
-    "boundary_u_right",
-    "boundary_v_right",
-    "declared_rh_r1",
-    "declared_rh_r2",
-    "declared_speed",
-    "wave_present",
-    "wave_s",
-    "wave_lambda",
-    "wave_v_minus",
-    "wave_kappa",
-    "wave_rh_r1",
-    "wave_rh_r2",
-    "data_rh_r1",
-    "data_rh_r2",
-    "shift_x0",
-    "shift_beta_residual",
-    "flux_variant",
-    "decay_sup_u_err_initial",
-    "decay_sup_u_err_final",
-    "decay_sup_u_err_slope",
-    "decay_sup_u_err_decayed",
-    "decay_l2_v_initial",
-    "decay_l2_v_final",
-    "decay_l2_v_slope",
-    "decay_l2_v_decayed",
-    "decay_l4_v_initial",
-    "decay_l4_v_final",
-    "decay_l4_v_slope",
-    "decay_l4_v_decayed",
-    "decay_l6_v_initial",
-    "decay_l6_v_final",
-    "decay_l6_v_slope",
-    "decay_l6_v_decayed",
-    "probe_center",
-    "probe_halfwidth",
-    "probe_reference_level",
-    "probe_max_initial",
-    "probe_max_peak",
-    "probe_max_final",
-    "probe_width_first",
-    "probe_width_last",
-    "probe_width_nondecreasing_first5",
-    "front_speed_estimate",
-    "front_speed_rel_err",
-    "min_u",
-    "step_count",
-    "snapshot_count",
-    "boundary_warning",
-    "wall_time_s",
-)
 
 
 def _fmt(val) -> str:
@@ -498,11 +440,11 @@ def _fmt(val) -> str:
 
 
 def write_manifest(manifest: dict, path) -> None:
+    """One `key = value` line per entry, in the dict's order."""
     with open(path, "w") as fh:
-        for key in MANIFEST_KEYS:
-            val = manifest.get(key)
+        for key, val in manifest.items():
             # fixed decimals, so the file's size does not follow the measured time
-            text = "%.6f" % val if key == "wall_time_s" and val is not None else _fmt(val)
+            text = "%.6f" % val if key == "wall_time_s" else _fmt(val)
             fh.write(f"{key} = {text}\n")
 
 
@@ -528,9 +470,9 @@ def _front_speed(records) -> float | None:
 def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[dict, list]:
     """Run one scenario and write snap_<i>.dat, series.csv, and manifest.txt
     into out_dir.  Returns (manifest, records): the manifest as a dict and
-    the per-snapshot records, one per series.csv row.  When the run fails
-    with a NumericalError, series.csv still gets one row per snapshot
-    written before the failure, and the error propagates."""
+    the per-snapshot records, one per series.csv row.  When the run fails,
+    series.csv still gets one row per snapshot written before the failure,
+    and the error propagates."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -573,56 +515,64 @@ def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[di
 
     try:
         report = run(state0, cfg.params, scheme, on_snapshot)
-    except NumericalError:
+    finally:
         diag.write_series(records, out / "series.csv")
-        raise
-    diag.write_series(records, out / "series.csv")
 
     manifest = _build_manifest(cfg, boundary, reference, records, report, probe_center)
     write_manifest(manifest, out / "manifest.txt")
     return manifest, records
 
 
+def _attr(obj, name: str):
+    """obj's attribute `name` (dotted for a nested one), or None when obj is None."""
+    return None if obj is None else attrgetter(name)(obj)
+
+
 def wave_summary(
     cfg: ScenarioConfig, boundary: DirichletBoundary, reference: diag.Reference
 ) -> dict:
-    """The manifest's wave and jump-condition entries: speed and residuals of
-    the declared far fields, the fitted wave and its residuals, the residuals
-    of the data's end values against that wave, and the mass shift x0."""
-    m = {}
-    declared = cfg.declared_states
-    if declared is not None:
+    """The manifest's 14 wave and jump-condition entries in file order, None
+    where one does not apply: residuals and speed of the declared far fields,
+    the fitted wave and its residuals, the residuals of the data's end values
+    against that wave, and the mass shift x0 with its v-mass defect."""
+    declared = speed = None
+    if cfg.declared_states is not None:
         try:
-            s = wave_speed(declared, cfg.params)
+            speed = wave_speed(cfg.declared_states, cfg.params)
         except ValueError:
-            m["declared_speed"] = None
+            pass
         else:
-            res = rh_residual(declared, s, cfg.params)
-            m.update(declared_speed=s, declared_rh_r1=res.r1, declared_rh_r2=res.r2)
+            declared = rh_residual(cfg.declared_states, speed, cfg.params)
     wave = reference.wave
-    m["wave_present"] = wave is not None
+    fitted = fit = data = None
     if wave is not None:
-        res = rh_residual(wave.states, wave.s, cfg.params)
-        data_states = AsymptoticStates(
-            u_minus=boundary.u_left,
-            u_plus=boundary.u_right,
-            v_minus=boundary.v_left,
-            v_plus=boundary.v_right,
-        )
-        data_res = rh_residual(data_states, wave.s, cfg.params)
-        m.update(
-            wave_s=wave.s,
-            wave_lambda=wave.lam,
-            wave_v_minus=wave.states.v_minus,
-            wave_kappa=wave.kappa,
-            wave_rh_r1=res.r1,
-            wave_rh_r2=res.r2,
-            data_rh_r1=data_res.r1,
-            data_rh_r2=data_res.r2,
-            shift_x0=reference.x0,
-            shift_beta_residual=reference.beta_residual,
-        )
-    return m
+        fitted = reference
+        fit = rh_residual(wave.states, wave.s, cfg.params)
+        data_states = AsymptoticStates(u_minus=boundary.u_left, u_plus=boundary.u_right,
+                                       v_minus=boundary.v_left, v_plus=boundary.v_right)
+        data = rh_residual(data_states, wave.s, cfg.params)
+    return {
+        "declared_rh_r1": _attr(declared, "r1"),
+        "declared_rh_r2": _attr(declared, "r2"),
+        "declared_speed": speed,
+        "wave_present": wave is not None,
+        "wave_s": _attr(wave, "s"),
+        "wave_lambda": _attr(wave, "lam"),
+        "wave_v_minus": _attr(wave, "states.v_minus"),
+        "wave_kappa": _attr(wave, "kappa"),
+        "wave_rh_r1": _attr(fit, "r1"),
+        "wave_rh_r2": _attr(fit, "r2"),
+        "data_rh_r1": _attr(data, "r1"),
+        "data_rh_r2": _attr(data, "r2"),
+        "shift_x0": _attr(fitted, "x0"),
+        "shift_beta_residual": _attr(fitted, "beta_residual"),
+    }
+
+
+# (manifest key suffix, QuantityDecay field) of each decay_<quantity>_* entry
+_DECAY_FIELDS = (
+    ("initial", "initial"), ("final", "final"), ("slope", "tail_slope"), ("decayed", "decayed"),
+)
 
 
 def _build_manifest(
@@ -633,6 +583,7 @@ def _build_manifest(
     report: RunReport,
     probe_center: float,
 ) -> dict:
+    """The manifest, in file order.  `records` holds at least snapshot 0."""
     grid = cfg.grid
     wave = reference.wave
     margin = 0.1 * grid.length
@@ -641,15 +592,21 @@ def _build_manifest(
         r.front_pos - grid.x_min < margin or grid.x_max - r.front_pos < margin
         for r in records
     )
-    m = {
+    decay = dict.fromkeys(diag.TRACKED_QUANTITIES)
+    if len(records) >= 3:  # the fewest decay_series fits
+        decay = diag.decay_series(records)
+    probes = [r.max_dq_v for r in records]
+    first5 = [r.dq_width for r in records[:5]]
+    speed = _front_speed(records) if wave is not None else None
+    return {
         "scenario_name": cfg.name,
         "initial_kind": cfg.initial_kind,
         "seed_label": cfg.seed_label or "n/a",
         "mollify_delta": cfg.mollify_delta,
-        "grid_x_min": cfg.grid.x_min,
-        "grid_x_max": cfg.grid.x_max,
-        "grid_n_nodes": cfg.grid.n_nodes,
-        "grid_dx": cfg.grid.dx,
+        "grid_x_min": grid.x_min,
+        "grid_x_max": grid.x_max,
+        "grid_n_nodes": grid.n_nodes,
+        "grid_dx": grid.dx,
         "model_D": cfg.params.D,
         "model_chi": cfg.params.chi,
         "model_mu": cfg.params.mu,
@@ -662,48 +619,32 @@ def _build_manifest(
         "boundary_v_left": boundary.v_left,
         "boundary_u_right": boundary.u_right,
         "boundary_v_right": boundary.v_right,
+        **wave_summary(cfg, boundary, reference),
         "flux_variant": "wave" if wave is not None else "constant",
+        **{
+            f"decay_{name}_{suffix}": _attr(q, field_name)
+            for name, q in decay.items()
+            for suffix, field_name in _DECAY_FIELDS
+        },
+        "probe_center": probe_center,
+        "probe_halfwidth": cfg.probe_halfwidth,
+        "probe_reference_level": None if wave is None else diag.smooth_probe_reference(wave),
+        "probe_max_initial": probes[0],
+        "probe_max_peak": max(probes),
+        "probe_max_final": probes[-1],
+        "probe_width_first": records[0].dq_width,
+        "probe_width_last": records[-1].dq_width,
+        "probe_width_nondecreasing_first5": all(
+            b >= a - 1e-12 for a, b in zip(first5, first5[1:])
+        ),
+        "front_speed_estimate": speed,
+        "front_speed_rel_err": None if speed is None else abs(speed - wave.s) / wave.s,
         "min_u": report.min_u,
         "step_count": report.step_count,
         "snapshot_count": report.snapshot_count,
         "boundary_warning": near_edge,
         "wall_time_s": report.wall_time_s,
-        "probe_center": probe_center,
-        "probe_halfwidth": cfg.probe_halfwidth,
     }
-    m.update(wave_summary(cfg, boundary, reference))
-    if wave is not None:
-        m["probe_reference_level"] = diag.smooth_probe_reference(wave)
-
-    if records:
-        probes = [r.max_dq_v for r in records]
-        widths = [r.dq_width for r in records]
-        first5 = widths[: min(5, len(widths))]
-        m.update(
-            probe_max_initial=probes[0],
-            probe_max_peak=max(probes),
-            probe_max_final=probes[-1],
-            probe_width_first=widths[0],
-            probe_width_last=widths[-1],
-            probe_width_nondecreasing_first5=all(
-                b >= a - 1e-12 for a, b in zip(first5, first5[1:])
-            ),
-        )
-
-    if len(records) >= 3:
-        decay = diag.decay_series(records)
-        for name in diag.TRACKED_QUANTITIES:
-            q = decay[name]
-            m[f"decay_{name}_initial"] = q.initial
-            m[f"decay_{name}_final"] = q.final
-            m[f"decay_{name}_slope"] = q.tail_slope
-            m[f"decay_{name}_decayed"] = q.decayed
-
-    speed = _front_speed(records) if wave is not None else None
-    if speed is not None:
-        m["front_speed_estimate"] = speed
-        m["front_speed_rel_err"] = abs(speed - wave.s) / wave.s
-    return m
 
 
 # ---------------------------------------------------------------------------

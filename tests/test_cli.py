@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from chemoshock.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
+from chemoshock.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _wave_block, build_parser, main
 from chemoshock.diagnostics import read_series
-from chemoshock.scenarios import parse_scenario
+from chemoshock.scenarios import parse_scenario, read_manifest
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 SMALL_CFG = """
 [scenario]
@@ -240,6 +242,73 @@ def test_wave_lines_are_manifest_lines(tmp_path, capsys):
     manifest = (out_dir / "manifest.txt").read_text().splitlines()
     for line in lines:
         assert line in manifest
+
+
+def test_wave_block_is_a_run_of_manifest_lines(request, tmp_path):
+    # thm21 relaxes to a constant state: no wave, so its wave lines are n/a
+    path = tmp_path / "thm21_short.cfg"
+    path.write_text((SCENARIO_DIR / "thm21.cfg").read_text().replace("t_end = 100", "t_end = 10"))
+    assert main(["run", str(path), "--out", str(tmp_path / "thm21")]) == EXIT_OK
+    runs = [(parse_scenario(path), tmp_path / "thm21")]
+    for name in ("fig1_consistent_run", "fig3_consistent_run", "wave_reference_run",
+                 "thm22_run"):
+        cfg, _, _, out = request.getfixturevalue(name)
+        runs.append((cfg, out))
+    manifests = [read_manifest(out / "manifest.txt") for _, out in runs]
+    assert [m["flux_variant"] for m in manifests] == ["constant"] + ["wave"] * 4
+    # a wave run and a constant run write the same keys in the same order
+    assert all(list(m) == list(manifests[0]) for m in manifests)
+    block_keys = []
+    for cfg, out in runs:
+        block = _wave_block(cfg).splitlines()
+        lines = (out / "manifest.txt").read_text().splitlines()
+        starts = [i for i in range(len(lines)) if lines[i : i + len(block)] == block]
+        assert len(starts) == 1, f"{cfg.name}: wave lines are not one run of manifest lines"
+        block_keys.append([line.partition(" = ")[0] for line in block])
+    assert all(keys == block_keys[0] for keys in block_keys)
+
+
+def _with_initial(name, old, new):
+    """The shipped scenario `name` with `old` replaced by `new` in [initial] only."""
+    head, _, rest = (SCENARIO_DIR / f"{name}.cfg").read_text().partition("[initial]")
+    body, sep, tail = rest.partition("\n[")
+    assert old in body
+    return head + "[initial]" + body.replace(old, new) + sep + tail
+
+
+@pytest.mark.parametrize("u_plus", ["2", "3", "0", "-1"])
+def test_wave_data_without_a_shock_is_config_error(tmp_path, capsys, u_plus):
+    _assert_rejected_before_writing(tmp_path, _with_initial("thm22", "u_plus = 1",
+                                                            f"u_plus = {u_plus}"))
+    assert "bad value for [initial]:u_minus/u_plus" in capsys.readouterr().err
+
+
+def test_sweep_records_wave_data_without_a_shock_as_failed(tmp_path):
+    out_dir = tmp_path / "sw"
+    assert main(["sweep", str(SCENARIO_DIR / "thm22.cfg"), "--axis", "initial.u_plus",
+                 "--values", "3,-1", "--out", str(out_dir)]) == EXIT_OK
+    with open(out_dir / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == ["failed", "failed"]
+    assert all("[initial]:u_minus/u_plus" in row["error"] for row in rows)
+
+
+@pytest.mark.parametrize("name, old, new, named", [
+    # wire_reference fits a wave to the data's end values
+    ("fig1_consistent", "v_right = 1", "v_right = 1e4",
+     "the data's end values: u_minus=2.0, u_plus=1.0, v_plus=10000.0"),
+    # the exact_wave_plus_bump builder
+    ("thm22", "v_plus = 1", "v_plus = 1e8",
+     "bad value for [initial]:u_minus/u_plus/v_plus: u_minus=2.0, u_plus=1.0, "
+     "v_plus=100000000.0"),
+], ids=["wire_reference", "builder"])
+def test_cancelled_wave_speed_is_config_error(tmp_path, capsys, name, old, new, named):
+    # the speed root loses its digits when chi*v_plus >> sqrt(chi*u_minus), and
+    # the jump conditions then fail
+    _assert_rejected_before_writing(tmp_path, _with_initial(name, old, new))
+    err = capsys.readouterr().err
+    assert named in err
+    assert "not jump-consistent" in err
 
 
 def test_misspelled_initial_key_is_config_error(tmp_path, capsys):

@@ -11,7 +11,6 @@ from chemoshock import scenarios
 from chemoshock.core import ConfigError, GridSpec, ModelParams, NumericalError, write_snapshot
 from chemoshock.diagnostics import ConstantReference, front_position, read_series, shift_x0
 from chemoshock.scenarios import (
-    MANIFEST_KEYS,
     SWEEP_COLUMNS,
     ScenarioConfig,
     build_initial,
@@ -236,6 +235,17 @@ def test_from_file_initial_data(tmp_path):
         build_initial(wrong)
 
 
+def test_from_file_rejects_a_non_numeric_row(tmp_path):
+    path = tmp_path / "restart.dat"
+    write_snapshot(path, build_initial(small_scenario())[0])
+    lines = path.read_text().splitlines()
+    lines[3] = "1.0 abc 0.5"
+    path.write_text("\n".join(lines) + "\n")
+    cfg = small_scenario(initial_kind="from_file", initial_params=dict(path=str(path)))
+    with pytest.raises(ConfigError, match="restart.dat"):
+        build_initial(cfg)
+
+
 def test_mollified_initial_data_smooths_jump():
     cfg = small_scenario(mollify_delta=1.0)
     state, _ = build_initial(cfg)
@@ -325,14 +335,30 @@ def test_run_scenario_outputs(tmp_path):
     assert len(snaps) == 5  # t = 0, 0.5, 1.0, 1.5, 2.0
     assert manifest["snapshot_count"] == 5
     on_disk = read_manifest(out / "manifest.txt")
-    assert set(MANIFEST_KEYS) <= set(on_disk)
-    # write_manifest drops any key MANIFEST_KEYS does not list
-    assert set(manifest) <= set(MANIFEST_KEYS)
+    assert list(on_disk) == list(manifest)
     # six decimals, so the manifest's size does not depend on the run time
     assert on_disk["wall_time_s"] == "%.6f" % manifest["wall_time_s"]
     series = read_series(out / "series.csv")
     assert series["t"][-1] == 2.0
     assert np.all(series["sigma"] == np.minimum(1.0, series["t"]))
+
+
+def test_series_survives_a_failed_snapshot_write(tmp_path, monkeypatch):
+    real = scenarios.write_snapshot
+    written = []
+
+    def third_fails(path, state, c=None):
+        if len(written) == 2:
+            raise OSError("disk full")
+        written.append(path)
+        real(path, state, c=c)
+
+    monkeypatch.setattr(scenarios, "write_snapshot", third_fails)
+    with pytest.raises(OSError, match="disk full"):
+        run_scenario(small_scenario(), tmp_path / "out")
+    series = read_series(tmp_path / "out" / "series.csv")
+    assert list(series["t"]) == [0.0, 0.5]
+    assert not (tmp_path / "out" / "manifest.txt").exists()
 
 
 def test_run_scenario_is_deterministic(tmp_path):

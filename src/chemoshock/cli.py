@@ -20,8 +20,8 @@ import sys
 
 from .core import ConfigError, NumericalError
 from .scenarios import (
-    _fmt,
     build_initial,
+    manifest_line,
     parse_scenario,
     read_config,
     run_scenario,
@@ -40,7 +40,7 @@ def _wave_block(cfg) -> str:
     """The manifest's wave and jump-condition lines for a scenario."""
     state0, boundary = build_initial(cfg)
     summary = wave_summary(cfg, boundary, wire_reference(state0, cfg.params))
-    return "\n".join(f"{key} = {_fmt(val)}" for key, val in summary.items())
+    return "\n".join(manifest_line(key, val) for key, val in summary.items())
 
 
 def _cmd_run(args) -> int:

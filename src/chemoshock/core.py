@@ -238,4 +238,7 @@ def read_snapshot(path) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
             raise ConfigError(f"{path}: not a snapshot of numbers ({exc})") from exc
     if data.shape[1] < 3:
         raise ConfigError(f"{path}: snapshot needs at least 3 columns (x u v)")
+    bad_rows = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad_rows.size:
+        raise ConfigError(f"{path}: non-finite entry in data row {bad_rows[0] + 1}")
     return t, data[:, 0], data[:, 1], data[:, 2]

@@ -263,34 +263,18 @@ def _jump_values(grid: GridSpec, jump_x: float, left: float, right: float) -> np
     return out
 
 
-def _add_block(vals: np.ndarray, grid: GridSpec, center: float, width: float, amp: float,
-               keys: str):
-    if amp == 0.0 or width == 0.0:
+def _add_block(vals: np.ndarray, grid: GridSpec, lo: float, hi: float, amp: float, keys: str):
+    """Add `amp` on [lo, hi]; an edge node takes half, the average of its two limits."""
+    if amp == 0.0 or lo == hi:
         return
-    j1 = _inner_node(grid, center - 0.5 * width, keys, "block's left edge")
-    j2 = _inner_node(grid, center + 0.5 * width, keys, "block's right edge")
+    j1 = _inner_node(grid, lo, keys, "block's left edge")
+    j2 = _inner_node(grid, hi, keys, "block's right edge")
     if j2 - j1 < 2:
-        raise ConfigError("block width must span at least two grid intervals")
+        raise ConfigError(f"bad value for [initial]:{keys}: the block [{lo}, {hi}] must "
+                          f"span at least two grid intervals (dx={grid.dx})")
     vals[j1 + 1 : j2] += amp
     vals[j1] += 0.5 * amp
     vals[j2] += 0.5 * amp
-
-
-def _add_dipole(vals: np.ndarray, grid: GridSpec, center: float, halfwidth: float, amp: float,
-                keys: str):
-    # +amp then -amp blocks sharing the center node: zero mass exactly
-    if amp == 0.0 or halfwidth == 0.0:
-        return
-    j1 = _inner_node(grid, center - halfwidth, keys, "dipole's left edge")
-    jc = _inner_node(grid, center, keys, "dipole's center")
-    j2 = _inner_node(grid, center + halfwidth, keys, "dipole's right edge")
-    if jc - j1 < 2 or j2 - jc < 2:
-        raise ConfigError("dipole halfwidth must span at least two grid intervals")
-    vals[j1 + 1 : jc] += amp
-    vals[jc + 1 : j2] -= amp
-    vals[j1] += 0.5 * amp
-    vals[j2] -= 0.5 * amp
-    # center node: average of +amp and -amp limits, no net change
 
 
 def _ramp_values(
@@ -309,11 +293,14 @@ def _pert_arrays(grid: GridSpec, p: dict, prefix: str) -> np.ndarray:
     center = _get(p, f"{prefix}_pert_center", "[initial]")
     if kind == "block":
         width = _get(p, f"{prefix}_pert_width", "[initial]")
-        _add_block(vals, grid, center, width, amp, f"{prefix}_pert_center/{prefix}_pert_width")
+        keys = f"{prefix}_pert_center/{prefix}_pert_width"
+        _add_block(vals, grid, center - 0.5 * width, center + 0.5 * width, amp, keys)
     elif kind == "dipole":
+        # +amp then -amp blocks: the shared centre node gets 0.5*amp - 0.5*amp = 0
         halfwidth = _get(p, f"{prefix}_pert_halfwidth", "[initial]")
         keys = f"{prefix}_pert_center/{prefix}_pert_halfwidth"
-        _add_dipole(vals, grid, center, halfwidth, amp, keys)
+        _add_block(vals, grid, center - halfwidth, center, amp, keys)
+        _add_block(vals, grid, center, center + halfwidth, -amp, keys)
     else:
         raise ConfigError(f"unknown perturbation kind '{kind}' (use none|block|dipole)")
     return vals
@@ -362,19 +349,17 @@ def build_initial(cfg: ScenarioConfig) -> tuple[SimState, DirichletBoundary]:
         for name, vals in (("u", u0), ("v", v0)):
             amp = _get(p, f"{name}_amplitude", "[initial]", 0.0)
             if amp != 0.0:
-                _add_block(
-                    vals, grid, _get(p, f"{name}_block_center", "[initial]"),
-                    _get(p, f"{name}_block_width", "[initial]"), amp,
-                    f"{name}_block_center/{name}_block_width",
-                )
+                center = _get(p, f"{name}_block_center", "[initial]")
+                width = _get(p, f"{name}_block_width", "[initial]")
+                _add_block(vals, grid, center - 0.5 * width, center + 0.5 * width, amp,
+                           f"{name}_block_center/{name}_block_width")
     elif kind == "from_file":
-        _, x, u0, v0 = read_snapshot(_get(p, "path", "[initial]", cast=str))
-        if u0.size != grid.n_nodes or abs(x[0] - grid.x_min) > 1e-9 or abs(
-            x[-1] - grid.x_max
-        ) > 1e-9:
+        path = _get(p, "path", "[initial]", cast=str)
+        _, x, u0, v0 = read_snapshot(path)
+        if x.shape != (grid.n_nodes,) or np.max(np.abs(x - grid.nodes())) > 1e-9:
             raise ConfigError(
-                f"snapshot grid ({u0.size} nodes on [{x[0]}, {x[-1]}]) does not "
-                f"match the configured grid"
+                f"{path}: snapshot grid ({x.size} nodes on [{x[0]}, {x[-1]}]) does not "
+                f"match the configured grid, node by node"
             )
     else:  # pragma: no cover - guarded by ScenarioConfig
         raise ConfigError(f"unknown initial kind {kind}")
@@ -439,13 +424,17 @@ def _fmt(val) -> str:
     return str(val)
 
 
+def manifest_line(key: str, val) -> str:
+    """The manifest's `key = value` line, without its newline."""
+    # fixed decimals, so the file's size does not follow the measured time
+    text = "%.6f" % val if key == "wall_time_s" else _fmt(val)
+    return f"{key} = {text}"
+
+
 def write_manifest(manifest: dict, path) -> None:
     """One `key = value` line per entry, in the dict's order."""
     with open(path, "w") as fh:
-        for key, val in manifest.items():
-            # fixed decimals, so the file's size does not follow the measured time
-            text = "%.6f" % val if key == "wall_time_s" else _fmt(val)
-            fh.write(f"{key} = {text}\n")
+        fh.writelines(manifest_line(key, val) + "\n" for key, val in manifest.items())
 
 
 def read_manifest(path) -> dict[str, str]:

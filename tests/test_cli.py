@@ -401,6 +401,70 @@ def test_block_or_dipole_on_an_end_node_is_config_error(tmp_path, capsys, scenar
     assert f"bad value for [initial]:{keys}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, old, new, keys", [
+    # one grid interval: dx = 0.2 in thm21 and 0.1 in thm22
+    ("thm21", "u_block_width = 20", "u_block_width = 0.2", "u_block_center/u_block_width"),
+    ("thm22", "u_pert_halfwidth = 5", "u_pert_halfwidth = 0.1",
+     "u_pert_center/u_pert_halfwidth"),
+])
+def test_block_or_dipole_narrower_than_two_intervals_is_config_error(tmp_path, capsys,
+                                                                     scenario, old, new, keys):
+    _assert_rejected_before_writing(tmp_path, _with_initial(scenario, old, new))
+    err = capsys.readouterr().err
+    assert f"bad value for [initial]:{keys}: " in err
+    assert "at least two grid intervals" in err
+
+
+FROM_FILE_CFG = """
+[scenario]
+name = restart
+initial_kind = from_file
+
+[grid]
+x_min = 0
+x_max = 9
+n_nodes = 10
+
+[model]
+D = 1
+chi = 1
+
+[scheme]
+t_end = 1
+snapshot_interval = 1
+
+[initial]
+path = {path}
+
+[diagnostics]
+probe_center = 4
+probe_halfwidth = 2
+"""
+
+
+def _from_file_cfg(tmp_path, row5):
+    """A config reading a 10-node snapshot on [0, 9] (u = 1, v = 0) whose row 5 is `row5`."""
+    rows = [f"{i} 1 0" for i in range(10)]
+    rows[5] = row5
+    snap = tmp_path / "restart.dat"
+    snap.write_text("# t=0\n" + "\n".join(rows) + "\n")
+    return FROM_FILE_CFG.format(path=snap)
+
+
+def test_from_file_snapshot_validates(tmp_path):
+    path = write_cfg(tmp_path, _from_file_cfg(tmp_path, "5 1 0"))
+    assert main(["validate", str(path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("row5, named", [
+    ("5 nan 0", "restart.dat: non-finite entry in data row 6"),
+    ("50 1 0", "does not match the configured grid"),  # an off-grid interior node
+])
+def test_bad_from_file_snapshot_is_config_error(tmp_path, capsys, row5, named):
+    _assert_rejected_before_writing(tmp_path, _from_file_cfg(tmp_path, row5))
+    assert named in capsys.readouterr().err
+
+
 def test_mollify_delta_wider_than_the_grid_is_config_error(tmp_path, capsys):
     text = SMALL_CFG.replace("name = cli_small", "name = cli_small\nmollify_delta = 1e9")
     _assert_rejected_before_writing(tmp_path, text)

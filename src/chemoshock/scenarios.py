@@ -55,6 +55,7 @@ _INITIAL_KEYS = {
     "from_file": ("path",),
 }
 INITIAL_KINDS = tuple(_INITIAL_KEYS)
+_PERT_KINDS = ("none", "block", "dipole")
 
 _ZERO_MASS_TOL = 1e-10
 
@@ -78,19 +79,22 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         if self.initial_kind not in INITIAL_KINDS:
-            raise ConfigError(
-                f"unknown initial_kind '{self.initial_kind}' "
-                f"(expected one of {', '.join(INITIAL_KINDS)})"
-            )
+            raise _unknown("[scenario]", "initial_kind", self.initial_kind, INITIAL_KINDS)
+        p = self.initial_params
+        typed = {key: _get(p, key, "[initial]", cast=_INITIAL_CASTS.get(key, float)) for key in p}
+        object.__setattr__(self, "initial_params", typed)
         if not 0 <= self.mollify_delta < math.inf:
             raise ConfigError(f"mollify_delta must be finite and >= 0 (got {self.mollify_delta})")
-        if self.probe_center is not None and not math.isfinite(self.probe_center):
-            raise ConfigError(f"probe_center must be finite (got {self.probe_center})")
-        if not self.grid.dx <= self.probe_halfwidth <= 0.5 * self.grid.length:
+        grid, c, h = self.grid, self.probe_center, self.probe_halfwidth
+        if not grid.dx <= h <= 0.5 * grid.length:
             raise ConfigError(
-                f"probe_halfwidth {self.probe_halfwidth} must lie between the "
-                f"grid spacing {self.grid.dx} and half the grid length "
-                f"{0.5 * self.grid.length}"
+                f"probe_halfwidth {h} must lie between the grid spacing {grid.dx} "
+                f"and half the grid length {0.5 * grid.length}"
+            )
+        if c is not None and not grid.x_min <= c - h <= c + h <= grid.x_max:  # false for nan
+            raise ConfigError(
+                f"bad value for [diagnostics]:probe_center/probe_halfwidth: the window "
+                f"[{c - h}, {c + h}] must lie inside the grid [{grid.x_min}, {grid.x_max}]"
             )
         _check_scheme(self.t_end, self.snapshot_interval, self.cfl, self.diffusion_theta)
 
@@ -116,6 +120,14 @@ def _get(section, key, where, default=None, cast=float):
         raise ConfigError(f"bad value for {where}:{key}: {exc}") from exc
     return val
 
+
+def _boolean(val) -> bool:
+    """configparser's boolean spellings; str() lets a typed bool re-type as itself."""
+    return configparser.ConfigParser.BOOLEAN_STATES[str(val).lower()]
+
+
+# How ScenarioConfig types each [initial] value that is not a finite float.
+_INITIAL_CASTS = {"path": str, "u_pert_kind": str, "v_pert_kind": str, "zero_mass": _boolean}
 
 # The keys each section may hold, lowercased as configparser stores them.
 # [initial] keys depend on initial_kind: see _INITIAL_KEYS.
@@ -180,7 +192,7 @@ def scenario_from_config(cp: configparser.ConfigParser, path) -> ScenarioConfig:
         if required not in cp:
             raise ConfigError(f"{path}: missing [{required}] section")
     sc = cp["scenario"]
-    initial_kind = _get(sc, "initial_kind", "[scenario]", "", cast=str)
+    initial_kind = _get(sc, "initial_kind", "[scenario]", cast=str)
     _check_names(cp, path, initial_kind)
     grid = GridSpec(
         x_min=_get(cp["grid"], "x_min", "[grid]"),
@@ -285,7 +297,9 @@ def _ramp_values(
 
 
 def _pert_arrays(grid: GridSpec, p: dict, prefix: str) -> np.ndarray:
-    kind = _get(p, f"{prefix}_pert_kind", "[initial]", "none", cast=str)
+    kind = p.get(f"{prefix}_pert_kind", "none")
+    if kind not in _PERT_KINDS:
+        raise _unknown("[initial]", f"{prefix}_pert_kind", kind, _PERT_KINDS)
     vals = np.zeros(grid.n_nodes)
     if kind == "none":
         return vals
@@ -295,14 +309,11 @@ def _pert_arrays(grid: GridSpec, p: dict, prefix: str) -> np.ndarray:
         width = _get(p, f"{prefix}_pert_width", "[initial]")
         keys = f"{prefix}_pert_center/{prefix}_pert_width"
         _add_block(vals, grid, center - 0.5 * width, center + 0.5 * width, amp, keys)
-    elif kind == "dipole":
-        # +amp then -amp blocks: the shared centre node gets 0.5*amp - 0.5*amp = 0
+    else:  # dipole: +amp then -amp blocks; the shared centre node gets 0.5*amp - 0.5*amp = 0
         halfwidth = _get(p, f"{prefix}_pert_halfwidth", "[initial]")
         keys = f"{prefix}_pert_center/{prefix}_pert_halfwidth"
         _add_block(vals, grid, center - halfwidth, center, amp, keys)
         _add_block(vals, grid, center, center + halfwidth, -amp, keys)
-    else:
-        raise ConfigError(f"unknown perturbation kind '{kind}' (use none|block|dipole)")
     return vals
 
 
@@ -321,7 +332,10 @@ def build_initial(cfg: ScenarioConfig) -> tuple[SimState, DirichletBoundary]:
     elif kind == "ramp_h1":
         lo, hi = (_get(p, key, "[initial]") for key in ("ramp_start", "ramp_end"))
         if not (grid.x_min <= lo < hi <= grid.x_max):
-            raise ConfigError("ramp interval must lie inside the grid")
+            raise ConfigError(
+                f"bad value for [initial]:ramp_start/ramp_end: the ramp [{lo}, {hi}] must be "
+                f"a nonempty interval inside the grid [{grid.x_min}, {grid.x_max}]"
+            )
         ul, ur, vl, vr = (_get(p, key, "[initial]") for key in _LR_KEYS)
         u0 = _ramp_values(grid, lo, hi, ul, ur)
         v0 = _ramp_values(grid, lo, hi, vl, vr)
@@ -333,8 +347,7 @@ def build_initial(cfg: ScenarioConfig) -> tuple[SimState, DirichletBoundary]:
         v0 = np.asarray(wave.v_profile(z))
         du = _pert_arrays(grid, p, "u")
         dv = _pert_arrays(grid, p, "v")
-        if _get(p, "zero_mass", "[initial]", False,
-                cast=lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()]):
+        if p.get("zero_mass", False):
             for name, pert in (("u", du), ("v", dv)):
                 mass = integral(Field(grid, pert))
                 if abs(mass) > _ZERO_MASS_TOL:
@@ -353,7 +366,7 @@ def build_initial(cfg: ScenarioConfig) -> tuple[SimState, DirichletBoundary]:
                 width = _get(p, f"{name}_block_width", "[initial]")
                 _add_block(vals, grid, center - 0.5 * width, center + 0.5 * width, amp,
                            f"{name}_block_center/{name}_block_width")
-    elif kind == "from_file":
+    else:  # from_file
         path = _get(p, "path", "[initial]", cast=str)
         _, x, u0, v0 = read_snapshot(path)
         if x.shape != (grid.n_nodes,) or np.max(np.abs(x - grid.nodes())) > 1e-9:
@@ -361,8 +374,6 @@ def build_initial(cfg: ScenarioConfig) -> tuple[SimState, DirichletBoundary]:
                 f"{path}: snapshot grid ({x.size} nodes on [{x[0]}, {x[-1]}]) does not "
                 f"match the configured grid, node by node"
             )
-    else:  # pragma: no cover - guarded by ScenarioConfig
-        raise ConfigError(f"unknown initial kind {kind}")
 
     if cfg.mollify_delta > 0:
         spec = MollifierSpec(cfg.mollify_delta)
@@ -476,18 +487,18 @@ def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[di
     reference = wire_reference(state0, cfg.params)
 
     probe_center = cfg.probe_center
+    probe_halfwidth = cfg.probe_halfwidth
     if probe_center is None:
         probe_center = (
             diag.front_position(state0.u, reference.front_level)
             if reference.front_level is not None
             else 0.5 * (cfg.grid.x_min + cfg.grid.x_max)
         )
-    probe_halfwidth = cfg.probe_halfwidth
-    # keep the window inside the grid even when the front starts near an edge
-    probe_center = min(
-        max(probe_center, cfg.grid.x_min + probe_halfwidth),
-        cfg.grid.x_max - probe_halfwidth,
-    )
+        # keep the window inside the grid even when the front starts near an edge
+        probe_center = min(
+            max(probe_center, cfg.grid.x_min + probe_halfwidth),
+            cfg.grid.x_max - probe_halfwidth,
+        )
 
     records: list[diag.DiagnosticsRecord] = []
 

@@ -50,7 +50,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -292,8 +292,9 @@ def _advance(
     # min and max propagate NaN, so these two reductions cover finiteness too
     u_min = float(u_new.min())
     if not (math.isfinite(u_min) and math.isfinite(u_new.max())):
+        bad = int(np.flatnonzero(~np.isfinite(u_new))[0])
         raise NumericalError(
-            f"non-finite u after step {step_no} (t={t:.6g}, dt={dt:.3e})"
+            f"non-finite u at node {bad} after step {step_no} (t={t:.6g}, dt={dt:.3e})"
         )
     if u_min <= 0.0:
         i = int(np.argmin(u_new))
@@ -345,15 +346,14 @@ class RunReport:
     min_u: float
 
 
-def _snapshot_times(cfg: SchemeConfig) -> list[float]:
-    times = [0.0]
+def _snapshot_times(cfg: SchemeConfig) -> Iterator[float]:
+    """The snapshot times after t = 0, one at a time."""
     k = 1
     while k * cfg.snapshot_interval < cfg.t_end - _TIME_SNAP * max(1.0, cfg.t_end):
-        times.append(k * cfg.snapshot_interval)
+        yield k * cfg.snapshot_interval
         k += 1
     if cfg.t_end > 0:
-        times.append(cfg.t_end)
-    return times
+        yield cfg.t_end
 
 
 def run(
@@ -385,7 +385,7 @@ def run(
         on_snapshot(0, state, None)
     snapshots = 1
 
-    for target in _snapshot_times(cfg)[1:]:
+    for target in _snapshot_times(cfg):
         prev = None
         while t < target - eps:
             prev = (u, v, t, count)

@@ -4,7 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from chemoshock.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _wave_block, build_parser, main
+from chemoshock.cli import (
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    _wave_block,
+    build_parser,
+    main,
+)
 from chemoshock.diagnostics import read_series
 from chemoshock.scenarios import parse_scenario, read_manifest
 
@@ -113,6 +121,13 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     code = main(["run", str(path), "--out", str(tmp_path / "boom")])
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_io_failure_exit_code(tmp_path, capsys):
+    out_file = tmp_path / "taken"
+    out_file.write_text("")  # --out names a regular file, not a directory
+    assert main(["run", str(write_cfg(tmp_path)), "--out", str(out_file)]) == EXIT_IO
+    assert "i/o error: " in capsys.readouterr().err
 
 
 def test_numerical_failure_keeps_series(tmp_path):
@@ -371,6 +386,7 @@ def test_bad_model_keys_are_config_errors(tmp_path, capsys, model, message):
     ("name = cli_small", "name = cli_small\nmollify_delta = nan", "[scenario]:mollify_delta"),
     ("jump_x = 10", "jump_x = 10%", "[initial]:jump_x"),
     ("jump_x = 10", "jump_x = %(x_max)s", "[initial]:jump_x"),
+    ("probe_center = 10", "probe_center = 1e6", "[diagnostics]:probe_center/probe_halfwidth"),
 ])
 def test_bad_number_is_config_error(tmp_path, capsys, old, new, named):
     _assert_rejected_before_writing(tmp_path, SMALL_CFG.replace(old, new))
@@ -399,6 +415,30 @@ def test_block_or_dipole_on_an_end_node_is_config_error(tmp_path, capsys, scenar
     assert old in text
     _assert_rejected_before_writing(tmp_path, text.replace(old, new))
     assert f"bad value for [initial]:{keys}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, old, new, named", [
+    # a value the initial_kind does not read is still checked
+    ("thm21", "u_block_center = 150\nu_block_width = 20\nu_amplitude = 1",
+     "u_block_center = abc\nu_block_width = 20\nu_amplitude = 0",
+     "bad value for [initial]:u_block_center: "),
+    ("thm22", "u_pert_kind = dipole\nu_pert_amplitude = 0.3",
+     "u_pert_kind = none\nu_pert_amplitude = nan", "bad value for [initial]:u_pert_amplitude: "),
+    ("thm22", "u_pert_halfwidth = 5", "u_pert_halfwidth = 5\nu_pert_width = inf",
+     "bad value for [initial]:u_pert_width: "),
+    ("thm21", "initial_kind = constant_plus_jump\n", "",
+     "missing key 'initial_kind' in section [scenario]"),
+    ("thm21", "initial_kind = constant_plus_jump", "initial_kind = constant_plus_jmp",
+     "[scenario]: unknown initial_kind 'constant_plus_jmp' (did you mean 'constant_plus_jump'?)"),
+    ("thm22", "u_pert_kind = dipole", "u_pert_kind = dipol",
+     "[initial]: unknown u_pert_kind 'dipol' (did you mean 'dipole'?)"),
+    ("fig3", "ramp_end = 40", "ramp_end = 4000", "bad value for [initial]:ramp_start/ramp_end: "),
+])
+def test_every_scenario_value_is_checked(tmp_path, capsys, scenario, old, new, named):
+    text = (SCENARIO_DIR / f"{scenario}.cfg").read_text()
+    assert text.count(old) == 1
+    _assert_rejected_before_writing(tmp_path, text.replace(old, new))
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scenario, old, new, keys", [

@@ -264,6 +264,22 @@ def test_scenario_config_rejects_non_finite_values(field, value):
         small_scenario(**{field: value})
 
 
+def test_initial_params_are_typed_on_construction():
+    text = dict(jump_x="10", u_left="2", u_right="1", v_left="0", v_right="1")
+    cfg = small_scenario(initial_params=text)
+    assert cfg.initial_params == dict(jump_x=10.0, u_left=2.0, u_right=1.0, v_left=0.0,
+                                      v_right=1.0)
+    assert type(cfg.initial_params["jump_x"]) is float
+    assert text["jump_x"] == "10"  # the caller's dict is not changed
+    wave = scenario("exact_wave_plus_bump", dict(u_minus="2", u_plus="1", v_plus="1",
+                                                 front_x="100", zero_mass="on",
+                                                 u_pert_kind="dipole"))
+    assert wave.initial_params["zero_mass"] is True
+    assert wave.initial_params["u_pert_kind"] == "dipole"
+    # replace re-types the typed values as themselves
+    assert replace(wave, t_end=2.0).initial_params == wave.initial_params
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ConfigError, match="initial_kind"):
         small_scenario(initial_kind="bogus")

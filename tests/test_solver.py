@@ -8,6 +8,7 @@ from chemoshock.core import (
     Field,
     GridSpec,
     ModelParams,
+    NumericalError,
     PositivityError,
     SimState,
     integral,
@@ -430,3 +431,32 @@ def test_advance_calls_each_stage_once_per_step(monkeypatch):
     report = run(state, P1, cfg)
     assert report.step_count > 0
     assert calls == dict.fromkeys(calls, report.step_count)
+
+
+def _plant_nan_in_u(solve):
+    def planted(rhs, *args):  # rhs holds the interior nodes 1 .. n-2
+        info = solve(rhs, *args)
+        rhs[6] = np.nan
+        return info
+    return planted
+
+
+def _plant_nan_in_v(update):
+    def planted(*args):
+        v_new = update(*args)
+        v_new[7] = np.nan
+        return v_new
+    return planted
+
+
+@pytest.mark.parametrize("stage, plant, name", [
+    ("_implicit_solve", _plant_nan_in_u, "u"),
+    ("_update_v", _plant_nan_in_v, "v"),
+])
+def test_non_finite_step_names_its_first_bad_node(monkeypatch, stage, plant, name):
+    monkeypatch.setattr(solver, stage, plant(getattr(solver, stage)))
+    g = GridSpec(0.0, 10.0, 21)
+    state = constant_state(g, 1.0, 0.0)
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=boundary_of(state))
+    with pytest.raises(NumericalError, match=rf"non-finite {name} at node 7 after step 1 \(t=0,"):
+        step(state, P1, cfg)

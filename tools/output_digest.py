@@ -6,7 +6,10 @@ Runs, with the `chemoshock` found on PYTHONPATH:
   * `run` on every `scenarios/*.cfg`;
   * `run --emit-c` on `thm22`;
   * `sweep` of `thm21` over `n_nodes=1001,4001`;
-  * `sweep` of `thm22` over `u_pert_halfwidth=2,5,0`.
+  * `sweep` of `thm22` over `u_pert_halfwidth=2,5,0`;
+  * `run` of `thm22` restarted (`initial_kind = from_file`) from its own
+    `snap_0001.dat`, to t_end = 2.  Its config is written to a temporary
+    directory, so the snapshot's absolute path is not digested.
 
 Each manifest's `wall_time_s` line is deleted, then one `sha256  relative/path`
 line is printed per output file, sorted by path.  A refactor that must keep
@@ -22,10 +25,12 @@ The runs take ~12 s on one core of a 2-core x86-64 box.
 from __future__ import annotations
 
 import argparse
+import configparser
 import contextlib
 import hashlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 from chemoshock import cli
@@ -33,7 +38,21 @@ from chemoshock import cli
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def _argvs(out: Path) -> list[list[str]]:
+def _restart_config(out: Path, config_dir: Path) -> Path:
+    """thm22 from its snapshot 1 in `out`, run for a short time."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    cp.read(SCENARIO_DIR / "thm22.cfg")
+    cp["scenario"].update(name="thm22_restart", initial_kind="from_file")
+    cp["scheme"].update(t_end="2", snapshot_interval="1")
+    cp.remove_section("initial")
+    cp["initial"] = {"path": str(out / "run" / "thm22" / "snap_0001.dat")}
+    path = config_dir / "thm22_restart.cfg"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    return path
+
+
+def _argvs(out: Path, config_dir: Path) -> list[list[str]]:
     argvs = [["run", str(cfg), "--out", str(out / "run" / cfg.stem)]
              for cfg in sorted(SCENARIO_DIR.glob("*.cfg"))]
     argvs.append(["run", str(SCENARIO_DIR / "thm22.cfg"), "--emit-c",
@@ -42,6 +61,8 @@ def _argvs(out: Path) -> list[list[str]]:
                                ("thm22", "u_pert_halfwidth", "2,5,0")):
         argvs.append(["sweep", str(SCENARIO_DIR / f"{name}.cfg"), "--axis", axis,
                       "--values", values, "--out", str(out / "sweep" / name)])
+    argvs.append(["run", str(_restart_config(out, config_dir)),
+                  "--out", str(out / "restart" / "thm22")])
     return argvs
 
 
@@ -59,12 +80,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.out_dir.exists() and any(args.out_dir.iterdir()):
         parser.error(f"{args.out_dir} is not empty")
-    for argv_run in _argvs(args.out_dir):
-        with contextlib.redirect_stdout(io.StringIO()):  # `run` prints its wall time
-            code = cli.main(argv_run)
-        if code != 0:
-            print(f"exit {code}: chemoshock {' '.join(argv_run)}", file=sys.stderr)
-            return code
+    with tempfile.TemporaryDirectory() as config_dir:
+        for argv_run in _argvs(args.out_dir, Path(config_dir)):
+            with contextlib.redirect_stdout(io.StringIO()):  # `run` prints its wall time
+                code = cli.main(argv_run)
+            if code != 0:
+                print(f"exit {code}: chemoshock {' '.join(argv_run)}", file=sys.stderr)
+                return code
     for path in sorted(p for p in args.out_dir.rglob("*") if p.is_file()):
         print(f"{_digest(path)}  {path.relative_to(args.out_dir).as_posix()}")
     return 0

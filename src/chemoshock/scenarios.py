@@ -81,6 +81,10 @@ class ScenarioConfig:
         if self.initial_kind not in INITIAL_KINDS:
             raise _unknown("[scenario]", "initial_kind", self.initial_kind, INITIAL_KINDS)
         p = self.initial_params
+        allowed = _INITIAL_KEYS[self.initial_kind]
+        for key in p:
+            if key not in allowed:
+                raise _unknown("[initial]", "key", key, allowed)
         typed = {key: _get(p, key, "[initial]", cast=_INITIAL_CASTS.get(key, float)) for key in p}
         object.__setattr__(self, "initial_params", typed)
         if not 0 <= self.mollify_delta < math.inf:
@@ -153,14 +157,15 @@ def _allowed_keys(section: str, initial_kind: str):
     return _INITIAL_KEYS.get(initial_kind) if section == "initial" else _SECTION_KEYS.get(section)
 
 
-def _check_names(cp: configparser.ConfigParser, path: Path, initial_kind: str) -> None:
-    """Reject sections and keys that _allowed_keys does not list."""
+def _check_names(cp: configparser.ConfigParser, path: Path) -> None:
+    """Reject sections and keys that _SECTION_KEYS does not list.  ScenarioConfig
+    checks the [initial] keys, since they depend on initial_kind."""
     sections = ([cp.default_section] if cp.defaults() else []) + cp.sections()
     for section in sections:
         if section not in _SECTION_KEYS:
             raise _unknown(str(path), "section", section, list(_SECTION_KEYS))
-        allowed = _allowed_keys(section, initial_kind)
-        if allowed is None:  # ScenarioConfig reports the unknown initial_kind
+        allowed = _SECTION_KEYS[section]
+        if allowed is None:
             continue
         for key in cp[section]:
             if key not in allowed:
@@ -193,7 +198,7 @@ def scenario_from_config(cp: configparser.ConfigParser, path) -> ScenarioConfig:
             raise ConfigError(f"{path}: missing [{required}] section")
     sc = cp["scenario"]
     initial_kind = _get(sc, "initial_kind", "[scenario]", cast=str)
-    _check_names(cp, path, initial_kind)
+    _check_names(cp, path)
     grid = GridSpec(
         x_min=_get(cp["grid"], "x_min", "[grid]"),
         x_max=_get(cp["grid"], "x_max", "[grid]"),
@@ -213,7 +218,10 @@ def scenario_from_config(cp: configparser.ConfigParser, path) -> ScenarioConfig:
     params = ModelParams(D=_get(model, "D", "[model]"), **coupling)
 
     scheme = cp["scheme"]
-    initial_params = {k: v for k, v in cp["initial"].items()}
+    initial_params = dict(cp["initial"])
+    if initial_kind == "from_file" and "path" in initial_params:
+        # a relative snapshot path is read from the config file's directory
+        initial_params["path"] = str(path.parent / initial_params["path"])
 
     declared = None
     if "states" in cp:
@@ -368,6 +376,8 @@ def build_initial(cfg: ScenarioConfig) -> tuple[SimState, DirichletBoundary]:
                            f"{name}_block_center/{name}_block_width")
     else:  # from_file
         path = _get(p, "path", "[initial]", cast=str)
+        if not Path(path).is_file():
+            raise ConfigError(f"bad value for [initial]:path: no snapshot file {path}")
         _, x, u0, v0 = read_snapshot(path)
         if x.shape != (grid.n_nodes,) or np.max(np.abs(x - grid.nodes())) > 1e-9:
             raise ConfigError(
@@ -643,6 +653,7 @@ def _build_manifest(
         "step_count": report.step_count,
         "snapshot_count": report.snapshot_count,
         "boundary_warning": near_edge,
+        "step_kernel": report.step_kernel,
         "wall_time_s": report.wall_time_s,
     }
 

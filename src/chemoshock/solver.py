@@ -25,20 +25,33 @@ diffusion), `_implicit_solve` (pinned ends folded in, pivots, `dpttrs`) and
 `_update_v`.  Between them it pins the end values and performs every per-step
 check (LAPACK info, finite u and v, positivity); `run()` and `step()` check
 the boundary match once per call.  The scratch buffers (pivots, factor, u*v)
-and the LAPACK routine live in a `_Workspace` that `run()` allocates once per
-run; the public `step()` builds its own.  `run()` marches the arrays and
-builds `Field`/`SimState` only at the API boundary: at snapshots, for the
-plain `on_snapshot(index, state, prev)` callback, and for its `RunReport`.
-The public `step()` wraps the same kernel for a single `SimState`.
+and the routines live in a `_Workspace` that `run()` allocates once per run;
+the public `step()` builds its own.  The pivots and the factor are refilled
+only when a = theta*D*dt/dx**2 changes, bit for bit; on jump data dt repeats
+on about half the steps.  `run()` marches the arrays and builds
+`Field`/`SimState` only at the API boundary: at snapshots, for the plain
+`on_snapshot(index, state, prev)` callback, and for its `RunReport`.  The
+public `step()` wraps the same kernel for a single `SimState`.
 
-Building a workspace is what loads LAPACK, so it loads on the first step of a
-`run()` or `step()`; importing this module, and the CLI's `validate` and
-`wave`, need no scipy.  `dpttrs` comes straight from scipy's compiled f2py
-module `scipy.linalg._flapack` (`_load_dpttrs`), once per process, without
-running the `__init__` of `scipy` or `scipy.linalg`: those pull in most of
-scipy's Python layer (~0.16 s per process on a 2-core Xeon), while the
-extension alone loads in ~3 ms.  A later `import scipy.linalg` in the same
-process reuses the loaded extension.
+Compiled stages.  Each stage, and the finite-min check, has a loop in
+`_stages.c` that does the numpy stage's IEEE operations in the same order, so
+both paths give the same bytes; the solve is dpttrs's own two sweeps.  The
+numpy stages stay as the reference the tests compare with, and as the path
+taken when no compiler or cache is usable.  The first `_Workspace` built on
+a machine compiles the source with $CC (default cc) into a private per-user
+cache, ${XDG_CACHE_HOME:-~/.cache}/chemoshock (`_load_stages`); later
+processes load the cached library through ctypes.  `_advance` hands its
+workspace to each stage, which runs the compiled loop when the workspace
+holds the library, and `RunReport.step_kernel` records which path ran.
+
+Building a workspace is what loads LAPACK and the compiled stages, so they
+load on the first step of a `run()` or `step()`; importing this module, and
+the CLI's `validate` and `wave`, need neither scipy nor a compiler.  `dpttrs`
+comes straight from scipy's compiled f2py module `scipy.linalg._flapack`
+(`_load_dpttrs`), once per process, without running the `__init__` of `scipy`
+or `scipy.linalg`: those pull in most of scipy's Python layer (~0.16 s per
+process on a 2-core Xeon), while the extension alone loads in ~3 ms.  A later
+`import scipy.linalg` in the same process reuses the loaded extension.
 """
 
 from __future__ import annotations
@@ -189,32 +202,174 @@ def _load_dpttrs():
     return mod.dpttrs
 
 
+_STAGES_SOURCE = os.path.join(os.path.dirname(__file__), "_stages.c")
+# IEEE operations in source order (no fused multiply-add, no -ffast-math) keep
+# the compiled stages byte-identical to the numpy ones; no -march, so one
+# library suits every CPU of the machine's architecture.
+_STAGES_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
+
+
+def _stages_cache() -> str:
+    """${XDG_CACHE_HOME:-~/.cache}/chemoshock, made mode 0700 if missing.
+
+    A shared library is loaded from it, so a directory that another user owns
+    or may write to is refused (OSError)."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):  # the XDG rule: a relative path is ignored
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    cache = os.path.join(root, "chemoshock")
+    os.makedirs(cache, mode=0o700, exist_ok=True)
+    st = os.stat(cache)
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise PermissionError(f"{cache} is not private to this user")
+    return cache
+
+
+def _build_stages(cache: str) -> str:
+    """The path of `_stages.c` compiled by $CC (default cc) into `cache`.
+
+    The file name hashes the source, the compiler command and flags, and the
+    compiler executable's path, size and modification time, which stand in
+    for its version: so a cached library loads without starting a process,
+    and a changed source or compiler builds anew.  A finished build is
+    renamed into place, so concurrent runs never load half a library.
+    Raises OSError when there is no compiler or the build fails."""
+    import shutil
+
+    cc = (os.environ.get("CC") or "cc").split()
+    exe = shutil.which(cc[0]) if cc else None
+    if exe is None:
+        raise FileNotFoundError(f"no C compiler {cc[0] if cc else ''!r}")
+    exe = os.path.realpath(exe)
+    st = os.stat(exe)
+    with open(_STAGES_SOURCE, "rb") as fh:
+        source = fh.read()
+    build = (cc, _STAGES_CFLAGS, exe, st.st_size, st.st_mtime_ns, os.uname().machine)
+    # the deterministic 64-bit hash that hash-based .pyc files use
+    key = importlib.util.source_hash(source + repr(build).encode()).hex()
+    lib = os.path.join(cache, f"stages-{key}.so")
+    if not os.path.exists(lib):
+        import subprocess
+        import tempfile
+
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run([*cc, *_STAGES_CFLAGS, "-o", tmp, _STAGES_SOURCE],
+                           capture_output=True, check=True, timeout=300)
+            os.replace(tmp, lib)
+        except subprocess.SubprocessError as exc:
+            raise OSError(f"cannot compile {_STAGES_SOURCE}: {exc}") from exc
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return lib
+
+
+@functools.cache
+def _load_stages():
+    """The loops of `_stages.c` as a ctypes library, compiled on the first call
+    on a machine (`_build_stages`); None when no compiler or cache is usable,
+    and the numpy stages run instead."""
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(_build_stages(_stages_cache()))
+    except OSError:
+        return None
+    ptr, n, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+    for name, restype, argtypes in (
+        ("speed_bound", real, (ptr, ptr, n, real)),
+        ("explicit_rhs", None, (ptr, ptr, n, real, real, ptr)),
+        ("implicit_solve", None, (ptr, n, real, real, real, ptr, ptr)),
+        ("update_v", None, (ptr, ptr, n, real, real, real, ptr)),
+        ("finite_min", real, (ptr, n)),
+    ):
+        fn = getattr(lib, name)
+        fn.restype, fn.argtypes = restype, argtypes
+    return lib
+
+
+def _address(x: np.ndarray, size: int, write: bool = False) -> int:
+    """The data address of x, which must be a contiguous float64 array of
+    `size` entries (and writable when `write`) for a compiled stage."""
+    iface = x.__array_interface__
+    addr, read_only = iface["data"]
+    if iface["typestr"] != "<f8" or iface["strides"] is not None or iface["shape"] != (size,):
+        raise ValueError(f"a compiled stage takes {size} contiguous float64 values")
+    if write and read_only:
+        raise ValueError("a compiled stage cannot write to a read-only array")
+    return addr
+
+
 class _Workspace:
     """Scratch buffers of `_advance` for an n-node grid, reused step to step,
-    and the LAPACK routine it solves with."""
+    and the routines it runs: LAPACK's dpttrs, and the compiled stages in
+    `lib` (None when they did not load).
 
-    __slots__ = ("d", "e", "w", "dpttrs")
+    The compiled stages write u and v into two alternating pairs of buffers
+    owned here, so a step's output outlives the next step, and look up the
+    data address of each owned buffer once: a lookup costs about as much as
+    a compiled stage call.
+    """
+
+    __slots__ = ("n", "d", "e", "w", "a", "dpttrs", "lib", "u_out", "v_out", "_inner", "_addr")
 
     def __init__(self, n: int) -> None:
+        self.n = n
         self.d = np.empty(n - 2)  # pivots of the interior system
         self.e = np.empty(n - 3)  # subdiagonal of its unit factor L
-        self.w = np.empty(n)  # u*v
+        self.w = np.empty(n)  # u*v, for the numpy stage
+        self.a = math.nan  # the a that d and e hold the factor for
         self.dpttrs = _load_dpttrs()  # LAPACK loads here, not at import
+        self.lib = _load_stages()  # and the compiled stages
+        if self.lib is None:
+            return
+        self.u_out = (np.empty(n), np.empty(n))
+        self.v_out = (np.empty(n), np.empty(n))
+        self._inner = {id(u): u[1:-1] for u in self.u_out}
+        owned = (self.d, self.e, *self.u_out, *self.v_out, *self._inner.values())
+        # keyed by id: every key's array lives as long as this workspace
+        self._addr = {id(x): (_address(x, x.size), x.size) for x in owned}
+
+    def ptr(self, x: np.ndarray, size: int, write: bool = False) -> int:
+        """`_address(x, size, write)`, looked up once for an owned buffer."""
+        owned = self._addr.get(id(x))
+        return owned[0] if owned is not None and owned[1] == size else _address(x, size, write)
+
+    def interior(self, u: np.ndarray) -> np.ndarray:
+        """u[1:-1]; for an owned u buffer, the same view object at every step."""
+        inner = None if self.lib is None else self._inner.get(id(u))
+        return u[1:-1] if inner is None else inner
 
 
 def _time_step(
-    u: np.ndarray, v: np.ndarray, chi: float, cfl: float, dx: float, dt_cap: float | None
+    u: np.ndarray, v: np.ndarray, chi: float, cfl: float, dx: float, dt_cap: float | None,
+    ws: _Workspace | None = None,
 ) -> float:
-    """The CFL step cfl*dx/max(speed bound, tiny), capped at dt_cap when given."""
-    dt = cfl * dx / max(_speed_bound(u, v, chi), _TINY_SPEED)
+    """The CFL step cfl*dx/max(speed bound, tiny), capped at dt_cap when given.
+    The bound is compiled when ws has the compiled stages."""
+    if ws is None or ws.lib is None:
+        bound = _speed_bound(u, v, chi)
+    else:
+        bound = ws.lib.speed_bound(ws.ptr(u, ws.n), ws.ptr(v, ws.n), ws.n, chi)
+    dt = cfl * dx / max(bound, _TINY_SPEED)
     return dt if dt_cap is None else min(dt, dt_cap)
 
 
 def _explicit_rhs(
-    u: np.ndarray, v: np.ndarray, flux_w: float, diff_w: float, w: np.ndarray
+    u: np.ndarray, v: np.ndarray, flux_w: float, diff_w: float, w: np.ndarray,
+    ws: _Workspace | None = None,
 ) -> np.ndarray:
-    """A fresh array holding u + flux_w*(uv_(i+1) - uv_(i-1)) + diff_w*(u_(i+1) - 2u_i + u_(i-1))
-    on the interior nodes, its two ends left unset; w is scratch for uv."""
+    """An array holding u + flux_w*(uv_(i+1) - uv_(i-1)) + diff_w*(u_(i+1) - 2u_i + u_(i-1))
+    on the interior nodes, its two ends left unset.  The numpy stage returns a
+    fresh array and uses w as scratch for uv; the compiled one, run when ws
+    has it, returns the u buffer of ws that is not u."""
+    if ws is not None and ws.lib is not None:
+        out = ws.u_out[1] if u is ws.u_out[0] else ws.u_out[0]
+        n = ws.n
+        ws.lib.explicit_rhs(ws.ptr(u, n), ws.ptr(v, n), n, flux_w, diff_w, ws.ptr(out, n))
+        return out
     u_new = np.empty_like(u)
     rhs = u_new[1:-1]
     np.multiply(u, v, out=w)
@@ -231,28 +386,56 @@ def _explicit_rhs(
 
 def _implicit_solve(rhs: np.ndarray, a: float, left: float, right: float, ws: _Workspace) -> int:
     """Overwrite rhs with the solution of (I - a*Laplacian) x = rhs on the interior
-    nodes, the pinned end values left and right moved to the rhs; return LAPACK's info."""
+    nodes, the pinned end values left and right moved to the rhs; return LAPACK's info.
+
+    The factor in ws.d and ws.e is refilled only when a differs from the last
+    a, bit for bit.  ws's compiled stage, when it has one, folds and solves as
+    dpttrs does (info is then 0, as dpttrs returns for any valid sizes)."""
+    if a != ws.a:
+        k, d_plus = _ldl_pivots(a, ws.d)
+        # e_i = -a/d_i; from index k on every d_i is d_plus, so one value fills e
+        head = ws.e[:k]
+        np.divide(-a, ws.d[: head.size], out=head)
+        ws.e[k:] = -a / d_plus
+        ws.a = a
+    if ws.lib is not None:
+        m = ws.n - 2
+        ws.lib.implicit_solve(ws.ptr(rhs, m, write=True), m, a, left, right,
+                              ws.ptr(ws.d, m), ws.ptr(ws.e, m - 1))
+        return 0
     rhs[0] += a * left
     rhs[-1] += a * right
-    k, d_plus = _ldl_pivots(a, ws.d)
-    # e_i = -a/d_i; from index k on every d_i is d_plus, so one value fills e
-    head = ws.e[:k]
-    np.divide(-a, ws.d[: head.size], out=head)
-    ws.e[k:] = -a / d_plus
     _, info = ws.dpttrs(ws.d, ws.e, rhs, overwrite_b=True)
     return info
 
 
 def _update_v(
-    u_new: np.ndarray, v: np.ndarray, dv_w: float, left: float, right: float
+    u_new: np.ndarray, v: np.ndarray, dv_w: float, left: float, right: float,
+    ws: _Workspace | None = None,
 ) -> np.ndarray:
-    """A fresh v: v + dv_w*(u_new_(i+1) - u_new_(i-1)) inside, left and right at the ends."""
+    """v + dv_w*(u_new_(i+1) - u_new_(i-1)) inside, left and right at the ends:
+    a fresh array from the numpy stage, or from the compiled one, run when ws
+    has it, the v buffer of ws that is not v."""
+    if ws is not None and ws.lib is not None:
+        out = ws.v_out[1] if v is ws.v_out[0] else ws.v_out[0]
+        n = ws.n
+        ws.lib.update_v(ws.ptr(u_new, n), ws.ptr(v, n), n, dv_w, left, right, ws.ptr(out, n))
+        return out
     v_new = np.empty_like(v)
     v_new[0], v_new[-1] = left, right
     dv = np.subtract(u_new[2:], u_new[:-2], out=v_new[1:-1])
     dv *= dv_w
     dv += v[1:-1]
     return v_new
+
+
+def _finite_min(x: np.ndarray, ws: _Workspace) -> float:
+    """min(x) when every entry of x is finite, else nan; compiled when ws has it."""
+    if ws.lib is not None:
+        return ws.lib.finite_min(ws.ptr(x, ws.n), ws.n)
+    # min and max propagate nan and show an inf, so the two reductions cover finiteness
+    low = float(x.min())
+    return low if math.isfinite(low) and math.isfinite(x.max()) else math.nan
 
 
 def _advance(
@@ -268,19 +451,20 @@ def _advance(
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Take step number `step_no` from time t on raw nodal arrays.
 
-    Returns fresh (u_new, v_new, dt, min(u_new)); the inputs are not modified
-    and `ws` only holds scratch values.
+    Returns (u_new, v_new, dt, min(u_new)); the inputs are not modified and
+    `ws` only holds scratch values.  With the compiled stages, u_new and v_new
+    are buffers of ws that the step after next overwrites.
     """
     bc = cfg.boundary
     dx = grid.dx
     theta = cfg.diffusion_theta
 
-    dt = _time_step(u, v, params.chi, cfg.cfl, dx, dt_cap)
+    dt = _time_step(u, v, params.chi, cfg.cfl, dx, dt_cap, ws)
     u_new = _explicit_rhs(
-        u, v, dt * params.chi / (2.0 * dx), dt * (1.0 - theta) * params.D / (dx * dx), ws.w
+        u, v, dt * params.chi / (2.0 * dx), dt * (1.0 - theta) * params.D / (dx * dx), ws.w, ws
     )
     a = theta * params.D * dt / (dx * dx)
-    info = _implicit_solve(u_new[1:-1], a, bc.u_left, bc.u_right, ws)
+    info = _implicit_solve(ws.interior(u_new), a, bc.u_left, bc.u_right, ws)
     if info != 0:
         raise NumericalError(
             f"tridiagonal solve failed (LAPACK info={info}) on step {step_no} "
@@ -289,9 +473,8 @@ def _advance(
     u_new[0] = bc.u_left
     u_new[-1] = bc.u_right
 
-    # min and max propagate NaN, so these two reductions cover finiteness too
-    u_min = float(u_new.min())
-    if not (math.isfinite(u_min) and math.isfinite(u_new.max())):
+    u_min = _finite_min(u_new, ws)
+    if math.isnan(u_min):
         bad = int(np.flatnonzero(~np.isfinite(u_new))[0])
         raise NumericalError(
             f"non-finite u at node {bad} after step {step_no} (t={t:.6g}, dt={dt:.3e})"
@@ -303,8 +486,8 @@ def _advance(
             f"on step {step_no}, t={t + dt:.6g}"
         )
 
-    v_new = _update_v(u_new, v, dt / (2.0 * dx), bc.v_left, bc.v_right)
-    if not np.isfinite(v_new).all():
+    v_new = _update_v(u_new, v, dt / (2.0 * dx), bc.v_left, bc.v_right, ws)
+    if math.isnan(_finite_min(v_new, ws)):
         bad = int(np.flatnonzero(~np.isfinite(v_new))[0])
         raise NumericalError(
             f"non-finite v at node {bad} after step {step_no} (t={t:.6g}, dt={dt:.3e})"
@@ -344,6 +527,7 @@ class RunReport:
     snapshot_count: int
     wall_time_s: float
     min_u: float
+    step_kernel: str  # "compiled" or "numpy": which stages ran
 
 
 def _snapshot_times(cfg: SchemeConfig) -> Iterator[float]:
@@ -408,4 +592,5 @@ def run(
         snapshot_count=snapshots,
         wall_time_s=time.perf_counter() - t0,
         min_u=min_u,
+        step_kernel="numpy" if ws.lib is None else "compiled",
     )

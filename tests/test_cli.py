@@ -571,3 +571,20 @@ def test_readme_cli_block_matches_parser(capsys):
         accepted = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
         for option in re.findall(r"--[a-z][a-z-]*", " ".join(words[2:])):
             assert option in accepted, f"README documents '{words[1]} {option}'"
+
+
+def test_relative_from_file_path_is_read_from_the_config_directory(tmp_path, monkeypatch):
+    cfg_dir = tmp_path / "cfgdir"
+    cfg_dir.mkdir()
+    text = _from_file_cfg(cfg_dir, "5 1 0").replace(str(cfg_dir / "restart.dat"), "restart.dat")
+    cfg = cfg_dir / "r.cfg"
+    cfg.write_text(text)
+    monkeypatch.chdir(tmp_path)  # not the config's directory
+    assert main(["validate", str(cfg)]) == EXIT_OK
+    assert main(["validate", "cfgdir/r.cfg"]) == EXIT_OK
+
+
+def test_missing_from_file_snapshot_is_config_error(tmp_path, capsys):
+    text = FROM_FILE_CFG.format(path=tmp_path / "nowhere.dat")
+    _assert_rejected_before_writing(tmp_path, text)
+    assert "bad value for [initial]:path: no snapshot file" in capsys.readouterr().err

@@ -609,3 +609,14 @@ def test_sweep_adds_a_key_the_file_does_not_set(tmp_path):
     (manifest,) = sweep(cp, path, "probe_halfwidth", ["3"], tmp_path / "sw")
     assert manifest["probe_halfwidth"] == 3.0
     assert "diagnostics" not in cp  # the variant is a copy
+
+
+def test_scenario_config_rejects_an_initial_key_its_kind_does_not_read():
+    params = dict(jump_x=10.0, u_left=2.0, u_right=1.0, v_left=0.0, v_right=1.0, jump_xx=30.0)
+    with pytest.raises(ConfigError, match=r"\[initial\]: unknown key 'jump_xx' "
+                                          r"\(did you mean 'jump_x'\?\)"):
+        small_scenario(initial_params=params)
+    # a key another initial_kind reads is unknown here too
+    with pytest.raises(ConfigError, match="unknown key 'ramp_start'"):
+        del params["jump_xx"]
+        small_scenario(initial_params=dict(params, ramp_start=1.0))

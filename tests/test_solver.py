@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,8 @@ from chemoshock.core import (
     lp_norm,
 )
 import chemoshock.solver as solver
+from chemoshock import scenarios
+from chemoshock.cli import main
 from chemoshock.solver import (
     _TINY_SPEED,
     DirichletBoundary,
@@ -31,6 +38,8 @@ from chemoshock.solver import (
     step,
 )
 from chemoshock.waves import TravelingWave
+
+from test_cli import SMALL_CFG
 
 P1 = ModelParams.from_chi(1.0, 1.0)
 
@@ -460,3 +469,206 @@ def test_non_finite_step_names_its_first_bad_node(monkeypatch, stage, plant, nam
     cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=boundary_of(state))
     with pytest.raises(NumericalError, match=rf"non-finite {name} at node 7 after step 1 \(t=0,"):
         step(state, P1, cfg)
+
+
+# ---------------------------------------------------------------------------
+# compiled stages: parity with the numpy stages, and the fallback to them
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def stages(monkeypatch, tmp_path):
+    """The compiled stages, built into a cache under tmp_path.  Skips when no
+    compiler works here (the numpy stages then run everywhere)."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    load = solver._load_stages  # a test may replace it
+    load.cache_clear()
+    lib = load()
+    yield lib if lib is not None else pytest.skip("the compiled stages do not build here")
+    load.cache_clear()  # the next load reads the restored environment
+
+
+def numpy_workspace(n):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_load_stages", lambda: None)
+        return _Workspace(n)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    return 0.5 + 2.0 * rng.random(n), 0.8 * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n", [8, 201, 4001])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_each_compiled_stage_matches_its_numpy_stage_bit_for_bit(stages, n, theta):
+    u, v = random_state(n, n)
+    ws, ref = _Workspace(n), numpy_workspace(n)
+    assert ws.lib is stages and ref.lib is None
+    chi, dx = 1.7, 0.05
+    for w in (u, u - 1.5, np.zeros(n)):  # some nodes below the positivity floor, no speed
+        got = stages.speed_bound(ws.ptr(w, n), ws.ptr(v, n), n, chi)
+        assert same_bits(got, solver._speed_bound(w, v, chi))
+    for cap in (None, 1e-3, 1e-9):
+        assert _time_step(u, v, chi, 0.4, dx, cap, ws) == _time_step(u, v, chi, 0.4, dx, cap)
+
+    dt = _time_step(u, v, chi, 0.4, dx, None)
+    flux_w, diff_w = dt * chi / (2.0 * dx), dt * (1.0 - theta) * 3.0 / (dx * dx)
+    got = _explicit_rhs(u, v, flux_w, diff_w, ws.w, ws)
+    want = _explicit_rhs(u, v, flux_w, diff_w, ref.w)
+    assert same_bits(got[1:-1], want[1:-1])
+    assert got is ws.u_out[0] and _explicit_rhs(got, v, flux_w, diff_w, ws.w, ws) is ws.u_out[1]
+
+    for a in (0.0, 1e300, theta * 3.0 * dt / (dx * dx)):
+        x, y = want[1:-1].copy(), want[1:-1].copy()
+        assert _implicit_solve(x, a, u[0], u[-1], ws) == 0
+        assert _implicit_solve(y, a, u[0], u[-1], ref) == 0
+        assert same_bits(x, y), a
+        assert same_bits(ws.d, ref.d) and same_bits(ws.e, ref.e)
+
+    got = _update_v(u, v, dt / (2.0 * dx), -0.25, 0.5, ws)
+    assert same_bits(got, _update_v(u, v, dt / (2.0 * dx), -0.25, 0.5))
+    assert solver._finite_min(u, ws) == solver._finite_min(u, ref) == u.min()
+
+
+@pytest.mark.parametrize("n", [8, 201, 4001])
+def test_pivots_are_reused_only_for_the_same_a(stages, n):
+    # the compiled solve reads the factor that the numpy code fills
+    ws = _Workspace(n)
+    rhs = 1.0 + np.random.default_rng(n).random(n - 2)
+    for a in (0.3, 0.3, 0.30000000000000004, 0.0, 1e300, 1e300):
+        x = rhs.copy()
+        _implicit_solve(x, a, 1.0, 2.0, ws)
+        ref = numpy_workspace(n)
+        y = rhs.copy()
+        _implicit_solve(y, a, 1.0, 2.0, ref)
+        assert ws.a == a and same_bits(ws.d, ref.d) and same_bits(ws.e, ref.e)
+        assert same_bits(x, y), a
+
+
+@pytest.mark.parametrize("where, value", [
+    (where, value) for where in ("u out", "v out") for value in (np.nan, np.inf, -np.inf)
+] + [
+    # a step's input is finite but for overflow: a nan input would make dt nan
+    (where, value) for where in ("u in", "v in") for value in (np.inf, -np.inf)
+])
+def test_a_non_finite_value_fails_alike_on_both_paths(stages, monkeypatch, where, value):
+    n = 41
+    g = GridSpec(0.0, 10.0, n)
+    u, v = random_state(n, 5)
+    bc = DirichletBoundary(u[0], v[0], u[-1], v[-1])
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=bc)
+    name, when = where.split()
+    if when == "in":
+        (u if name == "u" else v)[17] = value
+    else:  # planted into what the solve or the v update wrote
+        stage = "_implicit_solve" if name == "u" else "_update_v"
+        real = getattr(solver, stage)
+
+        def planted(*args):
+            out = real(*args)
+            if name == "u":
+                args[0][16] = value  # the solve's interior view: node 17
+            else:
+                out[17] = value
+            return out
+
+        monkeypatch.setattr(solver, stage, planted)
+    errors = []
+    for ws in (_Workspace(n), numpy_workspace(n)):
+        with pytest.raises(NumericalError) as info, np.errstate(invalid="ignore"):
+            _advance(u, v, 0.0, 1, g, P1, cfg, None, ws)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    if when == "out":
+        assert f"non-finite {name} at node 17 after step 1" in errors[0][1]
+
+
+def _thm21_like(n_nodes):
+    cp = scenarios.read_config(Path(__file__).resolve().parent.parent / "scenarios" / "thm21.cfg")
+    cp["grid"]["n_nodes"] = str(n_nodes)
+    cp["scheme"].update(t_end="4", snapshot_interval="1")
+    cfg = scenarios.scenario_from_config(cp, "thm21.cfg")
+    state, bc = scenarios.build_initial(cfg)
+    scheme = SchemeConfig(t_end=cfg.t_end, snapshot_interval=cfg.snapshot_interval, boundary=bc,
+                          cfl=cfg.cfl, diffusion_theta=cfg.diffusion_theta)
+    return state, cfg.params, scheme
+
+
+def test_run_is_the_same_on_both_paths(stages, monkeypatch):
+    state, params, scheme = _thm21_like(1001)
+
+    def snapshots():
+        seen = []
+        report = run(state, params, scheme, lambda i, s, prev: seen.append((s, prev)))
+        return report, seen
+
+    compiled, seen_c = snapshots()
+    monkeypatch.setattr(solver, "_load_stages", lambda: None)
+    reference, seen_n = snapshots()
+    assert (compiled.step_kernel, reference.step_kernel) == ("compiled", "numpy")
+    assert compiled.step_count == reference.step_count > 40
+    assert compiled.min_u == reference.min_u
+    assert len(seen_c) == len(seen_n) == 5
+    for (s, prev), (s_ref, prev_ref) in zip(seen_c, seen_n):
+        assert s.t == s_ref.t
+        assert same_bits(s.u.values, s_ref.u.values) and same_bits(s.v.values, s_ref.v.values)
+        if prev is not None:
+            assert same_bits(prev.u.values, prev_ref.u.values)
+            assert same_bits(prev.v.values, prev_ref.v.values)
+
+
+def test_a_failed_build_falls_back_to_the_numpy_stages(stages, monkeypatch, tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_CFG)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "compiled")]) == 0
+
+    monkeypatch.setenv("CC", "false")  # a compiler that always fails
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
+    solver._load_stages.cache_clear()
+    assert main(["run", str(cfg), "--out", str(tmp_path / "numpy")]) == 0
+    assert solver._load_stages() is None
+
+    def outputs(kernel):
+        files = {path.name: path.read_text().splitlines()
+                 for path in sorted((tmp_path / kernel).iterdir())}
+        manifest = files["manifest.txt"]
+        manifest.remove(f"step_kernel = {kernel}")  # ValueError when the other ran
+        manifest[:] = [x for x in manifest if not x.startswith("wall_time_s =")]
+        return files
+
+    assert outputs("compiled") == outputs("numpy")
+
+
+def test_validate_neither_builds_nor_loads_the_stages(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    log = tmp_path / "cc.log"
+    fake_cc = tmp_path / "fake_cc.py"  # logs each call, then fails like a broken compiler
+    fake_cc.write_text(f"import sys\nopen({str(log)!r}, 'a').write(' '.join(sys.argv) + '\\n')\n"
+                       "sys.exit(1)\n")
+    code = """
+import json, sys
+from chemoshock import solver
+from chemoshock.cli import main
+assert main(["validate", sys.argv[1]]) == 0
+print(json.dumps(solver._load_stages.cache_info().misses))
+"""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), XDG_CACHE_HOME=str(tmp_path / "cache"),
+               CC=f"{sys.executable} {fake_cc}")
+    proc = subprocess.run([sys.executable, "-B", "-c", code, str(root / "scenarios" / "thm22.cfg")],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == 0
+    assert not log.exists() and not (tmp_path / "cache").exists()
+
+    # the same fake compiler is called by a run, which then takes the numpy stages
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_CFG)
+    subprocess.run([sys.executable, "-B", "-m", "chemoshock.cli", "run", str(cfg),
+                    "--out", str(tmp_path / "out")],
+                   env=env, capture_output=True, timeout=120, check=True)
+    assert log.read_text().split()[-1].endswith("_stages.c")
+    assert "step_kernel = numpy" in (tmp_path / "out" / "manifest.txt").read_text()

@@ -11,7 +11,8 @@ Runs, with the `chemoshock` found on PYTHONPATH:
     `snap_0001.dat`, to t_end = 2.  Its config is written to a temporary
     directory, so the snapshot's absolute path is not digested.
 
-Each manifest's `wall_time_s` line is deleted, then one `sha256  relative/path`
+Each manifest's `wall_time_s` and `step_kernel` lines are deleted (they are
+facts about the machine, not the numerics), then one `sha256  relative/path`
 line is printed per output file, sorted by path.  A refactor that must keep
 every output byte passes when this output is the same before and after it:
 
@@ -36,6 +37,8 @@ from pathlib import Path
 from chemoshock import cli
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+# manifest lines that depend on the machine: the run's time and which step stages ran
+_MACHINE_KEYS = (b"wall_time_s =", b"step_kernel =")
 
 
 def _restart_config(out: Path, config_dir: Path) -> Path:
@@ -45,7 +48,7 @@ def _restart_config(out: Path, config_dir: Path) -> Path:
     cp["scenario"].update(name="thm22_restart", initial_kind="from_file")
     cp["scheme"].update(t_end="2", snapshot_interval="1")
     cp.remove_section("initial")
-    cp["initial"] = {"path": str(out / "run" / "thm22" / "snap_0001.dat")}
+    cp["initial"] = {"path": str((out / "run" / "thm22" / "snap_0001.dat").resolve())}
     path = config_dir / "thm22_restart.cfg"
     with open(path, "w") as fh:
         cp.write(fh)
@@ -70,7 +73,7 @@ def _digest(path: Path) -> str:
     data = path.read_bytes()
     if path.name == "manifest.txt":
         lines = data.splitlines(keepends=True)
-        data = b"".join(line for line in lines if not line.startswith(b"wall_time_s ="))
+        data = b"".join(line for line in lines if not line.startswith(_MACHINE_KEYS))
     return hashlib.sha256(data).hexdigest()
 
 

@@ -38,8 +38,8 @@ EXIT_IO = 4
 
 def _wave_block(cfg) -> str:
     """The manifest's wave and jump-condition lines for a scenario."""
-    state0, boundary = build_initial(cfg)
-    summary = wave_summary(cfg, boundary, wire_reference(state0, cfg.params))
+    state0 = build_initial(cfg)
+    summary = wave_summary(cfg, state0, wire_reference(state0, cfg.params))
     return "\n".join(manifest_line(key, val) for key, val in summary.items())
 
 
@@ -63,7 +63,7 @@ def _cmd_validate(args) -> int:
     cfg = parse_scenario(args.config)
     block = _wave_block(cfg)
     print(f"scenario '{cfg.name}' ok: {cfg.grid.n_nodes} nodes, "
-          f"t_end={cfg.t_end}, initial_kind={cfg.initial_kind}")
+          f"t_end={cfg.scheme.t_end}, initial_kind={cfg.initial_kind}")
     print(block)
     return EXIT_OK
 

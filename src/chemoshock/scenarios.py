@@ -32,7 +32,7 @@ from .core import (
     write_snapshot,
 )
 from .mollifier import MollifierSpec, mollify
-from .solver import DirichletBoundary, RunReport, SchemeConfig, _check_scheme, run
+from .solver import RunReport, SchemeConfig, run
 from .waves import TravelingWave, rh_residual, wave_speed
 
 _LR_KEYS = ("u_left", "u_right", "v_left", "v_right")
@@ -65,12 +65,9 @@ class ScenarioConfig:
     name: str
     grid: GridSpec
     params: ModelParams
-    t_end: float
-    snapshot_interval: float
+    scheme: SchemeConfig
     initial_kind: str
     initial_params: dict = field(default_factory=dict)
-    cfl: float = SchemeConfig.cfl
-    diffusion_theta: float = SchemeConfig.diffusion_theta
     mollify_delta: float = 0.0
     seed_label: str = ""
     declared_states: AsymptoticStates | None = None
@@ -100,7 +97,6 @@ class ScenarioConfig:
                 f"bad value for [diagnostics]:probe_center/probe_halfwidth: the window "
                 f"[{c - h}, {c + h}] must lie inside the grid [{grid.x_min}, {grid.x_max}]"
             )
-        _check_scheme(self.t_end, self.snapshot_interval, self.cfl, self.diffusion_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +213,13 @@ def scenario_from_config(cp: configparser.ConfigParser, path) -> ScenarioConfig:
     coupling.setdefault("chi", coupling["mu"] * coupling["xi"])
     params = ModelParams(D=_get(model, "D", "[model]"), **coupling)
 
-    scheme = cp["scheme"]
+    sch = cp["scheme"]
+    scheme = SchemeConfig(
+        t_end=_get(sch, "t_end", "[scheme]"),
+        snapshot_interval=_get(sch, "snapshot_interval", "[scheme]"),
+        # optional keys are passed only when set, so each default lives in SchemeConfig
+        **{key: _get(sch, key, "[scheme]") for key in ("cfl", "diffusion_theta") if key in sch},
+    )
     initial_params = dict(cp["initial"])
     if initial_kind == "from_file" and "path" in initial_params:
         # a relative snapshot path is read from the config file's directory
@@ -235,8 +237,6 @@ def scenario_from_config(cp: configparser.ConfigParser, path) -> ScenarioConfig:
     optional = {
         key: _get(cp[section], key, f"[{section}]")
         for section, key in (
-            ("scheme", "cfl"),
-            ("scheme", "diffusion_theta"),
             ("scenario", "mollify_delta"),
             ("diagnostics", "probe_center"),
             ("diagnostics", "probe_halfwidth"),
@@ -248,8 +248,7 @@ def scenario_from_config(cp: configparser.ConfigParser, path) -> ScenarioConfig:
         name=_get(sc, "name", "[scenario]", path.stem, cast=str),
         grid=grid,
         params=params,
-        t_end=_get(scheme, "t_end", "[scheme]"),
-        snapshot_interval=_get(scheme, "snapshot_interval", "[scheme]"),
+        scheme=scheme,
         initial_kind=initial_kind,
         initial_params=initial_params,
         seed_label=_get(sc, "seed_label", "[scenario]", "", cast=str),
@@ -325,9 +324,9 @@ def _pert_arrays(grid: GridSpec, p: dict, prefix: str) -> np.ndarray:
     return vals
 
 
-def build_initial(cfg: ScenarioConfig) -> tuple[SimState, DirichletBoundary]:
+def build_initial(cfg: ScenarioConfig) -> SimState:
     """Construct (u0, v0) for the scenario and apply mollification if
-    requested.  The Dirichlet boundary values are the data's end values."""
+    requested.  A run keeps the data's end values at the two end nodes."""
     grid = cfg.grid
     p = cfg.initial_params
     kind = cfg.initial_kind
@@ -396,12 +395,7 @@ def build_initial(cfg: ScenarioConfig) -> tuple[SimState, DirichletBoundary]:
             f"initial density must be positive everywhere; node {bad} has {u0[bad]}"
         )
 
-    boundary = DirichletBoundary(
-        u_left=float(u0[0]), v_left=float(v0[0]),
-        u_right=float(u0[-1]), v_right=float(v0[-1]),
-    )
-    state = SimState(u=Field(grid, u0), v=Field(grid, v0), t=0.0)
-    return state, boundary
+    return SimState(u=Field(grid, u0), v=Field(grid, v0), t=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +480,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[di
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    state0, boundary = build_initial(cfg)
-    scheme = SchemeConfig(
-        t_end=cfg.t_end,
-        snapshot_interval=cfg.snapshot_interval,
-        boundary=boundary,
-        cfl=cfg.cfl,
-        diffusion_theta=cfg.diffusion_theta,
-    )
+    state0 = build_initial(cfg)
     reference = wire_reference(state0, cfg.params)
 
     probe_center = cfg.probe_center
@@ -524,11 +511,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[di
         )
 
     try:
-        report = run(state0, cfg.params, scheme, on_snapshot)
+        report = run(state0, cfg.params, cfg.scheme, on_snapshot)
     finally:
         diag.write_series(records, out / "series.csv")
 
-    manifest = _build_manifest(cfg, boundary, reference, records, report, probe_center)
+    manifest = _build_manifest(cfg, state0, reference, records, report, probe_center)
     write_manifest(manifest, out / "manifest.txt")
     return manifest, records
 
@@ -538,13 +525,19 @@ def _attr(obj, name: str):
     return None if obj is None else attrgetter(name)(obj)
 
 
-def wave_summary(
-    cfg: ScenarioConfig, boundary: DirichletBoundary, reference: diag.Reference
-) -> dict:
+def _data_ends(state: SimState) -> AsymptoticStates:
+    """The data's end values, which a run keeps at the end nodes: the minus
+    states at x_min and the plus states at x_max."""
+    u, v = state.u.values, state.v.values
+    return AsymptoticStates(u_minus=float(u[0]), u_plus=float(u[-1]),
+                            v_minus=float(v[0]), v_plus=float(v[-1]))
+
+
+def wave_summary(cfg: ScenarioConfig, state0: SimState, reference: diag.Reference) -> dict:
     """The manifest's 14 wave and jump-condition entries in file order, None
     where one does not apply: residuals and speed of the declared far fields,
-    the fitted wave and its residuals, the residuals of the data's end values
-    against that wave, and the mass shift x0 with its v-mass defect."""
+    the fitted wave and its residuals, the residuals of the initial data's end
+    values against that wave, and the mass shift x0 with its v-mass defect."""
     declared = speed = None
     if cfg.declared_states is not None:
         try:
@@ -558,9 +551,7 @@ def wave_summary(
     if wave is not None:
         fitted = reference
         fit = rh_residual(wave.states, wave.s, cfg.params)
-        data_states = AsymptoticStates(u_minus=boundary.u_left, u_plus=boundary.u_right,
-                                       v_minus=boundary.v_left, v_plus=boundary.v_right)
-        data = rh_residual(data_states, wave.s, cfg.params)
+        data = rh_residual(_data_ends(state0), wave.s, cfg.params)
     return {
         "declared_rh_r1": _attr(declared, "r1"),
         "declared_rh_r2": _attr(declared, "r2"),
@@ -587,7 +578,7 @@ _DECAY_FIELDS = (
 
 def _build_manifest(
     cfg: ScenarioConfig,
-    boundary: DirichletBoundary,
+    state0: SimState,
     reference: diag.Reference,
     records,
     report: RunReport,
@@ -595,6 +586,7 @@ def _build_manifest(
 ) -> dict:
     """The manifest, in file order.  `records` holds at least snapshot 0."""
     grid = cfg.grid
+    ends = _data_ends(state0)
     wave = reference.wave
     margin = 0.1 * grid.length
     # only a wave reference has a front level, so only a wave front can warn
@@ -621,15 +613,15 @@ def _build_manifest(
         "model_chi": cfg.params.chi,
         "model_mu": cfg.params.mu,
         "model_xi": cfg.params.xi,
-        "scheme_cfl": cfg.cfl,
-        "scheme_diffusion_theta": cfg.diffusion_theta,
-        "scheme_t_end": cfg.t_end,
-        "scheme_snapshot_interval": cfg.snapshot_interval,
-        "boundary_u_left": boundary.u_left,
-        "boundary_v_left": boundary.v_left,
-        "boundary_u_right": boundary.u_right,
-        "boundary_v_right": boundary.v_right,
-        **wave_summary(cfg, boundary, reference),
+        "scheme_cfl": cfg.scheme.cfl,
+        "scheme_diffusion_theta": cfg.scheme.diffusion_theta,
+        "scheme_t_end": cfg.scheme.t_end,
+        "scheme_snapshot_interval": cfg.scheme.snapshot_interval,
+        "boundary_u_left": ends.u_minus,
+        "boundary_v_left": ends.v_minus,
+        "boundary_u_right": ends.u_plus,
+        "boundary_v_right": ends.v_plus,
+        **wave_summary(cfg, state0, reference),
         "flux_variant": "wave" if wave is not None else "constant",
         **{
             f"decay_{name}_{suffix}": _attr(q, field_name)

@@ -2,7 +2,9 @@
 
     u_t - chi*(u*v)_x = D*u_xx,      v_t - u_x = 0
 
-on a uniform grid with Dirichlet far-field boundaries.
+on a uniform grid whose two end nodes keep the initial data's end values:
+the far-field states of the Cauchy problem come from the data, so no caller
+restates them.
 
 Diffusion is treated implicitly (theta-scheme), the coupling flux
 chi*(u v)_x explicitly by central differences, and v is updated pointwise from
@@ -22,13 +24,13 @@ One array kernel, `_advance`, takes a step on raw nodal arrays.  It composes
 four stages, each a module-level function of raw arrays and scalar weights:
 `_time_step` (the CFL dt), `_explicit_rhs` (coupling flux and explicit
 diffusion), `_implicit_solve` (pinned ends folded in, pivots, `dpttrs`) and
-`_update_v`.  Between them it pins the end values and performs every per-step
-check (LAPACK info, finite u and v, positivity); `run()` and `step()` check
-the boundary match once per call.  The scratch buffers (pivots, factor, u*v)
-and the routines live in a `_Workspace` that `run()` allocates once per run;
-the public `step()` builds its own.  The pivots and the factor are refilled
-only when a = theta*D*dt/dx**2 changes, bit for bit; on jump data dt repeats
-on about half the steps.  `run()` marches the arrays and builds
+`_update_v`.  Between them it pins each end to its value in the input
+arrays, which by induction is the data's, and performs every per-step check
+(LAPACK info, finite u and v, positivity).  The scratch buffers (pivots,
+factor, u*v) and the routines live in a `_Workspace` that `run()` allocates
+once per run; the public `step()` builds its own.  The pivots and the factor
+are refilled only when a = theta*D*dt/dx**2 changes, bit for bit; on jump
+data dt repeats on about half the steps.  `run()` marches the arrays and builds
 `Field`/`SimState` only at the API boundary: at snapshots, for the plain
 `on_snapshot(index, state, prev)` callback, and for its `RunReport`.  The
 public `step()` wraps the same kernel for a single `SimState`.
@@ -56,6 +58,7 @@ process on a 2-core Xeon), while the extension alone loads in ~3 ms.  A later
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib.machinery
 import importlib.util
@@ -78,44 +81,29 @@ from .core import (
 )
 
 _TINY_SPEED = 1e-14
-_BOUNDARY_MATCH_TOL = 1e-8
 _TIME_SNAP = 1e-9
 # pivots past the head where q**i < eps/4 equal d_plus to the last bit
 _LOG_QUARTER_EPS = math.log(0.25 * np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
-class DirichletBoundary:
-    """Pinned (u, v) values at the two ends of the interval."""
-
-    u_left: float
-    v_left: float
-    u_right: float
-    v_right: float
-
-
-@dataclass(frozen=True)
 class SchemeConfig:
     t_end: float
     snapshot_interval: float
-    boundary: DirichletBoundary
     cfl: float = 0.4
     diffusion_theta: float = 0.5  # 0.5 = Crank-Nicolson, 1 = backward Euler
 
     def __post_init__(self) -> None:
-        _check_scheme(self.t_end, self.snapshot_interval, self.cfl, self.diffusion_theta)
-
-
-def _check_scheme(t_end: float, snapshot_interval: float, cfl: float, theta: float) -> None:
-    """The rule for valid scheme values, shared with `ScenarioConfig`."""
-    if not 0.0 < cfl <= 1.0:
-        raise ConfigError(f"cfl must lie in (0, 1] (got {cfl})")
-    if not 0.5 <= theta <= 1.0:
-        raise ConfigError(f"diffusion_theta must lie in [0.5, 1] (got {theta})")
-    if not 0 <= t_end < math.inf:
-        raise ConfigError(f"t_end must be finite and >= 0 (got {t_end})")
-    if not 0 < snapshot_interval < math.inf:
-        raise ConfigError(f"snapshot_interval must be finite and > 0 (got {snapshot_interval})")
+        if not 0.0 < self.cfl <= 1.0:
+            raise ConfigError(f"cfl must lie in (0, 1] (got {self.cfl})")
+        if not 0.5 <= self.diffusion_theta <= 1.0:
+            raise ConfigError(f"diffusion_theta must lie in [0.5, 1] (got {self.diffusion_theta})")
+        if not 0 <= self.t_end < math.inf:
+            raise ConfigError(f"t_end must be finite and >= 0 (got {self.t_end})")
+        if not 0 < self.snapshot_interval < math.inf:
+            raise ConfigError(
+                f"snapshot_interval must be finite and > 0 (got {self.snapshot_interval})"
+            )
 
 
 def _speed_bound(u: np.ndarray, v: np.ndarray, chi: float) -> float:
@@ -133,19 +121,6 @@ def characteristic_speed_bound(state: SimState, params: ModelParams) -> float:
     """Max spectral radius over nodes of the inviscid Jacobian
     [[-chi*v, -chi*u], [-1, 0]]."""
     return _speed_bound(state.u.values, state.v.values, params.chi)
-
-
-def _check_boundary_match(u: np.ndarray, v: np.ndarray, bc: DirichletBoundary) -> None:
-    mismatch = max(
-        abs(u[0] - bc.u_left),
-        abs(v[0] - bc.v_left),
-        abs(u[-1] - bc.u_right),
-        abs(v[-1] - bc.v_right),
-    )
-    if mismatch > _BOUNDARY_MATCH_TOL:
-        raise ConfigError(
-            f"state does not match Dirichlet boundary values (max mismatch {mismatch:.3e})"
-        )
 
 
 def _ldl_pivots(a: float, d: np.ndarray) -> tuple[int, float]:
@@ -232,8 +207,11 @@ def _build_stages(cache: str) -> str:
     compiler executable's path, size and modification time, which stand in
     for its version: so a cached library loads without starting a process,
     and a changed source or compiler builds anew.  A finished build is
-    renamed into place, so concurrent runs never load half a library.
-    Raises OSError when there is no compiler or the build fails."""
+    renamed into place, so concurrent runs never load half a library, and the
+    other libraries in `cache`, stale now, are deleted.  A failed build leaves
+    `stages-<key>.failed`, holding the compiler's stderr, and is not retried
+    while that file exists.  Raises OSError when there is no compiler or the
+    build fails, now or before."""
     import shutil
 
     cc = (os.environ.get("CC") or "cc").split()
@@ -248,21 +226,31 @@ def _build_stages(cache: str) -> str:
     # the deterministic 64-bit hash that hash-based .pyc files use
     key = importlib.util.source_hash(source + repr(build).encode()).hex()
     lib = os.path.join(cache, f"stages-{key}.so")
-    if not os.path.exists(lib):
-        import subprocess
-        import tempfile
+    if os.path.exists(lib):
+        return lib
+    failed = os.path.join(cache, f"stages-{key}.failed")
+    if os.path.exists(failed):
+        raise OSError(f"{_STAGES_SOURCE} did not compile before; see {failed}")
+    import subprocess
+    import tempfile
 
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-        os.close(fd)
-        try:
-            subprocess.run([*cc, *_STAGES_CFLAGS, "-o", tmp, _STAGES_SOURCE],
-                           capture_output=True, check=True, timeout=300)
-            os.replace(tmp, lib)
-        except subprocess.SubprocessError as exc:
-            raise OSError(f"cannot compile {_STAGES_SOURCE}: {exc}") from exc
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+    os.close(fd)
+    try:
+        subprocess.run([*cc, *_STAGES_CFLAGS, "-o", tmp, _STAGES_SOURCE],
+                       capture_output=True, check=True, timeout=300)
+        os.replace(tmp, lib)
+    except subprocess.SubprocessError as exc:
+        with open(failed, "wb") as fh:
+            fh.write(exc.stderr or b"")
+        raise OSError(f"cannot compile {_STAGES_SOURCE}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    for name in os.listdir(cache):
+        if name.startswith("stages-") and name.endswith(".so") and name != os.path.basename(lib):
+            with contextlib.suppress(FileNotFoundError):  # a concurrent build deleted it
+                os.unlink(os.path.join(cache, name))
     return lib
 
 
@@ -451,11 +439,12 @@ def _advance(
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Take step number `step_no` from time t on raw nodal arrays.
 
-    Returns (u_new, v_new, dt, min(u_new)); the inputs are not modified and
-    `ws` only holds scratch values.  With the compiled stages, u_new and v_new
-    are buffers of ws that the step after next overwrites.
+    Returns (u_new, v_new, dt, min(u_new)), whose end values are those of u
+    and v; the inputs are not modified and `ws` only holds scratch values.
+    With the compiled stages, u_new and v_new are buffers of ws that the step
+    after next overwrites.
     """
-    bc = cfg.boundary
+    u_left, u_right, v_left, v_right = u[0], u[-1], v[0], v[-1]
     dx = grid.dx
     theta = cfg.diffusion_theta
 
@@ -464,14 +453,14 @@ def _advance(
         u, v, dt * params.chi / (2.0 * dx), dt * (1.0 - theta) * params.D / (dx * dx), ws.w, ws
     )
     a = theta * params.D * dt / (dx * dx)
-    info = _implicit_solve(ws.interior(u_new), a, bc.u_left, bc.u_right, ws)
+    info = _implicit_solve(ws.interior(u_new), a, u_left, u_right, ws)
     if info != 0:
         raise NumericalError(
             f"tridiagonal solve failed (LAPACK info={info}) on step {step_no} "
             f"(t={t:.6g}, dt={dt:.3e})"
         )
-    u_new[0] = bc.u_left
-    u_new[-1] = bc.u_right
+    u_new[0] = u_left
+    u_new[-1] = u_right
 
     u_min = _finite_min(u_new, ws)
     if math.isnan(u_min):
@@ -486,7 +475,7 @@ def _advance(
             f"on step {step_no}, t={t + dt:.6g}"
         )
 
-    v_new = _update_v(u_new, v, dt / (2.0 * dx), bc.v_left, bc.v_right, ws)
+    v_new = _update_v(u_new, v, dt / (2.0 * dx), v_left, v_right, ws)
     if math.isnan(_finite_min(v_new, ws)):
         bad = int(np.flatnonzero(~np.isfinite(v_new))[0])
         raise NumericalError(
@@ -503,7 +492,6 @@ def step(
 ) -> SimState:
     """Advance one step of size cfl*dx/max(speed, tiny), optionally capped."""
     grid = state.u.grid
-    _check_boundary_match(state.u.values, state.v.values, cfg.boundary)
     u, v, dt, _ = _advance(
         state.u.values, state.v.values, state.t, state.step_count + 1,
         grid, params, cfg, dt_cap, _Workspace(grid.n_nodes),
@@ -554,7 +542,6 @@ def run(
     no step was taken since the last snapshot."""
     grid = initial.u.grid
     u, v, t, count = initial.u.values, initial.v.values, initial.t, initial.step_count
-    _check_boundary_match(u, v, cfg.boundary)
     t0 = time.perf_counter()
 
     def as_state(u, v, t, count) -> SimState:

@@ -33,7 +33,7 @@ from chemoshock.diagnostics import (
 )
 from chemoshock.mollifier import MollifierSpec, mollify
 from chemoshock.scenarios import build_initial, parse_scenario, read_config, sweep
-from chemoshock.solver import DirichletBoundary, SchemeConfig, run, step
+from chemoshock.solver import SchemeConfig, run, step
 from chemoshock.waves import (
     TravelingWave,
     complete_states,
@@ -128,8 +128,7 @@ def test_criterion_03_traveling_wave_transport():
         x = g.nodes()
         u0 = np.asarray(w.u_profile(x - front))
         v0 = np.asarray(w.v_profile(x - front))
-        bc = DirichletBoundary(float(u0[0]), float(v0[0]), float(u0[-1]), float(v0[-1]))
-        cfg = SchemeConfig(t_end=20.0, snapshot_interval=20.0, boundary=bc)
+        cfg = SchemeConfig(t_end=20.0, snapshot_interval=20.0)
         final = run(SimState(Field(g, u0), Field(g, v0), 0.0), P1, cfg).final_state
         exact = np.asarray(w.u_profile(x - front - w.s * final.t))
         return g.dx, float(np.abs(final.u.values - exact).max())
@@ -149,11 +148,8 @@ def test_criterion_03_traveling_wave_transport():
 def test_criterion_04_constant_state_relaxation(scenario_dir):
     t0 = time.perf_counter()
     cfg = parse_scenario(scenario_dir / "thm21.cfg")
-    state, boundary = build_initial(cfg)
-    scheme = SchemeConfig(
-        t_end=cfg.t_end, snapshot_interval=cfg.snapshot_interval,
-        boundary=boundary, cfl=cfg.cfl, diffusion_theta=cfg.diffusion_theta,
-    )
+    state = build_initial(cfg)
+    scheme = cfg.scheme
     sup0 = float(np.abs(state.u.values - 1.0).max())
     l40 = lp_norm(state.v, 4)
     ent = entropy(state.u)
@@ -161,8 +157,8 @@ def test_criterion_04_constant_state_relaxation(scenario_dir):
     ent_tol = 1e-8
     worst_ent_excess = -math.inf
     worst_a_excess = -math.inf
-    while state.t < cfg.t_end - 1e-9:
-        state = step(state, cfg.params, scheme, dt_cap=cfg.t_end - state.t)
+    while state.t < scheme.t_end - 1e-9:
+        state = step(state, cfg.params, scheme, dt_cap=scheme.t_end - state.t)
         ent_next = entropy(state.u)
         a_next, _ = ab_functionals(state.u, state.v)
         worst_ent_excess = max(worst_ent_excess, ent_next - ent - ent_tol * (1 + ent))
@@ -241,8 +237,7 @@ def test_criterion_07_flux_identity_refinement():
         x = g.nodes()
         u0 = 1.0 + 0.3 * np.exp(-(((x - 200.0) / 15.0) ** 2))
         v0 = 0.2 * np.exp(-(((x - 180.0) / 20.0) ** 2))
-        bc = DirichletBoundary(float(u0[0]), float(v0[0]), float(u0[-1]), float(v0[-1]))
-        cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=bc)
+        cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0)
         s0 = SimState(Field(g, u0), Field(g, v0), 0.0)
         return flux_identity_residual(s0, step(s0, P1, cfg), P1)
 
@@ -342,8 +337,7 @@ def test_criterion_10_v_mass_conservation():
 
     u0 = u0 + dipole(220.0, 5.0, 0.3)
     v0 = v0 + dipole(180.0, 5.0, 0.3)
-    bc = DirichletBoundary(float(u0[0]), float(v0[0]), float(u0[-1]), float(v0[-1]))
-    scheme = SchemeConfig(t_end=1e9, snapshot_interval=1.0, boundary=bc)
+    scheme = SchemeConfig(t_end=1e9, snapshot_interval=1.0)
     state = SimState(Field(g, u0), Field(g, v0), 0.0)
     worst = 0.0
     mass = integral(state.v)

@@ -29,7 +29,7 @@ from chemoshock.diagnostics import (
     smooth_probe_reference,
     write_series,
 )
-from chemoshock.solver import DirichletBoundary, SchemeConfig, step
+from chemoshock.solver import SchemeConfig, step
 from chemoshock.waves import TravelingWave
 
 P1 = ModelParams.from_chi(1.0, 1.0)
@@ -209,8 +209,7 @@ def test_flux_residual_shrinks_under_refinement():
         x = g.nodes()
         u0 = 1.0 + 0.3 * np.exp(-(((x - 200.0) / 15.0) ** 2))
         v0 = 0.2 * np.exp(-(((x - 180.0) / 20.0) ** 2))
-        bc = DirichletBoundary(float(u0[0]), float(v0[0]), float(u0[-1]), float(v0[-1]))
-        cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=bc)
+        cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0)
         s0 = SimState(Field(g, u0), Field(g, v0), 0.0)
         return flux_identity_residual(s0, step(s0, P1, cfg), P1)
 
@@ -533,9 +532,7 @@ def test_paired_entropy_functional_dissipates_while_bare_entropy_may_not():
     v0[j1 + 1 : j2] = 1.0
     v0[j1] = v0[j2] = 0.5
     state = SimState(Field(g, u0), Field(g, v0), 0.0)
-    bc = DirichletBoundary(1.0, 0.0, 1.0, 0.0)
-    cfg = SchemeConfig(t_end=20.0, snapshot_interval=20.0, boundary=bc,
-                       diffusion_theta=1.0)
+    cfg = SchemeConfig(t_end=20.0, snapshot_interval=20.0, diffusion_theta=1.0)
     ent = entropy(state.u)
     paired = ent + 0.5 * p.chi * lp_norm(state.v, 2) ** 2
     bare_rose = False
@@ -557,9 +554,7 @@ def test_entropy_monotone_without_initial_v():
     u0[301:400] = 2.0
     u0[300] = u0[400] = 1.5
     state = SimState(Field(g, u0), Field(g, np.zeros(g.n_nodes)), 0.0)
-    bc = DirichletBoundary(1.0, 0.0, 1.0, 0.0)
-    cfg = SchemeConfig(t_end=25.0, snapshot_interval=25.0, boundary=bc,
-                       diffusion_theta=1.0)
+    cfg = SchemeConfig(t_end=25.0, snapshot_interval=25.0, diffusion_theta=1.0)
     ent = entropy(state.u)
     while state.t < 25.0 - 1e-9:
         state = step(state, P1, cfg, dt_cap=25.0 - state.t)

@@ -89,12 +89,11 @@ def test_step_loads_scipy_from_a_cold_start():
         """
 import numpy as np
 from chemoshock.core import Field, GridSpec, ModelParams, SimState
-from chemoshock.solver import DirichletBoundary, SchemeConfig, step
+from chemoshock.solver import SchemeConfig, step
 grid = GridSpec(x_min=0.0, x_max=1.0, n_nodes=11)
 state = SimState(u=Field(grid, np.full(11, 2.0)), v=Field(grid, np.zeros(11)),
                  t=0.0, step_count=0)
-cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0,
-                   boundary=DirichletBoundary(2.0, 0.0, 2.0, 0.0))
+cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0)
 mark("before step")
 new = step(state, ModelParams.from_chi(D=1.0, chi=1.0), cfg)
 assert new.step_count == 1 and np.allclose(new.u.values, 2.0)
@@ -118,12 +117,11 @@ def test_solve_banded_forwards_to_scipy():
 _STEP = """
 import numpy as np
 from chemoshock.core import Field, GridSpec, ModelParams, SimState
-from chemoshock.solver import DirichletBoundary, SchemeConfig, step
+from chemoshock.solver import SchemeConfig, step
 grid = GridSpec(x_min=0.0, x_max=1.0, n_nodes=11)
 state = SimState(u=Field(grid, np.linspace(2.0, 1.0, 11)), v=Field(grid, np.zeros(11)),
                  t=0.0, step_count=0)
-cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0,
-                   boundary=DirichletBoundary(2.0, 0.0, 1.0, 0.0))
+cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0)
 params = ModelParams.from_chi(D=1.0, chi=1.0)
 """
 

@@ -21,6 +21,7 @@ from chemoshock.scenarios import (
     sweep,
     wire_reference,
 )
+from chemoshock.solver import SchemeConfig
 from chemoshock.waves import TravelingWave
 
 GRID = GridSpec(0.0, 400.0, 4001)
@@ -32,8 +33,7 @@ def scenario(kind, initial_params, **kwargs):
         name="test",
         grid=GRID,
         params=P1,
-        t_end=1.0,
-        snapshot_interval=1.0,
+        scheme=SchemeConfig(t_end=1.0, snapshot_interval=1.0),
         initial_kind=kind,
         initial_params=initial_params,
     )
@@ -46,8 +46,7 @@ def small_scenario(**kwargs):
         name="small",
         grid=GridSpec(0.0, 40.0, 201),
         params=P1,
-        t_end=2.0,
-        snapshot_interval=0.5,
+        scheme=SchemeConfig(t_end=2.0, snapshot_interval=0.5),
         initial_kind="piecewise_constant",
         initial_params=dict(jump_x=10.0, u_left=2.0, u_right=1.0, v_left=0.0, v_right=1.0),
         probe_center=10.0,
@@ -68,7 +67,7 @@ def test_piecewise_constant_jump_with_averaged_node():
         "piecewise_constant",
         dict(jump_x=50.0, u_left=2.0, u_right=1.0, v_left=vleft, v_right=2.0),
     )
-    state, bc = build_initial(cfg)
+    state = build_initial(cfg)
     x = GRID.nodes()
     j = 500  # x = 50
     assert np.all(state.u.values[:j] == 2.0)
@@ -77,7 +76,7 @@ def test_piecewise_constant_jump_with_averaged_node():
     assert np.all(state.v.values[:j] == vleft)
     assert state.v.values[j] == pytest.approx((vleft + 2.0) / 2.0)
     assert np.all(state.v.values[j + 1 :] == 2.0)
-    assert bc.u_left == 2.0 and bc.v_right == 2.0
+    assert state.u.values[0] == 2.0 and state.v.values[-1] == 2.0
     assert x[j] == pytest.approx(50.0)
 
 
@@ -88,7 +87,7 @@ def test_ramp_linear_interpolation_values():
         dict(ramp_start=20.0, ramp_end=40.0, u_left=2.0, u_right=1.0,
              v_left=vleft, v_right=2.0),
     )
-    state, _ = build_initial(cfg)
+    state = build_initial(cfg)
     x = GRID.nodes()
     mid = (x > 20.0) & (x < 40.0)
     assert np.abs(state.u.values[mid] - (-x[mid] / 20.0 + 3.0)).max() < 1e-12
@@ -100,10 +99,11 @@ def test_ramp_linear_interpolation_values():
 
 def test_constant_plus_jump_without_amplitude_is_ground_state():
     cfg = scenario("constant_plus_jump", dict())
-    state, bc = build_initial(cfg)
+    state = build_initial(cfg)
     assert np.all(state.u.values == 1.0)
     assert np.all(state.v.values == 0.0)
-    assert bc == type(bc)(1.0, 0.0, 1.0, 0.0)
+    ends = (state.u.values[0], state.v.values[0], state.u.values[-1], state.v.values[-1])
+    assert ends == (1.0, 0.0, 1.0, 0.0)
 
 
 def test_constant_plus_jump_blocks():
@@ -112,7 +112,7 @@ def test_constant_plus_jump_blocks():
         dict(u_block_center=150.0, u_block_width=20.0, u_amplitude=1.0,
              v_block_center=250.0, v_block_width=20.0, v_amplitude=-0.5),
     )
-    state, _ = build_initial(cfg)
+    state = build_initial(cfg)
     x = GRID.nodes()
     inside_u = (x > 140.0) & (x < 160.0)
     assert np.all(state.u.values[inside_u] == 2.0)
@@ -129,7 +129,7 @@ def test_exact_wave_plus_dipole_zero_mass():
              u_pert_kind="dipole", u_pert_amplitude=0.3,
              u_pert_center=120.0, u_pert_halfwidth=5.0),
     )
-    state, _ = build_initial(cfg)
+    state = build_initial(cfg)
     ref = wire_reference(state, P1)
     assert ref.wave is not None
     assert ref.x0 == pytest.approx(-100.0, abs=1e-6)
@@ -142,7 +142,7 @@ def test_wire_reference_on_equal_far_fields_is_constant_state():
         dict(u_base=1.0, v_base=0.5, u_amplitude=0.5, u_block_center=200.0,
              u_block_width=20.0),
     )
-    state, _ = build_initial(cfg)
+    state = build_initial(cfg)
     ref = wire_reference(state, P1)
     assert ref == ConstantReference(u_bar=1.0, v_bar=0.5)
     assert ref.wave is None
@@ -154,7 +154,7 @@ def test_wire_reference_on_a_shock_is_the_fitted_wave():
         "piecewise_constant",
         dict(jump_x=100.0, u_left=2.0, u_right=1.0, v_left=0.0, v_right=1.0),
     )
-    state, _ = build_initial(cfg)
+    state = build_initial(cfg)
     u, v = state.u.values, state.v.values
     ref = wire_reference(state, P1)
     wave = TravelingWave.from_end_values(u[0], u[-1], v[-1], P1)
@@ -169,7 +169,7 @@ def test_shipped_wave_scenario_satisfies_zero_integral_hypothesis(scenario_dir):
     from chemoshock.diagnostics import antiderivatives
 
     cfg = parse_scenario(scenario_dir / "thm22.cfg")
-    state, _ = build_initial(cfg)
+    state = build_initial(cfg)
     ref = wire_reference(state, cfg.params)
     pair = antiderivatives(state.u, state.v, ref.wave, ref.x0, 0.0)
     assert abs(pair.zero_mass_residual[0]) < 1e-8
@@ -218,11 +218,11 @@ def test_nonpositive_initial_density_rejected():
 
 def test_from_file_initial_data(tmp_path):
     src = small_scenario()
-    state, _ = build_initial(src)
+    state = build_initial(src)
     path = tmp_path / "restart.dat"
     write_snapshot(path, state)
     cfg = small_scenario(initial_kind="from_file", initial_params=dict(path=str(path)))
-    loaded, _ = build_initial(cfg)
+    loaded = build_initial(cfg)
     assert np.allclose(loaded.u.values, state.u.values, rtol=0, atol=1e-16)
     assert np.allclose(loaded.v.values, state.v.values, rtol=0, atol=1e-16)
 
@@ -237,7 +237,7 @@ def test_from_file_initial_data(tmp_path):
 
 def test_from_file_rejects_a_non_numeric_row(tmp_path):
     path = tmp_path / "restart.dat"
-    write_snapshot(path, build_initial(small_scenario())[0])
+    write_snapshot(path, build_initial(small_scenario()))
     lines = path.read_text().splitlines()
     lines[3] = "1.0 abc 0.5"
     path.write_text("\n".join(lines) + "\n")
@@ -248,8 +248,8 @@ def test_from_file_rejects_a_non_numeric_row(tmp_path):
 
 def test_mollified_initial_data_smooths_jump():
     cfg = small_scenario(mollify_delta=1.0)
-    state, _ = build_initial(cfg)
-    rough, _ = build_initial(small_scenario())
+    state = build_initial(cfg)
+    rough = build_initial(small_scenario())
     assert np.abs(np.diff(state.u.values)).max() < np.abs(np.diff(rough.u.values)).max()
 
 
@@ -277,7 +277,7 @@ def test_initial_params_are_typed_on_construction():
     assert wave.initial_params["zero_mass"] is True
     assert wave.initial_params["u_pert_kind"] == "dipole"
     # replace re-types the typed values as themselves
-    assert replace(wave, t_end=2.0).initial_params == wave.initial_params
+    assert replace(wave, name="other").initial_params == wave.initial_params
 
 
 def test_unknown_kind_rejected():
@@ -330,7 +330,7 @@ def test_parse_reads_values(scenario_dir):
     cfg = parse_scenario(scenario_dir / "thm22.cfg")
     assert cfg.name == "thm22"
     assert cfg.grid.n_nodes == 4001
-    assert cfg.t_end == 200.0
+    assert cfg.scheme.t_end == 200.0
     assert cfg.initial_kind == "exact_wave_plus_bump"
     assert cfg.declared_states is not None
     assert cfg.probe_center == 120.0
@@ -402,8 +402,7 @@ def wave_scenario(**kwargs):
         name="wave",
         grid=GridSpec(0.0, 60.0, 601),
         params=P1,
-        t_end=26.0,
-        snapshot_interval=13.0,
+        scheme=SchemeConfig(t_end=26.0, snapshot_interval=13.0),
         initial_kind="exact_wave_plus_bump",
         initial_params=dict(u_minus=2.0, u_plus=1.0, v_plus=1.0, front_x=30.0),
         probe_center=30.0,
@@ -417,7 +416,7 @@ def test_boundary_warning_when_the_front_nears_an_edge(tmp_path):
     assert records[-1].front_pos > 54.0  # within 10% of x = 60
     assert manifest["boundary_warning"] is True
     assert read_manifest(tmp_path / "long" / "manifest.txt")["boundary_warning"] == "true"
-    short = wave_scenario(t_end=2.0, snapshot_interval=2.0)
+    short = wave_scenario(scheme=SchemeConfig(t_end=2.0, snapshot_interval=2.0))
     manifest, _ = run_scenario(short, tmp_path / "short")
     assert manifest["boundary_warning"] is False
 
@@ -450,7 +449,7 @@ def test_shock_scenario_reports_eleven_snapshots(fig1_consistent_run):
 
 def test_inconsistent_declared_states_are_reported(tmp_path, scenario_dir):
     cfg = parse_scenario(scenario_dir / "fig1_paper.cfg")
-    cfg = replace(cfg, t_end=2.0, snapshot_interval=1.0)
+    cfg = replace(cfg, scheme=replace(cfg.scheme, t_end=2.0, snapshot_interval=1.0))
     manifest, _ = run_scenario(cfg, tmp_path / "out")
     assert manifest["declared_rh_r1"] == pytest.approx(3.0 - math.sqrt(3.0), rel=1e-12)
     assert manifest["declared_rh_r2"] == pytest.approx((3.0 - math.sqrt(3.0)) / 2.0, rel=1e-12)

@@ -24,7 +24,6 @@ from chemoshock import scenarios
 from chemoshock.cli import main
 from chemoshock.solver import (
     _TINY_SPEED,
-    DirichletBoundary,
     SchemeConfig,
     _advance,
     _explicit_rhs,
@@ -57,32 +56,21 @@ def wave_state(grid, wave, front):
     )
 
 
-def boundary_of(state):
-    return DirichletBoundary(
-        u_left=float(state.u.values[0]),
-        v_left=float(state.v.values[0]),
-        u_right=float(state.u.values[-1]),
-        v_right=float(state.v.values[-1]),
-    )
-
-
 def test_scheme_config_validation():
-    bc = DirichletBoundary(1, 0, 1, 0)
     with pytest.raises(ConfigError):
-        SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=bc, cfl=0.0)
+        SchemeConfig(t_end=1.0, snapshot_interval=1.0, cfl=0.0)
     with pytest.raises(ConfigError):
-        SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=bc, diffusion_theta=0.3)
+        SchemeConfig(t_end=1.0, snapshot_interval=1.0, diffusion_theta=0.3)
     with pytest.raises(ConfigError):
-        SchemeConfig(t_end=1.0, snapshot_interval=0.0, boundary=bc)
+        SchemeConfig(t_end=1.0, snapshot_interval=0.0)
 
 
 @pytest.mark.parametrize("t_end, snapshot_interval", [
     (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
 ])
 def test_scheme_config_rejects_non_finite_times(t_end, snapshot_interval):
-    bc = DirichletBoundary(1, 0, 1, 0)
     with pytest.raises(ConfigError, match="finite"):
-        SchemeConfig(t_end=t_end, snapshot_interval=snapshot_interval, boundary=bc)
+        SchemeConfig(t_end=t_end, snapshot_interval=snapshot_interval)
 
 
 def test_characteristic_speed_known_values():
@@ -95,7 +83,7 @@ def test_characteristic_speed_known_values():
 def test_constant_state_is_fixed_point():
     g = GridSpec(0.0, 100.0, 501)
     state = constant_state(g, 1.3, 0.4)
-    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=boundary_of(state))
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0)
     for _ in range(50):
         state = step(state, P1, cfg)
     assert np.abs(state.u.values - 1.3).max() < 1e-12
@@ -107,7 +95,7 @@ def test_grid_with_float_node_count_steps():
     g = GridSpec(0.0, 1.0, 11.0)
     assert type(g.n_nodes) is int
     state = constant_state(g, 1.0, 0.0)
-    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=boundary_of(state))
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0)
     out = step(state, P1, cfg)
     assert out.u.values.shape == (11,)
     assert np.all(out.u.values == 1.0)
@@ -116,7 +104,7 @@ def test_grid_with_float_node_count_steps():
 def test_step_advances_time_and_counts():
     g = GridSpec(0.0, 100.0, 501)
     state = constant_state(g, 1.0, 0.0)
-    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=boundary_of(state))
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0)
     out = step(state, P1, cfg)
     assert out.step_count == 1
     assert out.t == pytest.approx(cfg.cfl * g.dx / 1.0)
@@ -124,30 +112,11 @@ def test_step_advances_time_and_counts():
     assert capped.t == pytest.approx(1e-4)
 
 
-def test_step_requires_matching_boundary():
-    g = GridSpec(0.0, 100.0, 501)
-    state = constant_state(g, 1.0, 0.0)
-    bad = DirichletBoundary(1.5, 0.0, 1.0, 0.0)
-    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=bad)
-    with pytest.raises(ConfigError, match="does not match"):
-        step(state, P1, cfg)
-
-
-def test_run_requires_matching_boundary():
-    # _advance pins the end values, so run() checks the match once, up front
-    g = GridSpec(0.0, 100.0, 501)
-    state = constant_state(g, 1.0, 0.0)
-    bad = DirichletBoundary(1.0, 0.0, 1.0, 0.5)
-    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=bad)
-    with pytest.raises(ConfigError, match="does not match"):
-        run(state, P1, cfg)
-
-
 def test_wave_transport_tracks_exact_translation():
     g = GridSpec(0.0, 100.0, 1001)
     w = TravelingWave.from_end_values(2.0, 1.0, 1.0, P1)
     state = wave_state(g, w, 30.0)
-    cfg = SchemeConfig(t_end=5.0, snapshot_interval=5.0, boundary=boundary_of(state))
+    cfg = SchemeConfig(t_end=5.0, snapshot_interval=5.0)
     report = run(state, P1, cfg)
     final = report.final_state
     exact = w.u_profile(g.nodes() - 30.0 - w.s * final.t)
@@ -159,7 +128,7 @@ def test_per_step_v_mass_identity():
     g = GridSpec(0.0, 100.0, 1001)
     w = TravelingWave.from_end_values(2.0, 1.0, 1.0, P1)
     state = wave_state(g, w, 30.0)
-    cfg = SchemeConfig(t_end=5.0, snapshot_interval=5.0, boundary=boundary_of(state))
+    cfg = SchemeConfig(t_end=5.0, snapshot_interval=5.0)
     for _ in range(25):
         prev = state
         state = step(state, P1, cfg)
@@ -178,9 +147,7 @@ def test_positivity_violation_raises_flagged_error():
     u0[100] = 0.51
     v0 = np.tanh((x - 5.0) * 4.0)
     state = SimState(Field(g, u0), Field(g, v0), 0.0)
-    cfg = SchemeConfig(
-        t_end=5.0, snapshot_interval=5.0, boundary=boundary_of(state), cfl=0.9
-    )
+    cfg = SchemeConfig(t_end=5.0, snapshot_interval=5.0, cfl=0.9)
     with pytest.raises(PositivityError, match="node"):
         for _ in range(200):
             state = step(state, p, cfg)
@@ -189,7 +156,7 @@ def test_positivity_violation_raises_flagged_error():
 def test_zero_horizon_run_emits_single_snapshot():
     g = GridSpec(0.0, 100.0, 501)
     state = constant_state(g, 1.0, 0.0)
-    cfg = SchemeConfig(t_end=0.0, snapshot_interval=1.0, boundary=boundary_of(state))
+    cfg = SchemeConfig(t_end=0.0, snapshot_interval=1.0)
     seen = []
     run(state, P1, cfg, lambda i, s, prev: seen.append((i, s.t, prev)))
     assert seen == [(0, 0.0, None)]
@@ -198,7 +165,7 @@ def test_zero_horizon_run_emits_single_snapshot():
 def test_snapshot_schedule_and_prev_state():
     g = GridSpec(0.0, 100.0, 501)
     state = constant_state(g, 1.0, 0.0)
-    cfg = SchemeConfig(t_end=1.0, snapshot_interval=0.25, boundary=boundary_of(state))
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=0.25)
     seen = []
     report = run(state, P1, cfg, lambda i, s, prev: seen.append((i, s.t, prev is not None)))
     assert [t for _, t, _ in seen] == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -221,7 +188,7 @@ def test_mollified_outputs_stabilize_as_width_shrinks():
         u0 = mollify(Field(g, u_raw), spec).values
         v0 = mollify(Field(g, v_raw), spec).values
         state = SimState(Field(g, u0), Field(g, v0), 0.0)
-        cfg = SchemeConfig(t_end=10.0, snapshot_interval=10.0, boundary=boundary_of(state))
+        cfg = SchemeConfig(t_end=10.0, snapshot_interval=10.0)
         return run(state, P1, cfg).final_state.u
 
     def gap(delta):
@@ -240,7 +207,7 @@ def test_self_convergence_on_smooth_data():
         u0 = np.interp(x, [30.0, 50.0], [2.0, 1.0], left=2.0, right=1.0)
         v0 = np.interp(x, [30.0, 50.0], [0.0, 1.0], left=0.0, right=1.0)
         state = SimState(Field(g, u0), Field(g, v0), 0.0)
-        cfg = SchemeConfig(t_end=2.0, snapshot_interval=2.0, boundary=boundary_of(state))
+        cfg = SchemeConfig(t_end=2.0, snapshot_interval=2.0)
         return run(state, P1, cfg).final_state
 
     coarse, mid, fine = solve(501), solve(1001), solve(2001)
@@ -254,7 +221,7 @@ def test_run_matches_chain_of_public_steps():
     g = GridSpec(0.0, 100.0, 1001)
     w = TravelingWave.from_end_values(2.0, 1.0, 1.0, P1)
     state = wave_state(g, w, 30.0)
-    cfg = SchemeConfig(t_end=2.0, snapshot_interval=1.0, boundary=boundary_of(state))
+    cfg = SchemeConfig(t_end=2.0, snapshot_interval=1.0)
     seen = []
     report = run(state, P1, cfg, lambda i, s, prev: seen.append(s))
 
@@ -280,7 +247,7 @@ def test_snapshot_prev_is_the_state_one_step_earlier():
     g = GridSpec(0.0, 100.0, 1001)
     w = TravelingWave.from_end_values(2.0, 1.0, 1.0, P1)
     state = wave_state(g, w, 30.0)
-    cfg = SchemeConfig(t_end=1.0, snapshot_interval=0.5, boundary=boundary_of(state))
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=0.5)
     pairs = []
     run(state, P1, cfg, lambda i, s, prev: pairs.append((s, prev)))
     assert len(pairs) == 3 and pairs[0][1] is None
@@ -300,9 +267,7 @@ def test_run_positivity_violation_names_step_node_and_time():
     u0[100] = 0.51
     v0 = np.tanh((x - 5.0) * 4.0)
     state = SimState(Field(g, u0), Field(g, v0), 0.0)
-    cfg = SchemeConfig(
-        t_end=5.0, snapshot_interval=5.0, boundary=boundary_of(state), cfl=0.9
-    )
+    cfg = SchemeConfig(t_end=5.0, snapshot_interval=5.0, cfl=0.9)
     with pytest.raises(PositivityError, match=r"at node \d+ \(x=.*\) on step \d+, t="):
         run(state, p, cfg)
 
@@ -339,8 +304,7 @@ def test_advance_matches_dense_theta_system(n, theta):
     rng = np.random.default_rng(n)
     u = 1.0 + 0.5 * rng.random(n)
     v = 0.3 * rng.standard_normal(n)
-    bc = DirichletBoundary(u[0], v[0], u[-1], v[-1])
-    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=bc, diffusion_theta=theta)
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, diffusion_theta=theta)
     for D in (1e-3, 1.0, 50.0):  # a = theta*D*dt/dx**2 from ~1e-3 to ~1e3
         p = ModelParams.from_chi(D, 1.0)
         ws = _Workspace(n)
@@ -436,7 +400,7 @@ def test_advance_calls_each_stage_once_per_step(monkeypatch):
         monkeypatch.setattr(solver, name, counted)
     g = GridSpec(0.0, 100.0, 201)
     state = wave_state(g, TravelingWave.from_end_values(2.0, 1.0, 1.0, P1), 30.0)
-    cfg = SchemeConfig(t_end=2.0, snapshot_interval=1.0, boundary=boundary_of(state))
+    cfg = SchemeConfig(t_end=2.0, snapshot_interval=1.0)
     report = run(state, P1, cfg)
     assert report.step_count > 0
     assert calls == dict.fromkeys(calls, report.step_count)
@@ -466,7 +430,7 @@ def test_non_finite_step_names_its_first_bad_node(monkeypatch, stage, plant, nam
     monkeypatch.setattr(solver, stage, plant(getattr(solver, stage)))
     g = GridSpec(0.0, 10.0, 21)
     state = constant_state(g, 1.0, 0.0)
-    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=boundary_of(state))
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0)
     with pytest.raises(NumericalError, match=rf"non-finite {name} at node 7 after step 1 \(t=0,"):
         step(state, P1, cfg)
 
@@ -560,8 +524,7 @@ def test_a_non_finite_value_fails_alike_on_both_paths(stages, monkeypatch, where
     n = 41
     g = GridSpec(0.0, 10.0, n)
     u, v = random_state(n, 5)
-    bc = DirichletBoundary(u[0], v[0], u[-1], v[-1])
-    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, boundary=bc)
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0)
     name, when = where.split()
     if when == "in":
         (u if name == "u" else v)[17] = value
@@ -593,10 +556,7 @@ def _thm21_like(n_nodes):
     cp["grid"]["n_nodes"] = str(n_nodes)
     cp["scheme"].update(t_end="4", snapshot_interval="1")
     cfg = scenarios.scenario_from_config(cp, "thm21.cfg")
-    state, bc = scenarios.build_initial(cfg)
-    scheme = SchemeConfig(t_end=cfg.t_end, snapshot_interval=cfg.snapshot_interval, boundary=bc,
-                          cfl=cfg.cfl, diffusion_theta=cfg.diffusion_theta)
-    return state, cfg.params, scheme
+    return scenarios.build_initial(cfg), cfg.params, cfg.scheme
 
 
 def test_run_is_the_same_on_both_paths(stages, monkeypatch):
@@ -622,6 +582,25 @@ def test_run_is_the_same_on_both_paths(stages, monkeypatch):
             assert same_bits(prev.v.values, prev_ref.v.values)
 
 
+def test_the_ends_keep_the_initial_values_on_both_paths(stages, monkeypatch):
+    # no caller states the boundary: each step keeps its input's end values
+    g = GridSpec(0.0, 10.0, 201)
+    u0, v0 = np.linspace(2.0, 1.0, 201), np.linspace(0.3, 1.0, 201)
+    state = SimState(Field(g, u0), Field(g, v0), 0.0)
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=0.25)
+    for kernel in ("compiled", "numpy"):
+        if kernel == "numpy":
+            monkeypatch.setattr(solver, "_load_stages", lambda: None)
+        seen = []
+        report = run(state, P1, cfg, lambda i, s, prev: seen.append(s))
+        assert report.step_kernel == kernel and report.step_count > 10 and len(seen) == 5
+        for s in seen:
+            for got, data in ((s.u.values, state.u.values), (s.v.values, state.v.values)):
+                assert same_bits(got[[0, -1]], data[[0, -1]]), (kernel, s.t)
+        # the flux moves the nodes next to the ends, so pinning them matters
+        assert seen[-1].u.values[1] != state.u.values[1]
+
+
 def test_a_failed_build_falls_back_to_the_numpy_stages(stages, monkeypatch, tmp_path):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(SMALL_CFG)
@@ -642,6 +621,36 @@ def test_a_failed_build_falls_back_to_the_numpy_stages(stages, monkeypatch, tmp_
         return files
 
     assert outputs("compiled") == outputs("numpy")
+
+
+def test_a_build_deletes_the_stale_libraries(stages, monkeypatch, tmp_path):
+    cache = tmp_path / "fresh" / "chemoshock"
+    cache.mkdir(parents=True, mode=0o700)
+    stale = cache / "stages-0.so"
+    stale.write_bytes(b"")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "fresh"))
+    solver._load_stages.cache_clear()
+    assert solver._load_stages() is not None
+    assert not stale.exists()
+    assert len(list(cache.glob("stages-*.so"))) == 1
+
+
+def test_a_failed_build_is_tried_once(monkeypatch, tmp_path):
+    log = tmp_path / "cc.log"
+    fake_cc = tmp_path / "fake_cc.py"  # counts its calls, then fails like a broken compiler
+    fake_cc.write_text(f"import sys\nopen({str(log)!r}, 'a').write('call\\n')\n"
+                       "sys.exit('fake_cc: no such luck')\n")
+    monkeypatch.setenv("CC", f"{sys.executable} {fake_cc}")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    try:
+        for _ in range(2):
+            solver._load_stages.cache_clear()
+            assert solver._load_stages() is None
+    finally:
+        solver._load_stages.cache_clear()  # the next load reads the restored environment
+    assert log.read_text() == "call\n"
+    (marker,) = (tmp_path / "cache" / "chemoshock").glob("stages-*.failed")
+    assert b"fake_cc: no such luck" in marker.read_bytes()
 
 
 def test_validate_neither_builds_nor_loads_the_stages(tmp_path):

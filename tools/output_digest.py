@@ -9,7 +9,10 @@ Runs, with the `chemoshock` found on PYTHONPATH:
   * `sweep` of `thm22` over `u_pert_halfwidth=2,5,0`;
   * `run` of `thm22` restarted (`initial_kind = from_file`) from its own
     `snap_0001.dat`, to t_end = 2.  Its config is written to a temporary
-    directory, so the snapshot's absolute path is not digested.
+    directory, so the snapshot's absolute path is not digested;
+  * `validate` on every `scenarios/*.cfg`, its stdout kept as
+    `validate/<name>.txt`.  The other commands' stdout is dropped (`run`
+    prints its wall time).
 
 Each manifest's `wall_time_s` and `step_kernel` lines are deleted (they are
 facts about the machine, not the numerics), then one `sha256  relative/path`
@@ -56,8 +59,8 @@ def _restart_config(out: Path, config_dir: Path) -> Path:
 
 
 def _argvs(out: Path, config_dir: Path) -> list[list[str]]:
-    argvs = [["run", str(cfg), "--out", str(out / "run" / cfg.stem)]
-             for cfg in sorted(SCENARIO_DIR.glob("*.cfg"))]
+    configs = sorted(SCENARIO_DIR.glob("*.cfg"))
+    argvs = [["run", str(cfg), "--out", str(out / "run" / cfg.stem)] for cfg in configs]
     argvs.append(["run", str(SCENARIO_DIR / "thm22.cfg"), "--emit-c",
                   "--out", str(out / "emit_c" / "thm22")])
     for name, axis, values in (("thm21", "n_nodes", "1001,4001"),
@@ -66,6 +69,7 @@ def _argvs(out: Path, config_dir: Path) -> list[list[str]]:
                       "--values", values, "--out", str(out / "sweep" / name)])
     argvs.append(["run", str(_restart_config(out, config_dir)),
                   "--out", str(out / "restart" / "thm22")])
+    argvs += [["validate", str(cfg)] for cfg in configs]
     return argvs
 
 
@@ -85,11 +89,16 @@ def main(argv=None) -> int:
         parser.error(f"{args.out_dir} is not empty")
     with tempfile.TemporaryDirectory() as config_dir:
         for argv_run in _argvs(args.out_dir, Path(config_dir)):
-            with contextlib.redirect_stdout(io.StringIO()):  # `run` prints its wall time
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
                 code = cli.main(argv_run)
             if code != 0:
                 print(f"exit {code}: chemoshock {' '.join(argv_run)}", file=sys.stderr)
                 return code
+            if argv_run[0] == "validate":
+                kept = args.out_dir / "validate" / f"{Path(argv_run[1]).stem}.txt"
+                kept.parent.mkdir(parents=True, exist_ok=True)
+                kept.write_text(stdout.getvalue())
     for path in sorted(p for p in args.out_dir.rglob("*") if p.is_file()):
         print(f"{_digest(path)}  {path.relative_to(args.out_dir).as_posix()}")
     return 0

@@ -1,9 +1,11 @@
-/* The per-step loops of chemoshock's IMEX stepper: one per stage of
- * solver._advance, and one for its finite checks.  solver.py compiles this file into a shared library on
- * first use and calls it through ctypes; its numpy stages are the reference.
+/* The compiled loops of chemoshock: one per stage of solver._advance and
+ * one for its finite checks, and the snapshot printer of core.write_snapshot.
+ * _native.py compiles this file into a shared library on first use and loads
+ * it through ctypes; the numpy stages and the Python snapshot writer are the
+ * reference, and the fallback when it does not build.
  *
- * Each loop does the IEEE operations of its numpy stage, in the same order,
- * so the results are the same bytes.  That needs a build that fuses no
+ * Each stage loop does the IEEE operations of its numpy stage, in the same
+ * order, so the results are the same bytes.  That needs a build that fuses no
  * multiply-add and reassociates nothing: -ffp-contract=off, and no
  * -ffast-math.  -fno-math-errno only lets sqrt compile to one instruction.
  *
@@ -12,6 +14,9 @@
  */
 
 #include <math.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 /* 0.5 * max_i (a_i + sqrt(4*chi*max(u_i, 0) + a_i*a_i)) with a_i = chi*|v_i|,
  * nan when any term is nan: solver._speed_bound. */
@@ -102,3 +107,185 @@ double finite_min(const double *x, long n)
     m2 = m3 < m2 ? m3 : m2;
     return m2 < m0 ? m2 : m0;
 }
+
+/* The snapshot printer: each value exactly as Python's '%.17g' % value
+ * writes it, that is correctly rounded to 17 significant digits, ties to even,
+ * and laid out as %g does.  It needs 128-bit integers; without them
+ * printer_available() is 0 and core.write_snapshot keeps its Python writer.
+ *
+ * For a finite x = m*2^e and k = floor(log10|x|), the digits are
+ * D = round(|x|*10^s) with s = 16 - k.  pow10[s - POW10_MIN] holds 10^s as
+ * P*2^q, P the 128-bit truncation, so the exact product Y = m*P (192 bits)
+ * puts |x|*10^s in [Y, Y + m)*2^(e+q).  When that interval leaves no doubt
+ * about the rounding, D is final; when it holds the halfway point, or Y is
+ * the halfway point itself (an exact tie), the C library's snprintf prints x
+ * instead.  An estimate of k that leaves D outside [10^16, 10^17) is moved by
+ * one and tried again (Gay 1990; Adams, "Ryu revisited", 2019). */
+
+#define POW10_MIN (-292) /* 16 - 308: _native._POW10_MIN */
+#define POW10_MAX 340    /* 16 + 324: _native._POW10_MAX */
+
+struct pow10 {
+    uint64_t hi, lo; /* P = hi*2^64 + lo, 2^127 <= P < 2^128 */
+    int64_t q;
+};
+
+#ifdef __SIZEOF_INT128__
+
+typedef unsigned __int128 u128;
+
+int printer_available(void) { return 1; }
+
+/* The 8 decimal digits of x < 10^8, leading zeros kept, at p. */
+static void put8(char *p, uint32_t x)
+{
+    static const char pairs[] = "00010203040506070809101112131415161718192021222324"
+                                "25262728293031323334353637383940414243444546474849"
+                                "50515253545556575859606162636465666768697071727374"
+                                "75767778798081828384858687888990919293949596979899";
+    for (int i = 6; i >= 0; i -= 2) {
+        memcpy(p + i, pairs + 2 * (x % 100), 2);
+        x /= 100;
+    }
+}
+
+/* Lays out the 17 digits of D, with decimal exponent k, as %.17g does:
+ * fixed for -4 <= k < 17, else d.ddde+XX; trailing zeros and a bare point
+ * dropped.  Returns the end of the text. */
+static char *layout_g17(char *p, uint64_t D, int k)
+{
+    char dig[17];
+    const uint64_t top = D / 100000000; /* nine digits, then eight */
+    put8(dig + 9, (uint32_t)(D - top * 100000000));
+    put8(dig + 1, (uint32_t)(top % 100000000));
+    dig[0] = (char)('0' + top / 100000000);
+    int nd = 17; /* digits up to the last nonzero one */
+    while (nd > 1 && dig[nd - 1] == '0')
+        nd--;
+    if (k >= 0 && k < 17) {
+        const int whole = k + 1;
+        memcpy(p, dig, whole);
+        p += whole;
+        if (nd > whole) {
+            *p++ = '.';
+            memcpy(p, dig + whole, nd - whole);
+            p += nd - whole;
+        }
+        return p;
+    }
+    if (k < 0 && k >= -4) {
+        *p++ = '0';
+        *p++ = '.';
+        for (int i = -1; i > k; i--)
+            *p++ = '0';
+        memcpy(p, dig, nd);
+        return p + nd;
+    }
+    *p++ = dig[0];
+    if (nd > 1) {
+        *p++ = '.';
+        memcpy(p, dig + 1, nd - 1);
+        p += nd - 1;
+    }
+    *p++ = 'e';
+    *p++ = k < 0 ? '-' : '+';
+    const int a = k < 0 ? -k : k;
+    if (a >= 100)
+        *p++ = (char)('0' + a / 100);
+    *p++ = (char)('0' + a / 10 % 10);
+    *p++ = (char)('0' + a % 10);
+    return p;
+}
+
+/* Writes x as '%.17g' % x into out, which holds 26 bytes (the text takes at
+ * most 24, and snprintf adds a NUL), and returns the length of the text,
+ * negated when snprintf wrote it. */
+static int g17(double x, const struct pow10 *pow10, char *out)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const int be = (int)(bits >> 52 & 0x7ff);
+    uint64_t m = bits & ((UINT64_C(1) << 52) - 1);
+    char *p = out;
+    if (be == 0x7ff) { /* Python writes nan for a nan of either sign */
+        const char *name = m != 0 ? "nan" : bits >> 63 ? "-inf" : "inf";
+        const size_t len = strlen(name);
+        memcpy(out, name, len);
+        return (int)len;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (be == 0 && m == 0) {
+        *p++ = '0';
+        return (int)(p - out);
+    }
+    int e = -1074; /* x = m*2^e */
+    if (be != 0) {
+        m |= UINT64_C(1) << 52;
+        e = be - 1075;
+    }
+    const int b = e + 63 - __builtin_clzll(m); /* 2^b <= |x| < 2^(b+1) */
+    int k = (int)floor(b * 0.30102999566398120); /* k or k - 1 */
+    for (int tries = 0; tries < 3; tries++) {
+        const int s = 16 - k;
+        if (s < POW10_MIN || s > POW10_MAX)
+            break;
+        const struct pow10 *t = &pow10[s - POW10_MIN];
+        const u128 lo = (u128)m * t->lo;
+        const u128 hi = (u128)m * t->hi + (uint64_t)(lo >> 64); /* Y = hi*2^64 + y0 */
+        const uint64_t y0 = (uint64_t)lo;
+        const int shift = -(e + (int)t->q) - 64; /* bits of hi below the units */
+        if (shift < 1 || shift > 100)
+            break;
+        /* the fraction is fh*2^64 + y0 out of 2^(shift + 64); half is half*2^64 */
+        const u128 half = (u128)1 << (shift - 1);
+        const u128 fh = hi & ((half << 1) - 1);
+        uint64_t D = (uint64_t)(hi >> shift);
+        const int at_most_half = fh < half || (fh == half && y0 == 0);
+        const uint64_t gl = y0 + m; /* the fraction plus m */
+        const u128 gh = fh + (gl < y0);
+        const int over_half = gh > half || (gh == half && gl != 0);
+        if (at_most_half && over_half)
+            break; /* a tie, or too close to one to tell */
+        D += !at_most_half;
+        if (D >= UINT64_C(100000000000000000)) {
+            k++;
+        } else if (D < UINT64_C(10000000000000000)) {
+            k--;
+        } else {
+            return (int)(layout_g17(p, D, k) - out);
+        }
+    }
+    return -snprintf(out, 26, "%.17g", x);
+}
+
+/* g17, exported for the tests. */
+int format_value(double x, const struct pow10 *pow10, char *out)
+{
+    return g17(x, pow10, out);
+}
+
+/* The rows 'x u v [c]' of a snapshot, each value as g17 writes it,
+ * into out, which holds at least 26 bytes per value; c is NULL for three
+ * columns.  Returns the bytes written. */
+long format_rows(const double *x, const double *u, const double *v, const double *c, long n,
+                 const struct pow10 *pow10, char *out)
+{
+    char *p = out;
+    const double *cols[4] = {x, u, v, c};
+    const int ncols = c ? 4 : 3;
+    for (long i = 0; i < n; i++) {
+        for (int j = 0; j < ncols; j++) {
+            const int len = g17(cols[j][i], pow10, p);
+            p += len < 0 ? -len : len;
+            *p++ = j + 1 < ncols ? ' ' : '\n';
+        }
+    }
+    return (long)(p - out);
+}
+
+#else
+
+int printer_available(void) { return 0; }
+
+#endif

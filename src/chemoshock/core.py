@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
+
 
 class ConfigError(ValueError):
     """Invalid grid/scheme/scenario configuration."""
@@ -196,6 +198,10 @@ class SimState:
 _FLOAT_FMT = "%.17g"
 # Rows formatted by one '%' operation; bounds the temporary tuple and string.
 _SNAPSHOT_BLOCK_ROWS = 1024
+# Buffer bytes per value for the compiled printer: at most 24 for the text
+# ('-1.2345678901234567e-308'), one for the space or newline after it, and
+# one for the NUL of the C library's snprintf.
+_SNAPSHOT_VALUE_BYTES = 26
 
 
 @functools.lru_cache(maxsize=8)
@@ -206,7 +212,31 @@ def _node_column(grid: GridSpec) -> tuple[str, ...]:
 
 def write_snapshot(path, state: SimState, c: Field | None = None) -> None:
     """Plain-text snapshot: header '# t=<time>', then one 'x u v [c]' row per
-    node at 17 significant digits.
+    node, each value as '%.17g' % value writes it (17 significant digits).
+
+    When the compiled library loads (`_native.snapshot_printer`), its exact
+    printer formats every row into one buffer, straight from the columns,
+    and the file is written in binary mode.  Otherwise `_write_snapshot_blocks`
+    formats the rows in Python; both give the same bytes."""
+    printer = _native.snapshot_printer()
+    if printer is None:
+        _write_snapshot_blocks(path, state, c)
+        return
+    format_rows, table = printer
+    n = state.u.grid.n_nodes
+    cols = [state.u.grid.nodes(), state.u.values, state.v.values]
+    if c is not None:
+        cols.append(c.values)
+    ptrs = [_native._address(col, n) for col in cols] + [None] * (4 - len(cols))
+    buf = np.empty(_SNAPSHOT_VALUE_BYTES * len(cols) * n, dtype=np.uint8)
+    size = format_rows(*ptrs, n, table, buf.__array_interface__["data"][0])
+    with open(path, "wb") as fh:
+        fh.write(("# t=" + (_FLOAT_FMT % state.t) + "\n").encode())
+        fh.write(buf[:size])
+
+
+def _write_snapshot_blocks(path, state: SimState, c: Field | None = None) -> None:
+    """`write_snapshot` in Python, the reference for the compiled printer.
 
     Rows are formatted in blocks of _SNAPSHOT_BLOCK_ROWS by one row template
     repeated per block, which is byte-identical to applying '%.17g' to each
@@ -227,8 +257,11 @@ def write_snapshot(path, state: SimState, c: Field | None = None) -> None:
 
 def read_snapshot(path) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Inverse of write_snapshot; returns (t, x, u, v), ignoring extra columns."""
-    with open(path) as fh:
-        header = fh.readline().strip()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            header = fh.readline().strip()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
         if not header.startswith("# t="):
             raise ConfigError(f"{path}: missing '# t=' snapshot header")
         try:

@@ -176,7 +176,9 @@ def read_config(path) -> configparser.ConfigParser:
     # no interpolation: each value is the text its own key holds
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        cp.read(path)
+        cp.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return cp

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import chemoshock.solver as solver
 from chemoshock.diagnostics import read_series
 from chemoshock.scenarios import parse_scenario, run_scenario
 
@@ -13,6 +14,24 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 @pytest.fixture(scope="session")
 def scenario_dir() -> Path:
     return SCENARIO_DIR
+
+
+@pytest.fixture(scope="session")
+def stages_cache(tmp_path_factory) -> Path:
+    """An XDG cache root of this session, where the first `stages` builds."""
+    return tmp_path_factory.mktemp("xdg_cache")
+
+
+@pytest.fixture
+def stages(monkeypatch, stages_cache):
+    """The compiled library, built into the session's cache.  Skips when no
+    compiler works here (the numpy stages then run everywhere)."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(stages_cache))
+    load = solver._load_stages  # a test may replace it
+    load.cache_clear()
+    lib = load()
+    yield lib if lib is not None else pytest.skip("the compiled stages do not build here")
+    load.cache_clear()  # the next load reads the restored environment
 
 
 def _run(name: str, tmp_root: Path):

@@ -588,3 +588,18 @@ def test_missing_from_file_snapshot_is_config_error(tmp_path, capsys):
     text = FROM_FILE_CFG.format(path=tmp_path / "nowhere.dat")
     _assert_rejected_before_writing(tmp_path, text)
     assert "bad value for [initial]:path: no snapshot file" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "utf16.cfg"
+    path.write_bytes(b"\xff\xfe" + SMALL_CFG.encode())
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_from_file_snapshot_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    snap = tmp_path / "restart.dat"
+    snap.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)))
+    _assert_rejected_before_writing(tmp_path, FROM_FILE_CFG.format(path=snap))
+    assert f"{snap}: not UTF-8 text" in capsys.readouterr().err
+

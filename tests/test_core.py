@@ -1,8 +1,10 @@
+import ctypes
 import math
 
 import numpy as np
 import pytest
 
+from chemoshock import _native
 from chemoshock.core import (
     AsymptoticStates,
     ConfigError,
@@ -256,3 +258,100 @@ def test_snapshot_roundtrip_with_c_column(tmp_path):
     assert np.array_equal(u, state.u.values)
     assert np.array_equal(v, state.v.values)
     assert np.array_equal(np.loadtxt(path)[:, 3], c.values)
+
+
+# ---------------------------------------------------------------------------
+# the compiled snapshot printer: parity with '%.17g', and the Python fallback
+# ---------------------------------------------------------------------------
+
+
+def _printed(values):
+    """`values` as three columns of rows by the compiled printer, and as
+    '%.17g' % value writes each of them."""
+    format_rows, table = _native.snapshot_printer()
+    cols = np.ascontiguousarray(np.reshape(values, (3, -1)))
+    n = cols.shape[1]
+    buf = np.empty(26 * 3 * n, dtype=np.uint8)
+    size = format_rows(*(col.ctypes.data for col in cols), None, n, table, buf.ctypes.data)
+    want = "".join("%.17g %.17g %.17g\n" % row for row in zip(*cols.tolist()))
+    return bytes(buf[:size]).decode(), want
+
+
+def _neighbours(values):
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):  # past DBL_MAX is inf
+        values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+    return values[np.isfinite(values)]
+
+
+def test_printer_matches_percent_17g_on_random_bit_patterns(stages):
+    bits = np.random.default_rng(2208).integers(0, 2**64, 201_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)][:200_001]
+    got, want = _printed(values)
+    assert got == want
+
+
+def test_printer_matches_percent_17g_on_edge_values(stages):
+    powers = [2.0**e for e in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)]
+    switches = [1e-5, 1e-4, 1e16, 1e17]  # both sides of %g's fixed/exponent switches
+    extremes = [0.0, 5e-324, np.finfo(float).tiny, np.finfo(float).max, 0.5, 1.5, 2.5]
+    values = _neighbours(powers + switches + extremes)
+    values = np.concatenate([values, -values])  # -0.0 among them
+    got, want = _printed(values[: values.size // 3 * 3])
+    assert got == want
+    assert "-0 " in got or "-0\n" in got
+
+
+def _exact_ties(rng):
+    """Doubles x = m*2**-j, m odd, with x*10**(j-1) = m*5**(j-1)/2 a
+    17-digit integer plus one half: '%.17g' rounds each one half to even."""
+    ties = []
+    for j in range(2, 26):
+        lo, hi = -(-2 * 10**16 // 5 ** (j - 1)), min(2 * 10**17 // 5 ** (j - 1), 2**53)
+        ties += [(m | 1) * 2.0**-j for m in rng.integers(lo, hi - 1, 40).tolist()]
+    return ties
+
+
+def test_printer_hands_exact_ties_to_snprintf(stages):
+    _, table = _native.snapshot_printer()
+    buf = ctypes.create_string_buffer(32)
+    ties = _exact_ties(np.random.default_rng(2209))
+    assert len(ties) > 500
+    for x in ties + [-x for x in ties]:
+        size = stages.format_value(x, table, buf)
+        assert size < 0 and buf.raw[:-size].decode() == "%.17g" % x, x
+    for x in (0.1, 1.0 / 3.0, -2.5e-300):  # no tie: the fast path
+        size = stages.format_value(x, table, buf)
+        assert size > 0 and buf.raw[:size].decode() == "%.17g" % x
+
+
+def test_printer_writes_non_finite_values_as_python_does(stages):
+    _, table = _native.snapshot_printer()
+    buf = ctypes.create_string_buffer(32)
+    for x in (math.inf, -math.inf, math.nan, -math.nan):
+        size = stages.format_value(x, table, buf)
+        assert buf.raw[:abs(size)].decode() == "%.17g" % x
+
+
+@pytest.mark.parametrize("n_nodes", [8, 1024, 2085])  # 8: the smallest grid
+@pytest.mark.parametrize("with_c", [False, True])
+def test_snapshot_bytes_are_the_same_on_both_writers(stages, monkeypatch, tmp_path,
+                                                     n_nodes, with_c):
+    rng = np.random.default_rng(n_nodes)
+    g = GridSpec(-3.0, 17.0, n_nodes)
+    u = 1.0 + rng.random(n_nodes)
+    v = rng.standard_normal(n_nodes) * 10.0 ** rng.integers(-20, 20, n_nodes)
+    u[:3], v[-3:] = (-0.0, 1e-300, 1e17), (0.0, -5e-324, 1e-5)
+    state = SimState(Field(g, u), Field(g, v), t=2.0 / 3.0)
+    c = Field(g, np.exp(rng.standard_normal(n_nodes))) if with_c else None
+
+    assert _native.snapshot_printer() is not None
+    write_snapshot(tmp_path / "compiled.dat", state, c=c)
+    monkeypatch.setattr(_native, "_load_stages", lambda: None)
+    assert _native.snapshot_printer() is None
+    write_snapshot(tmp_path / "python.dat", state, c=c)
+    _write_snapshot_per_value(tmp_path / "ref.dat", state, c=c)
+    data = (tmp_path / "compiled.dat").read_bytes()
+    assert data == (tmp_path / "python.dat").read_bytes() == (tmp_path / "ref.dat").read_bytes()
+    assert data.count(b"\n") == n_nodes + 1

@@ -440,18 +440,6 @@ def test_non_finite_step_names_its_first_bad_node(monkeypatch, stage, plant, nam
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def stages(monkeypatch, tmp_path):
-    """The compiled stages, built into a cache under tmp_path.  Skips when no
-    compiler works here (the numpy stages then run everywhere)."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    load = solver._load_stages  # a test may replace it
-    load.cache_clear()
-    lib = load()
-    yield lib if lib is not None else pytest.skip("the compiled stages do not build here")
-    load.cache_clear()  # the next load reads the restored environment
-
-
 def numpy_workspace(n):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(solver, "_load_stages", lambda: None)

@@ -14,6 +14,12 @@ Runs, with the `chemoshock` found on PYTHONPATH:
     `validate/<name>.txt`.  The other commands' stdout is dropped (`run`
     prints its wall time).
 
+Then it runs `run --emit-c` on `thm22` once more, in a subprocess with
+CC=false and an empty XDG_CACHE_HOME, so that the library cannot build and
+the numpy stages and the Python snapshot writer run.  Its files are not
+digested; the script exits 1 when they differ from the first `--emit-c`
+run's, or when its manifest does not say `step_kernel = numpy`.
+
 Each manifest's `wall_time_s` and `step_kernel` lines are deleted (they are
 facts about the machine, not the numerics), then one `sha256  relative/path`
 line is printed per output file, sorted by path.  A refactor that must keep
@@ -23,7 +29,7 @@ every output byte passes when this output is the same before and after it:
     PYTHONPATH=<new>/src python tools/output_digest.py new_out > new.txt
     diff old.txt new.txt
 
-The runs take ~12 s on one core of a 2-core x86-64 box.
+The runs take ~15 s on one core of a 2-core x86-64 box.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ import configparser
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -73,6 +81,26 @@ def _argvs(out: Path, config_dir: Path) -> list[list[str]]:
     return argvs
 
 
+def _fallback_mismatch(out: Path, scratch: Path) -> str | None:
+    """Run thm22 --emit-c where the library cannot build, and say how its
+    files differ from the compiled run's in `out`, or None when they match."""
+    fallback = scratch / "fallback"
+    src = Path(cli.__file__).resolve().parent.parent  # the chemoshock run above
+    env = dict(os.environ, CC="false", XDG_CACHE_HOME=str(scratch / "empty_cache"),
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-m", "chemoshock.cli", "run",
+                    str(SCENARIO_DIR / "thm22.cfg"), "--emit-c", "--out", str(fallback)],
+                   env=env, check=True, stdout=subprocess.DEVNULL, timeout=600)
+    if b"step_kernel = numpy" not in (fallback / "manifest.txt").read_bytes():
+        return "the CC=false run did not take the numpy stages"
+    compiled = out / "emit_c" / "thm22"
+    names = sorted(p.name for p in compiled.iterdir())
+    if names != sorted(p.name for p in fallback.iterdir()):
+        return "the CC=false run wrote other files"
+    differ = [name for name in names if _digest(compiled / name) != _digest(fallback / name)]
+    return f"the CC=false run differs in {', '.join(differ)}" if differ else None
+
+
 def _digest(path: Path) -> str:
     data = path.read_bytes()
     if path.name == "manifest.txt":
@@ -99,6 +127,10 @@ def main(argv=None) -> int:
                 kept = args.out_dir / "validate" / f"{Path(argv_run[1]).stem}.txt"
                 kept.parent.mkdir(parents=True, exist_ok=True)
                 kept.write_text(stdout.getvalue())
+        mismatch = _fallback_mismatch(args.out_dir, Path(config_dir))
+    if mismatch:
+        print(f"fallback: {mismatch}", file=sys.stderr)
+        return 1
     for path in sorted(p for p in args.out_dir.rglob("*") if p.is_file()):
         print(f"{_digest(path)}  {path.relative_to(args.out_dir).as_posix()}")
     return 0

@@ -112,7 +112,7 @@ def _load_stages():
     functions = [
         ("speed_bound", real, (ptr, ptr, n, real)),
         ("explicit_rhs", None, (ptr, ptr, n, real, real, ptr)),
-        ("implicit_solve", None, (ptr, n, real, real, real, ptr, ptr)),
+        ("implicit_solve", None, (ptr, n, real, real, real, ptr, ptr, n, real)),
         ("update_v", None, (ptr, ptr, n, real, real, real, ptr)),
         ("finite_min", real, (ptr, n)),
         ("printer_available", ctypes.c_int, ()),

@@ -5,9 +5,11 @@
  * reference, and the fallback when it does not build.
  *
  * Each stage loop does the IEEE operations of its numpy stage, in the same
- * order, so the results are the same bytes.  That needs a build that fuses no
- * multiply-add and reassociates nothing: -ffp-contract=off, and no
- * -ffast-math.  -fno-math-errno only lets sqrt compile to one instruction.
+ * order, so the results are the same bytes; only the speed bound meets its
+ * terms in another order, which gives the same max (see there).  That needs
+ * a build that fuses no multiply-add and reassociates nothing:
+ * -ffp-contract=off, and no -ffast-math.  -fno-math-errno only lets sqrt
+ * compile to one instruction.
  *
  * Arrays are contiguous doubles; n is the node count (n >= 4) and m = n - 2
  * the interior count.
@@ -18,20 +20,62 @@
 #include <stdio.h>
 #include <string.h>
 
-/* 0.5 * max_i (a_i + sqrt(4*chi*max(u_i, 0) + a_i*a_i)) with a_i = chi*|v_i|,
- * nan when any term is nan: solver._speed_bound. */
-double speed_bound(const double *u, const double *v, long n, double chi)
+/* One node's term of the speed bound: a + sqrt(4*chi*max(u, 0) + a*a), a = chi*|v|. */
+static inline double speed_term(double u, double v, double chi, double c4)
+{
+    const double a = chi * fabs(v);
+    const double p = u < 0.0 ? 0.0 : u; /* keeps a nan, as np.maximum does */
+    return sqrt(p * c4 + a * a) + a;
+}
+
+/* speed_bound in one lane, in node order: the reference for any input. */
+static double speed_bound_ref(const double *u, const double *v, long n, double chi)
 {
     const double c4 = 4.0 * chi;
     double m = 0.0; /* every term is >= 0 or nan */
     for (long i = 0; i < n; i++) {
-        const double a = chi * fabs(v[i]);
-        const double p = u[i] < 0.0 ? 0.0 : u[i]; /* keeps a nan, as np.maximum does */
-        const double r = sqrt(p * c4 + a * a) + a;
+        const double r = speed_term(u[i], v[i], chi, c4);
         if (r > m || r != r) /* once m is nan it stays nan */
             m = r;
     }
     return 0.5 * m;
+}
+
+/* 0.5 * max_i (a_i + sqrt(4*chi*max(u_i, 0) + a_i*a_i)) with a_i = chi*|v_i|,
+ * nan when any term is nan: solver._speed_bound.
+ *
+ * Four lanes, each with its own running max m[j] and a sum s[j] of r*0.0,
+ * which is +0 for a finite term and nan for an inf or nan one.  -O2
+ * vectorizes the loop over the lanes into two-wide sqrtpd (it if-converts
+ * the u < 0 select, which four written-out lanes would keep as branches).
+ * Every finite term is >= +0 for chi >= 0, and a term that ties with m never
+ * replaces it, so the max of finite terms is the same bits whichever lane
+ * meets each term, in whatever order.  A nan is not: the one-lane loop
+ * returns the first one it meets, sign and payload.  So when a sum is not 0
+ * the one-lane loop, kept as the reference, decides.  An inf term sends it
+ * there too, since r*0.0 cannot tell inf from nan; a term is inf only on
+ * overflow or non-finite data, so that path is rare. */
+double speed_bound(const double *u, const double *v, long n, double chi)
+{
+    const double c4 = 4.0 * chi;
+    double m[4] = {0.0, 0.0, 0.0, 0.0}, s[4] = {0.0, 0.0, 0.0, 0.0};
+    long i = 0;
+    for (; i + 4 <= n; i += 4) {
+        for (int j = 0; j < 4; j++) {
+            const double r = speed_term(u[i + j], v[i + j], chi, c4);
+            s[j] += r * 0.0;
+            m[j] = r > m[j] ? r : m[j];
+        }
+    }
+    for (; i < n; i++) {
+        const double r = speed_term(u[i], v[i], chi, c4);
+        s[0] += r * 0.0;
+        m[0] = r > m[0] ? r : m[0];
+    }
+    if ((s[0] + s[1]) + (s[2] + s[3]) != 0.0)
+        return speed_bound_ref(u, v, n, chi);
+    const double m01 = m[1] > m[0] ? m[1] : m[0], m23 = m[3] > m[2] ? m[3] : m[2];
+    return 0.5 * (m23 > m01 ? m23 : m01);
 }
 
 /* out_i = (u_(i+1)*v_(i+1) - u_(i-1)*v_(i-1))*flux_w + u_i
@@ -55,14 +99,33 @@ void explicit_rhs(const double *u, const double *v, long n, double flux_w, doubl
 /* Fold the pinned end values into the m >= 2 right-hand sides b, then solve
  * L*D*L^T x = b in place with the pivots d and the subdiagonal e of the unit
  * factor L, as LAPACK's dptts2 does for one right-hand side:
- * solver._implicit_solve. */
-void implicit_solve(double *b, long m, double a, double left, double right, const double *d,
-                    const double *e)
+ * solver._implicit_solve.
+ *
+ * When a has changed, k >= 0: d[:k] holds the head pivots, and every pivot
+ * from k on is d_plus.  The factor is then completed here: e_i = -a/d_i on
+ * the head, and d_i = d_plus, e_i = -a/d_plus from k on.  The tail is stored
+ * inside the forward sweep, whose chain of dependent multiply-subtracts
+ * leaves the store port idle, so the refill costs no separate pass. */
+void implicit_solve(double *b, long m, double a, double left, double right, double *d,
+                    double *e, long k, double d_plus)
 {
+    const long fill = k < 0 ? m : k; /* d and e are stored from index fill on */
+    const double e_plus = k < 0 ? 0.0 : -a / d_plus;
+    for (long i = 0; i < k && i < m - 1; i++)
+        e[i] = -a / d[i];
     b[0] += a * left;
     b[m - 1] += a * right;
-    for (long i = 1; i < m; i++)
-        b[i] = b[i] - b[i - 1] * e[i - 1];
+    double x = b[0]; /* b[i - 1], kept out of memory that the fill may alias */
+    for (long i = 1; i < m; i++) {
+        if (i - 1 >= fill) {
+            d[i - 1] = d_plus;
+            e[i - 1] = e_plus;
+        }
+        x = b[i] - x * e[i - 1];
+        b[i] = x;
+    }
+    if (fill < m)
+        d[m - 1] = d_plus;
     b[m - 1] = b[m - 1] / d[m - 1];
     for (long i = m - 2; i >= 0; i--)
         b[i] = b[i] / d[i] - b[i + 1] * e[i];

@@ -37,15 +37,22 @@ public `step()` wraps the same kernel for a single `SimState`.
 
 Compiled stages.  Each stage, and the finite-min check, has a loop in
 `_stages.c` that does the numpy stage's IEEE operations in the same order, so
-both paths give the same bytes; the solve is dpttrs's own two sweeps.  The
-numpy stages stay as the reference the tests compare with, and as the path
-taken when no compiler or cache is usable.  The first `_Workspace` built on
-a machine compiles the source with $CC (default cc) into a private per-user
-cache, ${XDG_CACHE_HOME:-~/.cache}/chemoshock (`_native._load_stages`, which
-this module imports as `_load_stages`); later processes load the cached
-library through ctypes.  `_advance` hands its
-workspace to each stage, which runs the compiled loop when the workspace
-holds the library, and `RunReport.step_kernel` records which path ran.
+both paths give the same bytes; the solve is dpttrs's own two sweeps.  When
+a changes, Python computes only the head of the pivots (`_ldl_head`: the
+entries that differ from their limit d_plus, ~100 of them), and the compiled
+solve fills the factor from that head: the subdiagonal of L, and the rest of
+the pivots, which it stores inside its forward sweep.  The compiled speed
+bound runs four lanes that `-O2` vectorizes; the max of its finite terms does
+not depend on their order, and an inf or nan term hands it to a one-lane
+loop.  The numpy stages stay as the reference the tests compare with, and
+as the path taken when no compiler or cache is usable.  The first
+`_Workspace` built on a machine compiles the source with $CC (default cc)
+into a private per-user cache, ${XDG_CACHE_HOME:-~/.cache}/chemoshock
+(`_native._load_stages`, which this module imports as `_load_stages`);
+later processes load the cached library through ctypes.  `_advance` hands
+its workspace to each stage, which runs the compiled loop when the
+workspace holds the library, and `RunReport.step_kernel` records which path
+ran.
 
 Building a workspace is what loads LAPACK and the compiled stages, so they
 load on the first step of a `run()` or `step()`; importing this module, and
@@ -126,7 +133,15 @@ def characteristic_speed_bound(state: SimState, params: ModelParams) -> float:
 
 def _ldl_pivots(a: float, d: np.ndarray) -> tuple[int, float]:
     """Fill d with the pivots D of tridiag(-a, 1+2a, -a) = L D L^T, size d.size,
-    and return (k, d_plus): every pivot from index k on equals d_plus.
+    and return (k, d_plus): every pivot from index k on equals d_plus."""
+    k, d_plus = _ldl_head(a, d)
+    d[k:] = d_plus
+    return k, d_plus
+
+
+def _ldl_head(a: float, d: np.ndarray) -> tuple[int, float]:
+    """Fill d[:k] with the first k pivots of `_ldl_pivots(a, d)` and return
+    (k, d_plus), leaving d[k:], whose pivots all equal d_plus, as it is.
 
     With d_plus = (1+2a+sqrt(1+4a))/2 and q = (a/d_plus)**2 the i-th pivot
     (1-based) is d_plus*(1-q**(i+1))/(1-q**i), evaluated through expm1 so that
@@ -135,7 +150,6 @@ def _ldl_pivots(a: float, d: np.ndarray) -> tuple[int, float]:
     where a/d_plus rounds to 1.
     """
     if a == 0.0:  # dt*D/dx**2 underflowed: the system is the identity
-        d.fill(1.0)
         return 0, 1.0
     s = math.sqrt(1.0 + 4.0 * a)
     d_plus = 0.5 * (1.0 + 2.0 * a + s)
@@ -144,7 +158,6 @@ def _ldl_pivots(a: float, d: np.ndarray) -> tuple[int, float]:
     t = np.expm1(log_q * np.arange(1.0, k + 2.0))
     np.divide(t[1:], t[:-1], out=d[:k])
     d[:k] *= d_plus
-    d[k:] = d_plus
     return k, d_plus
 
 
@@ -265,20 +278,23 @@ def _implicit_solve(rhs: np.ndarray, a: float, left: float, right: float, ws: _W
     nodes, the pinned end values left and right moved to the rhs; return LAPACK's info.
 
     The factor in ws.d and ws.e is refilled only when a differs from the last
-    a, bit for bit.  ws's compiled stage, when it has one, folds and solves as
-    dpttrs does (info is then 0, as dpttrs returns for any valid sizes)."""
-    if a != ws.a:
+    a, bit for bit.  ws's compiled stage, when it has one, fills the factor
+    from the pivot head that `_ldl_head` computes here, and folds and solves
+    as dpttrs does (info is then 0, as dpttrs returns for any valid sizes)."""
+    refill = a != ws.a
+    ws.a = a
+    if ws.lib is not None:
+        k, d_plus = _ldl_head(a, ws.d) if refill else (-1, 0.0)
+        m = ws.n - 2
+        ws.lib.implicit_solve(ws.ptr(rhs, m, write=True), m, a, left, right,
+                              ws.ptr(ws.d, m), ws.ptr(ws.e, m - 1), k, d_plus)
+        return 0
+    if refill:
         k, d_plus = _ldl_pivots(a, ws.d)
         # e_i = -a/d_i; from index k on every d_i is d_plus, so one value fills e
         head = ws.e[:k]
         np.divide(-a, ws.d[: head.size], out=head)
         ws.e[k:] = -a / d_plus
-        ws.a = a
-    if ws.lib is not None:
-        m = ws.n - 2
-        ws.lib.implicit_solve(ws.ptr(rhs, m, write=True), m, a, left, right,
-                              ws.ptr(ws.d, m), ws.ptr(ws.e, m - 1))
-        return 0
     rhs[0] += a * left
     rhs[-1] += a * right
     _, info = ws.dpttrs(ws.d, ws.e, rhs, overwrite_b=True)

@@ -1,14 +1,39 @@
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
+import tempfile
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# PYTHONPATH, when it provides one, picks the chemoshock under test; else this checkout's
+if not os.environ.get("PYTHONPATH") or importlib.util.find_spec("chemoshock") is None:
+    sys.path.insert(0, str(ROOT / "src"))
 
 import pytest
 
+import chemoshock
 import chemoshock.solver as solver
 from chemoshock.diagnostics import read_series
 from chemoshock.scenarios import parse_scenario, run_scenario
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SCENARIO_DIR = ROOT / "scenarios"
+
+
+def pytest_configure(config):
+    """Point XDG_CACHE_HOME at a directory of this session, before any test
+    loads the compiled library, so that no test (nor a subprocess it starts)
+    builds into or deletes from the user's cache."""
+    cache = tempfile.TemporaryDirectory(prefix="chemoshock-xdg-")
+    env = pytest.MonkeyPatch()
+    env.setenv("XDG_CACHE_HOME", cache.name)
+    config.add_cleanup(cache.cleanup)
+    config.add_cleanup(env.undo)  # cleanups run last in, first out
+
+
+def pytest_report_header(config):
+    return f"chemoshock: {Path(chemoshock.__file__).parent}"
 
 
 @pytest.fixture(scope="session")
@@ -16,19 +41,12 @@ def scenario_dir() -> Path:
     return SCENARIO_DIR
 
 
-@pytest.fixture(scope="session")
-def stages_cache(tmp_path_factory) -> Path:
-    """An XDG cache root of this session, where the first `stages` builds."""
-    return tmp_path_factory.mktemp("xdg_cache")
-
-
 @pytest.fixture
-def stages(monkeypatch, stages_cache):
+def stages():
     """The compiled library, built into the session's cache.  Skips when no
     compiler works here (the numpy stages then run everywhere)."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(stages_cache))
     load = solver._load_stages  # a test may replace it
-    load.cache_clear()
+    load.cache_clear()  # an earlier test may have loaded it from another cache
     lib = load()
     yield lib if lib is not None else pytest.skip("the compiled stages do not build here")
     load.cache_clear()  # the next load reads the restored environment

@@ -502,6 +502,48 @@ def test_pivots_are_reused_only_for_the_same_a(stages, n):
         assert same_bits(x, y), a
 
 
+def test_compiled_speed_bound_matches_numpy_in_every_lane(stages):
+    # the compiled bound runs four lanes and hands inf and nan to its one-lane
+    # loop; n from 4 to 13 puts a planted value in every lane and every tail
+    def same(got, want):
+        return same_bits(got, want) or (math.isnan(got) and math.isnan(want))
+
+    for n in range(4, 14):
+        rng = np.random.default_rng(n)
+        u0 = rng.standard_normal(n) + 0.5  # some nodes below the positivity floor
+        u0[n // 2] = -0.0
+        v0 = rng.standard_normal(n)
+        zeros = np.zeros(n)
+        for chi in (0.3, 1.7):
+            cases = [(u0, v0), (zeros, zeros)]
+            for value in (np.nan, -np.nan, np.inf, -np.inf):
+                for i in range(n):
+                    for planted_in_u in (True, False):
+                        u, v = u0.copy(), v0.copy()
+                        (u if planted_in_u else v)[i] = value
+                        cases.append((u, v))
+            for u, v in cases:
+                got = stages.speed_bound(u.ctypes.data, v.ctypes.data, n, chi)
+                with np.errstate(invalid="ignore"):
+                    want = solver._speed_bound(u, v, chi)
+                assert same(got, want), (n, chi, u, v, got, want)
+
+
+def test_a_shrinking_pivot_head_leaves_no_stale_entry(stages):
+    # k falls from ~104 (a = 30) to ~19 (a = 0.83) to 0 (a = 0): every pivot
+    # and factor entry the last a wrote past the new head must be refilled
+    n = 4001
+    ws = _Workspace(n)
+    assert ws.lib is stages
+    rhs = 1.0 + np.random.default_rng(7).random(n - 2)
+    for a in (30.0, 0.83, 0.0, 30.0):
+        ref = numpy_workspace(n)
+        x, y = rhs.copy(), rhs.copy()
+        assert _implicit_solve(x, a, 1.0, 2.0, ws) == _implicit_solve(y, a, 1.0, 2.0, ref) == 0
+        assert same_bits(ws.d, ref.d) and same_bits(ws.e, ref.e), a
+        assert same_bits(x, y), a
+
+
 @pytest.mark.parametrize("where, value", [
     (where, value) for where in ("u out", "v out") for value in (np.nan, np.inf, -np.inf)
 ] + [

@@ -14,6 +14,9 @@ Runs, with the `chemoshock` found on PYTHONPATH:
     `validate/<name>.txt`.  The other commands' stdout is dropped (`run`
     prints its wall time).
 
+These runs build the compiled library into an XDG_CACHE_HOME of their own,
+in a temporary directory, so the user's cache is left as it is.
+
 Then it runs `run --emit-c` on `thm22` once more, in a subprocess with
 CC=false and an empty XDG_CACHE_HOME, so that the library cannot build and
 the numpy stages and the Python snapshot writer run.  Its files are not
@@ -116,6 +119,9 @@ def main(argv=None) -> int:
     if args.out_dir.exists() and any(args.out_dir.iterdir()):
         parser.error(f"{args.out_dir} is not empty")
     with tempfile.TemporaryDirectory() as config_dir:
+        # the runs build and load the library in a cache of their own: a build
+        # deletes every other library in its cache, the user's included
+        os.environ["XDG_CACHE_HOME"] = str(Path(config_dir) / "cache")
         for argv_run in _argvs(args.out_dir, Path(config_dir)):
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):

@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .core import ConfigError, NumericalError
@@ -122,6 +123,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if argv is None:
+            # the process entry point: the interpreter exits next, and frozen
+            # objects are left out of its final garbage collections
+            gc.freeze()
 
 
 if __name__ == "__main__":

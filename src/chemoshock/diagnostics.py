@@ -321,8 +321,10 @@ class DiagnosticsRecord:
     front_pos: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(getattr(self, name)) for name in SERIES_COLUMNS):
-            raise ValueError("diagnostics record contains non-finite entries")
+        for name in SERIES_COLUMNS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"diagnostics record contains non-finite entries "
+                                 f"(first: {name} = {getattr(self, name)})")
 
 
 def assemble_record(

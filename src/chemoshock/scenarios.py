@@ -10,12 +10,15 @@ import copy
 import csv
 import difflib
 import math
+import threading
+import time
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from . import diagnostics as diag
 from .cole_hopf import from_v
 from .core import (
@@ -32,7 +35,7 @@ from .core import (
     write_snapshot,
 )
 from .mollifier import MollifierSpec, mollify
-from .solver import RunReport, SchemeConfig, run
+from .solver import RunReport, SchemeConfig, _speed_bound, run
 from .waves import TravelingWave, rh_residual, wave_speed
 
 _LR_KEYS = ("u_left", "u_right", "v_left", "v_right")
@@ -396,6 +399,13 @@ def build_initial(cfg: ScenarioConfig) -> SimState:
         raise ConfigError(
             f"initial density must be positive everywhere; node {bad} has {u0[bad]}"
         )
+    with np.errstate(over="ignore"):
+        bound = _speed_bound(u0, v0, cfg.params.chi)
+    if not math.isfinite(bound):
+        raise ConfigError(
+            f"bad value for [initial]: the data's characteristic speed bound overflows "
+            f"(max u = {u0.max():g}, max |v| = {np.abs(v0).max():g}), so no time step fits"
+        )
 
     return SimState(u=Field(grid, u0), v=Field(grid, v0), t=0.0)
 
@@ -441,10 +451,14 @@ def _fmt(val) -> str:
     return str(val)
 
 
+# Manifest keys of measured times.  They are written with fixed decimals, so
+# the file's size does not follow the measured time.
+_TIMING_KEYS = ("snapshot_write_s", "snapshot_wait_s", "wall_time_s")
+
+
 def manifest_line(key: str, val) -> str:
     """The manifest's `key = value` line, without its newline."""
-    # fixed decimals, so the file's size does not follow the measured time
-    text = "%.6f" % val if key == "wall_time_s" else _fmt(val)
+    text = "%.6f" % val if key in _TIMING_KEYS else _fmt(val)
     return f"{key} = {text}"
 
 
@@ -473,12 +487,81 @@ def _front_speed(records) -> float | None:
     return float(np.polyfit(t, pos, 1)[0])
 
 
+class _SnapshotWriter:
+    """Writes a run's snapshot files one at a time, and appends each file's
+    record to `records` once the file is on disk.
+
+    With the compiled printer, whose `ctypes` call and file write release the
+    GIL, each file is written on a thread of its own while the caller steps
+    on; `submit` and `close` first wait for the write in flight, and re-raise
+    its error.  Without it the Python block writer would hold the GIL, so
+    files are written inline.  The module's `write_snapshot` is looked up at
+    each call.  `write_s` is the time spent writing and `wait_s` the time the
+    caller was blocked on the writer (all of `write_s` when inline)."""
+
+    def __init__(self, records: list) -> None:
+        self.records = records
+        self.background = _native.snapshot_printer() is not None
+        self.write_s = 0.0
+        self.wait_s = 0.0
+        self._thread: threading.Thread | None = None
+        self._record = None  # the record of the file in flight
+        self._error: BaseException | None = None
+
+    def _write(self, path, state: SimState, c: Field | None) -> float:
+        """Write one file, keep its error, and return the time it took."""
+        start = time.perf_counter()
+        try:
+            write_snapshot(path, state, c=c)
+        except BaseException as exc:  # re-raised on the caller's thread
+            self._error = exc
+        elapsed = time.perf_counter() - start
+        self.write_s += elapsed
+        return elapsed
+
+    def submit(self, path, state: SimState, c: Field | None, record) -> None:
+        """Write `state` (and c) to `path`, then append `record`."""
+        self.close()
+        self._record = record
+        if self.background:
+            self._thread = threading.Thread(target=self._write, args=(path, state, c),
+                                            name="chemoshock-snapshot-writer")
+            self._thread.start()
+            return
+        self.wait_s += self._write(path, state, c)
+        self.close()
+
+    def close(self, reraise: bool = True) -> None:
+        """Wait for the write in flight, if any, and append its record, or
+        raise its error (dropped when not `reraise`)."""
+        if self._thread is not None:
+            start = time.perf_counter()
+            self._thread.join()
+            self.wait_s += time.perf_counter() - start
+            self._thread = None
+        record, self._record = self._record, None
+        error, self._error = self._error, None
+        if error is None:
+            if record is not None:
+                self.records.append(record)
+        elif reraise:
+            raise error
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[dict, list]:
     """Run one scenario and write snap_<i>.dat, series.csv, and manifest.txt
     into out_dir.  Returns (manifest, records): the manifest as a dict and
-    the per-snapshot records, one per series.csv row.  When the run fails,
-    series.csv still gets one row per snapshot written before the failure,
-    and the error propagates."""
+    the per-snapshot records, one per series.csv row.
+
+    Each snapshot's record is computed first; then its file is handed to a
+    `_SnapshotWriter`, which writes it on a background thread while the run
+    steps to the next snapshot when the compiled printer is loaded, and
+    inline otherwise.  A record joins series.csv only once its file is on
+    disk.  A write error surfaces at the next snapshot or at the end of the
+    run, and stops it.  When the run fails, series.csv still gets one row
+    per snapshot file on disk, and the error propagates: the run's own
+    error when it raised, else the write's.  A non-finite record is a
+    `NumericalError` naming the snapshot."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -500,24 +583,29 @@ def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[di
         )
 
     records: list[diag.DiagnosticsRecord] = []
+    writer = _SnapshotWriter(records)
 
     def on_snapshot(index: int, state: SimState, prev: SimState | None) -> None:
+        try:
+            record = diag.assemble_record(
+                state, prev, cfg.params, reference, probe_center, probe_halfwidth
+            )
+        except ValueError as exc:  # a run's states are valid, so only a non-finite entry
+            raise NumericalError(f"snapshot {index} (t={state.t:.6g}): {exc}") from exc
         c = None
         if emit_c:
             c = from_v(state.v, cfg.params.mu, c_ref=1.0, x_ref_index=0)
-        write_snapshot(out / f"snap_{index:04d}.dat", state, c=c)
-        records.append(
-            diag.assemble_record(
-                state, prev, cfg.params, reference, probe_center, probe_halfwidth
-            )
-        )
+        writer.submit(out / f"snap_{index:04d}.dat", state, c, record)
 
     try:
         report = run(state0, cfg.params, cfg.scheme, on_snapshot)
+        writer.close()
     finally:
+        writer.close(reraise=False)  # the run's error, when it raised, wins
         diag.write_series(records, out / "series.csv")
 
-    manifest = _build_manifest(cfg, state0, reference, records, report, probe_center)
+    manifest = _build_manifest(cfg, state0, reference, records, report, probe_center,
+                               writer)
     write_manifest(manifest, out / "manifest.txt")
     return manifest, records
 
@@ -585,6 +673,7 @@ def _build_manifest(
     records,
     report: RunReport,
     probe_center: float,
+    writer: _SnapshotWriter,
 ) -> dict:
     """The manifest, in file order.  `records` holds at least snapshot 0."""
     grid = cfg.grid
@@ -648,6 +737,8 @@ def _build_manifest(
         "snapshot_count": report.snapshot_count,
         "boundary_warning": near_edge,
         "step_kernel": report.step_kernel,
+        "snapshot_write_s": writer.write_s,
+        "snapshot_wait_s": writer.wait_s,
         "wall_time_s": report.wall_time_s,
     }
 

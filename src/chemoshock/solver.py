@@ -353,6 +353,10 @@ def _advance(
     theta = cfg.diffusion_theta
 
     dt = _time_step(u, v, params.chi, cfg.cfl, dx, dt_cap, ws)
+    if not t + dt > t:  # the speed bound overflowed, or dt is below t's last digit
+        raise NumericalError(
+            f"time step {dt:.3e} does not advance t={t:.6g} on step {step_no}"
+        )
     u_new = _explicit_rhs(
         u, v, dt * params.chi / (2.0 * dx), dt * (1.0 - theta) * params.D / (dx * dx), ws.w, ws
     )

@@ -1,5 +1,8 @@
 import csv
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -603,3 +606,33 @@ def test_from_file_snapshot_that_is_not_utf8_is_config_error(tmp_path, capsys):
     _assert_rejected_before_writing(tmp_path, FROM_FILE_CFG.format(path=snap))
     assert f"{snap}: not UTF-8 text" in capsys.readouterr().err
 
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_huge_finite_v_ends_in_a_documented_exit_code(tmp_path, capsys):
+    text = (SCENARIO_DIR / "thm21.cfg").read_text()
+    text = re.sub(r"(?m)^t_end = .*$", "t_end = 1", text)
+    for amplitude, validate_code, run_code in (("1e160", EXIT_CONFIG, EXIT_CONFIG),
+                                               ("1e100", EXIT_OK, EXIT_NUMERICAL)):
+        cfg = tmp_path / f"thm21_{amplitude}.cfg"
+        cfg.write_text(re.sub(r"(?m)^v_amplitude = .*$", f"v_amplitude = {amplitude}", text))
+        assert main(["validate", str(cfg)]) == validate_code
+        capsys.readouterr()
+        assert main(["run", str(cfg), "--out", str(tmp_path / amplitude)]) == run_code
+        err = capsys.readouterr().err
+        if run_code == EXIT_CONFIG:
+            assert "[initial]" in err and "speed bound overflows" in err
+        else:  # |v|**4 overflows in l4_v at snapshot 0
+            assert "numerical failure: snapshot 0 (t=0)" in err and "l4_v = inf" in err
+
+
+def test_the_cli_process_prints_its_summary_through_a_pipe(tmp_path):
+    # main() freezes the collector's objects when it is the process entry point
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "chemoshock.cli", "run", str(write_cfg(tmp_path)),
+         "--out", str(tmp_path / "out")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.startswith(f"wrote {tmp_path / 'out'}/manifest.txt (3 snapshots, ")

@@ -2,12 +2,15 @@ import csv
 import importlib.util
 import math
 import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from chemoshock import scenarios
+from chemoshock import _native, scenarios
+from chemoshock.cole_hopf import from_v
 from chemoshock.core import ConfigError, GridSpec, ModelParams, NumericalError, write_snapshot
 from chemoshock.diagnostics import ConstantReference, front_position, read_series, shift_x0
 from chemoshock.scenarios import (
@@ -21,7 +24,7 @@ from chemoshock.scenarios import (
     sweep,
     wire_reference,
 )
-from chemoshock.solver import SchemeConfig
+from chemoshock.solver import SchemeConfig, run
 from chemoshock.waves import TravelingWave
 
 GRID = GridSpec(0.0, 400.0, 4001)
@@ -377,6 +380,130 @@ def test_series_survives_a_failed_snapshot_write(tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "manifest.txt").exists()
 
 
+@pytest.fixture
+def printer(stages):
+    """The compiled snapshot printer, with which run_scenario writes its
+    snapshot files on a background thread."""
+    if _native.snapshot_printer() is None:
+        pytest.skip("the compiled snapshot printer is not built here")
+
+
+def test_snapshot_files_are_written_off_the_main_thread_one_at_a_time(printer, tmp_path,
+                                                                      monkeypatch):
+    real = scenarios.write_snapshot
+    lock = threading.Lock()
+    in_flight, seen = [0], []
+
+    def watched(path, state, c=None):
+        with lock:
+            in_flight[0] += 1
+            seen.append((threading.current_thread() is threading.main_thread(), in_flight[0]))
+        time.sleep(0.005)  # room for a second write to start, were one allowed to
+        real(path, state, c=c)
+        with lock:
+            in_flight[0] -= 1
+
+    start = threading.active_count()
+    monkeypatch.setattr(scenarios, "write_snapshot", watched)
+    manifest, records = run_scenario(small_scenario(), tmp_path / "out")
+    assert seen == [(False, 1)] * 5
+    assert threading.active_count() == start
+    assert len(records) == len(read_series(tmp_path / "out" / "series.csv")["t"]) == 5
+    assert manifest["snapshot_write_s"] >= 5 * 0.005
+
+
+def test_background_snapshot_files_match_inline_write_snapshot(printer, tmp_path):
+    cfg = small_scenario()
+    run_scenario(cfg, tmp_path / "out", emit_c=True)
+
+    def inline(index, state, prev):
+        c = from_v(state.v, cfg.params.mu, c_ref=1.0, x_ref_index=0)
+        write_snapshot(tmp_path / f"inline_{index:04d}.dat", state, c=c)
+
+    run(build_initial(cfg), cfg.params, cfg.scheme, inline)
+    files = sorted((tmp_path / "out").glob("snap_*.dat"))
+    assert [path.name for path in files] == [f"snap_{i:04d}.dat" for i in range(5)]
+    for i, path in enumerate(files):
+        assert path.read_bytes() == (tmp_path / f"inline_{i:04d}.dat").read_bytes()
+
+
+@pytest.mark.parametrize("fails, on_disk", [
+    ("snap_0004.dat", 4),  # the last write: its error is found when the run ends
+    ("snap_0002.dat", 2),  # found when snapshot 3 is handed over, so it is not written
+])
+def test_a_failed_background_write_leaves_one_series_row_per_file(printer, tmp_path,
+                                                                  monkeypatch, fails, on_disk):
+    real = scenarios.write_snapshot
+
+    def flaky(path, state, c=None):
+        if path.name == fails:
+            raise OSError("disk full")
+        real(path, state, c=c)
+
+    start = threading.active_count()
+    monkeypatch.setattr(scenarios, "write_snapshot", flaky)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="disk full"):
+        run_scenario(small_scenario(), out)
+    assert len(list(out.glob("snap_*.dat"))) == on_disk
+    assert len(read_series(out / "series.csv")["t"]) == on_disk
+    assert not (out / "manifest.txt").exists()
+    assert threading.active_count() == start
+
+
+def test_the_run_error_wins_over_a_failed_background_write(printer, tmp_path, monkeypatch):
+    def fails(path, state, c=None):
+        raise OSError("disk full")
+
+    def breaks(state0, params, scheme, on_snapshot):
+        on_snapshot(0, state0, None)  # its write fails on the writer's thread
+        raise NumericalError("u left the positive cone")
+
+    start = threading.active_count()
+    monkeypatch.setattr(scenarios, "write_snapshot", fails)
+    monkeypatch.setattr(scenarios, "run", breaks)
+    with pytest.raises(NumericalError, match="positive cone"):
+        run_scenario(small_scenario(), tmp_path / "out")
+    assert len(read_series(tmp_path / "out" / "series.csv")["t"]) == 0
+    assert threading.active_count() == start
+
+
+def test_without_the_compiled_printer_snapshots_are_written_inline(tmp_path, monkeypatch):
+    monkeypatch.setattr(_native, "_load_stages", lambda: None)  # as when CC=false
+    real = scenarios.write_snapshot
+    threads = []
+
+    def watched(path, state, c=None):
+        threads.append(threading.current_thread())
+        real(path, state, c=c)
+
+    start = threading.active_count()
+    monkeypatch.setattr(scenarios, "write_snapshot", watched)
+    manifest, _ = run_scenario(small_scenario(), tmp_path / "out")
+    assert threads == [threading.main_thread()] * 5
+    assert threading.active_count() == start
+    # the caller waits out every inline write
+    assert manifest["snapshot_wait_s"] == manifest["snapshot_write_s"] > 0
+
+
+def test_manifest_times_the_snapshot_writer(tmp_path):
+    manifest, _ = run_scenario(small_scenario(), tmp_path / "out")
+    timed = ["snapshot_write_s", "snapshot_wait_s", "wall_time_s"]
+    assert list(manifest)[-3:] == timed
+    on_disk = read_manifest(tmp_path / "out" / "manifest.txt")
+    for key in timed:
+        assert on_disk[key] == "%.6f" % manifest[key]
+    assert manifest["snapshot_write_s"] > 0 and manifest["snapshot_wait_s"] >= 0
+
+
+def test_build_initial_rejects_data_whose_speed_bound_overflows():
+    # chi*|v| squared overflows past ~1e154: the CFL step would be 0
+    cfg = small_scenario(initial_params=dict(jump_x=10.0, u_left=2.0, u_right=1.0,
+                                             v_left=0.0, v_right=1e160))
+    with pytest.raises(ConfigError, match=r"\[initial\].*speed bound overflows"):
+        build_initial(cfg)
+
+
 def test_run_scenario_is_deterministic(tmp_path):
     cfg = small_scenario()
     run_scenario(cfg, tmp_path / "a")
@@ -586,7 +713,8 @@ def test_sweep_bare_and_dotted_key_give_the_same_variants(tmp_path, scenario_dir
         for name in names:
             texts = [
                 [line for line in (d / name).read_text().splitlines()
-                 if not line.startswith(("scenario_name =", "wall_time_s ="))]
+                 if not line.startswith(("scenario_name =", "snapshot_write_s =",
+                                         "snapshot_wait_s =", "wall_time_s ="))]
                 for d in (bare, dotted)
             ]
             assert texts[0] == texts[1], name

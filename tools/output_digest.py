@@ -10,6 +10,9 @@ Runs, with the `chemoshock` found on PYTHONPATH:
   * `run` of `thm22` restarted (`initial_kind = from_file`) from its own
     `snap_0001.dat`, to t_end = 2.  Its config is written to a temporary
     directory, so the snapshot's absolute path is not digested;
+  * the command of each `perfbench` workload on its seed-0 config, written
+    by `perfbench/workloads.py` (loaded read-only) to the temporary
+    directory, into `perfbench/<workload>`;
   * `validate` on every `scenarios/*.cfg`, its stdout kept as
     `validate/<name>.txt`.  The other commands' stdout is dropped (`run`
     prints its wall time).
@@ -23,8 +26,9 @@ the numpy stages and the Python snapshot writer run.  Its files are not
 digested; the script exits 1 when they differ from the first `--emit-c`
 run's, or when its manifest does not say `step_kernel = numpy`.
 
-Each manifest's `wall_time_s` and `step_kernel` lines are deleted (they are
-facts about the machine, not the numerics), then one `sha256  relative/path`
+Each manifest's `snapshot_write_s`, `snapshot_wait_s`, `wall_time_s` and
+`step_kernel` lines are deleted (they are facts about the machine, not the
+numerics), then one `sha256  relative/path`
 line is printed per output file, sorted by path.  A refactor that must keep
 every output byte passes when this output is the same before and after it:
 
@@ -32,7 +36,7 @@ every output byte passes when this output is the same before and after it:
     PYTHONPATH=<new>/src python tools/output_digest.py new_out > new.txt
     diff old.txt new.txt
 
-The runs take ~15 s on one core of a 2-core x86-64 box.
+The runs take ~17 s on one core of a 2-core x86-64 box.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import argparse
 import configparser
 import contextlib
 import hashlib
+import importlib.util
 import io
 import os
 import subprocess
@@ -50,9 +55,11 @@ from pathlib import Path
 
 from chemoshock import cli
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-# manifest lines that depend on the machine: the run's time and which step stages ran
-_MACHINE_KEYS = (b"wall_time_s =", b"step_kernel =")
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
+# manifest lines that depend on the machine: the run's times and which step stages ran
+_MACHINE_KEYS = (b"snapshot_write_s =", b"snapshot_wait_s =", b"wall_time_s =",
+                 b"step_kernel =")
 
 
 def _restart_config(out: Path, config_dir: Path) -> Path:
@@ -69,6 +76,24 @@ def _restart_config(out: Path, config_dir: Path) -> Path:
     return path
 
 
+def _benchmark_argvs(out: Path, config_dir: Path) -> list[list[str]]:
+    """The command of every perfbench workload on its seed-0 config."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look it up
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)  # leaves nothing next to perfbench/workloads.py
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    argvs = []
+    for name, w in module.WORKLOADS.items():
+        fields = {"cfg": module.write_config(name, 0, config_dir), "out": out / "perfbench" / name}
+        argvs.append([arg.format(**fields) for arg in w.argv])
+    return argvs
+
+
 def _argvs(out: Path, config_dir: Path) -> list[list[str]]:
     configs = sorted(SCENARIO_DIR.glob("*.cfg"))
     argvs = [["run", str(cfg), "--out", str(out / "run" / cfg.stem)] for cfg in configs]
@@ -80,6 +105,7 @@ def _argvs(out: Path, config_dir: Path) -> list[list[str]]:
                       "--values", values, "--out", str(out / "sweep" / name)])
     argvs.append(["run", str(_restart_config(out, config_dir)),
                   "--out", str(out / "restart" / "thm22")])
+    argvs += _benchmark_argvs(out, config_dir)
     argvs += [["validate", str(cfg)] for cfg in configs]
     return argvs
 

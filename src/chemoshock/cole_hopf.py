@@ -57,4 +57,6 @@ def from_v(v: Field, mu: float, c_ref: float, x_ref_index: int) -> Field:
     if not (-n <= x_ref_index < n):
         raise ValueError(f"x_ref_index {x_ref_index} outside grid of {n} nodes")
     anti = cumulative_integral(v).values
-    return Field(v.grid, c_ref * np.exp(-mu * (anti - anti[x_ref_index])))
+    with np.errstate(over="ignore"):  # an overflow fails the Field check, naming its node
+        c = c_ref * np.exp(-mu * (anti - anti[x_ref_index]))
+    return Field(v.grid, c)

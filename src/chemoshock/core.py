@@ -101,10 +101,23 @@ class Field:
     __rmul__ = __mul__
 
 
+@functools.lru_cache(maxsize=8)
+def _nodes(grid: GridSpec) -> np.ndarray:
+    """grid.nodes(), computed once per grid and read-only."""
+    x = grid.nodes()
+    x.setflags(write=False)
+    return x
+
+
+def _derivative(values: np.ndarray, dx: float) -> np.ndarray:
+    """derivative_x on raw nodal values."""
+    return np.gradient(values, dx, edge_order=2)
+
+
 def derivative_x(f: Field) -> Field:
     """Discrete d/dx: second-order central stencil inside, second-order
     one-sided at the two boundary nodes."""
-    return Field(f.grid, np.gradient(f.values, f.grid.dx, edge_order=2))
+    return Field(f.grid, _derivative(f.values, f.grid.dx))
 
 
 def trapezoid(values: np.ndarray, dx: float) -> float:
@@ -124,13 +137,18 @@ def cumulative_integral(f: Field) -> Field:
     return Field(f.grid, out)
 
 
+def _lp_norm_of_abs(abs_values: np.ndarray, dx: float, p: float) -> float:
+    """lp_norm for a finite p >= 1, from the magnitudes |f| of the values."""
+    return trapezoid(abs_values**p, dx) ** (1.0 / p)
+
+
 def lp_norm(f: Field, p: float) -> float:
     """(integral |f|^p)^(1/p) by trapezoid, or max|f| for p = inf."""
     if p == math.inf:
         return float(np.abs(f.values).max())
     if p < 1:
         raise ValueError(f"lp_norm requires p >= 1 or p = inf (got {p})")
-    return trapezoid(np.abs(f.values) ** p, f.grid.dx) ** (1.0 / p)
+    return _lp_norm_of_abs(np.abs(f.values), f.grid.dx, p)
 
 
 _REL_TOL_CHI = 1e-12
@@ -207,7 +225,7 @@ _SNAPSHOT_VALUE_BYTES = 26
 @functools.lru_cache(maxsize=8)
 def _node_column(grid: GridSpec) -> tuple[str, ...]:
     """The x column of a snapshot on `grid`, formatted once per grid."""
-    return tuple(_FLOAT_FMT % x for x in grid.nodes().tolist())
+    return tuple(_FLOAT_FMT % x for x in _nodes(grid).tolist())
 
 
 def write_snapshot(path, state: SimState, c: Field | None = None) -> None:
@@ -224,7 +242,7 @@ def write_snapshot(path, state: SimState, c: Field | None = None) -> None:
         return
     format_rows, table = printer
     n = state.u.grid.n_nodes
-    cols = [state.u.grid.nodes(), state.u.values, state.v.values]
+    cols = [_nodes(state.u.grid), state.u.values, state.v.values]
     if c is not None:
         cols.append(c.values)
     ptrs = [_native._address(col, n) for col in cols] + [None] * (4 - len(cols))

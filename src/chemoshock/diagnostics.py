@@ -20,10 +20,11 @@ from .core import (
     GridSpec,
     ModelParams,
     SimState,
+    _derivative,
+    _lp_norm_of_abs,
+    _nodes,
     cumulative_integral,
-    derivative_x,
     integral,
-    lp_norm,
     trapezoid,
 )
 from .waves import TravelingWave
@@ -64,7 +65,7 @@ class WaveReference:
         return 0.5 * (st.u_minus + st.u_plus)
 
     def profile_arrays(self, grid: GridSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
-        z = grid.nodes() + self.x0 - self.wave.s * t
+        z = _nodes(grid) + self.x0 - self.wave.s * t
         u = self.wave.u_profile(z)
         # V = (kappa - U) / s from the same U, as TravelingWave.v_profile computes it
         return u, (self.wave.kappa - u) / self.wave.s
@@ -98,7 +99,7 @@ def ab_functionals(u: Field, v: Field | None = None) -> tuple[float, float]:
     """
     dx = u.grid.dx
     w = u.values - 1.0
-    wx = derivative_x(Field(u.grid, w)).values
+    wx = _derivative(w, dx)
 
     a = (
         trapezoid(w * w, dx)
@@ -121,11 +122,12 @@ def ab_functionals(u: Field, v: Field | None = None) -> tuple[float, float]:
 
 
 def _effective_flux_values(
-    state: SimState, params: ModelParams, ru: np.ndarray, rv: np.ndarray
+    state: SimState, params: ModelParams, ru: np.ndarray, rv: np.ndarray, du: np.ndarray
 ) -> np.ndarray:
-    """effective_flux values for a reference already evaluated at state.t."""
-    diff = derivative_x(Field(state.u.grid, state.u.values - ru)).values
-    return params.D * diff + params.chi * (state.u.values * state.v.values - ru * rv)
+    """effective_flux values for a reference (ru, rv) already evaluated at
+    state.t, given du = u - ru."""
+    u, v = state.u.values, state.v.values
+    return params.D * _derivative(du, state.u.grid.dx) + params.chi * (u * v - ru * rv)
 
 
 def effective_flux(
@@ -141,30 +143,32 @@ def effective_flux(
     if reference is None:
         reference = ConstantReference(1.0, 0.0)
     ru, rv = reference.profile_arrays(state.u.grid, state.t)
-    return Field(state.u.grid, _effective_flux_values(state, params, ru, rv))
+    flux = _effective_flux_values(state, params, ru, rv, state.u.values - ru)
+    return Field(state.u.grid, flux)
 
 
 def _flux_residual(
     prev: SimState,
+    prev_ref: tuple[np.ndarray, np.ndarray],
     next_state: SimState,
+    next_ref: tuple[np.ndarray, np.ndarray],
+    du_next: np.ndarray,
     params: ModelParams,
-    reference: Reference,
-    ru_next: np.ndarray,
-    rv_next: np.ndarray,
 ) -> float:
-    """flux_identity_residual for a reference already evaluated at next_state.t."""
+    """flux_identity_residual for the reference arrays (ru, rv) already
+    evaluated at prev.t and at next_state.t, given du_next = u - ru at
+    next_state.t."""
     dt = next_state.t - prev.t
     if dt <= 0:
         raise ValueError(f"states must be time-ordered (got dt={dt})")
-    grid = prev.u.grid
-    ru_prev, rv_prev = reference.profile_arrays(grid, prev.t)
+    dx = prev.u.grid.dx
+    du_prev = prev.u.values - prev_ref[0]
     f_mid = 0.5 * (
-        _effective_flux_values(prev, params, ru_prev, rv_prev)
-        + _effective_flux_values(next_state, params, ru_next, rv_next)
+        _effective_flux_values(prev, params, *prev_ref, du_prev)
+        + _effective_flux_values(next_state, params, *next_ref, du_next)
     )
-    dudt = ((next_state.u.values - ru_next) - (prev.u.values - ru_prev)) / dt
-    resid = derivative_x(Field(grid, f_mid)).values - dudt
-    return lp_norm(Field(grid, resid), 2)
+    resid = _derivative(f_mid, dx) - (du_next - du_prev) / dt
+    return _lp_norm_of_abs(np.abs(resid), dx, 2)
 
 
 def flux_identity_residual(
@@ -177,8 +181,9 @@ def flux_identity_residual(
     discrete residual of the flux identity F_x = (u - R_u)_t."""
     if reference is None:
         reference = ConstantReference(1.0, 0.0)
-    ru_next, rv_next = reference.profile_arrays(next_state.u.grid, next_state.t)
-    return _flux_residual(prev, next_state, params, reference, ru_next, rv_next)
+    next_ref = reference.profile_arrays(next_state.u.grid, next_state.t)
+    return _flux_residual(prev, reference.profile_arrays(prev.u.grid, prev.t), next_state,
+                          next_ref, next_state.u.values - next_ref[0], params)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +259,7 @@ def regularity_probe(
             f"probe window [{lo}, {hi}] is not inside the grid "
             f"[{grid.x_min}, {grid.x_max}]"
         )
-    x = grid.nodes()
+    x = _nodes(grid)
     inside = np.flatnonzero((x >= lo - 1e-12) & (x <= hi + 1e-12))
     if inside.size < 2:
         raise ValueError("probe window contains fewer than two nodes")
@@ -277,7 +282,7 @@ def front_position(u: Field, level: float) -> float:
     """Leftmost crossing of u through `level` (linear interpolation); falls
     back to the location of max |u - level| when there is no crossing, and to
     x_min for fields identically at the level."""
-    x = u.grid.nodes()
+    x = _nodes(u.grid)
     d = u.values - level
     hits = np.flatnonzero(d == 0.0)
     crossings = np.flatnonzero(d[:-1] * d[1:] < 0.0)
@@ -337,43 +342,48 @@ def assemble_record(
 ) -> DiagnosticsRecord:
     """One snapshot's record against `reference`: error norms, functionals,
     the flux residual since `prev` (0 without one), the regularity probe, and
-    the front, tracked at the reference's front level."""
+    the front, tracked at the reference's front level.
+
+    Intermediates stay raw arrays, handed to the helpers behind the public
+    functions, so each entry equals what those give on the same states.  An
+    overflow is not warned about: it leaves a non-finite entry, which fails
+    the record with that column named."""
     grid = state.u.grid
-    ru, rv = reference.profile_arrays(grid, state.t)
-    u_err = state.u.values - ru
-    v_err = Field(grid, state.v.values - rv)
-
-    probe = regularity_probe(state.v, probe_center, probe_halfwidth)
-    if reference.front_level is None:
-        # degenerate far fields: report where the solution deviates most
-        dev = np.abs(u_err)
-        front = float(grid.nodes()[int(np.argmax(dev))]) if dev.max() > 0 else grid.x_min
-    else:
-        front = front_position(state.u, reference.front_level)
-
-    flux_res = (
-        _flux_residual(prev, state, params, reference, ru, rv)
-        if prev is not None
-        else 0.0
-    )
-    a_val, b_val = ab_functionals(state.u, state.v)
-    return DiagnosticsRecord(
-        t=state.t,
-        sigma=min(1.0, state.t),
-        sup_u_err=float(np.abs(u_err).max()),
-        l2_v=lp_norm(v_err, 2),
-        l4_v=lp_norm(v_err, 4),
-        l6_v=lp_norm(v_err, 6),
-        entropy=entropy(state.u),
-        a_func=a_val,
-        b_func=b_val,
-        flux_res=flux_res,
-        mass_u=integral(state.u),
-        mass_v=integral(state.v),
-        max_dq_v=probe.max_dq,
-        dq_width=probe.width_50,
-        front_pos=front,
-    )
+    dx = grid.dx
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = reference.profile_arrays(grid, state.t)
+        u_err = state.u.values - ref[0]
+        abs_u_err = np.abs(u_err)
+        abs_v_err = np.abs(state.v.values - ref[1])
+        probe = regularity_probe(state.v, probe_center, probe_halfwidth)
+        if reference.front_level is None:
+            # degenerate far fields: report where the solution deviates most
+            i = int(np.argmax(abs_u_err))
+            front = float(_nodes(grid)[i]) if abs_u_err[i] > 0 else grid.x_min
+        else:
+            front = front_position(state.u, reference.front_level)
+        flux_res = 0.0
+        if prev is not None:
+            prev_ref = reference.profile_arrays(grid, prev.t)
+            flux_res = _flux_residual(prev, prev_ref, state, ref, u_err, params)
+        a_val, b_val = ab_functionals(state.u, state.v)
+        return DiagnosticsRecord(
+            t=state.t,
+            sigma=min(1.0, state.t),
+            sup_u_err=float(abs_u_err.max()),
+            l2_v=_lp_norm_of_abs(abs_v_err, dx, 2),
+            l4_v=_lp_norm_of_abs(abs_v_err, dx, 4),
+            l6_v=_lp_norm_of_abs(abs_v_err, dx, 6),
+            entropy=entropy(state.u),
+            a_func=a_val,
+            b_func=b_val,
+            flux_res=flux_res,
+            mass_u=integral(state.u),
+            mass_v=integral(state.v),
+            max_dq_v=probe.max_dq,
+            dq_width=probe.width_50,
+            front_pos=front,
+        )
 
 
 TRACKED_QUANTITIES = ("sup_u_err", "l2_v", "l4_v", "l6_v")

@@ -492,12 +492,15 @@ class _SnapshotWriter:
     record to `records` once the file is on disk.
 
     With the compiled printer, whose `ctypes` call and file write release the
-    GIL, each file is written on a thread of its own while the caller steps
-    on; `submit` and `close` first wait for the write in flight, and re-raise
-    its error.  Without it the Python block writer would hold the GIL, so
-    files are written inline.  The module's `write_snapshot` is looked up at
-    each call.  `write_s` is the time spent writing and `wait_s` the time the
-    caller was blocked on the writer (all of `write_s` when inline)."""
+    GIL, the files are written on one thread, started at the first `submit`,
+    while the caller steps on.  `submit` waits for the write in flight and
+    re-raises its error, then hands the thread the next file through a
+    condition variable.  `close` waits for the last write, stops and joins
+    the thread, and re-raises the write's error.  Without the printer the
+    Python block writer would hold the GIL, so files are written inline.
+    The module's `write_snapshot` is looked up at each call.  `write_s` is
+    the time spent writing and `wait_s` the time the caller was blocked on
+    the writer (all of `write_s` when inline)."""
 
     def __init__(self, records: list) -> None:
         self.records = records
@@ -505,6 +508,9 @@ class _SnapshotWriter:
         self.write_s = 0.0
         self.wait_s = 0.0
         self._thread: threading.Thread | None = None
+        self._handover = threading.Condition()
+        self._job = None  # (path, state, c) of the file in flight, until it is written
+        self._stopping = False
         self._record = None  # the record of the file in flight
         self._error: BaseException | None = None
 
@@ -519,26 +525,45 @@ class _SnapshotWriter:
         self.write_s += elapsed
         return elapsed
 
+    def _serve(self) -> None:
+        """The writer thread: write each file handed over, until stopped."""
+        handover = self._handover
+        while True:
+            with handover:
+                handover.wait_for(lambda: self._job is not None or self._stopping)
+                job = self._job
+            if job is None:
+                return
+            self._write(*job)
+            with handover:
+                self._job = None
+                handover.notify()
+
     def submit(self, path, state: SimState, c: Field | None, record) -> None:
         """Write `state` (and c) to `path`, then append `record`."""
-        self.close()
+        self._settle()
         self._record = record
-        if self.background:
-            self._thread = threading.Thread(target=self._write, args=(path, state, c),
+        if not self.background:
+            self.wait_s += self._write(path, state, c)
+            self._settle()
+            return
+        with self._handover:
+            self._job = (path, state, c)
+            self._handover.notify()
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._serve, daemon=True,
                                             name="chemoshock-snapshot-writer")
             self._thread.start()
-            return
-        self.wait_s += self._write(path, state, c)
-        self.close()
 
-    def close(self, reraise: bool = True) -> None:
+    def _settle(self, reraise: bool = True) -> None:
         """Wait for the write in flight, if any, and append its record, or
         raise its error (dropped when not `reraise`)."""
         if self._thread is not None:
             start = time.perf_counter()
-            self._thread.join()
+            with self._handover:
+                while self._job is not None:
+                    self._handover.wait()
             self.wait_s += time.perf_counter() - start
-            self._thread = None
         record, self._record = self._record, None
         error, self._error = self._error, None
         if error is None:
@@ -547,6 +572,21 @@ class _SnapshotWriter:
         elif reraise:
             raise error
 
+    def close(self, reraise: bool = True) -> None:
+        """`_settle` the last write, then stop and join the thread."""
+        try:
+            self._settle(reraise)
+        finally:
+            if self._thread is not None:
+                start = time.perf_counter()
+                with self._handover:
+                    self._stopping = True
+                    self._handover.notify()
+                self._thread.join()
+                self.wait_s += time.perf_counter() - start
+                self._thread = None
+                self._stopping = False
+
 
 def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[dict, list]:
     """Run one scenario and write snap_<i>.dat, series.csv, and manifest.txt
@@ -554,14 +594,16 @@ def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[di
     the per-snapshot records, one per series.csv row.
 
     Each snapshot's record is computed first; then its file is handed to a
-    `_SnapshotWriter`, which writes it on a background thread while the run
-    steps to the next snapshot when the compiled printer is loaded, and
-    inline otherwise.  A record joins series.csv only once its file is on
-    disk.  A write error surfaces at the next snapshot or at the end of the
-    run, and stops it.  When the run fails, series.csv still gets one row
-    per snapshot file on disk, and the error propagates: the run's own
-    error when it raised, else the write's.  A non-finite record is a
-    `NumericalError` naming the snapshot."""
+    `_SnapshotWriter`.  When the compiled printer is loaded, the writer's
+    one thread writes it while the run steps to the next snapshot;
+    otherwise it is written inline.  A record joins series.csv only once
+    its file is on disk.  A write error surfaces at the next snapshot or at
+    the end of the run, and stops it.  The writer thread is stopped and
+    joined before series.csv is written, whether the run succeeds or fails,
+    so none outlives the call.  When the run fails, series.csv still gets
+    one row per snapshot file on disk, and the error propagates: the run's
+    own error when it raised, else the write's.  A non-finite record, or a
+    non-finite c with `emit_c`, is a `NumericalError` naming the snapshot."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -594,14 +636,18 @@ def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[di
             raise NumericalError(f"snapshot {index} (t={state.t:.6g}): {exc}") from exc
         c = None
         if emit_c:
-            c = from_v(state.v, cfg.params.mu, c_ref=1.0, x_ref_index=0)
+            try:
+                c = from_v(state.v, cfg.params.mu, c_ref=1.0, x_ref_index=0)
+            except NumericalError as exc:  # exp overflows where v's integral is large
+                raise NumericalError(f"snapshot {index} (t={state.t:.6g}): "
+                                     f"c column: {exc}") from exc
         writer.submit(out / f"snap_{index:04d}.dat", state, c, record)
 
     try:
         report = run(state0, cfg.params, cfg.scheme, on_snapshot)
         writer.close()
     finally:
-        writer.close(reraise=False)  # the run's error, when it raised, wins
+        writer.close(reraise=False)  # the run's error, when it raised, wins; joins the thread
         diag.write_series(records, out / "series.csv")
 
     manifest = _build_manifest(cfg, state0, reference, records, report, probe_center,

@@ -80,17 +80,13 @@ def complete_states(
 
 
 def _logistic(t):
-    # 1/(1 + exp(-t)), overflow-safe in both tails, dtype preserving so the
+    # 1/(1 + exp(-t)), overflow-safe in both tails: with e = exp(-|t|) <= 1 it
+    # is 1/(1 + e) for t >= 0 and e/(1 + e) below.  Dtype preserving, so the
     # profile can be evaluated in extended precision for stencil tests
     arr = np.asarray(t, dtype=np.result_type(t, float))
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    e = np.exp(arr[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out[0] if scalar else out
+    e = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return out[()] if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

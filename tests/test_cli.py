@@ -625,6 +625,40 @@ def test_huge_finite_v_ends_in_a_documented_exit_code(tmp_path, capsys):
             assert "numerical failure: snapshot 0 (t=0)" in err and "l4_v = inf" in err
 
 
+def _cli_process(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run([sys.executable, "-B", "-m", "chemoshock.cli", *args], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+
+
+def _thm21_variant(tmp_path, **values) -> Path:
+    text = (SCENARIO_DIR / "thm21.cfg").read_text()
+    for key, val in values.items():
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {val}", text)
+    path = tmp_path / "thm21_variant.cfg"
+    path.write_text(text)
+    return path
+
+
+def test_an_overflowing_record_prints_only_the_failure_line(tmp_path):
+    # |v|**4 overflows in l4_v at snapshot 0; numpy's warning is not printed
+    cfg = _thm21_variant(tmp_path, t_end=1, v_amplitude="1e100")
+    proc = _cli_process("run", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_NUMERICAL
+    assert proc.stderr == ("numerical failure: snapshot 0 (t=0): diagnostics record "
+                           "contains non-finite entries (first: l4_v = inf)\n")
+
+
+def test_an_overflowing_c_column_names_its_snapshot_and_node(tmp_path):
+    # exp(-mu * integral of v) overflows across the v = -1000 block
+    cfg = _thm21_variant(tmp_path, t_end=0.01, snapshot_interval=0.01, v_amplitude=-1000)
+    proc = _cli_process("run", str(cfg), "--out", str(tmp_path / "out"), "--emit-c")
+    assert proc.returncode == EXIT_NUMERICAL
+    assert proc.stderr == ("numerical failure: snapshot 0 (t=0): c column: "
+                           "non-finite field value at node 1204\n")
+
+
 def test_the_cli_process_prints_its_summary_through_a_pipe(tmp_path):
     # main() freezes the collector's objects when it is the process entry point
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -505,6 +506,64 @@ def test_record_sigma_is_time_clamp_and_rejects_nonfinite():
     assert late.sigma == 1.0
     with pytest.raises(ValueError):
         synthetic_record(0.0, math.inf)
+
+
+def _record_from_public_functions(state, prev, ref, center, halfwidth):
+    """Each DiagnosticsRecord entry, computed by the public functions."""
+    g = state.u.grid
+    ru, rv = ref.profile_arrays(g, state.t)
+    u_err, v_err = Field(g, state.u.values - ru), Field(g, state.v.values - rv)
+    if ref.front_level is None:
+        front = float(g.nodes()[int(np.argmax(np.abs(u_err.values)))])
+    else:
+        front = front_position(state.u, ref.front_level)
+    a_val, b_val = ab_functionals(state.u, state.v)
+    probe = regularity_probe(state.v, center, halfwidth)
+    return dict(
+        t=state.t,
+        sigma=min(1.0, state.t),
+        sup_u_err=lp_norm(u_err, math.inf),
+        l2_v=lp_norm(v_err, 2),
+        l4_v=lp_norm(v_err, 4),
+        l6_v=lp_norm(v_err, 6),
+        entropy=entropy(state.u),
+        a_func=a_val,
+        b_func=b_val,
+        flux_res=0.0 if prev is None else flux_identity_residual(prev, state, P1, ref),
+        mass_u=integral(state.u),
+        mass_v=integral(state.v),
+        max_dq_v=probe.max_dq,
+        dq_width=probe.width_50,
+        front_pos=front,
+    )
+
+
+@pytest.mark.parametrize("wave", [True, False])
+def test_record_equals_the_public_functions_bit_for_bit(wave):
+    g = GridSpec(0.0, 200.0, 2001)
+    x = g.nodes()
+    noise = 0.01 * np.random.default_rng(5).standard_normal(g.n_nodes)
+    # a bump of both signs, so w = u - 1 is too, on noise that makes every node count
+    bump = 0.05 * np.exp(-(((x - 100.0) / 5.0) ** 2)) * np.sin(x) + noise
+    if wave:
+        w = TravelingWave.from_end_values(2.0, 1.0, 1.0, P1)
+        ref = WaveReference(w, x0=-80.0)
+
+        def at(t):
+            z = x - 80.0 - w.s * t
+            return SimState(Field(g, np.asarray(w.u_profile(z)) + bump),
+                            Field(g, np.asarray(w.v_profile(z)) - bump), t)
+
+        prev, state = at(3.0), at(3.5)
+    else:
+        ref = ConstantReference(1.0, 0.0)
+        prev, state = None, SimState(Field(g, 1.0 + bump), Field(g, 0.3 * bump), 0.75)
+    rec = assemble_record(state, prev, P1, ref, 100.0, 5.0)
+    expected = _record_from_public_functions(state, prev, ref, 100.0, 5.0)
+    assert list(expected) == [f.name for f in dataclasses.fields(DiagnosticsRecord)]
+    got = {name: float(getattr(rec, name)).hex() for name in expected}
+    assert got == {name: float(val).hex() for name, val in expected.items()}
+    assert (rec.flux_res > 0.0) == wave
 
 
 def test_series_csv_roundtrip(tmp_path):

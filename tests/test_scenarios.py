@@ -486,6 +486,65 @@ def test_without_the_compiled_printer_snapshots_are_written_inline(tmp_path, mon
     assert manifest["snapshot_wait_s"] == manifest["snapshot_write_s"] > 0
 
 
+@pytest.mark.parametrize("compiled", [True, False])
+def test_a_run_starts_one_writer_thread_or_none(request, tmp_path, monkeypatch, compiled):
+    if compiled:
+        request.getfixturevalue("printer")
+    else:
+        monkeypatch.setattr(_native, "_load_stages", lambda: None)  # as when CC=false
+    real_start = threading.Thread.start
+    started = []
+
+    def counting_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    start = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    _, records = run_scenario(small_scenario(), tmp_path / "out")
+    assert len(records) == 5
+    assert started == (["chemoshock-snapshot-writer"] if compiled else [])
+    assert threading.active_count() == start
+
+
+def test_the_writer_thread_takes_every_file_in_order_under_a_short_switch_interval(
+        monkeypatch):
+    written = []
+    monkeypatch.setattr(scenarios, "write_snapshot",
+                        lambda path, state, c=None: written.append(path))
+    records = []
+    writer = scenarios._SnapshotWriter(records)
+    writer.background = True  # a thread whatever the printer, as with the compiled one
+    start = threading.active_count()
+    errors = []
+
+    def submit_all():
+        try:
+            for i in range(400):
+                writer.submit(i, None, None, f"record {i}")
+                # every earlier file is on disk, and only then is its record kept
+                assert written[:i] == list(range(i))
+                assert records == [f"record {j}" for j in range(i)]
+        except Exception as exc:  # reported on the test's thread
+            errors.append(exc)
+        finally:
+            writer.close(reraise=False)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=submit_all)
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not caller.is_alive()
+    assert errors == []
+    assert written == list(range(400))
+    assert records == [f"record {i}" for i in range(400)]
+    assert threading.active_count() == start
+
+
 def test_manifest_times_the_snapshot_writer(tmp_path):
     manifest, _ = run_scenario(small_scenario(), tmp_path / "out")
     timed = ["snapshot_write_s", "snapshot_wait_s", "wall_time_s"]

@@ -6,6 +6,7 @@ import pytest
 from chemoshock.core import AsymptoticStates, ModelParams
 from chemoshock.waves import (
     TravelingWave,
+    _logistic,
     complete_states,
     profile_bounds_check,
     rh_residual,
@@ -231,3 +232,42 @@ def test_derivative_bounds_scale_with_parameters():
     assert w.lam == pytest.approx(p.chi * 2.5 / (p.D * w.s), rel=1e-14)
     assert w.derivative_bound_v() == pytest.approx(w.derivative_bound_u() / w.s, rel=1e-15)
     assert profile_bounds_check(w, np.linspace(-6.0, 6.0, 301))
+
+
+def _two_branch_logistic(t):
+    # the masked form: 1/(1 + exp(-t)) where t >= 0, exp(t)/(1 + exp(t)) below
+    arr = np.atleast_1d(np.asarray(t, dtype=np.result_type(t, float)))
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    e = np.exp(arr[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_logistic_matches_the_two_branch_formula(dtype):
+    rng = np.random.default_rng(7)
+    t = np.concatenate([
+        [0.0, -0.0, 751.0, -751.0, 1e4, -1e4, 745.5, -745.5],
+        rng.standard_normal(2000) * 40.0,
+        rng.uniform(-1e3, 1e3, 2000),
+    ]).astype(dtype)
+    got, want = _logistic(t), _two_branch_logistic(t)
+    assert got.dtype == want.dtype == dtype and got.shape == t.shape
+    # equal values: a longdouble's padding bytes are not defined, so no tobytes()
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    if dtype is np.float64:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("t, kind", [
+    (0.0, np.float64), (-0.0, np.float64), (2.5, np.float64), (-800.0, np.float64),
+    (np.float64(-3.0), np.float64), (np.longdouble("-2.5"), np.longdouble),
+    (np.longdouble("12000"), np.longdouble),
+])
+def test_logistic_keeps_scalars_and_their_dtype(t, kind):
+    got = _logistic(t)
+    assert type(got) is kind and np.ndim(got) == 0
+    assert got == _two_branch_logistic(t)[0]

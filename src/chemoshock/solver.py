@@ -41,7 +41,8 @@ both paths give the same bytes; the solve is dpttrs's own two sweeps.  When
 a changes, Python computes only the head of the pivots (`_ldl_head`: the
 entries that differ from their limit d_plus, ~100 of them), and the compiled
 solve fills the factor from that head: the subdiagonal of L, and the rest of
-the pivots, which it stores inside its forward sweep.  The compiled speed
+the pivots, which it stores inside its forward sweep.  The head stays in
+numpy, for its expm1 (see `_ldl_head`).  The compiled speed
 bound runs four lanes that `-O2` vectorizes; the max of its finite terms does
 not depend on their order, and an inf or nan term hands it to a one-lane
 loop.  The numpy stages stay as the reference the tests compare with, and
@@ -54,9 +55,11 @@ its workspace to each stage, which runs the compiled loop when the
 workspace holds the library, and `RunReport.step_kernel` records which path
 ran.
 
-Building a workspace is what loads LAPACK and the compiled stages, so they
-load on the first step of a `run()` or `step()`; importing this module, and
-the CLI's `validate` and `wave`, need neither scipy nor a compiler.  `dpttrs`
+Building a workspace is what loads the compiled stages, so they load on the
+first step of a `run()` or `step()`; importing this module, and the CLI's
+`validate` and `wave`, need neither scipy nor a compiler.  Only the numpy
+stages call LAPACK, so a workspace loads it only when the compiled stages did
+not load, and a compiled run imports no scipy module.  `dpttrs`
 comes straight from scipy's compiled f2py module `scipy.linalg._flapack`
 (`_load_dpttrs`), once per process, without running the `__init__` of `scipy`
 or `scipy.linalg`: those pull in most of scipy's Python layer (~0.16 s per
@@ -148,6 +151,14 @@ def _ldl_head(a: float, d: np.ndarray) -> tuple[int, float]:
     nothing cancels for small a.  Past the head where q**i < eps/4 it is d_plus.
     log q is taken as -2*log1p((d_plus-a)/a), which stays nonzero for large a
     where a/d_plus rounds to 1.
+
+    The compiled solve takes its head from here, so both paths share
+    numpy's expm1.  On a CPU with AVX-512, numpy runs its own expm1, which
+    differs from the C library's in the last bit on ~1% of arguments.  A
+    head in C, on the C library's expm1, was measured: on jump data the
+    early steps then leave a far-field plateau one or more ulps off its
+    exact value, and `perfbench`'s `shock_run` output grew by 0.9-5.1%
+    with the text of those values.
     """
     if a == 0.0:  # dt*D/dx**2 underflowed: the system is the identity
         return 0, 1.0
@@ -193,8 +204,9 @@ def _load_dpttrs():
 
 class _Workspace:
     """Scratch buffers of `_advance` for an n-node grid, reused step to step,
-    and the routines it runs: LAPACK's dpttrs, and the compiled stages in
-    `lib` (None when they did not load).
+    and the routines it runs: the compiled stages in `lib`, or, when they did
+    not load (`lib` is None), LAPACK's `dpttrs` for the numpy solve (else
+    None: the compiled solve needs no LAPACK).
 
     The compiled stages write u and v into two alternating pairs of buffers
     owned here, so a step's output outlives the next step, and look up the
@@ -210,9 +222,10 @@ class _Workspace:
         self.e = np.empty(n - 3)  # subdiagonal of its unit factor L
         self.w = np.empty(n)  # u*v, for the numpy stage
         self.a = math.nan  # the a that d and e hold the factor for
-        self.dpttrs = _load_dpttrs()  # LAPACK loads here, not at import
-        self.lib = _load_stages()  # and the compiled stages
+        self.lib = _load_stages()  # the compiled stages load here, not at import
+        self.dpttrs = None
         if self.lib is None:
+            self.dpttrs = _load_dpttrs()  # and LAPACK, only for the numpy stages
             return
         self.u_out = (np.empty(n), np.empty(n))
         self.v_out = (np.empty(n), np.empty(n))

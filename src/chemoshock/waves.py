@@ -20,16 +20,22 @@ import numpy as np
 
 from .core import AsymptoticStates, ModelParams
 
-#: tolerance for the internal-consistency (jump-condition) check of a wave
+#: tolerance for the internal-consistency (jump-condition) check of a wave,
+#: relative to the largest term of each condition when that exceeds 1
 RH_TOL = 1e-10
 
 _QUAD_REL_TOL = 1e-12
 
 
 def _positive_speed(chi: float, u_minus: float, v_plus: float) -> float:
-    # positive root of s^2 + chi*v_plus*s - chi*u_minus = 0
+    # positive root of s^2 + chi*v_plus*s - chi*u_minus = 0, in the form that
+    # adds terms of one sign: (-a + sqrt(.))/2 cancels for a >> sqrt(chi*u_minus),
+    # its product form 2*chi*u_minus/(a + sqrt(.)) for -a >> sqrt(chi*u_minus)
     a = chi * v_plus
-    return 0.5 * (-a + math.sqrt(a * a + 4.0 * chi * u_minus))
+    root = math.sqrt(a * a + 4.0 * chi * u_minus)
+    if a > 0:
+        return 2.0 * chi * u_minus / (a + root)
+    return 0.5 * (-a + root)
 
 
 def wave_speed(states: AsymptoticStates, params: ModelParams) -> float:
@@ -118,10 +124,16 @@ class TravelingWave:
             raise ValueError("profile requires u_minus > u_plus > 0")
         s = wave_speed(states, params)
         res = rh_residual(states, s, params)
-        if res.max_abs() > RH_TOL:
+        # each residual is a sum of terms that are rounded to their own size,
+        # so each is held to a tolerance that scales with its own largest term
+        du = states.u_plus - states.u_minus
+        tol1 = RH_TOL * max(1.0, abs(s * du), abs(params.chi * states.u_plus * states.v_plus),
+                            abs(params.chi * states.u_minus * states.v_minus))
+        tol2 = RH_TOL * max(1.0, abs(s * states.v_plus), abs(s * states.v_minus), abs(du))
+        if abs(res.r1) > tol1 or abs(res.r2) > tol2:
             raise ValueError(
                 f"far-field states are not jump-consistent: residuals "
-                f"({res.r1:.3e}, {res.r2:.3e}) exceed {RH_TOL}"
+                f"({res.r1:.3e}, {res.r2:.3e}) exceed ({tol1:.3g}, {tol2:.3g})"
             )
         lam = params.chi * (states.u_minus - states.u_plus) / (params.D * s)
         kappa = states.u_minus + s * states.v_minus

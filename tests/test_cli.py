@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chemoshock.cli import (
@@ -311,22 +312,27 @@ def test_sweep_records_wave_data_without_a_shock_as_failed(tmp_path):
     assert all("[initial]:u_minus/u_plus" in row["error"] for row in rows)
 
 
-@pytest.mark.parametrize("name, old, new, named", [
+@pytest.mark.parametrize("name, old, new", [
     # wire_reference fits a wave to the data's end values
-    ("fig1_consistent", "v_right = 1", "v_right = 1e4",
-     "the data's end values: u_minus=2.0, u_plus=1.0, v_plus=10000.0"),
+    ("fig1_consistent", "v_right = 1", "v_right = 1e3"),
+    ("fig1_consistent", "v_right = 1", "v_right = 1e4"),
     # the exact_wave_plus_bump builder
-    ("thm22", "v_plus = 1", "v_plus = 1e8",
-     "bad value for [initial]:u_minus/u_plus/v_plus: u_minus=2.0, u_plus=1.0, "
-     "v_plus=100000000.0"),
-], ids=["wire_reference", "builder"])
-def test_cancelled_wave_speed_is_config_error(tmp_path, capsys, name, old, new, named):
-    # the speed root loses its digits when chi*v_plus >> sqrt(chi*u_minus), and
-    # the jump conditions then fail
-    _assert_rejected_before_writing(tmp_path, _with_initial(name, old, new))
-    err = capsys.readouterr().err
-    assert named in err
-    assert "not jump-consistent" in err
+    ("thm22", "v_plus = 1", "v_plus = 1e8"),
+], ids=["wire_reference_1e3", "wire_reference", "builder"])
+def test_large_v_plus_keeps_the_wave_speed_digits(tmp_path, capsys, name, old, new):
+    # chi*v_plus >> sqrt(chi*u_minus): the speed root used to lose its digits
+    # there, and the jump conditions then failed with exit 2
+    path = tmp_path / "large_v_plus.cfg"
+    path.write_text(_with_initial(name, old, new))
+    assert main(["validate", str(path)]) == EXIT_OK
+    lines = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()[1:])
+    s, v_minus = float(lines["wave_s"]), float(lines["wave_v_minus"])
+    v_plus = float(new.split(" = ")[1])
+    assert s * s + v_plus * s == pytest.approx(2.0, rel=1e-15)  # chi = 1, u_minus = 2
+    # roundoff of the largest flux term, chi*u_plus*v_plus = v_plus
+    assert abs(float(lines["wave_rh_r1"])) <= 4 * np.spacing(v_plus)
+    assert abs(float(lines["wave_rh_r2"])) <= 4 * np.spacing(1.0)
+    assert v_minus == pytest.approx(v_plus - 1.0 / s, rel=1e-15)
 
 
 def test_misspelled_initial_key_is_config_error(tmp_path, capsys):

@@ -102,6 +102,27 @@ def test_ab_functionals_unit_plateau():
     assert a == pytest.approx(1.25, abs=3 * g.dx)
 
 
+def test_a_functional_matches_long_double_evaluation():
+    # A takes w**4 as (w*w)**2; on a w of both signs, with a far field of
+    # roundoff like a run's, it stays within 1e-14 of the same sums in long double
+    g = GridSpec(0.0, 40.0, 4001)
+    x = g.nodes()
+    rng = np.random.default_rng(26)
+    w = np.where(np.abs(x - 20.0) < 5.0, np.sin(x), 0.0)
+    u = 1.0 + w + 2e-16 * rng.standard_normal(g.n_nodes)  # far-field roundoff
+    v = 0.3 * np.cos(x)
+    a, _ = ab_functionals(Field(g, u), Field(g, v))
+
+    def trap(f):
+        return g.dx * (f.sum() - (f[0] + f[-1]) / 2)
+
+    wl, vl = u.astype(np.longdouble) - 1, v.astype(np.longdouble)
+    want = (trap(wl**2) + trap((2 * wl - wl**2) ** 2) / 8 + trap(wl**4) / 8
+            + 1.5 * trap(vl**2))
+    assert np.min(u - 1.0) < 0.0 < np.max(u - 1.0)
+    assert abs(a - want) <= 1e-14 * want
+
+
 def test_ab_v_contribution_is_three_halves_l2_squared():
     g = GridSpec(0.0, 10.0, 501)
     v = Field.from_function(g, lambda x: 0.3 * np.sin(x))

@@ -1,10 +1,12 @@
-"""Which entry points load scipy.  Only the step kernel uses LAPACK, so
-importing the package, `validate` and `wave` must not load scipy; `run` and
+"""Which entry points load scipy.  Only the numpy step stages use LAPACK, so
+importing the package, `validate` and `wave` must not load scipy, and
+neither may a run on the compiled stages; on the numpy stages `run` and
 `step()` load it on the first step, and then only scipy's compiled LAPACK
 module, not the `scipy` and `scipy.linalg` packages.
 
 Each check runs in a fresh interpreter, because earlier tests have already
-loaded scipy into this one."""
+loaded scipy into this one.  The checks of the LAPACK load take the numpy
+stages there (`_NUMPY_STAGES`)."""
 
 from __future__ import annotations
 
@@ -30,6 +32,12 @@ import json, sys
 stages = {}
 def mark(name):
     stages[name] = any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+"""
+
+# the compiled stages do not load, so the numpy stages and LAPACK run
+_NUMPY_STAGES = """
+from chemoshock import solver
+solver._load_stages = lambda: None
 """
 
 
@@ -72,7 +80,8 @@ def test_run_loads_scipy_from_a_cold_start(tmp_path):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(SMALL_CFG)
     stages = _scipy_by_stage(
-        """
+        _NUMPY_STAGES
+        + """
 from chemoshock.cli import main
 mark("import cli")
 assert main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
@@ -86,7 +95,8 @@ mark("run")
 
 def test_step_loads_scipy_from_a_cold_start():
     stages = _scipy_by_stage(
-        """
+        _NUMPY_STAGES
+        + """
 import numpy as np
 from chemoshock.core import Field, GridSpec, ModelParams, SimState
 from chemoshock.solver import SchemeConfig, step
@@ -130,7 +140,8 @@ def test_run_loads_only_the_compiled_lapack_module(tmp_path):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(SMALL_CFG)
     loaded = _run_fresh(
-        """
+        _NUMPY_STAGES
+        + """
 import json, sys
 from chemoshock.cli import main
 assert main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
@@ -142,9 +153,26 @@ print(json.dumps({m: m in sys.modules
     assert loaded == {"scipy.linalg._flapack": True, "scipy.linalg": False, "scipy": False}
 
 
+def test_compiled_run_loads_no_scipy(tmp_path, stages):
+    # the compiled solve needs no LAPACK, so the workspace does not load it
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_CFG)
+    marked = _scipy_by_stage(
+        """
+from chemoshock.cli import main
+assert main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
+mark("run")
+""",
+        str(cfg), str(tmp_path / "out"),
+    )
+    assert marked == {"run": False}
+    assert "step_kernel = compiled" in (tmp_path / "out" / "manifest.txt").read_text()
+
+
 def test_later_scipy_import_shares_the_routine():
     same = _run_fresh(
-        """
+        _NUMPY_STAGES
+        + """
 import json
 from chemoshock.solver import _Workspace
 held = _Workspace(11).dpttrs
@@ -157,7 +185,8 @@ print(json.dumps(held is scipy.linalg.lapack.dpttrs))
 
 def test_steps_load_the_extension_once():
     out = _run_fresh(
-        _STEP
+        _NUMPY_STAGES
+        + _STEP
         + """
 import importlib.util, json
 loads = []
@@ -176,7 +205,8 @@ print(json.dumps({"loads": loads, "steps": twice.step_count}))
 
 def test_fallback_when_the_extension_is_not_found():
     out = _run_fresh(
-        _STEP
+        _NUMPY_STAGES
+        + _STEP
         + """
 import json, sys
 from importlib.machinery import PathFinder

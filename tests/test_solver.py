@@ -487,12 +487,14 @@ def test_each_compiled_stage_matches_its_numpy_stage_bit_for_bit(stages, n, thet
     assert solver._finite_min(u, ws) == solver._finite_min(u, ref) == u.min()
 
 
-@pytest.mark.parametrize("n", [8, 201, 4001])
+@pytest.mark.parametrize("n", [4, 5, 8, 201, 4001])
 def test_pivots_are_reused_only_for_the_same_a(stages, n):
-    # the compiled solve reads the factor that the numpy code fills
+    # the compiled solve reads the factor that the numpy code fills; the head
+    # is 2 pivots at a = 1e-300 and all n - 2 of them at a = 1e300
     ws = _Workspace(n)
     rhs = 1.0 + np.random.default_rng(n).random(n - 2)
-    for a in (0.3, 0.3, 0.30000000000000004, 0.0, 1e300, 1e300):
+    for a in (0.3, 0.3, 0.30000000000000004, 0.0, 1e-300, 1e-12, 1e-3, 10.0, 3000.0,
+              1e300, 1e300):
         x = rhs.copy()
         _implicit_solve(x, a, 1.0, 2.0, ws)
         ref = numpy_workspace(n)

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from chemoshock.core import AsymptoticStates, ModelParams
 from chemoshock.waves import (
     TravelingWave,
     _logistic,
+    _positive_speed,
     complete_states,
     profile_bounds_check,
     rh_residual,
@@ -50,6 +52,27 @@ def test_wave_speed_satisfies_quadratic():
         resid = s * s + chi * v_plus * s - chi * u_minus
         assert abs(resid) < 1e-12 * max(s * s, chi * u_minus)
         assert s > 0
+
+
+def test_wave_speed_root_does_not_cancel():
+    # with a = chi*v_plus the root is (-a + r)/2, r = sqrt(a*a + 4*chi*u_minus);
+    # for a > 0 it is taken as 2*chi*u_minus/(a + r), which does not cancel
+    # for a >> sqrt(chi*u_minus); for a <= 0 the first form, bit for bit
+    D = decimal.Decimal
+    rng = np.random.default_rng(26)
+    for _ in range(400):
+        chi, u_minus = rng.uniform(0.2, 5.0), rng.uniform(0.1, 6.0)
+        v_plus = 10.0 ** rng.uniform(-3.0, 12.0)
+        s = _positive_speed(chi, u_minus, v_plus)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            a = D(chi) * D(v_plus)
+            exact = (-a + (a * a + 4 * D(chi) * D(u_minus)).sqrt()) / 2
+            assert abs(D(s) / exact - 1) <= 4 * np.finfo(float).eps, (chi, u_minus, v_plus)
+        for v_nonpositive in (-v_plus, 0.0, -0.0):
+            a = chi * v_nonpositive
+            assert _positive_speed(chi, u_minus, v_nonpositive) == 0.5 * (
+                -a + math.sqrt(a * a + 4.0 * chi * u_minus))
 
 
 def test_rh_residual_zero_for_consistent_quadruple():
@@ -195,6 +218,14 @@ def test_from_states_rejects_inconsistent_states():
     st = AsymptoticStates(2.0, 1.0, (3.0 - math.sqrt(3.0)) / 2.0, 1.0)
     with pytest.raises(ValueError, match="not jump-consistent"):
         TravelingWave.from_states(st, P1)
+    # at v_plus = 1e8 the r1 terms are ~1e8 and the r2 terms ~1, so each
+    # residual has its own tolerance: 1e-2 for r1 and 2e-10 for r2 here
+    far = complete_states(2.0, 1.0, 1e8, P1)
+    TravelingWave.from_states(far, P1)
+    off = AsymptoticStates(far.u_minus, far.u_plus, far.v_minus * (1.0 + 1e-9), far.v_plus)
+    assert rh_residual(off, wave_speed(off, P1), P1).r2 == pytest.approx(1e-9, rel=1e-3)
+    with pytest.raises(ValueError, match=r"exceed \(0\.01, 2e-10\)"):
+        TravelingWave.from_states(off, P1)
 
 
 def test_bounds_check_passes_for_exact_wave():

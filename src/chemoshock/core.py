@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,9 +285,13 @@ def read_snapshot(path) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
             raise ConfigError(f"{path}: missing '# t=' snapshot header")
         try:
             t = float(header[4:])
-            data = np.loadtxt(fh, ndmin=2)
+            with warnings.catch_warnings():  # an empty body is the error below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"{path}: not a snapshot of numbers ({exc})") from exc
+    if data.size == 0:
+        raise ConfigError(f"{path}: snapshot has no data rows")
     if data.shape[1] < 3:
         raise ConfigError(f"{path}: snapshot needs at least 3 columns (x u v)")
     bad_rows = np.flatnonzero(~np.isfinite(data).all(axis=1))

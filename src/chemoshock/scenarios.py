@@ -10,6 +10,7 @@ import copy
 import csv
 import difflib
 import math
+import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -493,14 +494,14 @@ class _SnapshotWriter:
 
     With the compiled printer, whose `ctypes` call and file write release the
     GIL, the files are written on one thread, started at the first `submit`,
-    while the caller steps on.  `submit` waits for the write in flight and
-    re-raises its error, then hands the thread the next file through a
-    condition variable.  `close` waits for the last write, stops and joins
-    the thread, and re-raises the write's error.  Without the printer the
-    Python block writer would hold the GIL, so files are written inline.
-    The module's `write_snapshot` is looked up at each call.  `write_s` is
-    the time spent writing and `wait_s` the time the caller was blocked on
-    the writer (all of `write_s` when inline)."""
+    while the caller steps on.  `_jobs` hands it each `(path, state, c)`, and
+    `None` to stop; `_done` hands back each write's error, or `None`.
+    `submit` and `close` first settle the write in flight: they wait for its
+    `_done` item, then append its record or re-raise its error.  Without the
+    printer the Python block writer would hold the GIL, so the same `_write`
+    runs inline.  The module's `write_snapshot` is looked up at each call.
+    `write_s` is the time spent writing and `wait_s` the time the caller was
+    blocked on the writer (all of `write_s` when inline)."""
 
     def __init__(self, records: list) -> None:
         self.records = records
@@ -508,67 +509,54 @@ class _SnapshotWriter:
         self.write_s = 0.0
         self.wait_s = 0.0
         self._thread: threading.Thread | None = None
-        self._handover = threading.Condition()
-        self._job = None  # (path, state, c) of the file in flight, until it is written
-        self._stopping = False
-        self._record = None  # the record of the file in flight
-        self._error: BaseException | None = None
+        self._jobs = queue.SimpleQueue()
+        self._done = queue.SimpleQueue()
+        self._pending = None  # (record,) while its file is being written
 
     def _write(self, path, state: SimState, c: Field | None) -> float:
-        """Write one file, keep its error, and return the time it took."""
+        """Write one file, put its error or None on `_done`, return its time."""
         start = time.perf_counter()
+        error = None
         try:
             write_snapshot(path, state, c=c)
         except BaseException as exc:  # re-raised on the caller's thread
-            self._error = exc
+            error = exc
         elapsed = time.perf_counter() - start
         self.write_s += elapsed
+        self._done.put(error)
         return elapsed
 
     def _serve(self) -> None:
-        """The writer thread: write each file handed over, until stopped."""
-        handover = self._handover
-        while True:
-            with handover:
-                handover.wait_for(lambda: self._job is not None or self._stopping)
-                job = self._job
-            if job is None:
-                return
+        """The writer thread: write each file handed over, until `None`."""
+        for job in iter(self._jobs.get, None):
             self._write(*job)
-            with handover:
-                self._job = None
-                handover.notify()
 
     def submit(self, path, state: SimState, c: Field | None, record) -> None:
         """Write `state` (and c) to `path`, then append `record`."""
         self._settle()
-        self._record = record
-        if not self.background:
+        self._pending = (record,)
+        if self.background:
+            self._jobs.put((path, state, c))
+            if self._thread is None:
+                self._thread = threading.Thread(target=self._serve, daemon=True,
+                                                name="chemoshock-snapshot-writer")
+                self._thread.start()
+        else:
             self.wait_s += self._write(path, state, c)
             self._settle()
-            return
-        with self._handover:
-            self._job = (path, state, c)
-            self._handover.notify()
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._serve, daemon=True,
-                                            name="chemoshock-snapshot-writer")
-            self._thread.start()
 
     def _settle(self, reraise: bool = True) -> None:
         """Wait for the write in flight, if any, and append its record, or
         raise its error (dropped when not `reraise`)."""
+        if self._pending is None:
+            return
+        (record,), self._pending = self._pending, None
+        start = time.perf_counter()
+        error = self._done.get()
         if self._thread is not None:
-            start = time.perf_counter()
-            with self._handover:
-                while self._job is not None:
-                    self._handover.wait()
             self.wait_s += time.perf_counter() - start
-        record, self._record = self._record, None
-        error, self._error = self._error, None
         if error is None:
-            if record is not None:
-                self.records.append(record)
+            self.records.append(record)
         elif reraise:
             raise error
 
@@ -579,13 +567,10 @@ class _SnapshotWriter:
         finally:
             if self._thread is not None:
                 start = time.perf_counter()
-                with self._handover:
-                    self._stopping = True
-                    self._handover.notify()
+                self._jobs.put(None)
                 self._thread.join()
                 self.wait_s += time.perf_counter() - start
                 self._thread = None
-                self._stopping = False
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[dict, list]:
@@ -593,17 +578,17 @@ def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[di
     into out_dir.  Returns (manifest, records): the manifest as a dict and
     the per-snapshot records, one per series.csv row.
 
-    Each snapshot's record is computed first; then its file is handed to a
-    `_SnapshotWriter`.  When the compiled printer is loaded, the writer's
-    one thread writes it while the run steps to the next snapshot;
-    otherwise it is written inline.  A record joins series.csv only once
-    its file is on disk.  A write error surfaces at the next snapshot or at
-    the end of the run, and stops it.  The writer thread is stopped and
-    joined before series.csv is written, whether the run succeeds or fails,
-    so none outlives the call.  When the run fails, series.csv still gets
-    one row per snapshot file on disk, and the error propagates: the run's
-    own error when it raised, else the write's.  A non-finite record, or a
-    non-finite c with `emit_c`, is a `NumericalError` naming the snapshot."""
+    Each snapshot's record is computed first; then its file is queued to a
+    `_SnapshotWriter`.  When the compiled printer is loaded, the writer's one
+    thread writes it while the run steps on, one file at a time; otherwise it
+    is written inline.  A record joins series.csv only once its file is on
+    disk.  A write error surfaces at the next snapshot or at the end of the
+    run, and stops it.  The writer thread is stopped and joined before
+    series.csv is written, whether the run succeeds or fails, so none outlives
+    the call.  When the run fails, series.csv still gets one row per snapshot
+    file on disk, and the error propagates: the run's own error when it
+    raised, else the write's.  A non-finite record, or a non-finite c with
+    `emit_c`, is a `NumericalError` naming the snapshot."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -665,6 +665,33 @@ def test_an_overflowing_c_column_names_its_snapshot_and_node(tmp_path):
                            "non-finite field value at node 1204\n")
 
 
+def test_a_from_file_snapshot_without_data_rows_prints_only_the_config_error(tmp_path):
+    snap = tmp_path / "empty.dat"
+    snap.write_text("# t=0\n")
+    cfg = write_cfg(tmp_path, FROM_FILE_CFG.format(path=snap))
+    proc = _cli_process("validate", str(cfg))
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr == f"config error: {snap}: snapshot has no data rows\n"
+
+
+def test_a_large_chi_v_plus_run_ends_in_a_documented_exit_code(tmp_path):
+    # the CFL step does not keep u positive here; a run that does may exit 0
+    text = (SCENARIO_DIR / "fig1_consistent.cfg").read_text()
+    for key, val in (("v_right", "1e4"), ("t_end", "1e-3"), ("snapshot_interval", "2e-5")):
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {val}", text)
+    cfg = write_cfg(tmp_path, text)
+    assert main(["validate", str(cfg)]) == EXIT_OK
+    out = tmp_path / "out"
+    proc = _cli_process("run", str(cfg), "--out", str(out))
+    assert proc.returncode in (EXIT_OK, EXIT_NUMERICAL)
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == EXIT_NUMERICAL:
+        assert re.fullmatch(r"numerical failure: [^\n]*\n", proc.stderr)
+        snaps = list(out.glob("snap_*.dat"))
+        assert snaps and len(read_series(out / "series.csv")["t"]) == len(snaps)
+        assert not (out / "manifest.txt").exists()
+
+
 def test_the_cli_process_prints_its_summary_through_a_pipe(tmp_path):
     # main() freezes the collector's objects when it is the process entry point
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

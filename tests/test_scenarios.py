@@ -362,7 +362,12 @@ def test_run_scenario_outputs(tmp_path):
     assert np.all(series["sigma"] == np.minimum(1.0, series["t"]))
 
 
-def test_series_survives_a_failed_snapshot_write(tmp_path, monkeypatch):
+@pytest.mark.parametrize("path", ["inline", "background"])
+def test_series_survives_a_failed_snapshot_write(request, tmp_path, monkeypatch, path):
+    if path == "background":
+        request.getfixturevalue("printer")
+    else:
+        monkeypatch.setattr(_native, "_load_stages", lambda: None)  # as when CC=false
     real = scenarios.write_snapshot
     written = []
 
@@ -507,11 +512,17 @@ def test_a_run_starts_one_writer_thread_or_none(request, tmp_path, monkeypatch, 
     assert threading.active_count() == start
 
 
+@pytest.mark.parametrize("fails", [None, 200], ids=["every_write_succeeds", "write_200_fails"])
 def test_the_writer_thread_takes_every_file_in_order_under_a_short_switch_interval(
-        monkeypatch):
+        monkeypatch, fails):
     written = []
-    monkeypatch.setattr(scenarios, "write_snapshot",
-                        lambda path, state, c=None: written.append(path))
+
+    def write(path, state, c=None):
+        if path == fails:
+            raise OSError("disk full")
+        written.append(path)
+
+    monkeypatch.setattr(scenarios, "write_snapshot", write)
     records = []
     writer = scenarios._SnapshotWriter(records)
     writer.background = True  # a thread whatever the printer, as with the compiled one
@@ -526,7 +537,7 @@ def test_the_writer_thread_takes_every_file_in_order_under_a_short_switch_interv
                 assert written[:i] == list(range(i))
                 assert records == [f"record {j}" for j in range(i)]
         except Exception as exc:  # reported on the test's thread
-            errors.append(exc)
+            errors.append((i, exc))
         finally:
             writer.close(reraise=False)
 
@@ -539,9 +550,43 @@ def test_the_writer_thread_takes_every_file_in_order_under_a_short_switch_interv
     finally:
         sys.setswitchinterval(switch)
     assert not caller.is_alive()
-    assert errors == []
-    assert written == list(range(400))
-    assert records == [f"record {i}" for i in range(400)]
+    if fails is None:
+        assert errors == []
+    else:  # found when the next file is handed over, which is then not written
+        assert [(i, repr(exc)) for i, exc in errors] == [(fails + 1, "OSError('disk full')")]
+    kept = 400 if fails is None else fails
+    assert written == list(range(kept))
+    assert records == [f"record {i}" for i in range(kept)]
+    assert writer._thread is None
+    assert threading.active_count() == start
+
+
+@pytest.mark.parametrize("last_write_fails", [False, True])
+def test_close_joins_the_writer_thread(monkeypatch, last_write_fails):
+    def write(path, state, c=None):
+        if last_write_fails:
+            raise OSError("disk full")
+
+    real_join = threading.Thread.join
+    joined = []
+
+    def counting_join(thread, timeout=None):
+        joined.append(thread.name)
+        real_join(thread, timeout)
+
+    monkeypatch.setattr(scenarios, "write_snapshot", write)
+    monkeypatch.setattr(threading.Thread, "join", counting_join)
+    writer = scenarios._SnapshotWriter([])
+    writer.background = True
+    start = threading.active_count()
+    writer.submit(0, None, None, "record 0")
+    if last_write_fails:
+        with pytest.raises(OSError, match="disk full"):
+            writer.close()
+    else:
+        writer.close()
+    assert joined == ["chemoshock-snapshot-writer"]
+    assert writer.records == ([] if last_write_fails else ["record 0"])
     assert threading.active_count() == start
 
 

@@ -45,6 +45,14 @@ every output byte passes when this output is the same before and after it:
 
 The runs take ~6-17 s on one core of a 2-core x86-64 box.
 
+Listings, and `--compare` trees, are comparable only between runs on one CPU
+class: numpy's `expm1`, which the solver's pivots use, runs SIMD code chosen
+by CPU, and on an AVX-512 box it differs from the C library's on ~1% of
+arguments.  With `NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`
+set, 12 of the 13 output files of a `fig1_consistent` run change, and the
+run's output grows from 1,918,710 to 1,945,940 bytes; the benchmark's
+`shock_run` `output_mb` depends on the CPU class too.
+
 A change that may move outputs in their last bits is gated with `--compare`
 on the same two output directories instead.  It reads every file of both
 (no chemoshock is needed) and prints, per file and column that differ, the

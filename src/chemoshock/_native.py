@@ -1,6 +1,6 @@
 """The compiled library of chemoshock: `_stages.c` built, cached and loaded.
 
-`_stages.c` holds the step stages of `solver._advance` and the snapshot
+`_stages.c` holds the compiled step of `solver._advance` and the snapshot
 printer of `core.write_snapshot`.  The first `_load_stages()` on a machine
 compiles it with $CC (default cc) into a private per-user cache,
 ${XDG_CACHE_HOME:-~/.cache}/chemoshock; later processes load the cached
@@ -22,7 +22,7 @@ import numpy as np
 
 _STAGES_SOURCE = os.path.join(os.path.dirname(__file__), "_stages.c")
 # IEEE operations in source order (no fused multiply-add, no -ffast-math) keep
-# the compiled stages byte-identical to the numpy ones; no -march, so one
+# the compiled step byte-identical to the numpy stages; no -march, so one
 # library suits every CPU of the machine's architecture.
 _STAGES_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 
@@ -111,10 +111,8 @@ def _load_stages():
     ptr, n, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     functions = [
         ("speed_bound", real, (ptr, ptr, n, real)),
-        ("explicit_rhs", None, (ptr, ptr, n, real, real, ptr)),
-        ("implicit_solve", None, (ptr, n, real, real, real, ptr, ptr, n, real)),
-        ("update_v", None, (ptr, ptr, n, real, real, real, ptr)),
-        ("finite_min", real, (ptr, n)),
+        ("imex_step", None,
+         (ptr, ptr, n, real, real, real, ptr, ptr, n, real, real, real, ptr, ptr, ptr)),
         ("printer_available", ctypes.c_int, ()),
     ]
     if lib.printer_available():

@@ -1,15 +1,18 @@
-/* The compiled loops of chemoshock: one per stage of solver._advance and
- * one for its finite checks, and the snapshot printer of core.write_snapshot.
- * _native.py compiles this file into a shared library on first use and loads
- * it through ctypes; the numpy stages and the Python snapshot writer are the
- * reference, and the fallback when it does not build.
+/* The compiled loops of chemoshock: one step of solver._advance, the speed
+ * bound it starts a run with, and the snapshot printer of
+ * core.write_snapshot.  _native.py compiles this file into a shared library
+ * on first use and loads it through ctypes; the numpy stages and the Python
+ * snapshot writer are the reference, and the fallback when it does not build.
  *
- * Each stage loop does the IEEE operations of its numpy stage, in the same
- * order, so the results are the same bytes; only the speed bound meets its
- * terms in another order, which gives the same max (see there).  That needs
- * a build that fuses no multiply-add and reassociates nothing:
- * -ffp-contract=off, and no -ffast-math.  -fno-math-errno only lets sqrt
- * compile to one instruction.
+ * The step is one call: its forward sweep computes the right-hand side as it
+ * goes, its back sweep updates v one node behind the solve and runs the
+ * finite checks, and a last pass computes the next step's speed bound, which
+ * solver carries to the next step.  Each stage inside it does the IEEE
+ * operations of its numpy stage, in the same order, so the results are the
+ * same bytes; only the speed bound meets its terms in another order, which
+ * gives the same max (see there).  That needs a build that fuses no
+ * multiply-add and reassociates nothing: -ffp-contract=off, and no
+ * -ffast-math.  -fno-math-errno only lets sqrt compile to one instruction.
  *
  * Arrays are contiguous doubles; n is the node count (n >= 4) and m = n - 2
  * the interior count.
@@ -78,97 +81,108 @@ double speed_bound(const double *u, const double *v, long n, double chi)
     return 0.5 * (m23 > m01 ? m23 : m01);
 }
 
-/* out_i = (u_(i+1)*v_(i+1) - u_(i-1)*v_(i-1))*flux_w + u_i
- *         [+ ((u_(i+1) + u_(i-1)) - 2*u_i)*diff_w when diff_w != 0]
- * on the interior nodes; out[0] and out[n-1] are left as they are:
- * solver._explicit_rhs. */
-void explicit_rhs(const double *u, const double *v, long n, double flux_w, double diff_w,
-                  double *out)
+/* The explicit right-hand side at node j, with w_lo = u[j-1]*v[j-1] and
+ * w_hi = u[j+1]*v[j+1]: solver._explicit_rhs. */
+static inline double node_rhs(const double *u, double w_lo, double w_hi, long j, double flux_w,
+                              double diff_w)
 {
-    if (diff_w != 0.0) {
-        for (long i = 1; i < n - 1; i++) {
-            const double r = (u[i + 1] * v[i + 1] - u[i - 1] * v[i - 1]) * flux_w + u[i];
-            out[i] = r + ((u[i + 1] + u[i - 1]) - 2.0 * u[i]) * diff_w;
-        }
-    } else {
-        for (long i = 1; i < n - 1; i++)
-            out[i] = (u[i + 1] * v[i + 1] - u[i - 1] * v[i - 1]) * flux_w + u[i];
-    }
+    const double r = (w_hi - w_lo) * flux_w + u[j];
+    return diff_w != 0.0 ? r + ((u[j + 1] + u[j - 1]) - 2.0 * u[j]) * diff_w : r;
 }
 
-/* Fold the pinned end values into the m >= 2 right-hand sides b, then solve
- * L*D*L^T x = b in place with the pivots d and the subdiagonal e of the unit
- * factor L, as LAPACK's dptts2 does for one right-hand side:
- * solver._implicit_solve.
+/* One step of solver._advance on the compiled path: its right-hand side,
+ * solve and v update, its finite checks and the next step's speed bound, in
+ * two sweeps over the grid and one pass over the new state.
+ *
+ * The forward sweep computes each interior node's right-hand side
+ *     r_i = (u_(i+1)*v_(i+1) - u_(i-1)*v_(i-1))*flux_w + u_i
+ *           [+ ((u_(i+1) + u_(i-1)) - 2*u_i)*diff_w when diff_w != 0]
+ * as solver._explicit_rhs does, folds the pinned ends u[0] and u[n-1] into
+ * the first and last one (times a), and runs the forward sweep of the solve
+ * L*D*L^T x = r with the pivots d and the subdiagonal e of the unit factor
+ * L, as LAPACK's dptts2 does for one right-hand side: solver._implicit_solve.
+ * The back sweep finishes u_new and, one node behind it, sets
+ *     v_new_i = (u_new_(i+1) - u_new_(i-1))*dv_w + v_i
+ * once both neighbours are final: solver._update_v.  The ends of u_new and
+ * v_new are those of u and v.  Each of these is a chain of dependent
+ * multiply-subtracts that leaves the other execution ports idle, so the
+ * right-hand side and the v update cost little inside them.
  *
  * When a has changed, k >= 0: d[:k] holds the head pivots, and every pivot
  * from k on is d_plus.  The factor is then completed here: e_i = -a/d_i on
- * the head, and d_i = d_plus, e_i = -a/d_plus from k on.  The tail is stored
- * inside the forward sweep, whose chain of dependent multiply-subtracts
- * leaves the store port idle, so the refill costs no separate pass. */
-void implicit_solve(double *b, long m, double a, double left, double right, double *d,
-                    double *e, long k, double d_plus)
+ * the head, and d_i = d_plus, e_i = -a/d_plus from k on, stored inside the
+ * forward sweep.  With k < 0, d and e are used as they are.
+ *
+ * checks[0] is min(u_new), nan when any entry is not finite
+ * (solver._finite_min); checks[1] is 1 when every v_new is finite, else 0;
+ * checks[2] is speed_bound(u_new, v_new), the next step's bound.  The two
+ * flags are summed and minimized inside the back sweep, the bound in a pass
+ * over the cache-hot outputs.
+ *
+ * u_new and v_new must not overlap u, v, d or e. */
+void imex_step(const double *restrict u, const double *restrict v, long n, double flux_w,
+               double diff_w, double a, double *restrict d, double *restrict e, long k,
+               double d_plus, double dv_w, double chi, double *restrict u_new,
+               double *restrict v_new, double *restrict checks)
 {
-    const long fill = k < 0 ? m : k; /* d and e are stored from index fill on */
+    const long m = n - 2;                /* interior row i is node i + 1 */
+    const long fill = k < 0 ? m : k;     /* d and e are stored from row fill on */
     const double e_plus = k < 0 ? 0.0 : -a / d_plus;
+    const double left = u[0], right = u[n - 1];
     for (long i = 0; i < k && i < m - 1; i++)
         e[i] = -a / d[i];
-    b[0] += a * left;
-    b[m - 1] += a * right;
-    double x = b[0]; /* b[i - 1], kept out of memory that the fill may alias */
-    for (long i = 1; i < m; i++) {
-        if (i - 1 >= fill) {
-            d[i - 1] = d_plus;
-            e[i - 1] = e_plus;
+
+    /* forward sweep; w_lo and w_hi are u*v at the nodes j - 1 and j + 1 */
+    double w_lo = u[0] * v[0], w_mid = u[1] * v[1], w_hi = u[2] * v[2];
+    double x = node_rhs(u, w_lo, w_hi, 1, flux_w, diff_w) + a * left; /* row 0 */
+    u_new[1] = x; /* x, the last row, is kept out of memory that the fill may alias */
+    for (long j = 2; j <= m; j++) {
+        w_lo = w_mid;
+        w_mid = w_hi;
+        w_hi = u[j + 1] * v[j + 1];
+        double r = node_rhs(u, w_lo, w_hi, j, flux_w, diff_w);
+        if (j == m)
+            r = r + a * right;
+        if (j - 2 >= fill) {
+            d[j - 2] = d_plus;
+            e[j - 2] = e_plus;
         }
-        x = b[i] - x * e[i - 1];
-        b[i] = x;
+        x = r - x * e[j - 2];
+        u_new[j] = x;
     }
     if (fill < m)
         d[m - 1] = d_plus;
-    b[m - 1] = b[m - 1] / d[m - 1];
-    for (long i = m - 2; i >= 0; i--)
-        b[i] = b[i] / d[i] - b[i + 1] * e[i];
-}
 
-/* out = left, (u_(i+1) - u_(i-1))*dv_w + v_i inside, right: solver._update_v. */
-void update_v(const double *u, const double *v, long n, double dv_w, double left,
-              double right, double *out)
-{
-    out[0] = left;
-    for (long i = 1; i < n - 1; i++)
-        out[i] = (u[i + 1] - u[i - 1]) * dv_w + v[i];
-    out[n - 1] = right;
-}
+    /* back sweep, with v_new one node behind and the finite checks */
+    u_new[0] = left;
+    u_new[n - 1] = right;
+    x = x / d[m - 1];
+    u_new[m] = x;
+    double above = right; /* u_new at the node above x */
+    double u_min = left < right ? left : right;
+    u_min = x < u_min ? x : u_min;
+    double u_sum = left * 0.0 + right * 0.0 + x * 0.0; /* nan when any u_new is inf or nan */
+    double v_sum = v[0] * 0.0 + v[n - 1] * 0.0;
+    for (long j = m - 1; j >= 1; j--) {
+        const double y = u_new[j] / d[j - 1] - x * e[j - 1];
+        u_new[j] = y;
+        const double vj = (above - y) * dv_w + v[j + 1];
+        v_new[j + 1] = vj;
+        u_sum += y * 0.0;
+        u_min = y < u_min ? y : u_min;
+        v_sum += vj * 0.0;
+        above = x;
+        x = y;
+    }
+    const double v1 = (above - left) * dv_w + v[1];
+    v_new[1] = v1;
+    v_sum += v1 * 0.0;
+    v_new[0] = v[0];
+    v_new[n - 1] = v[n - 1];
 
-/* min(x) when every entry is finite, else nan: solver._finite_min.  x*0 is
- * 0 for a finite x and nan for inf or nan, so a sum of them flags any
- * non-finite entry.  Four running sums and minima, so that no add or compare
- * waits on the one before it. */
-double finite_min(const double *x, long n)
-{
-    double m0 = x[0], m1 = x[0], m2 = x[0], m3 = x[0];
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    long i = 0;
-    for (; i + 4 <= n; i += 4) {
-        s0 += x[i] * 0.0;
-        s1 += x[i + 1] * 0.0;
-        s2 += x[i + 2] * 0.0;
-        s3 += x[i + 3] * 0.0;
-        m0 = x[i] < m0 ? x[i] : m0;
-        m1 = x[i + 1] < m1 ? x[i + 1] : m1;
-        m2 = x[i + 2] < m2 ? x[i + 2] : m2;
-        m3 = x[i + 3] < m3 ? x[i + 3] : m3;
-    }
-    for (; i < n; i++) {
-        s0 += x[i] * 0.0;
-        m0 = x[i] < m0 ? x[i] : m0;
-    }
-    if ((s0 + s1) + (s2 + s3) != 0.0)
-        return NAN;
-    m0 = m1 < m0 ? m1 : m0;
-    m2 = m3 < m2 ? m3 : m2;
-    return m2 < m0 ? m2 : m0;
+    checks[0] = u_sum != 0.0 ? NAN : u_min;
+    checks[1] = v_sum == 0.0;
+    checks[2] = speed_bound(u_new, v_new, n, chi);
 }
 
 /* The snapshot printer: each value exactly as Python's '%.17g' % value

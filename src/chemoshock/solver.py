@@ -20,45 +20,49 @@ form (`_ldl_pivots`), so a step never factorizes: it fills the pivots and the
 unit lower bidiagonal factor and calls LAPACK's dpttrs, which solves in place
 into the interior of the new u.
 
-One array kernel, `_advance`, takes a step on raw nodal arrays.  It composes
-four stages, each a module-level function of raw arrays and scalar weights:
-`_time_step` (the CFL dt), `_explicit_rhs` (coupling flux and explicit
-diffusion), `_implicit_solve` (pinned ends folded in, pivots, `dpttrs`) and
-`_update_v`.  Between them it pins each end to its value in the input
-arrays, which by induction is the data's, and performs every per-step check
-(LAPACK info, finite u and v, positivity).  The scratch buffers (pivots,
-factor, u*v) and the routines live in a `_Workspace` that `run()` allocates
-once per run; the public `step()` builds its own.  The pivots and the factor
-are refilled only when a = theta*D*dt/dx**2 changes, bit for bit; on jump
-data dt repeats on about half the steps.  `run()` marches the arrays and builds
-`Field`/`SimState` only at the API boundary: at snapshots, for the plain
-`on_snapshot(index, state, prev)` callback, and for its `RunReport`.  The
-public `step()` wraps the same kernel for a single `SimState`.
+One array kernel, `_advance`, takes a step on raw nodal arrays.  On the
+numpy path it composes four stages, each a module-level function of raw
+arrays and scalar weights: `_time_step` (the CFL dt), `_explicit_rhs`
+(coupling flux and explicit diffusion), `_implicit_solve` (pinned ends folded
+in, pivots, `dpttrs`) and `_update_v`.  Between them it pins each end to its
+value in the input arrays, which by induction is the data's, and performs
+every per-step check (LAPACK info, finite u and v, positivity).  The scratch
+buffers (pivots, factor, u*v) and the routines live in a `_Workspace` that
+`run()` allocates once per run; the public `step()` builds its own.  The
+pivots and the factor are refilled only when a = theta*D*dt/dx**2 changes,
+bit for bit; on jump data dt repeats on about half the steps.  `run()`
+marches the arrays and builds `Field`/`SimState` only at the API boundary: at
+snapshots, for the plain `on_snapshot(index, state, prev)` callback, and for
+its `RunReport`.  The public `step()` wraps the same kernel for a single
+`SimState`.
 
-Compiled stages.  Each stage, and the finite-min check, has a loop in
-`_stages.c` that does the numpy stage's IEEE operations in the same order, so
-both paths give the same bytes; the solve is dpttrs's own two sweeps.  When
-a changes, Python computes only the head of the pivots (`_ldl_head`: the
-entries that differ from their limit d_plus, ~100 of them), and the compiled
-solve fills the factor from that head: the subdiagonal of L, and the rest of
-the pivots, which it stores inside its forward sweep.  The head stays in
-numpy, for its expm1 (see `_ldl_head`).  The compiled speed
-bound runs four lanes that `-O2` vectorizes; the max of its finite terms does
-not depend on their order, and an inf or nan term hands it to a one-lane
-loop.  The numpy stages stay as the reference the tests compare with, and
-as the path taken when no compiler or cache is usable.  The first
-`_Workspace` built on a machine compiles the source with $CC (default cc)
-into a private per-user cache, ${XDG_CACHE_HOME:-~/.cache}/chemoshock
-(`_native._load_stages`, which this module imports as `_load_stages`);
-later processes load the cached library through ctypes.  `_advance` hands
-its workspace to each stage, which runs the compiled loop when the
-workspace holds the library, and `RunReport.step_kernel` records which path
-ran.
+The compiled step.  When the workspace holds the compiled library, a step
+is one call of `imex_step` in `_stages.c` (`_compiled_step`), which does the
+numpy stages' IEEE operations in the same order, so both paths give the
+same bytes.  Its forward sweep computes each node's right-hand side and
+folds in the pinned ends; its back sweep (dpttrs's own two sweeps) updates v
+one node behind the solve and finds min(u_new) and whether u_new and v_new
+are finite; a last pass over the new state computes the next step's speed
+bound, which the workspace carries to the next step.  So only the first step
+of a run, or of a `step()`, calls the compiled `speed_bound`, and `_advance`
+runs the same checks on what the one call returns.  When a changes, Python
+computes only the head of the pivots (`_ldl_head`: the entries that differ
+from their limit d_plus, ~100 of them), and the compiled step fills the
+factor from that head inside its forward sweep.  The head stays in numpy,
+for its expm1 (see `_ldl_head`).  The compiled speed bound runs four lanes
+that `-O2` vectorizes; the max of its finite terms does not depend on their
+order, and an inf or nan term hands it to a one-lane loop.  The numpy stages
+stay as the reference the tests compare with, and as the path taken when no
+compiler or cache is usable.  The first `_Workspace` built on a machine
+compiles the source with $CC (default cc) into a private per-user cache,
+${XDG_CACHE_HOME:-~/.cache}/chemoshock (`_native._load_stages`, which this
+module imports as `_load_stages`); later processes load the cached library
+through ctypes.  `RunReport.step_kernel` records which path ran.
 
-Building a workspace is what loads the compiled stages, so they load on the
+Building a workspace is what loads the compiled step, so it loads on the
 first step of a `run()` or `step()`; importing this module, and the CLI's
 `validate` and `wave`, need neither scipy nor a compiler.  Only the numpy
-stages call LAPACK, so a workspace loads it only when the compiled stages did
+stages call LAPACK, so a workspace loads it only when the compiled step did
 not load, and a compiled run imports no scipy module.  `dpttrs`
 comes straight from scipy's compiled f2py module `scipy.linalg._flapack`
 (`_load_dpttrs`), once per process, without running the `__init__` of `scipy`
@@ -152,7 +156,7 @@ def _ldl_head(a: float, d: np.ndarray) -> tuple[int, float]:
     log q is taken as -2*log1p((d_plus-a)/a), which stays nonzero for large a
     where a/d_plus rounds to 1.
 
-    The compiled solve takes its head from here, so both paths share
+    The compiled step takes its head from here, so both paths share
     numpy's expm1.  On a CPU with AVX-512, numpy runs its own expm1, which
     differs from the C library's in the last bit on ~1% of arguments.  A
     head in C, on the C library's expm1, was measured: on jump data the
@@ -204,17 +208,19 @@ def _load_dpttrs():
 
 class _Workspace:
     """Scratch buffers of `_advance` for an n-node grid, reused step to step,
-    and the routines it runs: the compiled stages in `lib`, or, when they did
-    not load (`lib` is None), LAPACK's `dpttrs` for the numpy solve (else
-    None: the compiled solve needs no LAPACK).
+    and the routines it runs: the compiled step in `lib`, or, when it did not
+    load (`lib` is None), LAPACK's `dpttrs` for the numpy solve (else None:
+    the compiled step needs no LAPACK).
 
-    The compiled stages write u and v into two alternating pairs of buffers
-    owned here, so a step's output outlives the next step, and look up the
-    data address of each owned buffer once: a lookup costs about as much as
-    a compiled stage call.
+    The compiled step writes u and v into two alternating pairs of buffers
+    owned here, so a step's output outlives the next step; the data address
+    of each owned buffer is looked up once.  The workspace also carries the
+    speed bound of the pair that the compiled step returned last, for the
+    step after it.
     """
 
-    __slots__ = ("n", "d", "e", "w", "a", "dpttrs", "lib", "u_out", "v_out", "_inner", "_addr")
+    __slots__ = ("n", "d", "e", "w", "a", "dpttrs", "lib", "u_out", "v_out", "checks", "last",
+                 "_addr")
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -222,56 +228,53 @@ class _Workspace:
         self.e = np.empty(n - 3)  # subdiagonal of its unit factor L
         self.w = np.empty(n)  # u*v, for the numpy stage
         self.a = math.nan  # the a that d and e hold the factor for
-        self.lib = _load_stages()  # the compiled stages load here, not at import
+        self.lib = _load_stages()  # the compiled step loads here, not at import
         self.dpttrs = None
         if self.lib is None:
             self.dpttrs = _load_dpttrs()  # and LAPACK, only for the numpy stages
             return
         self.u_out = (np.empty(n), np.empty(n))
         self.v_out = (np.empty(n), np.empty(n))
-        self._inner = {id(u): u[1:-1] for u in self.u_out}
-        owned = (self.d, self.e, *self.u_out, *self.v_out, *self._inner.values())
+        self.checks = np.empty(3)  # what the compiled step returns: u-min, v finite, bound
+        # (u, v, chi, bound): the pair the compiled step returned last and its speed bound
+        self.last = (None, None, math.nan, math.nan)
+        owned = (self.d, self.e, *self.u_out, *self.v_out, self.checks)
         # keyed by id: every key's array lives as long as this workspace
-        self._addr = {id(x): (_address(x, x.size), x.size) for x in owned}
+        self._addr = {id(x): _address(x, x.size) for x in owned}
 
-    def ptr(self, x: np.ndarray, size: int, write: bool = False) -> int:
-        """`_address(x, size, write)`, looked up once for an owned buffer."""
-        owned = self._addr.get(id(x))
-        return owned[0] if owned is not None and owned[1] == size else _address(x, size, write)
+    def ptr(self, x: np.ndarray) -> int:
+        """The data address of x, an owned buffer or any n contiguous doubles."""
+        addr = self._addr.get(id(x))
+        return _address(x, self.n) if addr is None else addr
 
-    def interior(self, u: np.ndarray) -> np.ndarray:
-        """u[1:-1]; for an owned u buffer, the same view object at every step."""
-        inner = None if self.lib is None else self._inner.get(id(u))
-        return u[1:-1] if inner is None else inner
+    def speed_bound(self, u: np.ndarray, v: np.ndarray, chi: float) -> float:
+        """The compiled `_speed_bound(u, v, chi)`: carried over when (u, v) is
+        the pair that the last compiled step returned, and nothing has been
+        written into it since (the caller's contract), else computed."""
+        last_u, last_v, last_chi, bound = self.last
+        if u is last_u and v is last_v and chi == last_chi:
+            return bound
+        return self.lib.speed_bound(self.ptr(u), self.ptr(v), self.n, chi)
 
 
-def _time_step(
-    u: np.ndarray, v: np.ndarray, chi: float, cfl: float, dx: float, dt_cap: float | None,
-    ws: _Workspace | None = None,
-) -> float:
-    """The CFL step cfl*dx/max(speed bound, tiny), capped at dt_cap when given.
-    The bound is compiled when ws has the compiled stages."""
-    if ws is None or ws.lib is None:
-        bound = _speed_bound(u, v, chi)
-    else:
-        bound = ws.lib.speed_bound(ws.ptr(u, ws.n), ws.ptr(v, ws.n), ws.n, chi)
+def _cfl_step(bound: float, cfl: float, dx: float, dt_cap: float | None) -> float:
+    """The CFL step cfl*dx/max(bound, tiny), capped at dt_cap when given."""
     dt = cfl * dx / max(bound, _TINY_SPEED)
     return dt if dt_cap is None else min(dt, dt_cap)
 
 
+def _time_step(
+    u: np.ndarray, v: np.ndarray, chi: float, cfl: float, dx: float, dt_cap: float | None
+) -> float:
+    """The CFL step of (u, v) under its cap: `_cfl_step` of their speed bound."""
+    return _cfl_step(_speed_bound(u, v, chi), cfl, dx, dt_cap)
+
+
 def _explicit_rhs(
-    u: np.ndarray, v: np.ndarray, flux_w: float, diff_w: float, w: np.ndarray,
-    ws: _Workspace | None = None,
+    u: np.ndarray, v: np.ndarray, flux_w: float, diff_w: float, w: np.ndarray
 ) -> np.ndarray:
-    """An array holding u + flux_w*(uv_(i+1) - uv_(i-1)) + diff_w*(u_(i+1) - 2u_i + u_(i-1))
-    on the interior nodes, its two ends left unset.  The numpy stage returns a
-    fresh array and uses w as scratch for uv; the compiled one, run when ws
-    has it, returns the u buffer of ws that is not u."""
-    if ws is not None and ws.lib is not None:
-        out = ws.u_out[1] if u is ws.u_out[0] else ws.u_out[0]
-        n = ws.n
-        ws.lib.explicit_rhs(ws.ptr(u, n), ws.ptr(v, n), n, flux_w, diff_w, ws.ptr(out, n))
-        return out
+    """A fresh array holding u + flux_w*(uv_(i+1) - uv_(i-1)) + diff_w*(u_(i+1) - 2u_i + u_(i-1))
+    on the interior nodes, its two ends left unset; w is scratch for uv."""
     u_new = np.empty_like(u)
     rhs = u_new[1:-1]
     np.multiply(u, v, out=w)
@@ -291,18 +294,9 @@ def _implicit_solve(rhs: np.ndarray, a: float, left: float, right: float, ws: _W
     nodes, the pinned end values left and right moved to the rhs; return LAPACK's info.
 
     The factor in ws.d and ws.e is refilled only when a differs from the last
-    a, bit for bit.  ws's compiled stage, when it has one, fills the factor
-    from the pivot head that `_ldl_head` computes here, and folds and solves
-    as dpttrs does (info is then 0, as dpttrs returns for any valid sizes)."""
-    refill = a != ws.a
-    ws.a = a
-    if ws.lib is not None:
-        k, d_plus = _ldl_head(a, ws.d) if refill else (-1, 0.0)
-        m = ws.n - 2
-        ws.lib.implicit_solve(ws.ptr(rhs, m, write=True), m, a, left, right,
-                              ws.ptr(ws.d, m), ws.ptr(ws.e, m - 1), k, d_plus)
-        return 0
-    if refill:
+    a, bit for bit."""
+    if a != ws.a:
+        ws.a = a
         k, d_plus = _ldl_pivots(a, ws.d)
         # e_i = -a/d_i; from index k on every d_i is d_plus, so one value fills e
         head = ws.e[:k]
@@ -315,17 +309,9 @@ def _implicit_solve(rhs: np.ndarray, a: float, left: float, right: float, ws: _W
 
 
 def _update_v(
-    u_new: np.ndarray, v: np.ndarray, dv_w: float, left: float, right: float,
-    ws: _Workspace | None = None,
+    u_new: np.ndarray, v: np.ndarray, dv_w: float, left: float, right: float
 ) -> np.ndarray:
-    """v + dv_w*(u_new_(i+1) - u_new_(i-1)) inside, left and right at the ends:
-    a fresh array from the numpy stage, or from the compiled one, run when ws
-    has it, the v buffer of ws that is not v."""
-    if ws is not None and ws.lib is not None:
-        out = ws.v_out[1] if v is ws.v_out[0] else ws.v_out[0]
-        n = ws.n
-        ws.lib.update_v(ws.ptr(u_new, n), ws.ptr(v, n), n, dv_w, left, right, ws.ptr(out, n))
-        return out
+    """A fresh array: v + dv_w*(u_new_(i+1) - u_new_(i-1)) inside, left and right at the ends."""
     v_new = np.empty_like(v)
     v_new[0], v_new[-1] = left, right
     dv = np.subtract(u_new[2:], u_new[:-2], out=v_new[1:-1])
@@ -334,13 +320,35 @@ def _update_v(
     return v_new
 
 
-def _finite_min(x: np.ndarray, ws: _Workspace) -> float:
-    """min(x) when every entry of x is finite, else nan; compiled when ws has it."""
-    if ws.lib is not None:
-        return ws.lib.finite_min(ws.ptr(x, ws.n), ws.n)
+def _finite_min(x: np.ndarray) -> float:
+    """min(x) when every entry of x is finite, else nan."""
     # min and max propagate nan and show an inf, so the two reductions cover finiteness
     low = float(x.min())
     return low if math.isfinite(low) and math.isfinite(x.max()) else math.nan
+
+
+def _compiled_step(
+    u: np.ndarray, v: np.ndarray, flux_w: float, diff_w: float, a: float, dv_w: float,
+    chi: float, ws: _Workspace,
+) -> tuple[np.ndarray, np.ndarray, float, bool]:
+    """The numpy stages `_explicit_rhs`, `_implicit_solve` (ends u[0] and
+    u[-1]) and `_update_v` (ends v[0] and v[-1]) with these weights, as one
+    call of ws's compiled step, which gives the same bytes.
+
+    Returns (u_new, v_new, `_finite_min(u_new)`, whether every v_new is
+    finite): the buffers of ws that are not u and v.  ws carries their
+    speed bound, which the call computes too, to the next step.  When a
+    changes, the head of the pivots comes from `_ldl_head` here, and the
+    compiled step fills the rest of the factor."""
+    k, d_plus = (-1, 0.0) if a == ws.a else _ldl_head(a, ws.d)
+    ws.a = a
+    u_new = ws.u_out[1] if u is ws.u_out[0] else ws.u_out[0]
+    v_new = ws.v_out[1] if v is ws.v_out[0] else ws.v_out[0]
+    ws.lib.imex_step(ws.ptr(u), ws.ptr(v), ws.n, flux_w, diff_w, a, ws.ptr(ws.d), ws.ptr(ws.e),
+                     k, d_plus, dv_w, chi, ws.ptr(u_new), ws.ptr(v_new), ws.ptr(ws.checks))
+    u_min, v_finite, bound = ws.checks.tolist()
+    ws.last = (u_new, v_new, chi, bound)
+    return u_new, v_new, u_min, v_finite != 0.0
 
 
 def _advance(
@@ -358,32 +366,45 @@ def _advance(
 
     Returns (u_new, v_new, dt, min(u_new)), whose end values are those of u
     and v; the inputs are not modified and `ws` only holds scratch values.
-    With the compiled stages, u_new and v_new are buffers of ws that the step
-    after next overwrites.
+
+    With the compiled step, a step is one library call (`_compiled_step`):
+    dt comes from the speed bound that ws carries for the pair it returned
+    last, or, for any other input, from one compiled `speed_bound` call.
+    u_new and v_new are then buffers of ws that the step after next
+    overwrites.  Without it, `_advance` composes the numpy stages
+    `_time_step`, `_explicit_rhs`, `_implicit_solve` and `_update_v`.  Both
+    paths check the same things in the same order, with the same messages.
     """
-    u_left, u_right, v_left, v_right = u[0], u[-1], v[0], v[-1]
     dx = grid.dx
     theta = cfg.diffusion_theta
-
-    dt = _time_step(u, v, params.chi, cfg.cfl, dx, dt_cap, ws)
+    chi = params.chi
+    compiled = ws.lib is not None
+    if compiled:
+        dt = _cfl_step(ws.speed_bound(u, v, chi), cfg.cfl, dx, dt_cap)
+    else:
+        dt = _time_step(u, v, chi, cfg.cfl, dx, dt_cap)
     if not t + dt > t:  # the speed bound overflowed, or dt is below t's last digit
         raise NumericalError(
             f"time step {dt:.3e} does not advance t={t:.6g} on step {step_no}"
         )
-    u_new = _explicit_rhs(
-        u, v, dt * params.chi / (2.0 * dx), dt * (1.0 - theta) * params.D / (dx * dx), ws.w, ws
-    )
+    flux_w = dt * chi / (2.0 * dx)
+    diff_w = dt * (1.0 - theta) * params.D / (dx * dx)
     a = theta * params.D * dt / (dx * dx)
-    info = _implicit_solve(ws.interior(u_new), a, u_left, u_right, ws)
-    if info != 0:
-        raise NumericalError(
-            f"tridiagonal solve failed (LAPACK info={info}) on step {step_no} "
-            f"(t={t:.6g}, dt={dt:.3e})"
-        )
-    u_new[0] = u_left
-    u_new[-1] = u_right
+    dv_w = dt / (2.0 * dx)
+    if compiled:
+        u_new, v_new, u_min, v_finite = _compiled_step(u, v, flux_w, diff_w, a, dv_w, chi, ws)
+    else:
+        u_new = _explicit_rhs(u, v, flux_w, diff_w, ws.w)
+        info = _implicit_solve(u_new[1:-1], a, u[0], u[-1], ws)
+        if info != 0:
+            raise NumericalError(
+                f"tridiagonal solve failed (LAPACK info={info}) on step {step_no} "
+                f"(t={t:.6g}, dt={dt:.3e})"
+            )
+        u_new[0] = u[0]
+        u_new[-1] = u[-1]
+        u_min = _finite_min(u_new)
 
-    u_min = _finite_min(u_new, ws)
     if math.isnan(u_min):
         bad = int(np.flatnonzero(~np.isfinite(u_new))[0])
         raise NumericalError(
@@ -396,8 +417,10 @@ def _advance(
             f"on step {step_no}, t={t + dt:.6g}"
         )
 
-    v_new = _update_v(u_new, v, dt / (2.0 * dx), v_left, v_right, ws)
-    if math.isnan(_finite_min(v_new, ws)):
+    if not compiled:
+        v_new = _update_v(u_new, v, dv_w, v[0], v[-1])
+        v_finite = not math.isnan(_finite_min(v_new))
+    if not v_finite:
         bad = int(np.flatnonzero(~np.isfinite(v_new))[0])
         raise NumericalError(
             f"non-finite v at node {bad} after step {step_no} (t={t:.6g}, dt={dt:.3e})"
@@ -436,7 +459,7 @@ class RunReport:
     snapshot_count: int
     wall_time_s: float
     min_u: float
-    step_kernel: str  # "compiled" or "numpy": which stages ran
+    step_kernel: str  # "compiled" or "numpy": which step ran
 
 
 def _snapshot_times(cfg: SchemeConfig) -> Iterator[float]:

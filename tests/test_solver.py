@@ -26,6 +26,8 @@ from chemoshock.solver import (
     _TINY_SPEED,
     SchemeConfig,
     _advance,
+    _cfl_step,
+    _compiled_step,
     _explicit_rhs,
     _implicit_solve,
     _ldl_pivots,
@@ -373,24 +375,29 @@ def test_update_v_matches_per_node_loop():
 
 @pytest.mark.parametrize("m", [6, 7, 62])
 def test_implicit_solve_matches_dense_system(m):
-    rng = np.random.default_rng(m)
+    # the numpy stage, and the compiled step where the library builds
+    solvers = [(numpy_workspace(m + 2), _implicit_solve)]
+    if solver._load_stages() is not None:
+        solvers.append((_Workspace(m + 2), compiled_solve))
     lap = np.diag(np.full(m, -2.0)) + np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
-    ws = _Workspace(m + 2)
-    for a in np.logspace(-3, 3, 7):
-        rhs = 1.0 + rng.random(m)
-        left, right = 1.3, 0.7
-        x = rhs.copy()
-        assert _implicit_solve(x, a, left, right, ws) == 0
-        b = rhs.copy()
-        b[0] += a * left
-        b[-1] += a * right
-        want = np.linalg.solve(np.eye(m) - a * lap, b)
-        assert np.abs(x - want).max() <= 1e-13, a
+    for ws, solve in solvers:
+        rng = np.random.default_rng(m)
+        for a in np.logspace(-3, 3, 7):
+            rhs = 1.0 + rng.random(m)
+            left, right = 1.3, 0.7
+            x = rhs.copy()
+            assert solve(x, a, left, right, ws) == 0
+            b = rhs.copy()
+            b[0] += a * left
+            b[-1] += a * right
+            want = np.linalg.solve(np.eye(m) - a * lap, b)
+            assert np.abs(x - want).max() <= 1e-13, a
 
 
 def test_advance_calls_each_stage_once_per_step(monkeypatch):
     # _advance looks its stages up as module globals, so a wrapper set on the
-    # module (as a tracer does) sees every call
+    # module (as a tracer does) sees every call; the numpy path composes them
+    monkeypatch.setattr(solver, "_load_stages", lambda: None)
     calls = dict.fromkeys(("_time_step", "_explicit_rhs", "_implicit_solve", "_update_v"), 0)
     for name in calls:
         def counted(*args, _fn=getattr(solver, name), _name=name):
@@ -404,6 +411,33 @@ def test_advance_calls_each_stage_once_per_step(monkeypatch):
     report = run(state, P1, cfg)
     assert report.step_count > 0
     assert calls == dict.fromkeys(calls, report.step_count)
+
+
+class CountingLibrary:
+    """The compiled library, counting the calls of each of its functions."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, {}
+
+    def __getattr__(self, name):
+        fn = getattr(self.lib, name)
+
+        def counted(*args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return fn(*args)
+        return counted
+
+
+def test_a_compiled_run_makes_one_library_call_per_step(stages, monkeypatch):
+    # the first step's bound is computed, every later one carried from the step before
+    lib = CountingLibrary(stages)
+    monkeypatch.setattr(solver, "_load_stages", lambda: lib)
+    g = GridSpec(0.0, 100.0, 201)
+    state = wave_state(g, TravelingWave.from_end_values(2.0, 1.0, 1.0, P1), 30.0)
+    cfg = SchemeConfig(t_end=2.0, snapshot_interval=1.0)
+    report = run(state, P1, cfg)
+    assert report.step_kernel == "compiled" and report.step_count > 0
+    assert lib.calls == {"speed_bound": 1, "imex_step": report.step_count}
 
 
 def _plant_nan_in_u(solve):
@@ -422,11 +456,35 @@ def _plant_nan_in_v(update):
     return planted
 
 
+def _plant_in_compiled_step(step, name, node, value):
+    """`_compiled_step` with `value` written at `node` of its u or v output,
+    and the checks it returns taken from the planted output."""
+    def planted(*args):
+        u_new, v_new, _, _ = step(*args)
+        (u_new if name == "u" else v_new)[node] = value
+        return u_new, v_new, solver._finite_min(u_new), math.isfinite(solver._finite_min(v_new))
+    return planted
+
+
+def _plant_nan_in_compiled_u(step):
+    return _plant_in_compiled_step(step, "u", 7, np.nan)
+
+
+def _plant_nan_in_compiled_v(step):
+    return _plant_in_compiled_step(step, "v", 7, np.nan)
+
+
 @pytest.mark.parametrize("stage, plant, name", [
     ("_implicit_solve", _plant_nan_in_u, "u"),
     ("_update_v", _plant_nan_in_v, "v"),
+    ("_compiled_step", _plant_nan_in_compiled_u, "u"),
+    ("_compiled_step", _plant_nan_in_compiled_v, "v"),
 ])
-def test_non_finite_step_names_its_first_bad_node(monkeypatch, stage, plant, name):
+def test_non_finite_step_names_its_first_bad_node(request, monkeypatch, stage, plant, name):
+    if stage == "_compiled_step":
+        request.getfixturevalue("stages")
+    else:  # a numpy stage: the compiled step calls none
+        monkeypatch.setattr(solver, "_load_stages", lambda: None)
     monkeypatch.setattr(solver, stage, plant(getattr(solver, stage)))
     g = GridSpec(0.0, 10.0, 21)
     state = constant_state(g, 1.0, 0.0)
@@ -455,53 +513,123 @@ def random_state(n, seed):
     return 0.5 + 2.0 * rng.random(n), 0.8 * rng.standard_normal(n)
 
 
+def compiled_solve(x, a, left, right, ws):
+    """`_implicit_solve(x, a, left, right, ws)` through the compiled step of ws:
+    with u = (left, x, right), v = 0 and no flux or diffusion, its right-hand
+    side is x itself, bit for bit."""
+    u = np.concatenate([[left], x, [right]])
+    u_new, *_ = _compiled_step(u, np.zeros(u.size), 0.0, 0.0, a, 0.0, 0.0, ws)
+    x[:] = u_new[1:-1]
+    return 0
+
+
+def numpy_step(u, v, flux_w, diff_w, a, dv_w, ws):
+    """The numpy stages composed as `_advance` composes them, with these
+    weights: what `_compiled_step` returns, computed by numpy."""
+    u_new = _explicit_rhs(u, v, flux_w, diff_w, ws.w)
+    assert _implicit_solve(u_new[1:-1], a, u[0], u[-1], ws) == 0
+    u_new[0], u_new[-1] = u[0], u[-1]
+    v_new = _update_v(u_new, v, dv_w, v[0], v[-1])
+    return u_new, v_new, solver._finite_min(u_new), not math.isnan(solver._finite_min(v_new))
+
+
 @pytest.mark.parametrize("n", [8, 201, 4001])
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 def test_each_compiled_stage_matches_its_numpy_stage_bit_for_bit(stages, n, theta):
+    # the stages now run inside the one compiled step, which is compared with
+    # the numpy stages composed with the same weights
     u, v = random_state(n, n)
     ws, ref = _Workspace(n), numpy_workspace(n)
     assert ws.lib is stages and ref.lib is None
     chi, dx = 1.7, 0.05
     for w in (u, u - 1.5, np.zeros(n)):  # some nodes below the positivity floor, no speed
-        got = stages.speed_bound(ws.ptr(w, n), ws.ptr(v, n), n, chi)
+        got = stages.speed_bound(ws.ptr(w), ws.ptr(v), n, chi)
         assert same_bits(got, solver._speed_bound(w, v, chi))
     for cap in (None, 1e-3, 1e-9):
-        assert _time_step(u, v, chi, 0.4, dx, cap, ws) == _time_step(u, v, chi, 0.4, dx, cap)
+        assert _cfl_step(ws.speed_bound(u, v, chi), 0.4, dx, cap) == _time_step(u, v, chi, 0.4, dx, cap)
 
     dt = _time_step(u, v, chi, 0.4, dx, None)
     flux_w, diff_w = dt * chi / (2.0 * dx), dt * (1.0 - theta) * 3.0 / (dx * dx)
-    got = _explicit_rhs(u, v, flux_w, diff_w, ws.w, ws)
-    want = _explicit_rhs(u, v, flux_w, diff_w, ref.w)
-    assert same_bits(got[1:-1], want[1:-1])
-    assert got is ws.u_out[0] and _explicit_rhs(got, v, flux_w, diff_w, ws.w, ws) is ws.u_out[1]
-
     for a in (0.0, 1e300, theta * 3.0 * dt / (dx * dx)):
-        x, y = want[1:-1].copy(), want[1:-1].copy()
-        assert _implicit_solve(x, a, u[0], u[-1], ws) == 0
-        assert _implicit_solve(y, a, u[0], u[-1], ref) == 0
-        assert same_bits(x, y), a
+        got = _compiled_step(u, v, flux_w, diff_w, a, dt / (2.0 * dx), chi, ws)
+        want = numpy_step(u, v, flux_w, diff_w, a, dt / (2.0 * dx), ref)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), a
         assert same_bits(ws.d, ref.d) and same_bits(ws.e, ref.e)
-
-    got = _update_v(u, v, dt / (2.0 * dx), -0.25, 0.5, ws)
-    assert same_bits(got, _update_v(u, v, dt / (2.0 * dx), -0.25, 0.5))
-    assert solver._finite_min(u, ws) == solver._finite_min(u, ref) == u.min()
+        assert got[2:] == want[2:] and got[2] == want[0].min()
+    # the outputs alternate between the two buffer pairs of ws
+    assert got[0] is ws.u_out[0] and got[1] is ws.v_out[0]
+    again = _compiled_step(got[0], got[1], flux_w, diff_w, a, dt / (2.0 * dx), chi, ws)
+    assert again[0] is ws.u_out[1] and again[1] is ws.v_out[1]
+    assert solver._finite_min(u) == u.min()
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 201, 4001])
 def test_pivots_are_reused_only_for_the_same_a(stages, n):
-    # the compiled solve reads the factor that the numpy code fills; the head
+    # the compiled step reads the factor that the numpy code fills; the head
     # is 2 pivots at a = 1e-300 and all n - 2 of them at a = 1e300
     ws = _Workspace(n)
     rhs = 1.0 + np.random.default_rng(n).random(n - 2)
-    for a in (0.3, 0.3, 0.30000000000000004, 0.0, 1e-300, 1e-12, 1e-3, 10.0, 3000.0,
-              1e300, 1e300):
+    for a in PIVOT_AS:
         x = rhs.copy()
-        _implicit_solve(x, a, 1.0, 2.0, ws)
+        compiled_solve(x, a, 1.0, 2.0, ws)
         ref = numpy_workspace(n)
         y = rhs.copy()
         _implicit_solve(y, a, 1.0, 2.0, ref)
         assert ws.a == a and same_bits(ws.d, ref.d) and same_bits(ws.e, ref.e)
         assert same_bits(x, y), a
+
+
+# a repeats, changes in its last bit, underflows, grows to where the head is every pivot
+PIVOT_AS = (0.3, 0.3, 0.30000000000000004, 0.0, 1e-300, 1e-12, 1e-3, 10.0, 3000.0, 1e300, 1e300)
+# the pivot head shrinks from ~104 (a = 30) to ~19 (a = 0.83) to 0 (a = 0), then grows back
+SHRINKING_AS = (30.0, 0.83, 0.0, 30.0)
+
+
+def same_or_both_nan(got, want):
+    return same_bits(got, want) or (math.isnan(got) and math.isnan(want))
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 201, 4001])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_the_compiled_step_matches_the_numpy_stages_bit_for_bit(stages, n, theta):
+    # theta = 1 takes the fused forward sweep's branch without explicit
+    # diffusion; n = 8 .. 11 end the four lanes of the bound in every tail
+    u, v = random_state(n, 100 + n)
+    chi, dx, dt = 1.7, 0.05, 0.004
+    flux_w, diff_w, dv_w = dt * chi / (2.0 * dx), dt * (1.0 - theta) * 3.0 / (dx * dx), dt / (2.0 * dx)
+
+    def check(ws, u, v, a, planted=False):
+        ref = numpy_workspace(n)
+        got = _compiled_step(u, v, flux_w, diff_w, a, dv_w, chi, ws)
+        with np.errstate(all="ignore"):
+            want = numpy_step(u, v, flux_w, diff_w, a, dv_w, ref)
+            bound = solver._speed_bound(want[0], want[1], chi)
+        assert ws.a == a and same_bits(ws.d, ref.d) and same_bits(ws.e, ref.e), a
+        assert same_or_both_nan(got[2], want[2]) and got[3] == want[3], (a, got[2:], want[2:])
+        assert same_or_both_nan(ws.last[3], bound), (a, ws.last[3], bound)
+        assert ws.last[:3] == (got[0], got[1], chi)
+        if not planted:  # a nan's sign and payload may differ: its place may not
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), a
+        assert np.array_equal(np.isnan(got[0]), np.isnan(want[0]))
+        assert np.array_equal(np.isnan(got[1]), np.isnan(want[1]))
+
+    for sequence in (PIVOT_AS, SHRINKING_AS):
+        ws = _Workspace(n)
+        for a in sequence:
+            check(ws, u, v, a)
+
+    # a non-finite or a large input in every lane position: at a = 0 the new
+    # state keeps it local, so the bound meets it, or its largest term, in
+    # the lane of its node
+    ws = _Workspace(n)
+    places = range(n) if n < 12 else [*range(8), *range(n // 2, n // 2 + 4), *range(n - 8, n)]
+    for value in (np.nan, -np.nan, np.inf, -np.inf, 40.0):
+        for i in places:
+            for planted_in_u in (True, False):
+                u1, v1 = u.copy(), v.copy()
+                (u1 if planted_in_u else v1)[i] = value
+                for a in (0.0, 0.3):
+                    check(ws, u1, v1, a, planted=not math.isfinite(value))
 
 
 def test_compiled_speed_bound_matches_numpy_in_every_lane(stages):
@@ -538,10 +666,10 @@ def test_a_shrinking_pivot_head_leaves_no_stale_entry(stages):
     ws = _Workspace(n)
     assert ws.lib is stages
     rhs = 1.0 + np.random.default_rng(7).random(n - 2)
-    for a in (30.0, 0.83, 0.0, 30.0):
+    for a in SHRINKING_AS:
         ref = numpy_workspace(n)
         x, y = rhs.copy(), rhs.copy()
-        assert _implicit_solve(x, a, 1.0, 2.0, ws) == _implicit_solve(y, a, 1.0, 2.0, ref) == 0
+        assert compiled_solve(x, a, 1.0, 2.0, ws) == _implicit_solve(y, a, 1.0, 2.0, ref) == 0
         assert same_bits(ws.d, ref.d) and same_bits(ws.e, ref.e), a
         assert same_bits(x, y), a
 
@@ -573,6 +701,9 @@ def test_a_non_finite_value_fails_alike_on_both_paths(stages, monkeypatch, where
             return out
 
         monkeypatch.setattr(solver, stage, planted)
+        # and on the compiled path, into what its one call wrote
+        monkeypatch.setattr(solver, "_compiled_step",
+                            _plant_in_compiled_step(solver._compiled_step, name, 17, value))
     errors = []
     for ws in (_Workspace(n), numpy_workspace(n)):
         with pytest.raises(NumericalError) as info, np.errstate(invalid="ignore"):

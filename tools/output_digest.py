@@ -22,11 +22,12 @@ Runs, with the `chemoshock` found on PYTHONPATH:
 These runs build the compiled library into an XDG_CACHE_HOME of their own,
 in a temporary directory, so the user's cache is left as it is.
 
-Then it runs `run --emit-c` on `thm22` once more, in a subprocess with
-CC=false and an empty XDG_CACHE_HOME, so that the library cannot build and
-the numpy stages and the Python snapshot writer run.  Its files are not
-digested; the script exits 1 when they differ from the first `--emit-c`
-run's, or when its manifest does not say `step_kernel = numpy`.
+Then it runs `run --emit-c` on `thm22` (theta = 0.5) and `run` on `thm21`
+(theta = 1) once more, each in a subprocess with CC=false and an empty
+XDG_CACHE_HOME, so that the library cannot build and the numpy stages and
+the Python snapshot writer run.  Their files are not digested; the script
+exits 1 when they differ from the compiled runs' files, or when a manifest
+does not say `step_kernel = numpy`.
 
 Each command's exit code is written to `exit_codes.txt` in OUT_DIR, one
 `command = code` line per command, with OUT_DIR, the temporary directory
@@ -91,7 +92,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
-# manifest lines that depend on the machine: the run's times and which step stages ran
+# manifest lines that depend on the machine: the run's times and which step ran
 _MACHINE_KEYS = (b"snapshot_write_s =", b"snapshot_wait_s =", b"wall_time_s =",
                  b"step_kernel =")
 # manifest lines that count what a run did: any change is flagged
@@ -150,28 +151,37 @@ def _argvs(out: Path, config_dir: Path) -> list[list[str]]:
     return argvs
 
 
+# (compiled run in OUT_DIR, its arguments) re-run with CC=false: thm22 --emit-c
+# steps with theta = 0.5 and writes the c column, thm21 steps with theta = 1
+_FALLBACK_RUNS = (("emit_c/thm22", ("thm22.cfg", "--emit-c")), ("run/thm21", ("thm21.cfg",)))
+
+
 def _fallback_mismatch(out: Path, scratch: Path) -> str | None:
-    """Run thm22 --emit-c where the library cannot build, and say how its
-    files differ from the compiled run's in `out`, or None when they match."""
+    """Run each of `_FALLBACK_RUNS` where the library cannot build, and say
+    how its files differ from the compiled run's in `out`, or None when they
+    all match."""
     from chemoshock import cli
 
-    fallback = scratch / "fallback"
     src = Path(cli.__file__).resolve().parent.parent  # the chemoshock run above
     env = dict(os.environ, CC="false", XDG_CACHE_HOME=str(scratch / "empty_cache"),
                PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    subprocess.run([sys.executable, "-m", "chemoshock.cli", "run",
-                    str(SCENARIO_DIR / "thm22.cfg"), "--emit-c", "--out", str(fallback)],
-                   env=env, check=True, stdout=subprocess.DEVNULL, timeout=600)
-    if b"step_kernel = numpy" not in (fallback / "manifest.txt").read_bytes():
-        return "the CC=false run did not take the numpy stages"
-    compiled = out / "emit_c" / "thm22"
-    if not compiled.is_dir():
-        return "the compiled --emit-c run wrote nothing"
-    names = sorted(p.name for p in compiled.iterdir())
-    if names != sorted(p.name for p in fallback.iterdir()):
-        return "the CC=false run wrote other files"
-    differ = [name for name in names if _digest(compiled / name) != _digest(fallback / name)]
-    return f"the CC=false run differs in {', '.join(differ)}" if differ else None
+    for name, (cfg, *flags) in _FALLBACK_RUNS:
+        fallback = scratch / "fallback" / name
+        subprocess.run([sys.executable, "-m", "chemoshock.cli", "run", str(SCENARIO_DIR / cfg),
+                        *flags, "--out", str(fallback)],
+                       env=env, check=True, stdout=subprocess.DEVNULL, timeout=600)
+        if b"step_kernel = numpy" not in (fallback / "manifest.txt").read_bytes():
+            return f"the CC=false {name} run did not take the numpy stages"
+        compiled = out / name
+        if not compiled.is_dir():
+            return f"the compiled {name} run wrote nothing"
+        names = sorted(p.name for p in compiled.iterdir())
+        if names != sorted(p.name for p in fallback.iterdir()):
+            return f"the CC=false {name} run wrote other files"
+        differ = [f for f in names if _digest(compiled / f) != _digest(fallback / f)]
+        if differ:
+            return f"the CC=false {name} run differs in {', '.join(differ)}"
+    return None
 
 
 def _digest(path: Path) -> str:

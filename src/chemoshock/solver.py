@@ -20,44 +20,47 @@ form (`_ldl_pivots`), so a step never factorizes: it fills the pivots and the
 unit lower bidiagonal factor and calls LAPACK's dpttrs, which solves in place
 into the interior of the new u.
 
-One array kernel, `_advance`, takes a step on raw nodal arrays.  On the
-numpy path it composes four stages, each a module-level function of raw
-arrays and scalar weights: `_time_step` (the CFL dt), `_explicit_rhs`
+One array kernel, `_advance`, takes a step on raw nodal arrays.  It takes
+the speed bound of its input pair, from which it takes the CFL dt
+(`_cfl_step`), and returns the new pair's bound for the next step: `run()`
+carries the bound in a local variable, and `run()` and `step()` take the
+first one from `_speed_bound`.  The step itself is one of two kernels of one
+signature, which return the same tuple (u_new, v_new, min(u_new), whether
+v_new is finite, the next bound).  `_numpy_step` composes three stages, each
+a module-level function of raw arrays and scalar weights: `_explicit_rhs`
 (coupling flux and explicit diffusion), `_implicit_solve` (pinned ends folded
-in, pivots, `dpttrs`) and `_update_v`.  Between them it pins each end to its
-value in the input arrays, which by induction is the data's, and performs
-every per-step check (LAPACK info, finite u and v, positivity).  The scratch
-buffers (pivots, factor, u*v) and the routines live in a `_Workspace` that
-`run()` allocates once per run; the public `step()` builds its own.  The
-pivots and the factor are refilled only when a = theta*D*dt/dx**2 changes,
-bit for bit; on jump data dt repeats on about half the steps.  `run()`
-marches the arrays and builds `Field`/`SimState` only at the API boundary: at
-snapshots, for the plain `on_snapshot(index, state, prev)` callback, and for
-its `RunReport`.  The public `step()` wraps the same kernel for a single
-`SimState`.
+in, pivots, `dpttrs`) and `_update_v`, and then `_speed_bound`.  Each kernel
+pins each end to its value in the input arrays, which by induction is the
+data's, and `_advance` performs every per-step check (LAPACK info, finite u
+and v, positivity) on what it returns.  The scratch buffers (pivots, factor,
+u*v) and the routines live in a `_Workspace` that `run()` allocates once per
+run; the public `step()` builds its own.  The pivots and the factor are
+refilled only when a = theta*D*dt/dx**2 changes, bit for bit; on jump data
+dt repeats on about half the steps.  `run()` marches the arrays and builds
+`Field`/`SimState` only at the API boundary: at snapshots, for the plain
+`on_snapshot(index, state, prev)` callback, and for its `RunReport`.  The
+public `step()` wraps the same kernel for a single `SimState`.
 
-The compiled step.  When the workspace holds the compiled library, a step
-is one call of `imex_step` in `_stages.c` (`_compiled_step`), which does the
-numpy stages' IEEE operations in the same order, so both paths give the
-same bytes.  Its forward sweep computes each node's right-hand side and
+The compiled step.  When the workspace holds the compiled library, the
+kernel is `_compiled_step`, one call of `imex_step` in `_stages.c`, which
+does `_numpy_step`'s IEEE operations in the same order, so both kernels give
+the same bytes.  Its forward sweep computes each node's right-hand side and
 folds in the pinned ends; its back sweep (dpttrs's own two sweeps) updates v
 one node behind the solve and finds min(u_new) and whether u_new and v_new
-are finite; a last pass over the new state computes the next step's speed
-bound, which the workspace carries to the next step.  So only the first step
-of a run, or of a `step()`, calls the compiled `speed_bound`, and `_advance`
-runs the same checks on what the one call returns.  When a changes, Python
+are finite; a last pass over the new state computes the next bound.  So a
+compiled run makes one library call per step.  When a changes, Python
 computes only the head of the pivots (`_ldl_head`: the entries that differ
 from their limit d_plus, ~100 of them), and the compiled step fills the
 factor from that head inside its forward sweep.  The head stays in numpy,
-for its expm1 (see `_ldl_head`).  The compiled speed bound runs four lanes
-that `-O2` vectorizes; the max of its finite terms does not depend on their
-order, and an inf or nan term hands it to a one-lane loop.  The numpy stages
-stay as the reference the tests compare with, and as the path taken when no
+for its expm1 (see `_ldl_head`).  The compiled bound runs four lanes that
+`-O2` vectorizes; the max of its finite terms does not depend on their
+order, and an inf or nan term hands it to a one-lane loop.  The numpy kernel
+stays as the reference the tests compare with, and as the path taken when no
 compiler or cache is usable.  The first `_Workspace` built on a machine
 compiles the source with $CC (default cc) into a private per-user cache,
 ${XDG_CACHE_HOME:-~/.cache}/chemoshock (`_native._load_stages`, which this
 module imports as `_load_stages`); later processes load the cached library
-through ctypes.  `RunReport.step_kernel` records which path ran.
+through ctypes.  `RunReport.step_kernel` records which kernel ran.
 
 Building a workspace is what loads the compiled step, so it loads on the
 first step of a `run()` or `step()`; importing this module, and the CLI's
@@ -115,9 +118,12 @@ class SchemeConfig:
             raise ConfigError(f"diffusion_theta must lie in [0.5, 1] (got {self.diffusion_theta})")
         if not 0 <= self.t_end < math.inf:
             raise ConfigError(f"t_end must be finite and >= 0 (got {self.t_end})")
-        if not 0 < self.snapshot_interval < math.inf:
+        # run() takes two times this close as one, so a shorter interval never steps
+        snap = _TIME_SNAP * max(1.0, self.t_end)
+        if not snap < self.snapshot_interval < math.inf:
             raise ConfigError(
-                f"snapshot_interval must be finite and > 0 (got {self.snapshot_interval})"
+                f"snapshot_interval must be finite and > {snap:g}, the time tolerance "
+                f"at t_end = {self.t_end:g} (got {self.snapshot_interval})"
             )
 
 
@@ -214,13 +220,10 @@ class _Workspace:
 
     The compiled step writes u and v into two alternating pairs of buffers
     owned here, so a step's output outlives the next step; the data address
-    of each owned buffer is looked up once.  The workspace also carries the
-    speed bound of the pair that the compiled step returned last, for the
-    step after it.
+    of each owned buffer is looked up once.
     """
 
-    __slots__ = ("n", "d", "e", "w", "a", "dpttrs", "lib", "u_out", "v_out", "checks", "last",
-                 "_addr")
+    __slots__ = ("n", "d", "e", "w", "a", "dpttrs", "lib", "u_out", "v_out", "checks", "_addr")
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -236,8 +239,6 @@ class _Workspace:
         self.u_out = (np.empty(n), np.empty(n))
         self.v_out = (np.empty(n), np.empty(n))
         self.checks = np.empty(3)  # what the compiled step returns: u-min, v finite, bound
-        # (u, v, chi, bound): the pair the compiled step returned last and its speed bound
-        self.last = (None, None, math.nan, math.nan)
         owned = (self.d, self.e, *self.u_out, *self.v_out, self.checks)
         # keyed by id: every key's array lives as long as this workspace
         self._addr = {id(x): _address(x, x.size) for x in owned}
@@ -247,27 +248,11 @@ class _Workspace:
         addr = self._addr.get(id(x))
         return _address(x, self.n) if addr is None else addr
 
-    def speed_bound(self, u: np.ndarray, v: np.ndarray, chi: float) -> float:
-        """The compiled `_speed_bound(u, v, chi)`: carried over when (u, v) is
-        the pair that the last compiled step returned, and nothing has been
-        written into it since (the caller's contract), else computed."""
-        last_u, last_v, last_chi, bound = self.last
-        if u is last_u and v is last_v and chi == last_chi:
-            return bound
-        return self.lib.speed_bound(self.ptr(u), self.ptr(v), self.n, chi)
-
 
 def _cfl_step(bound: float, cfl: float, dx: float, dt_cap: float | None) -> float:
     """The CFL step cfl*dx/max(bound, tiny), capped at dt_cap when given."""
     dt = cfl * dx / max(bound, _TINY_SPEED)
     return dt if dt_cap is None else min(dt, dt_cap)
-
-
-def _time_step(
-    u: np.ndarray, v: np.ndarray, chi: float, cfl: float, dx: float, dt_cap: float | None
-) -> float:
-    """The CFL step of (u, v) under its cap: `_cfl_step` of their speed bound."""
-    return _cfl_step(_speed_bound(u, v, chi), cfl, dx, dt_cap)
 
 
 def _explicit_rhs(
@@ -327,19 +312,43 @@ def _finite_min(x: np.ndarray) -> float:
     return low if math.isfinite(low) and math.isfinite(x.max()) else math.nan
 
 
+def _numpy_step(
+    u: np.ndarray, v: np.ndarray, flux_w: float, diff_w: float, a: float, dv_w: float,
+    chi: float, ws: _Workspace,
+) -> tuple[np.ndarray, np.ndarray, float, bool, float]:
+    """The numpy stages `_explicit_rhs`, `_implicit_solve` (ends u[0] and
+    u[-1]) and `_update_v` (ends v[0] and v[-1]) with these weights.
+
+    Returns (u_new, v_new, `_finite_min(u_new)`, whether every v_new is
+    finite, `_speed_bound(u_new, v_new, chi)`); a nonzero LAPACK info raises
+    a NumericalError that `_advance` completes with the step's place."""
+    u_new = _explicit_rhs(u, v, flux_w, diff_w, ws.w)
+    info = _implicit_solve(u_new[1:-1], a, u[0], u[-1], ws)
+    if info != 0:
+        raise NumericalError(f"tridiagonal solve failed (LAPACK info={info})")
+    u_new[0] = u[0]
+    u_new[-1] = u[-1]
+    u_min = _finite_min(u_new)
+    if math.isnan(u_min):  # `_advance` rejects this u, whose inf - inf would warn
+        with np.errstate(invalid="ignore"):
+            v_new = _update_v(u_new, v, dv_w, v[0], v[-1])
+    else:
+        v_new = _update_v(u_new, v, dv_w, v[0], v[-1])
+    v_finite = not math.isnan(_finite_min(v_new))
+    return u_new, v_new, u_min, v_finite, _speed_bound(u_new, v_new, chi)
+
+
 def _compiled_step(
     u: np.ndarray, v: np.ndarray, flux_w: float, diff_w: float, a: float, dv_w: float,
     chi: float, ws: _Workspace,
-) -> tuple[np.ndarray, np.ndarray, float, bool]:
-    """The numpy stages `_explicit_rhs`, `_implicit_solve` (ends u[0] and
-    u[-1]) and `_update_v` (ends v[0] and v[-1]) with these weights, as one
-    call of ws's compiled step, which gives the same bytes.
+) -> tuple[np.ndarray, np.ndarray, float, bool, float]:
+    """`_numpy_step` as one call of ws's compiled step, which gives the same
+    bytes.
 
-    Returns (u_new, v_new, `_finite_min(u_new)`, whether every v_new is
-    finite): the buffers of ws that are not u and v.  ws carries their
-    speed bound, which the call computes too, to the next step.  When a
-    changes, the head of the pivots comes from `_ldl_head` here, and the
-    compiled step fills the rest of the factor."""
+    u_new and v_new are the buffers of ws that are not u and v, so the step
+    after next overwrites them.  When a changes, the head of the pivots
+    comes from `_ldl_head` here, and the compiled step fills the rest of the
+    factor."""
     k, d_plus = (-1, 0.0) if a == ws.a else _ldl_head(a, ws.d)
     ws.a = a
     u_new = ws.u_out[1] if u is ws.u_out[0] else ws.u_out[0]
@@ -347,42 +356,25 @@ def _compiled_step(
     ws.lib.imex_step(ws.ptr(u), ws.ptr(v), ws.n, flux_w, diff_w, a, ws.ptr(ws.d), ws.ptr(ws.e),
                      k, d_plus, dv_w, chi, ws.ptr(u_new), ws.ptr(v_new), ws.ptr(ws.checks))
     u_min, v_finite, bound = ws.checks.tolist()
-    ws.last = (u_new, v_new, chi, bound)
-    return u_new, v_new, u_min, v_finite != 0.0
+    return u_new, v_new, u_min, v_finite != 0.0, bound
 
 
 def _advance(
-    u: np.ndarray,
-    v: np.ndarray,
-    t: float,
-    step_no: int,
-    grid: GridSpec,
-    params: ModelParams,
-    cfg: SchemeConfig,
-    dt_cap: float | None,
-    ws: _Workspace,
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Take step number `step_no` from time t on raw nodal arrays.
+    u: np.ndarray, v: np.ndarray, bound: float, t: float, step_no: int, grid: GridSpec,
+    params: ModelParams, cfg: SchemeConfig, dt_cap: float | None, ws: _Workspace,
+) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """Take step number `step_no` from time t on raw nodal arrays whose speed
+    bound is `bound`.
 
-    Returns (u_new, v_new, dt, min(u_new)), whose end values are those of u
-    and v; the inputs are not modified and `ws` only holds scratch values.
-
-    With the compiled step, a step is one library call (`_compiled_step`):
-    dt comes from the speed bound that ws carries for the pair it returned
-    last, or, for any other input, from one compiled `speed_bound` call.
-    u_new and v_new are then buffers of ws that the step after next
-    overwrites.  Without it, `_advance` composes the numpy stages
-    `_time_step`, `_explicit_rhs`, `_implicit_solve` and `_update_v`.  Both
-    paths check the same things in the same order, with the same messages.
+    Returns (u_new, v_new, dt, min(u_new), the speed bound of u_new and
+    v_new), whose end values are those of u and v; the inputs are not
+    modified and `ws` only holds scratch values.  The step is ws's kernel:
+    `_compiled_step` when ws holds the compiled library, else `_numpy_step`.
     """
     dx = grid.dx
     theta = cfg.diffusion_theta
     chi = params.chi
-    compiled = ws.lib is not None
-    if compiled:
-        dt = _cfl_step(ws.speed_bound(u, v, chi), cfg.cfl, dx, dt_cap)
-    else:
-        dt = _time_step(u, v, chi, cfg.cfl, dx, dt_cap)
+    dt = _cfl_step(bound, cfg.cfl, dx, dt_cap)
     if not t + dt > t:  # the speed bound overflowed, or dt is below t's last digit
         raise NumericalError(
             f"time step {dt:.3e} does not advance t={t:.6g} on step {step_no}"
@@ -391,19 +383,11 @@ def _advance(
     diff_w = dt * (1.0 - theta) * params.D / (dx * dx)
     a = theta * params.D * dt / (dx * dx)
     dv_w = dt / (2.0 * dx)
-    if compiled:
-        u_new, v_new, u_min, v_finite = _compiled_step(u, v, flux_w, diff_w, a, dv_w, chi, ws)
-    else:
-        u_new = _explicit_rhs(u, v, flux_w, diff_w, ws.w)
-        info = _implicit_solve(u_new[1:-1], a, u[0], u[-1], ws)
-        if info != 0:
-            raise NumericalError(
-                f"tridiagonal solve failed (LAPACK info={info}) on step {step_no} "
-                f"(t={t:.6g}, dt={dt:.3e})"
-            )
-        u_new[0] = u[0]
-        u_new[-1] = u[-1]
-        u_min = _finite_min(u_new)
+    kernel = _numpy_step if ws.lib is None else _compiled_step
+    try:
+        u_new, v_new, u_min, v_finite, bound = kernel(u, v, flux_w, diff_w, a, dv_w, chi, ws)
+    except NumericalError as err:  # the numpy solve's LAPACK info: say where
+        raise NumericalError(f"{err} on step {step_no} (t={t:.6g}, dt={dt:.3e})") from None
 
     if math.isnan(u_min):
         bad = int(np.flatnonzero(~np.isfinite(u_new))[0])
@@ -416,16 +400,12 @@ def _advance(
             f"u reached {u_new[i]:.6e} at node {i} (x={grid.nodes()[i]:.6g}) "
             f"on step {step_no}, t={t + dt:.6g}"
         )
-
-    if not compiled:
-        v_new = _update_v(u_new, v, dv_w, v[0], v[-1])
-        v_finite = not math.isnan(_finite_min(v_new))
     if not v_finite:
         bad = int(np.flatnonzero(~np.isfinite(v_new))[0])
         raise NumericalError(
             f"non-finite v at node {bad} after step {step_no} (t={t:.6g}, dt={dt:.3e})"
         )
-    return u_new, v_new, dt, u_min
+    return u_new, v_new, dt, u_min, bound
 
 
 def step(
@@ -435,9 +415,11 @@ def step(
     dt_cap: float | None = None,
 ) -> SimState:
     """Advance one step of size cfl*dx/max(speed, tiny), optionally capped."""
-    grid = state.u.grid
-    u, v, dt, _ = _advance(
-        state.u.values, state.v.values, state.t, state.step_count + 1,
+    grid, u, v = state.u.grid, state.u.values, state.v.values
+    with np.errstate(over="ignore"):  # an overflowed bound fails in `_advance`
+        bound = _speed_bound(u, v, params.chi)
+    u, v, dt, _, _ = _advance(
+        u, v, bound, state.t, state.step_count + 1,
         grid, params, cfg, dt_cap, _Workspace(grid.n_nodes),
     )
     return SimState(
@@ -495,6 +477,8 @@ def run(
     min_u = float(u.min())
     eps = _TIME_SNAP * max(1.0, cfg.t_end)
     ws = _Workspace(grid.n_nodes)
+    with np.errstate(over="ignore"):  # an overflowed bound fails in `_advance`
+        bound = _speed_bound(u, v, params.chi)
 
     if on_snapshot:
         on_snapshot(0, state, None)
@@ -504,8 +488,8 @@ def run(
         prev = None
         while t < target - eps:
             prev = (u, v, t, count)
-            u, v, dt, u_min = _advance(
-                u, v, t, count + 1, grid, params, cfg, target - t, ws
+            u, v, dt, u_min, bound = _advance(
+                u, v, bound, t, count + 1, grid, params, cfg, target - t, ws
             )
             t += dt
             count += 1

@@ -337,7 +337,7 @@ def test_criterion_10_v_mass_conservation():
 
     u0 = u0 + dipole(220.0, 5.0, 0.3)
     v0 = v0 + dipole(180.0, 5.0, 0.3)
-    scheme = SchemeConfig(t_end=1e9, snapshot_interval=1.0)
+    scheme = SchemeConfig(t_end=1e9, snapshot_interval=1e9)
     state = SimState(Field(g, u0), Field(g, v0), 0.0)
     worst = 0.0
     mass = integral(state.v)

@@ -21,7 +21,7 @@ from chemoshock.core import (
 )
 import chemoshock.solver as solver
 from chemoshock import scenarios
-from chemoshock.cli import main
+from chemoshock.cli import EXIT_CONFIG, main
 from chemoshock.solver import (
     _TINY_SPEED,
     SchemeConfig,
@@ -31,7 +31,6 @@ from chemoshock.solver import (
     _explicit_rhs,
     _implicit_solve,
     _ldl_pivots,
-    _time_step,
     _update_v,
     _Workspace,
     characteristic_speed_bound,
@@ -73,6 +72,27 @@ def test_scheme_config_validation():
 def test_scheme_config_rejects_non_finite_times(t_end, snapshot_interval):
     with pytest.raises(ConfigError, match="finite"):
         SchemeConfig(t_end=t_end, snapshot_interval=snapshot_interval)
+
+
+@pytest.mark.parametrize("t_end, snapshot_interval", [
+    (1e6, 1e-4), (1e9, 1.0), (0.5, 1e-9), (2.0, 1.5e-9),
+])
+def test_a_snapshot_interval_within_the_time_tolerance_is_rejected(t_end, snapshot_interval):
+    # run() takes times within 1e-9*max(1, t_end) as one: it would never step,
+    # only relabel the initial state with later times
+    with pytest.raises(ConfigError, match="snapshot_interval must be finite and > "):
+        SchemeConfig(t_end=t_end, snapshot_interval=snapshot_interval)
+    SchemeConfig(t_end=t_end, snapshot_interval=1.01e-9 * max(1.0, t_end))
+
+
+def test_the_cli_rejects_a_snapshot_interval_within_the_time_tolerance(tmp_path, capsys):
+    cfg = tmp_path / "tiny_interval.cfg"
+    cfg.write_text(SMALL_CFG.replace("snapshot_interval = 1", "snapshot_interval = 1e-9"))
+    # validate first: where the interval is taken, the run writes ~2e9 snapshots
+    assert main(["validate", str(cfg)]) == EXIT_CONFIG
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "snapshot_interval" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_characteristic_speed_known_values():
@@ -245,6 +265,84 @@ def test_run_matches_chain_of_public_steps():
     assert report.step_count == chain[-1].step_count > 0
 
 
+def _jump_state(n):
+    g = GridSpec(0.0, 40.0, n)
+    x = g.nodes()
+    return SimState(Field(g, np.where(x < 10.0, 2.0, 1.0)), Field(g, np.where(x < 10.0, 0.0, 1.0)),
+                    0.0)
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def kernel(request, monkeypatch):
+    """Each step kernel in turn: the compiled step (skipped where it does not
+    build), then the numpy stages."""
+    if request.param == "compiled":
+        request.getfixturevalue("stages")
+    else:
+        monkeypatch.setattr(solver, "_load_stages", lambda: None)
+    return request.param
+
+
+def test_public_steps_give_the_bytes_of_run(kernel):
+    # each step() takes its bound from its own state, where run() carries the
+    # bound its last step returned: the two must be the bound of the same pair
+    state = _jump_state(201)
+    cfg = SchemeConfig(t_end=3.0, snapshot_interval=3.0)
+    seen = []
+    report = run(state, P1, cfg, lambda i, s, prev: seen.append(prev))
+    assert report.step_kernel == kernel
+    prev = seen[-1]  # one step before t_end: every step up to it was uncapped
+    assert prev is not None and prev.step_count == report.step_count - 1 > 20
+    for _ in range(prev.step_count):
+        state = step(state, P1, cfg)
+    assert (state.t, state.step_count) == (prev.t, prev.step_count)
+    assert same_bits(state.u.values, prev.u.values) and same_bits(state.v.values, prev.v.values)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_bound_does_not_advance_and_prints_no_warning(kernel):
+    g = GridSpec(0.0, 10.0, 41)
+    huge_v = SimState(Field.constant(g, 1.0), Field.constant(g, 1e160), 0.0)
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0)
+    with pytest.raises(NumericalError, match="does not advance t=0 on step 1"):
+        run(huge_v, P1, cfg)
+    with pytest.raises(NumericalError, match="does not advance t=0 on step 1"):
+        step(huge_v, P1, cfg)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_inf_from_the_solve_fails_and_prints_no_warning(monkeypatch, kernel):
+    # the numpy step updates v from a u that _advance then rejects: its infs
+    # at nodes 7 .. n-2 must not warn in the v update's inf - inf
+    if kernel == "compiled":
+        planted = _plant_in_compiled_step(solver._compiled_step, "u", slice(7, -1), np.inf)
+        monkeypatch.setattr(solver, "_compiled_step", planted)
+    else:
+        real = solver._implicit_solve
+
+        def planted(rhs, *args):  # rhs holds the interior nodes 1 .. n-2
+            info = real(rhs, *args)
+            rhs[6:] = np.inf
+            return info
+
+        monkeypatch.setattr(solver, "_implicit_solve", planted)
+    state = _jump_state(41)
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0)
+    for march in (lambda: run(state, P1, cfg), lambda: step(state, P1, cfg)):
+        with pytest.raises(NumericalError, match=r"non-finite u at node 7 after step 1 \(t=0,"):
+            march()
+
+
+def test_a_failed_solve_names_its_step(monkeypatch):
+    monkeypatch.setattr(solver, "_load_stages", lambda: None)
+    monkeypatch.setattr(solver, "_implicit_solve", lambda *args: -4)
+    state = constant_state(GridSpec(0.0, 10.0, 21), 1.0, 0.0)
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0)
+    with pytest.raises(NumericalError, match=r"^tridiagonal solve failed \(LAPACK info=-4\) "
+                                             r"on step 1 \(t=0, dt=\d\.\d{3}e[+-]\d+\)$"):
+        step(state, P1, cfg)
+
+
 def test_snapshot_prev_is_the_state_one_step_earlier():
     g = GridSpec(0.0, 100.0, 1001)
     w = TravelingWave.from_end_values(2.0, 1.0, 1.0, P1)
@@ -310,7 +408,8 @@ def test_advance_matches_dense_theta_system(n, theta):
     for D in (1e-3, 1.0, 50.0):  # a = theta*D*dt/dx**2 from ~1e-3 to ~1e3
         p = ModelParams.from_chi(D, 1.0)
         ws = _Workspace(n)
-        u_new, v_new, dt, u_min = _advance(u, v, 0.0, 1, g, p, cfg, None, ws)
+        bound = solver._speed_bound(u, v, p.chi)
+        u_new, v_new, dt, u_min, next_bound = _advance(u, v, bound, 0.0, 1, g, p, cfg, None, ws)
 
         dx, m = g.dx, n - 2
         # the factor's tail is filled with one value, bit for bit -a/d_i
@@ -329,20 +428,23 @@ def test_advance_matches_dense_theta_system(n, theta):
         assert np.abs(u_new - want_u).max() <= 1e-13
         assert np.abs(v_new - want_v).max() <= 1e-13
         assert u_min == u_new.min()
+        assert next_bound == solver._speed_bound(u_new, v_new, p.chi)
 
 
-def test_time_step_is_the_cfl_step_under_its_cap():
+def test_the_cfl_step_of_the_speed_bound_is_capped():
     g = GridSpec(0.0, 10.0, 41)
     rng = np.random.default_rng(3)
     state = SimState(Field(g, 1.0 + rng.random(41)), Field(g, rng.standard_normal(41)), 0.0)
     u, v = state.u.values, state.v.values
     p = ModelParams.from_chi(1.0, 1.7)
     free = 0.4 * g.dx / characteristic_speed_bound(state, p)
-    assert _time_step(u, v, p.chi, 0.4, g.dx, None) == free
-    assert _time_step(u, v, p.chi, 0.4, g.dx, 2.0 * free) == free
-    assert _time_step(u, v, p.chi, 0.4, g.dx, 1e-7) == 1e-7
+    bound = solver._speed_bound(u, v, p.chi)
+    assert _cfl_step(bound, 0.4, g.dx, None) == free
+    assert _cfl_step(bound, 0.4, g.dx, 2.0 * free) == free
+    assert _cfl_step(bound, 0.4, g.dx, 1e-7) == 1e-7
     zero = np.zeros(41)  # no speed at all: the step is set by the floor
-    assert _time_step(zero, zero, p.chi, 0.4, g.dx, None) == 0.4 * g.dx / _TINY_SPEED
+    no_speed = solver._speed_bound(zero, zero, p.chi)
+    assert _cfl_step(no_speed, 0.4, g.dx, None) == 0.4 * g.dx / _TINY_SPEED
 
 
 @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
@@ -395,10 +497,10 @@ def test_implicit_solve_matches_dense_system(m):
 
 
 def test_advance_calls_each_stage_once_per_step(monkeypatch):
-    # _advance looks its stages up as module globals, so a wrapper set on the
-    # module (as a tracer does) sees every call; the numpy path composes them
+    # the numpy step looks its stages up as module globals, so a wrapper set
+    # on the module (as a tracer does) sees every call
     monkeypatch.setattr(solver, "_load_stages", lambda: None)
-    calls = dict.fromkeys(("_time_step", "_explicit_rhs", "_implicit_solve", "_update_v"), 0)
+    calls = dict.fromkeys(("_speed_bound", "_explicit_rhs", "_implicit_solve", "_update_v"), 0)
     for name in calls:
         def counted(*args, _fn=getattr(solver, name), _name=name):
             calls[_name] += 1
@@ -410,7 +512,9 @@ def test_advance_calls_each_stage_once_per_step(monkeypatch):
     cfg = SchemeConfig(t_end=2.0, snapshot_interval=1.0)
     report = run(state, P1, cfg)
     assert report.step_count > 0
-    assert calls == dict.fromkeys(calls, report.step_count)
+    # run() takes the first bound, and each step returns the next one
+    steps = report.step_count
+    assert calls == dict.fromkeys(calls, steps) | {"_speed_bound": steps + 1}
 
 
 class CountingLibrary:
@@ -429,7 +533,7 @@ class CountingLibrary:
 
 
 def test_a_compiled_run_makes_one_library_call_per_step(stages, monkeypatch):
-    # the first step's bound is computed, every later one carried from the step before
+    # run() takes the first step's bound from numpy, and each step returns the next one
     lib = CountingLibrary(stages)
     monkeypatch.setattr(solver, "_load_stages", lambda: lib)
     g = GridSpec(0.0, 100.0, 201)
@@ -437,7 +541,7 @@ def test_a_compiled_run_makes_one_library_call_per_step(stages, monkeypatch):
     cfg = SchemeConfig(t_end=2.0, snapshot_interval=1.0)
     report = run(state, P1, cfg)
     assert report.step_kernel == "compiled" and report.step_count > 0
-    assert lib.calls == {"speed_bound": 1, "imex_step": report.step_count}
+    assert lib.calls == {"imex_step": report.step_count}
 
 
 def _plant_nan_in_u(solve):
@@ -458,11 +562,12 @@ def _plant_nan_in_v(update):
 
 def _plant_in_compiled_step(step, name, node, value):
     """`_compiled_step` with `value` written at `node` of its u or v output,
-    and the checks it returns taken from the planted output."""
-    def planted(*args):
-        u_new, v_new, _, _ = step(*args)
+    and the checks and bound it returns taken from the planted output."""
+    def planted(u, v, flux_w, diff_w, a, dv_w, chi, ws):
+        u_new, v_new, *_ = step(u, v, flux_w, diff_w, a, dv_w, chi, ws)
         (u_new if name == "u" else v_new)[node] = value
-        return u_new, v_new, solver._finite_min(u_new), math.isfinite(solver._finite_min(v_new))
+        return (u_new, v_new, solver._finite_min(u_new), math.isfinite(solver._finite_min(v_new)),
+                solver._speed_bound(u_new, v_new, chi))
     return planted
 
 
@@ -523,16 +628,6 @@ def compiled_solve(x, a, left, right, ws):
     return 0
 
 
-def numpy_step(u, v, flux_w, diff_w, a, dv_w, ws):
-    """The numpy stages composed as `_advance` composes them, with these
-    weights: what `_compiled_step` returns, computed by numpy."""
-    u_new = _explicit_rhs(u, v, flux_w, diff_w, ws.w)
-    assert _implicit_solve(u_new[1:-1], a, u[0], u[-1], ws) == 0
-    u_new[0], u_new[-1] = u[0], u[-1]
-    v_new = _update_v(u_new, v, dv_w, v[0], v[-1])
-    return u_new, v_new, solver._finite_min(u_new), not math.isnan(solver._finite_min(v_new))
-
-
 @pytest.mark.parametrize("n", [8, 201, 4001])
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 def test_each_compiled_stage_matches_its_numpy_stage_bit_for_bit(stages, n, theta):
@@ -546,16 +641,18 @@ def test_each_compiled_stage_matches_its_numpy_stage_bit_for_bit(stages, n, thet
         got = stages.speed_bound(ws.ptr(w), ws.ptr(v), n, chi)
         assert same_bits(got, solver._speed_bound(w, v, chi))
     for cap in (None, 1e-3, 1e-9):
-        assert _cfl_step(ws.speed_bound(u, v, chi), 0.4, dx, cap) == _time_step(u, v, chi, 0.4, dx, cap)
+        compiled_dt = _cfl_step(stages.speed_bound(ws.ptr(u), ws.ptr(v), n, chi), 0.4, dx, cap)
+        assert compiled_dt == _cfl_step(solver._speed_bound(u, v, chi), 0.4, dx, cap)
 
-    dt = _time_step(u, v, chi, 0.4, dx, None)
+    dt = _cfl_step(solver._speed_bound(u, v, chi), 0.4, dx, None)
     flux_w, diff_w = dt * chi / (2.0 * dx), dt * (1.0 - theta) * 3.0 / (dx * dx)
     for a in (0.0, 1e300, theta * 3.0 * dt / (dx * dx)):
         got = _compiled_step(u, v, flux_w, diff_w, a, dt / (2.0 * dx), chi, ws)
-        want = numpy_step(u, v, flux_w, diff_w, a, dt / (2.0 * dx), ref)
+        want = solver._numpy_step(u, v, flux_w, diff_w, a, dt / (2.0 * dx), chi, ref)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), a
         assert same_bits(ws.d, ref.d) and same_bits(ws.e, ref.e)
         assert got[2:] == want[2:] and got[2] == want[0].min()
+        assert got[4] == solver._speed_bound(got[0], got[1], chi)
     # the outputs alternate between the two buffer pairs of ws
     assert got[0] is ws.u_out[0] and got[1] is ws.v_out[0]
     again = _compiled_step(got[0], got[1], flux_w, diff_w, a, dt / (2.0 * dx), chi, ws)
@@ -602,12 +699,14 @@ def test_the_compiled_step_matches_the_numpy_stages_bit_for_bit(stages, n, theta
         ref = numpy_workspace(n)
         got = _compiled_step(u, v, flux_w, diff_w, a, dv_w, chi, ws)
         with np.errstate(all="ignore"):
-            want = numpy_step(u, v, flux_w, diff_w, a, dv_w, ref)
+            want = solver._numpy_step(u, v, flux_w, diff_w, a, dv_w, chi, ref)
             bound = solver._speed_bound(want[0], want[1], chi)
+            own_bound = solver._speed_bound(got[0], got[1], chi)
         assert ws.a == a and same_bits(ws.d, ref.d) and same_bits(ws.e, ref.e), a
         assert same_or_both_nan(got[2], want[2]) and got[3] == want[3], (a, got[2:], want[2:])
-        assert same_or_both_nan(ws.last[3], bound), (a, ws.last[3], bound)
-        assert ws.last[:3] == (got[0], got[1], chi)
+        # the returned bound is the returned pair's, and numpy's
+        assert same_or_both_nan(got[4], bound), (a, got[4], bound)
+        assert same_or_both_nan(got[4], own_bound) and same_or_both_nan(want[4], bound)
         if not planted:  # a nan's sign and payload may differ: its place may not
             assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), a
         assert np.array_equal(np.isnan(got[0]), np.isnan(want[0]))
@@ -707,7 +806,7 @@ def test_a_non_finite_value_fails_alike_on_both_paths(stages, monkeypatch, where
     errors = []
     for ws in (_Workspace(n), numpy_workspace(n)):
         with pytest.raises(NumericalError) as info, np.errstate(invalid="ignore"):
-            _advance(u, v, 0.0, 1, g, P1, cfg, None, ws)
+            _advance(u, v, solver._speed_bound(u, v, P1.chi), 0.0, 1, g, P1, cfg, None, ws)
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]
     if when == "out":
@@ -724,10 +823,11 @@ def test_a_step_that_does_not_advance_t_fails_on_both_paths(stages, monkeypatch)
         # the speed bound overflows to inf, so dt = 0
         with pytest.raises(NumericalError, match="does not advance t=0 on step 1"), \
                 np.errstate(over="ignore"):
-            _advance(huge_v.u.values, huge_v.v.values, 0.0, 1, g, P1, cfg, None, ws)
+            u1, v1 = huge_v.u.values, huge_v.v.values
+            _advance(u1, v1, solver._speed_bound(u1, v1, P1.chi), 0.0, 1, g, P1, cfg, None, ws)
         # dt is below the last digit of t
         with pytest.raises(NumericalError, match="does not advance t=1e\\+20 on step 5"):
-            _advance(u, v, 1e20, 5, g, P1, cfg, None, ws)
+            _advance(u, v, solver._speed_bound(u, v, P1.chi), 1e20, 5, g, P1, cfg, None, ws)
     # run() without a callback used to loop for ever on dt = 0
     for path in ("compiled", "numpy"):
         if path == "numpy":

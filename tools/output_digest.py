@@ -22,12 +22,15 @@ Runs, with the `chemoshock` found on PYTHONPATH:
 These runs build the compiled library into an XDG_CACHE_HOME of their own,
 in a temporary directory, so the user's cache is left as it is.
 
-Then it runs `run --emit-c` on `thm22` (theta = 0.5) and `run` on `thm21`
-(theta = 1) once more, each in a subprocess with CC=false and an empty
-XDG_CACHE_HOME, so that the library cannot build and the numpy stages and
-the Python snapshot writer run.  Their files are not digested; the script
-exits 1 when they differ from the compiled runs' files, or when a manifest
-does not say `step_kernel = numpy`.
+Then it runs `run --emit-c` on `thm22` (theta = 0.5), `run` on `thm21`
+(theta = 1) and `run` on `fig1_consistent` once more, each in a subprocess
+with CC=false and an empty XDG_CACHE_HOME, so that the library cannot build
+and the numpy stages and the Python snapshot writer run.  `fig1_consistent`
+is jump data, the scenario of `perfbench`'s `shock_run`: a changes on about
+half its steps, so the two kernels' first speed bound, the bound each step
+returns for the next and the pivot refill are compared over a long run.
+Their files are not digested; the script exits 1 when they differ from the
+compiled runs' files, or when a manifest does not say `step_kernel = numpy`.
 
 Each command's exit code is written to `exit_codes.txt` in OUT_DIR, one
 `command = code` line per command, with OUT_DIR, the temporary directory
@@ -153,7 +156,8 @@ def _argvs(out: Path, config_dir: Path) -> list[list[str]]:
 
 # (compiled run in OUT_DIR, its arguments) re-run with CC=false: thm22 --emit-c
 # steps with theta = 0.5 and writes the c column, thm21 steps with theta = 1
-_FALLBACK_RUNS = (("emit_c/thm22", ("thm22.cfg", "--emit-c")), ("run/thm21", ("thm21.cfg",)))
+_FALLBACK_RUNS = (("emit_c/thm22", ("thm22.cfg", "--emit-c")), ("run/thm21", ("thm21.cfg",)),
+                  ("run/fig1_consistent", ("fig1_consistent.cfg",)))
 
 
 def _fallback_mismatch(out: Path, scratch: Path) -> str | None:

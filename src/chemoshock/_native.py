@@ -110,9 +110,9 @@ def _load_stages():
         return None
     ptr, n, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     functions = [
-        ("speed_bound", real, (ptr, ptr, n, real)),
+        ("speed_bound", real, (ptr, ptr, n, real)),  # called by the tests only
         ("imex_step", None,
-         (ptr, ptr, n, real, real, real, ptr, ptr, n, real, real, real, ptr, ptr, ptr)),
+         (ptr, ptr, n, real, real, real, ptr, ptr, ptr, n, real, real, real, ptr, ptr, ptr)),
         ("printer_available", ctypes.c_int, ()),
     ]
     if lib.printer_available():

@@ -1,8 +1,10 @@
-/* The compiled loops of chemoshock: one step of solver._advance, the speed
- * bound it starts a run with, and the snapshot printer of
- * core.write_snapshot.  _native.py compiles this file into a shared library
- * on first use and loads it through ctypes; the numpy stages and the Python
- * snapshot writer are the reference, and the fallback when it does not build.
+/* The compiled loops of chemoshock: one step of solver._advance and the
+ * snapshot printer of core.write_snapshot.  _native.py compiles this file
+ * into a shared library on first use and loads it through ctypes; the numpy
+ * stages and the Python snapshot writer are the reference, and the fallback
+ * when it does not build.  A run takes its first speed bound from numpy
+ * (solver._speed_bound) and every later one from imex_step; the speed_bound
+ * and format_value exports are called only by the tests.
  *
  * The step is one call: its forward sweep computes the right-hand side as it
  * goes, its back sweep updates v one node behind the solve and runs the
@@ -45,7 +47,8 @@ static double speed_bound_ref(const double *u, const double *v, long n, double c
 }
 
 /* 0.5 * max_i (a_i + sqrt(4*chi*max(u_i, 0) + a_i*a_i)) with a_i = chi*|v_i|,
- * nan when any term is nan: solver._speed_bound.
+ * nan when any term is nan: solver._speed_bound.  imex_step calls it; the
+ * export serves the tests, which compare it with numpy lane by lane.
  *
  * Four lanes, each with its own running max m[j] and a sum s[j] of r*0.0,
  * which is +0 for a finite term and nan for an inf or nan one.  -O2
@@ -108,10 +111,12 @@ static inline double node_rhs(const double *u, double w_lo, double w_hi, long j,
  * multiply-subtracts that leaves the other execution ports idle, so the
  * right-hand side and the v update cost little inside them.
  *
- * When a has changed, k >= 0: d[:k] holds the head pivots, and every pivot
- * from k on is d_plus.  The factor is then completed here: e_i = -a/d_i on
- * the head, and d_i = d_plus, e_i = -a/d_plus from k on, stored inside the
- * forward sweep.  With k < 0, d and e are used as they are.
+ * When a is new, k >= 0 and t[0..k] holds expm1(log_q*(i + 1)) from
+ * solver._Workspace.factor.  The factor is then completed here: the head
+ * pivots d_i = (t[i+1]/t[i])*d_plus for i < k, with the divide and the
+ * multiply of solver._ldl_head in that order, and e_i = -a/d_i on the head;
+ * d_i = d_plus, e_i = -a/d_plus from k on, stored inside the forward sweep.
+ * With k < 0, d and e are used as they are, and t is not read.
  *
  * checks[0] is min(u_new), nan when any entry is not finite
  * (solver._finite_min); checks[1] is 1 when every v_new is finite, else 0;
@@ -119,16 +124,18 @@ static inline double node_rhs(const double *u, double w_lo, double w_hi, long j,
  * flags are summed and minimized inside the back sweep, the bound in a pass
  * over the cache-hot outputs.
  *
- * u_new and v_new must not overlap u, v, d or e. */
+ * u_new and v_new must not overlap u, v, d, e or t. */
 void imex_step(const double *restrict u, const double *restrict v, long n, double flux_w,
-               double diff_w, double a, double *restrict d, double *restrict e, long k,
-               double d_plus, double dv_w, double chi, double *restrict u_new,
-               double *restrict v_new, double *restrict checks)
+               double diff_w, double a, double *restrict d, double *restrict e,
+               const double *restrict t, long k, double d_plus, double dv_w, double chi,
+               double *restrict u_new, double *restrict v_new, double *restrict checks)
 {
     const long m = n - 2;                /* interior row i is node i + 1 */
     const long fill = k < 0 ? m : k;     /* d and e are stored from row fill on */
     const double e_plus = k < 0 ? 0.0 : -a / d_plus;
     const double left = u[0], right = u[n - 1];
+    for (long i = 0; i < k; i++)
+        d[i] = (t[i + 1] / t[i]) * d_plus;
     for (long i = 0; i < k && i < m - 1; i++)
         e[i] = -a / d[i];
 

@@ -34,12 +34,18 @@ pins each end to its value in the input arrays, which by induction is the
 data's, and `_advance` performs every per-step check (LAPACK info, finite u
 and v, positivity) on what it returns.  The scratch buffers (pivots, factor,
 u*v) and the routines live in a `_Workspace` that `run()` allocates once per
-run; the public `step()` builds its own.  The pivots and the factor are
-refilled only when a = theta*D*dt/dx**2 changes, bit for bit; on jump data
-dt repeats on about half the steps.  `run()` marches the arrays and builds
-`Field`/`SimState` only at the API boundary: at snapshots, for the plain
-`on_snapshot(index, state, prev)` callback, and for its `RunReport`.  The
-public `step()` wraps the same kernel for a single `SimState`.
+run; the public `step()` builds its own.  The workspace keeps the factors
+(pivots and subdiagonal) of the last four values of a = theta*D*dt/dx**2 in
+as many slots, least recently used first out (`_Workspace.factor`), and a
+factor is computed only for an a, bit for bit, that no slot holds.  On jump
+data dt repeats on about half the steps, and on most of the rest it returns
+to a value one ulp from the last, as the bound sits on a far-field plateau
+whose roundoff flickers: on `perfbench`'s `shock_run` 357 of 8,100 steps
+compute a factor, where 3,731 did with one slot.  `run()` marches the
+arrays and builds `Field`/`SimState` only at the API boundary: at snapshots,
+for the plain `on_snapshot(index, state, prev)` callback, and for its
+`RunReport`.  The public `step()` wraps the same kernel for a single
+`SimState`.
 
 The compiled step.  When the workspace holds the compiled library, the
 kernel is `_compiled_step`, one call of `imex_step` in `_stages.c`, which
@@ -48,16 +54,17 @@ the same bytes.  Its forward sweep computes each node's right-hand side and
 folds in the pinned ends; its back sweep (dpttrs's own two sweeps) updates v
 one node behind the solve and finds min(u_new) and whether u_new and v_new
 are finite; a last pass over the new state computes the next bound.  So a
-compiled run makes one library call per step.  When a changes, Python
-computes only the head of the pivots (`_ldl_head`: the entries that differ
-from their limit d_plus, ~100 of them), and the compiled step fills the
-factor from that head inside its forward sweep.  The head stays in numpy,
-for its expm1 (see `_ldl_head`).  The compiled bound runs four lanes that
-`-O2` vectorizes; the max of its finite terms does not depend on their
-order, and an inf or nan term hands it to a one-lane loop.  The numpy kernel
-stays as the reference the tests compare with, and as the path taken when no
-compiler or cache is usable.  The first `_Workspace` built on a machine
-compiles the source with $CC (default cc) into a private per-user cache,
+compiled run makes one library call per step.  For an a that no slot
+holds, Python computes only numpy's expm1 of the pivots' head (the entries
+that differ from their limit d_plus, ~100 of them), and the compiled step
+forms the head pivots from it and fills the rest of the slot's factor inside
+its forward sweep.  The expm1 stays in numpy (see `_ldl_head`).  The
+compiled bound runs four lanes that `-O2` vectorizes; the max of its finite
+terms does not depend on their order, and an inf or nan term hands it to a
+one-lane loop.  The numpy kernel stays as the reference the tests compare
+with, and as the path taken when no compiler or cache is usable.  The first
+`_Workspace` built on a machine compiles the source with $CC (default cc)
+into a private per-user cache,
 ${XDG_CACHE_HOME:-~/.cache}/chemoshock (`_native._load_stages`, which this
 module imports as `_load_stages`); later processes load the cached library
 through ctypes.  `RunReport.step_kernel` records which kernel ran.
@@ -152,30 +159,40 @@ def _ldl_pivots(a: float, d: np.ndarray) -> tuple[int, float]:
     return k, d_plus
 
 
-def _ldl_head(a: float, d: np.ndarray) -> tuple[int, float]:
-    """Fill d[:k] with the first k pivots of `_ldl_pivots(a, d)` and return
-    (k, d_plus), leaving d[k:], whose pivots all equal d_plus, as it is.
+def _ldl_scalars(a: float, m: int) -> tuple[int, float, float]:
+    """(k, d_plus, log_q) of the m pivots of tridiag(-a, 1+2a, -a): the head
+    length k, the limit d_plus of the pivots and the log of their ratio q.
 
     With d_plus = (1+2a+sqrt(1+4a))/2 and q = (a/d_plus)**2 the i-th pivot
     (1-based) is d_plus*(1-q**(i+1))/(1-q**i), evaluated through expm1 so that
     nothing cancels for small a.  Past the head where q**i < eps/4 it is d_plus.
     log q is taken as -2*log1p((d_plus-a)/a), which stays nonzero for large a
-    where a/d_plus rounds to 1.
-
-    The compiled step takes its head from here, so both paths share
-    numpy's expm1.  On a CPU with AVX-512, numpy runs its own expm1, which
-    differs from the C library's in the last bit on ~1% of arguments.  A
-    head in C, on the C library's expm1, was measured: on jump data the
-    early steps then leave a far-field plateau one or more ulps off its
-    exact value, and `perfbench`'s `shock_run` output grew by 0.9-5.1%
-    with the text of those values.
+    where a/d_plus rounds to 1.  At a = 0 the head is empty (log_q is unused).
     """
     if a == 0.0:  # dt*D/dx**2 underflowed: the system is the identity
-        return 0, 1.0
+        return 0, 1.0, 0.0
     s = math.sqrt(1.0 + 4.0 * a)
     d_plus = 0.5 * (1.0 + 2.0 * a + s)
     log_q = -2.0 * math.log1p(0.5 * (1.0 + s) / a)
-    k = min(d.size, int(_LOG_QUARTER_EPS / log_q) + 2)
+    return min(m, int(_LOG_QUARTER_EPS / log_q) + 2), d_plus, log_q
+
+
+def _ldl_head(a: float, d: np.ndarray) -> tuple[int, float]:
+    """Fill d[:k] with the first k pivots of `_ldl_pivots(a, d)` and return
+    (k, d_plus), leaving d[k:], whose pivots all equal d_plus, as it is.
+
+    The head is t[i+1]/t[i]*d_plus with t = expm1(log_q*(1, ..., k+1)) and
+    (k, d_plus, log_q) from `_ldl_scalars`.  A compiled workspace
+    (`_Workspace.factor`) takes only t from numpy and forms the same
+    quotient and product in the compiled step, so both kernels share numpy's
+    expm1.  On a CPU with AVX-512, numpy runs its own expm1, which differs
+    from the C library's in the last bit on ~1% of arguments.  A head in C,
+    on the C library's expm1, was measured: on jump data the early steps
+    then leave a far-field plateau one or more ulps off its exact value, and
+    `perfbench`'s `shock_run` output grew by 0.9-5.1% with the text of those
+    values.
+    """
+    k, d_plus, log_q = _ldl_scalars(a, d.size)
     t = np.expm1(log_q * np.arange(1.0, k + 2.0))
     np.divide(t[1:], t[:-1], out=d[:k])
     d[:k] *= d_plus
@@ -212,41 +229,92 @@ def _load_dpttrs():
     return mod.dpttrs
 
 
+# The factors kept per workspace.  On jump data dt flickers between values one
+# ulp apart once the speed bound sits on a far-field plateau, so a returns to
+# one of a few recent values: on `perfbench`'s `shock_run` (seed 0, 8,100
+# steps) 3,374 of the 3,731 changes of a find their factor kept with 4 slots,
+# 3,074 with 2 and 3,379 with 8.
+_FACTOR_SLOTS = 4
+
+
 class _Workspace:
     """Scratch buffers of `_advance` for an n-node grid, reused step to step,
     and the routines it runs: the compiled step in `lib`, or, when it did not
     load (`lib` is None), LAPACK's `dpttrs` for the numpy solve (else None:
     the compiled step needs no LAPACK).
 
-    The compiled step writes u and v into two alternating pairs of buffers
-    owned here, so a step's output outlives the next step; the data address
-    of each owned buffer is looked up once.
+    It keeps the factors (pivots and subdiagonal) of the last `_FACTOR_SLOTS`
+    values of a in as many slots; `factor(a)` makes `a`, `d` and `e` name the
+    one in use.  The compiled step writes u and v into two alternating pairs
+    of buffers owned here, so a step's output outlives the next step.  The
+    data address of each owned buffer, slots included, is looked up once;
+    the address table is keyed by id, so no owned buffer is ever dropped.
     """
 
-    __slots__ = ("n", "d", "e", "w", "a", "dpttrs", "lib", "u_out", "v_out", "checks", "_addr")
+    __slots__ = ("n", "d", "e", "w", "a", "dpttrs", "lib", "u_out", "v_out", "checks",
+                 "_factors", "_ramp", "head", "_addr")
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.d = np.empty(n - 2)  # pivots of the interior system
-        self.e = np.empty(n - 3)  # subdiagonal of its unit factor L
-        self.w = np.empty(n)  # u*v, for the numpy stage
+        m = n - 2  # interior nodes: pivots, and m - 1 subdiagonal entries of L
+        slots = [(np.empty(m), np.empty(m - 1)) for _ in range(_FACTOR_SLOTS)]
+        # a -> its (d, e) slot, least recently used first; an unused slot is
+        # keyed by a placeholder that no a equals
+        self._factors = {object(): slot for slot in slots}
         self.a = math.nan  # the a that d and e hold the factor for
+        self.d, self.e = slots[0]  # no factor yet; never an array of its own
+        self.w = np.empty(n)  # u*v, for the numpy stage
         self.lib = _load_stages()  # the compiled step loads here, not at import
         self.dpttrs = None
         if self.lib is None:
             self.dpttrs = _load_dpttrs()  # and LAPACK, only for the numpy stages
             return
+        self._ramp = np.arange(1.0, m + 2.0)  # 1, ..., m + 1: the head's exponents
+        self.head = np.empty(m + 1)  # expm1(log_q*ramp[:k+1]) for the compiled step
         self.u_out = (np.empty(n), np.empty(n))
         self.v_out = (np.empty(n), np.empty(n))
         self.checks = np.empty(3)  # what the compiled step returns: u-min, v finite, bound
-        owned = (self.d, self.e, *self.u_out, *self.v_out, self.checks)
-        # keyed by id: every key's array lives as long as this workspace
+        owned = (*(x for slot in slots for x in slot), self.head,
+                 *self.u_out, *self.v_out, self.checks)
         self._addr = {id(x): _address(x, x.size) for x in owned}
 
     def ptr(self, x: np.ndarray) -> int:
         """The data address of x, an owned buffer or any n contiguous doubles."""
         addr = self._addr.get(id(x))
         return _address(x, self.n) if addr is None else addr
+
+    def factor(self, a: float) -> tuple[int, float]:
+        """Make d and e name the factor of tridiag(-a, 1+2a, -a), and return
+        (k, d_plus) for the compiled step.
+
+        A kept factor is used as it is, and k is -1.  Otherwise a takes the
+        least recently used slot.  A numpy workspace fills it here
+        (`_ldl_pivots`, then e_i = -a/d_i).  A compiled one leaves the
+        filling to the compiled step: it puts expm1(log_q*(1, ..., k+1)) of
+        `_ldl_scalars` into its head buffer and returns k >= 0 and d_plus.
+        The caller must then run the step, which fills the whole slot."""
+        if a == self.a:
+            return -1, 0.0
+        k, d_plus = -1, 0.0
+        slot = self._factors.pop(a, None)
+        if slot is None:  # a miss: a takes the least recently used slot
+            slot = self._factors.pop(next(iter(self._factors)))
+            d, e = slot
+            if self.lib is None:
+                k, d_plus = _ldl_pivots(a, d)
+                # e_i = -a/d_i; from index k on every d_i is d_plus, so one value fills e
+                head = e[:k]
+                np.divide(-a, d[: head.size], out=head)
+                e[k:] = -a / d_plus
+            else:
+                k, d_plus, log_q = _ldl_scalars(a, d.size)
+                t = self.head[: k + 1]
+                np.multiply(self._ramp[: k + 1], log_q, out=t)
+                np.expm1(t, out=t)
+        self._factors[a] = slot
+        self.a = a
+        self.d, self.e = slot
+        return k, d_plus
 
 
 def _cfl_step(bound: float, cfl: float, dx: float, dt_cap: float | None) -> float:
@@ -278,15 +346,9 @@ def _implicit_solve(rhs: np.ndarray, a: float, left: float, right: float, ws: _W
     """Overwrite rhs with the solution of (I - a*Laplacian) x = rhs on the interior
     nodes, the pinned end values left and right moved to the rhs; return LAPACK's info.
 
-    The factor in ws.d and ws.e is refilled only when a differs from the last
-    a, bit for bit."""
-    if a != ws.a:
-        ws.a = a
-        k, d_plus = _ldl_pivots(a, ws.d)
-        # e_i = -a/d_i; from index k on every d_i is d_plus, so one value fills e
-        head = ws.e[:k]
-        np.divide(-a, ws.d[: head.size], out=head)
-        ws.e[k:] = -a / d_plus
+    ws is a numpy workspace: its `factor` fills the factor itself, and only
+    for an a, bit for bit, that none of its slots holds."""
+    ws.factor(a)
     rhs[0] += a * left
     rhs[-1] += a * right
     _, info = ws.dpttrs(ws.d, ws.e, rhs, overwrite_b=True)
@@ -346,15 +408,17 @@ def _compiled_step(
     bytes.
 
     u_new and v_new are the buffers of ws that are not u and v, so the step
-    after next overwrites them.  When a changes, the head of the pivots
-    comes from `_ldl_head` here, and the compiled step fills the rest of the
-    factor."""
-    k, d_plus = (-1, 0.0) if a == ws.a else _ldl_head(a, ws.d)
-    ws.a = a
+    after next overwrites them.  The factor is one of ws's slots
+    (`_Workspace.factor`): a kept one is used as it is (k = -1); for a new
+    a, Python computes only numpy's expm1 of the head, and the compiled step
+    forms the head pivots from it and fills the rest of the slot."""
     u_new = ws.u_out[1] if u is ws.u_out[0] else ws.u_out[0]
     v_new = ws.v_out[1] if v is ws.v_out[0] else ws.v_out[0]
-    ws.lib.imex_step(ws.ptr(u), ws.ptr(v), ws.n, flux_w, diff_w, a, ws.ptr(ws.d), ws.ptr(ws.e),
-                     k, d_plus, dv_w, chi, ws.ptr(u_new), ws.ptr(v_new), ws.ptr(ws.checks))
+    u_in, v_in = ws.ptr(u), ws.ptr(v)  # a bad input fails before a slot is taken
+    k, d_plus = ws.factor(a)
+    ws.lib.imex_step(u_in, v_in, ws.n, flux_w, diff_w, a, ws.ptr(ws.d), ws.ptr(ws.e),
+                     ws.ptr(ws.head), k, d_plus, dv_w, chi, ws.ptr(u_new), ws.ptr(v_new),
+                     ws.ptr(ws.checks))
     u_min, v_finite, bound = ws.checks.tolist()
     return u_new, v_new, u_min, v_finite != 0.0, bound
 
@@ -382,6 +446,11 @@ def _advance(
     flux_w = dt * chi / (2.0 * dx)
     diff_w = dt * (1.0 - theta) * params.D / (dx * dx)
     a = theta * params.D * dt / (dx * dx)
+    if not (math.isfinite(a) and math.isfinite(diff_w)):  # D*dt/dx**2 overflowed
+        raise NumericalError(
+            f"diffusion weights a={a:.3e}, diff_w={diff_w:.3e} are not finite "
+            f"on step {step_no} (t={t:.6g}, dt={dt:.3e})"
+        )
     dv_w = dt / (2.0 * dx)
     kernel = _numpy_step if ws.lib is None else _compiled_step
     try:

@@ -692,6 +692,20 @@ def test_a_large_chi_v_plus_run_ends_in_a_documented_exit_code(tmp_path):
         assert not (out / "manifest.txt").exists()
 
 
+def test_an_overflowing_diffusion_weight_ends_in_exit_3(tmp_path):
+    # a = theta*D*dt/dx**2 overflows to inf on the first step
+    text = re.sub(r"(?m)^D = .*$", "D = 1.7e308", (SCENARIO_DIR / "fig1_consistent.cfg").read_text())
+    cfg = write_cfg(tmp_path, text)
+    assert main(["validate", str(cfg)]) == EXIT_OK
+    out = tmp_path / "out"
+    proc = _cli_process("run", str(cfg), "--out", str(out))
+    assert proc.returncode == EXIT_NUMERICAL and "Traceback" not in proc.stderr, proc.stderr
+    assert re.fullmatch(r"numerical failure: diffusion weights a=inf, [^\n]* on step 1 "
+                        r"\(t=0, dt=[^\n]*\)\n", proc.stderr)
+    snaps = list(out.glob("snap_*.dat"))
+    assert snaps and len(read_series(out / "series.csv")["t"]) == len(snaps)
+
+
 def test_the_cli_process_prints_its_summary_through_a_pipe(tmp_path):
     # main() freezes the collector's objects when it is the process entry point
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

@@ -1,3 +1,5 @@
+import collections
+import gc
 import json
 import math
 import os
@@ -31,6 +33,7 @@ from chemoshock.solver import (
     _explicit_rhs,
     _implicit_solve,
     _ldl_pivots,
+    _numpy_step,
     _update_v,
     _Workspace,
     characteristic_speed_bound,
@@ -773,6 +776,124 @@ def test_a_shrinking_pivot_head_leaves_no_stale_entry(stages):
         assert same_bits(x, y), a
 
 
+def kernel_workspaces(n):
+    """A workspace and its step for the numpy stages, and for the compiled
+    step where the library builds."""
+    found = [(numpy_workspace(n), _numpy_step)]
+    if solver._load_stages() is not None:
+        found.append((_Workspace(n), _compiled_step))
+    return found
+
+
+def count_heads(monkeypatch):
+    """The a of each head computation from now on (a call of `_ldl_scalars`,
+    which both kernels make once per factor they compute)."""
+    heads, real = [], solver._ldl_scalars
+    monkeypatch.setattr(solver, "_ldl_scalars", lambda a, m: heads.append(a) or real(a, m))
+    return heads
+
+
+def lru_misses(sequence, slots):
+    """The values of `sequence` that a least-recently-used cache of `slots`
+    entries does not hold when they come."""
+    kept, misses = collections.OrderedDict(), []
+    for a in sequence:
+        if a in kept:
+            kept.move_to_end(a)
+            continue
+        misses.append(a)
+        kept[a] = None
+        if len(kept) > slots:
+            kept.popitem(last=False)
+    return misses
+
+
+# one more a than the workspace keeps factors for, with heads of 0 to all pivots
+EVICTING_AS = (30.0, 0.83, 0.0, 1e-3, 3000.0)
+
+
+@pytest.mark.parametrize("n", [8, 201, 4001])
+def test_evicted_factors_are_refilled_on_both_kernels(monkeypatch, n):
+    assert len(EVICTING_AS) == solver._FACTOR_SLOTS + 1
+    # cycled three times, each a misses; then the four kept ones again, newest first, all hit
+    sequence = EVICTING_AS * 3 + EVICTING_AS[:0:-1]
+    u, v = random_state(n, 31)
+    chi, dx, dt, theta = 1.7, 0.05, 0.004, 0.5
+    flux_w, diff_w, dv_w = dt * chi / (2.0 * dx), dt * (1.0 - theta) * 3.0 / (dx * dx), dt / (2.0 * dx)
+    kernels = kernel_workspaces(n)
+    heads = count_heads(monkeypatch)
+    for a in sequence:
+        d = np.empty(n - 2)
+        _ldl_pivots(a, d)
+        e = -a / d[:-1]
+        outputs = []
+        for ws, kernel in kernels:
+            outputs.append(kernel(u, v, flux_w, diff_w, a, dv_w, chi, ws))
+            assert ws.a == a and same_bits(ws.d, d) and same_bits(ws.e, e), (kernel, a)
+        for got in outputs[1:]:
+            want = outputs[0]
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), a
+            assert got[2:] == want[2:], a
+    # each kernel computed a head on each miss (the fresh fills above add one per a)
+    assert len(heads) == len(sequence) + 3 * len(EVICTING_AS) * len(kernels)
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "numpy"])
+def test_a_run_computes_a_factor_exactly_on_each_cache_miss(monkeypatch, tmp_path, kernel):
+    if kernel == "numpy":
+        monkeypatch.setattr(solver, "_load_stages", lambda: None)
+    elif solver._load_stages() is None:
+        pytest.skip("the compiled stages do not build here")
+    seen = []  # the a of every step
+    for name in ("_compiled_step", "_numpy_step"):
+        def recorded(u, v, flux_w, diff_w, a, *rest, _step=getattr(solver, name)):
+            seen.append(a)
+            return _step(u, v, flux_w, diff_w, a, *rest)
+
+        monkeypatch.setattr(solver, name, recorded)
+    heads = count_heads(monkeypatch)
+    path = tmp_path / "jump.cfg"  # jump data, long enough for dt to flicker on the plateau
+    path.write_text(SMALL_CFG.replace("t_end = 2", "t_end = 20"))
+    cfg = scenarios.scenario_from_config(scenarios.read_config(path), str(path))
+    report = run(scenarios.build_initial(cfg), cfg.params, cfg.scheme)
+    assert report.step_kernel == kernel and len(seen) == report.step_count
+    misses = lru_misses(seen, solver._FACTOR_SLOTS)
+    # a hit never computes a factor, and a miss always does; the run has both, and evicts
+    assert heads == misses
+    changes = sum(a != b for a, b in zip(seen, seen[1:]))
+    assert len(misses) < changes and len(set(seen)) > solver._FACTOR_SLOTS
+
+
+def held_arrays(ws):
+    """The arrays that ws references, directly or through tuples, lists and dicts."""
+    held, stack, seen = {}, [ws], set()
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            held[id(x)] = x
+        elif isinstance(x, (_Workspace, tuple, list, dict)):
+            stack.extend(gc.get_referents(x))
+    return held
+
+
+def test_the_address_table_keeps_only_buffers_the_workspace_holds(stages):
+    # the table is keyed by id: a key whose array was freed could be the id of
+    # a later input array, which would then be given the dead buffer's address
+    n = 41
+    ws = _Workspace(n)
+    u, v = random_state(n, 13)
+    for i in range(25 * solver._FACTOR_SLOTS):  # every slot taken and retaken
+        u, v = u.copy(), v.copy()  # fresh inputs, free to take a freed array's id
+        assert ws.ptr(u) == u.ctypes.data and ws.ptr(v) == v.ctypes.data, i
+        _compiled_step(u, v, 1e-3, 1e-3, 0.1 * (i % (2 * solver._FACTOR_SLOTS) + 1), 1e-3, 1.0, ws)
+        held = held_arrays(ws)
+        assert set(ws._addr) <= set(held), i
+        assert all(held[key].ctypes.data == addr for key, addr in ws._addr.items())
+
+
 @pytest.mark.parametrize("where, value", [
     (where, value) for where in ("u out", "v out") for value in (np.nan, np.inf, -np.inf)
 ] + [
@@ -811,6 +932,21 @@ def test_a_non_finite_value_fails_alike_on_both_paths(stages, monkeypatch, where
     assert errors[0] == errors[1]
     if when == "out":
         assert f"non-finite {name} at node 17 after step 1" in errors[0][1]
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_an_overflowing_diffusion_weight_fails_on_both_paths(theta):
+    # a = theta*D*dt/dx**2 overflows to inf: the step fails before any factor is taken
+    n = 41
+    g = GridSpec(0.0, 0.4, n)
+    p = ModelParams.from_chi(1e308, 1.0)
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, diffusion_theta=theta)
+    u, v = random_state(n, 9)
+    for ws, _ in kernel_workspaces(n):
+        with pytest.raises(NumericalError, match=r"diffusion weights a=inf, diff_w=.* are not "
+                           r"finite on step 3 \(t=0.5, dt=\d"):
+            _advance(u, v, solver._speed_bound(u, v, p.chi), 0.5, 3, g, p, cfg, None, ws)
+        assert math.isnan(ws.a)
 
 
 def test_a_step_that_does_not_advance_t_fails_on_both_paths(stages, monkeypatch):

@@ -27,8 +27,10 @@ Then it runs `run --emit-c` on `thm22` (theta = 0.5), `run` on `thm21`
 with CC=false and an empty XDG_CACHE_HOME, so that the library cannot build
 and the numpy stages and the Python snapshot writer run.  `fig1_consistent`
 is jump data, the scenario of `perfbench`'s `shock_run`: a changes on about
-half its steps, so the two kernels' first speed bound, the bound each step
-returns for the next and the pivot refill are compared over a long run.
+half its steps, mostly back to one of the few values the workspace keeps a
+factor for, so the two kernels' first speed bound, the bound each step
+returns for the next and the factor cache's hits, misses and evictions are
+compared over a long run.
 Their files are not digested; the script exits 1 when they differ from the
 compiled runs' files, or when a manifest does not say `step_kernel = numpy`.
 

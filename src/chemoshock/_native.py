@@ -110,7 +110,6 @@ def _load_stages():
         return None
     ptr, n, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     functions = [
-        ("speed_bound", real, (ptr, ptr, n, real)),  # called by the tests only
         ("imex_step", None,
          (ptr, ptr, n, real, real, real, ptr, ptr, ptr, n, real, real, real, ptr, ptr, ptr)),
         ("printer_available", ctypes.c_int, ()),
@@ -126,16 +125,13 @@ def _load_stages():
     return lib
 
 
-def _address(x: np.ndarray, size: int, write: bool = False) -> int:
+def _address(x: np.ndarray, size: int) -> int:
     """The data address of x, which must be a contiguous float64 array of
-    `size` entries (and writable when `write`) for a compiled loop."""
+    `size` entries for a compiled loop."""
     iface = x.__array_interface__
-    addr, read_only = iface["data"]
     if iface["typestr"] != "<f8" or iface["strides"] is not None or iface["shape"] != (size,):
         raise ValueError(f"a compiled loop takes {size} contiguous float64 values")
-    if write and read_only:
-        raise ValueError("a compiled loop cannot write to a read-only array")
-    return addr
+    return iface["data"][0]
 
 
 # The decimal exponents s = 16 - k of the powers 10**s that the printer scales

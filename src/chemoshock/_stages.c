@@ -3,18 +3,19 @@
  * into a shared library on first use and loads it through ctypes; the numpy
  * stages and the Python snapshot writer are the reference, and the fallback
  * when it does not build.  A run takes its first speed bound from numpy
- * (solver._speed_bound) and every later one from imex_step; the speed_bound
- * and format_value exports are called only by the tests.
+ * (solver._speed_bound) and every later one from imex_step; the format_value
+ * export is called only by the tests.
  *
- * The step is one call: its forward sweep computes the right-hand side as it
- * goes, its back sweep updates v one node behind the solve and runs the
- * finite checks, and a last pass computes the next step's speed bound, which
- * solver carries to the next step.  Each stage inside it does the IEEE
- * operations of its numpy stage, in the same order, so the results are the
- * same bytes; only the speed bound meets its terms in another order, which
- * gives the same max (see there).  That needs a build that fuses no
- * multiply-add and reassociates nothing: -ffp-contract=off, and no
- * -ffast-math.  -fno-math-errno only lets sqrt compile to one instruction.
+ * The step is one call of two sweeps: the forward sweep computes the
+ * right-hand side as it goes and stores a new factor's rows, and the back
+ * sweep updates v one node behind the solve, runs the finite checks and takes
+ * the next step's speed bound, which solver carries to the next step.  Each
+ * stage inside it does the IEEE operations of its numpy stage, in the same
+ * order, so the results are the same bytes; only the speed bound meets its
+ * terms in another order, which gives the same max (see imex_step).  That
+ * needs a build that fuses no multiply-add and reassociates nothing:
+ * -ffp-contract=off, and no -ffast-math.  -fno-math-errno only lets sqrt
+ * compile to one instruction.
  *
  * Arrays are contiguous doubles; n is the node count (n >= 4) and m = n - 2
  * the interior count.
@@ -33,7 +34,11 @@ static inline double speed_term(double u, double v, double chi, double c4)
     return sqrt(p * c4 + a * a) + a;
 }
 
-/* speed_bound in one lane, in node order: the reference for any input. */
+/* The larger of m and r: a tie, or a nan r, keeps m. */
+static inline double max_term(double m, double r) { return r > m ? r : m; }
+
+/* solver._speed_bound in node order: imex_step's bound of a state that is not
+ * finite.  It returns the first nan term it meets, sign and payload. */
 static double speed_bound_ref(const double *u, const double *v, long n, double chi)
 {
     const double c4 = 4.0 * chi;
@@ -44,44 +49,6 @@ static double speed_bound_ref(const double *u, const double *v, long n, double c
             m = r;
     }
     return 0.5 * m;
-}
-
-/* 0.5 * max_i (a_i + sqrt(4*chi*max(u_i, 0) + a_i*a_i)) with a_i = chi*|v_i|,
- * nan when any term is nan: solver._speed_bound.  imex_step calls it; the
- * export serves the tests, which compare it with numpy lane by lane.
- *
- * Four lanes, each with its own running max m[j] and a sum s[j] of r*0.0,
- * which is +0 for a finite term and nan for an inf or nan one.  -O2
- * vectorizes the loop over the lanes into two-wide sqrtpd (it if-converts
- * the u < 0 select, which four written-out lanes would keep as branches).
- * Every finite term is >= +0 for chi >= 0, and a term that ties with m never
- * replaces it, so the max of finite terms is the same bits whichever lane
- * meets each term, in whatever order.  A nan is not: the one-lane loop
- * returns the first one it meets, sign and payload.  So when a sum is not 0
- * the one-lane loop, kept as the reference, decides.  An inf term sends it
- * there too, since r*0.0 cannot tell inf from nan; a term is inf only on
- * overflow or non-finite data, so that path is rare. */
-double speed_bound(const double *u, const double *v, long n, double chi)
-{
-    const double c4 = 4.0 * chi;
-    double m[4] = {0.0, 0.0, 0.0, 0.0}, s[4] = {0.0, 0.0, 0.0, 0.0};
-    long i = 0;
-    for (; i + 4 <= n; i += 4) {
-        for (int j = 0; j < 4; j++) {
-            const double r = speed_term(u[i + j], v[i + j], chi, c4);
-            s[j] += r * 0.0;
-            m[j] = r > m[j] ? r : m[j];
-        }
-    }
-    for (; i < n; i++) {
-        const double r = speed_term(u[i], v[i], chi, c4);
-        s[0] += r * 0.0;
-        m[0] = r > m[0] ? r : m[0];
-    }
-    if ((s[0] + s[1]) + (s[2] + s[3]) != 0.0)
-        return speed_bound_ref(u, v, n, chi);
-    const double m01 = m[1] > m[0] ? m[1] : m[0], m23 = m[3] > m[2] ? m[3] : m[2];
-    return 0.5 * (m23 > m01 ? m23 : m01);
 }
 
 /* The explicit right-hand side at node j, with w_lo = u[j-1]*v[j-1] and
@@ -95,7 +62,7 @@ static inline double node_rhs(const double *u, double w_lo, double w_hi, long j,
 
 /* One step of solver._advance on the compiled path: its right-hand side,
  * solve and v update, its finite checks and the next step's speed bound, in
- * two sweeps over the grid and one pass over the new state.
+ * two sweeps over the grid.
  *
  * The forward sweep computes each interior node's right-hand side
  *     r_i = (u_(i+1)*v_(i+1) - u_(i-1)*v_(i-1))*flux_w + u_i
@@ -109,20 +76,24 @@ static inline double node_rhs(const double *u, double w_lo, double w_hi, long j,
  * once both neighbours are final: solver._update_v.  The ends of u_new and
  * v_new are those of u and v.  Each of these is a chain of dependent
  * multiply-subtracts that leaves the other execution ports idle, so the
- * right-hand side and the v update cost little inside them.
+ * right-hand side, the v update and the bound cost little inside them.
  *
  * When a is new, k >= 0 and t[0..k] holds expm1(log_q*(i + 1)) from
- * solver._Workspace.factor.  The factor is then completed here: the head
- * pivots d_i = (t[i+1]/t[i])*d_plus for i < k, with the divide and the
- * multiply of solver._ldl_head in that order, and e_i = -a/d_i on the head;
- * d_i = d_plus, e_i = -a/d_plus from k on, stored inside the forward sweep.
- * With k < 0, d and e are used as they are, and t is not read.
+ * solver._Workspace.factor, and the forward sweep stores each row of the
+ * factor where it uses it: the head pivots d_i = (t[i+1]/t[i])*d_plus for
+ * i < k, with the divide and the multiply of solver._ldl_pivots in that
+ * order, and e_i = -a/d_i; d_i = d_plus and e_i = -a/d_plus from k on; and
+ * the last pivot, which only the back sweep reads, after the loop.  With
+ * k < 0, d and e are used as they are, and t is not read.
  *
  * checks[0] is min(u_new), nan when any entry is not finite
  * (solver._finite_min); checks[1] is 1 when every v_new is finite, else 0;
- * checks[2] is speed_bound(u_new, v_new), the next step's bound.  The two
- * flags are summed and minimized inside the back sweep, the bound in a pass
- * over the cache-hot outputs.
+ * checks[2] is solver._speed_bound(u_new, v_new), the next step's bound.
+ * The back sweep takes all three: each node's bound term where its u_new and
+ * v_new become final, into a running max that a tie never replaces.  On a
+ * finite state every term is >= +0 for chi > 0, or inf on overflow, so that
+ * max is the same bits as numpy's, whatever the order.  A nan is not, so when
+ * the finite checks find an inf or nan entry, speed_bound_ref decides.
  *
  * u_new and v_new must not overlap u, v, d, e or t. */
 void imex_step(const double *restrict u, const double *restrict v, long n, double flux_w,
@@ -130,19 +101,14 @@ void imex_step(const double *restrict u, const double *restrict v, long n, doubl
                const double *restrict t, long k, double d_plus, double dv_w, double chi,
                double *restrict u_new, double *restrict v_new, double *restrict checks)
 {
-    const long m = n - 2;                /* interior row i is node i + 1 */
-    const long fill = k < 0 ? m : k;     /* d and e are stored from row fill on */
+    const long m = n - 2; /* interior row i is node i + 1 */
     const double e_plus = k < 0 ? 0.0 : -a / d_plus;
     const double left = u[0], right = u[n - 1];
-    for (long i = 0; i < k; i++)
-        d[i] = (t[i + 1] / t[i]) * d_plus;
-    for (long i = 0; i < k && i < m - 1; i++)
-        e[i] = -a / d[i];
 
     /* forward sweep; w_lo and w_hi are u*v at the nodes j - 1 and j + 1 */
     double w_lo = u[0] * v[0], w_mid = u[1] * v[1], w_hi = u[2] * v[2];
     double x = node_rhs(u, w_lo, w_hi, 1, flux_w, diff_w) + a * left; /* row 0 */
-    u_new[1] = x; /* x, the last row, is kept out of memory that the fill may alias */
+    u_new[1] = x;
     for (long j = 2; j <= m; j++) {
         w_lo = w_mid;
         w_mid = w_hi;
@@ -150,17 +116,22 @@ void imex_step(const double *restrict u, const double *restrict v, long n, doubl
         double r = node_rhs(u, w_lo, w_hi, j, flux_w, diff_w);
         if (j == m)
             r = r + a * right;
-        if (j - 2 >= fill) {
-            d[j - 2] = d_plus;
-            e[j - 2] = e_plus;
+        const long i = j - 2; /* node j's row is i + 1 */
+        if (i < k) {
+            d[i] = (t[i + 1] / t[i]) * d_plus;
+            e[i] = -a / d[i];
+        } else if (k >= 0) {
+            d[i] = d_plus;
+            e[i] = e_plus;
         }
-        x = r - x * e[j - 2];
+        x = r - x * e[i];
         u_new[j] = x;
     }
-    if (fill < m)
-        d[m - 1] = d_plus;
+    if (k >= 0)
+        d[m - 1] = m - 1 < k ? (t[m] / t[m - 1]) * d_plus : d_plus;
 
-    /* back sweep, with v_new one node behind and the finite checks */
+    /* back sweep, with v_new one node behind, the finite checks and the bound */
+    const double c4 = 4.0 * chi;
     u_new[0] = left;
     u_new[n - 1] = right;
     x = x / d[m - 1];
@@ -170,6 +141,7 @@ void imex_step(const double *restrict u, const double *restrict v, long n, doubl
     u_min = x < u_min ? x : u_min;
     double u_sum = left * 0.0 + right * 0.0 + x * 0.0; /* nan when any u_new is inf or nan */
     double v_sum = v[0] * 0.0 + v[n - 1] * 0.0;
+    double top = 0.0; /* the largest bound term */
     for (long j = m - 1; j >= 1; j--) {
         const double y = u_new[j] / d[j - 1] - x * e[j - 1];
         u_new[j] = y;
@@ -178,18 +150,22 @@ void imex_step(const double *restrict u, const double *restrict v, long n, doubl
         u_sum += y * 0.0;
         u_min = y < u_min ? y : u_min;
         v_sum += vj * 0.0;
+        top = max_term(top, speed_term(x, vj, chi, c4)); /* node j + 1 is final */
         above = x;
         x = y;
     }
     const double v1 = (above - left) * dv_w + v[1];
     v_new[1] = v1;
     v_sum += v1 * 0.0;
+    top = max_term(top, speed_term(x, v1, chi, c4));
+    top = max_term(top, speed_term(left, v[0], chi, c4));
+    top = max_term(top, speed_term(right, v[n - 1], chi, c4));
     v_new[0] = v[0];
     v_new[n - 1] = v[n - 1];
 
     checks[0] = u_sum != 0.0 ? NAN : u_min;
     checks[1] = v_sum == 0.0;
-    checks[2] = speed_bound(u_new, v_new, n, chi);
+    checks[2] = u_sum + v_sum != 0.0 ? speed_bound_ref(u_new, v_new, n, chi) : 0.5 * top;
 }
 
 /* The snapshot printer: each value exactly as Python's '%.17g' % value

@@ -332,7 +332,18 @@ def _pert_arrays(grid: GridSpec, p: dict, prefix: str) -> np.ndarray:
 
 def build_initial(cfg: ScenarioConfig) -> SimState:
     """Construct (u0, v0) for the scenario and apply mollification if
-    requested.  A run keeps the data's end values at the two end nodes."""
+    requested.  A run keeps the data's end values at the two end nodes.  A
+    grid too large for its arrays to be allocated is a config error."""
+    try:
+        return _build_initial(cfg)
+    except MemoryError as exc:
+        raise ConfigError(
+            f"bad value for [grid]:n_nodes: the data on {cfg.grid.n_nodes} nodes does not "
+            f"fit in memory ({exc})"
+        ) from exc
+
+
+def _build_initial(cfg: ScenarioConfig) -> SimState:
     grid = cfg.grid
     p = cfg.initial_params
     kind = cfg.initial_kind

@@ -50,18 +50,19 @@ for the plain `on_snapshot(index, state, prev)` callback, and for its
 The compiled step.  When the workspace holds the compiled library, the
 kernel is `_compiled_step`, one call of `imex_step` in `_stages.c`, which
 does `_numpy_step`'s IEEE operations in the same order, so both kernels give
-the same bytes.  Its forward sweep computes each node's right-hand side and
-folds in the pinned ends; its back sweep (dpttrs's own two sweeps) updates v
-one node behind the solve and finds min(u_new) and whether u_new and v_new
-are finite; a last pass over the new state computes the next bound.  So a
-compiled run makes one library call per step.  For an a that no slot
-holds, Python computes only numpy's expm1 of the pivots' head (the entries
-that differ from their limit d_plus, ~100 of them), and the compiled step
-forms the head pivots from it and fills the rest of the slot's factor inside
-its forward sweep.  The expm1 stays in numpy (see `_ldl_head`).  The
-compiled bound runs four lanes that `-O2` vectorizes; the max of its finite
-terms does not depend on their order, and an inf or nan term hands it to a
-one-lane loop.  The numpy kernel stays as the reference the tests compare
+the same bytes.  It is two sweeps, dpttrs's own.  The forward sweep computes
+each node's right-hand side and folds in the pinned ends; the back sweep
+updates v one node behind the solve, finds min(u_new) and whether u_new and
+v_new are finite, and takes the next bound from each node's term where that
+node becomes final.  So a compiled run makes one library call per step.  For
+an a that no slot holds, Python computes only numpy's expm1 of the pivots'
+head (the entries that differ from their limit d_plus, ~100 of them), and
+the forward sweep stores each row of the slot's factor, head pivots formed
+from that expm1, where it first uses it.  The expm1 stays in numpy (see
+`_ldl_pivots`).  The max of the bound's finite terms does not depend on
+their order, so the back sweep meets them back to front; an inf or nan entry
+of the new state hands the bound to a loop in node order, as numpy meets
+them.  The numpy kernel stays as the reference the tests compare
 with, and as the path taken when no compiler or cache is usable.  The first
 `_Workspace` built on a machine compiles the source with $CC (default cc)
 into a private per-user cache,
@@ -151,14 +152,6 @@ def characteristic_speed_bound(state: SimState, params: ModelParams) -> float:
     return _speed_bound(state.u.values, state.v.values, params.chi)
 
 
-def _ldl_pivots(a: float, d: np.ndarray) -> tuple[int, float]:
-    """Fill d with the pivots D of tridiag(-a, 1+2a, -a) = L D L^T, size d.size,
-    and return (k, d_plus): every pivot from index k on equals d_plus."""
-    k, d_plus = _ldl_head(a, d)
-    d[k:] = d_plus
-    return k, d_plus
-
-
 def _ldl_scalars(a: float, m: int) -> tuple[int, float, float]:
     """(k, d_plus, log_q) of the m pivots of tridiag(-a, 1+2a, -a): the head
     length k, the limit d_plus of the pivots and the log of their ratio q.
@@ -177,12 +170,12 @@ def _ldl_scalars(a: float, m: int) -> tuple[int, float, float]:
     return min(m, int(_LOG_QUARTER_EPS / log_q) + 2), d_plus, log_q
 
 
-def _ldl_head(a: float, d: np.ndarray) -> tuple[int, float]:
-    """Fill d[:k] with the first k pivots of `_ldl_pivots(a, d)` and return
-    (k, d_plus), leaving d[k:], whose pivots all equal d_plus, as it is.
+def _ldl_pivots(a: float, d: np.ndarray) -> tuple[int, float]:
+    """Fill d with the pivots D of tridiag(-a, 1+2a, -a) = L D L^T, size d.size,
+    and return (k, d_plus): every pivot from index k on equals d_plus.
 
-    The head is t[i+1]/t[i]*d_plus with t = expm1(log_q*(1, ..., k+1)) and
-    (k, d_plus, log_q) from `_ldl_scalars`.  A compiled workspace
+    The head d[:k] is t[i+1]/t[i]*d_plus with t = expm1(log_q*(1, ..., k+1))
+    and (k, d_plus, log_q) from `_ldl_scalars`.  A compiled workspace
     (`_Workspace.factor`) takes only t from numpy and forms the same
     quotient and product in the compiled step, so both kernels share numpy's
     expm1.  On a CPU with AVX-512, numpy runs its own expm1, which differs
@@ -196,6 +189,7 @@ def _ldl_head(a: float, d: np.ndarray) -> tuple[int, float]:
     t = np.expm1(log_q * np.arange(1.0, k + 2.0))
     np.divide(t[1:], t[:-1], out=d[:k])
     d[:k] *= d_plus
+    d[k:] = d_plus
     return k, d_plus
 
 

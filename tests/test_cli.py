@@ -706,6 +706,33 @@ def test_an_overflowing_diffusion_weight_ends_in_exit_3(tmp_path):
     assert snaps and len(read_series(out / "series.csv")["t"]) == len(snaps)
 
 
+# 8*10**17 bytes per array exceed a 64-bit address space, so numpy's allocation
+# fails at once and touches no memory
+HUGE_N_NODES = "100000000000000000"
+
+
+def test_a_grid_too_large_to_allocate_is_config_error(tmp_path, capsys):
+    text = re.sub(r"(?m)^n_nodes = .*$", f"n_nodes = {HUGE_N_NODES}",
+                  (SCENARIO_DIR / "fig1_consistent.cfg").read_text())
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    for args in (["validate", str(cfg)], ["wave", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+        assert main(args) == EXIT_CONFIG, args
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"config error: bad value for \[grid\]:n_nodes: [^\n]*\n", err), err
+    assert not list(out.glob("snap_*.dat"))
+
+
+def test_a_sweep_records_a_grid_too_large_to_allocate_as_failed(tmp_path):
+    out_dir = tmp_path / "sw"
+    assert main(["sweep", str(_thm21_variant(tmp_path, t_end=1)), "--axis", "n_nodes",
+                 "--values", f"1001,{HUGE_N_NODES}", "--out", str(out_dir)]) == EXIT_OK
+    with open(out_dir / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == ["ok", "failed"]
+    assert "[grid]:n_nodes" in rows[1]["error"]
+
+
 def test_the_cli_process_prints_its_summary_through_a_pipe(tmp_path):
     # main() freezes the collector's objects when it is the process entry point
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

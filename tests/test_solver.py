@@ -631,6 +631,15 @@ def compiled_solve(x, a, left, right, ws):
     return 0
 
 
+def compiled_bound(u, v, chi, ws):
+    """The speed bound of (u, v) from the compiled step of ws: with a = 0 and
+    every weight 0 the step returns its inputs, up to the sign of an interior
+    -0.0, so the next bound it returns is theirs."""
+    u_new, v_new, *_, bound = _compiled_step(u, v, 0.0, 0.0, 0.0, 0.0, chi, ws)
+    assert np.array_equal(u_new, u) and np.array_equal(v_new, v)
+    return bound
+
+
 @pytest.mark.parametrize("n", [8, 201, 4001])
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 def test_each_compiled_stage_matches_its_numpy_stage_bit_for_bit(stages, n, theta):
@@ -641,10 +650,10 @@ def test_each_compiled_stage_matches_its_numpy_stage_bit_for_bit(stages, n, thet
     assert ws.lib is stages and ref.lib is None
     chi, dx = 1.7, 0.05
     for w in (u, u - 1.5, np.zeros(n)):  # some nodes below the positivity floor, no speed
-        got = stages.speed_bound(ws.ptr(w), ws.ptr(v), n, chi)
+        got = compiled_bound(w, v, chi, ws)
         assert same_bits(got, solver._speed_bound(w, v, chi))
     for cap in (None, 1e-3, 1e-9):
-        compiled_dt = _cfl_step(stages.speed_bound(ws.ptr(u), ws.ptr(v), n, chi), 0.4, dx, cap)
+        compiled_dt = _cfl_step(compiled_bound(u, v, chi, ws), 0.4, dx, cap)
         assert compiled_dt == _cfl_step(solver._speed_bound(u, v, chi), 0.4, dx, cap)
 
     dt = _cfl_step(solver._speed_bound(u, v, chi), 0.4, dx, None)
@@ -689,17 +698,20 @@ def same_or_both_nan(got, want):
     return same_bits(got, want) or (math.isnan(got) and math.isnan(want))
 
 
-@pytest.mark.parametrize("n", [8, 9, 10, 11, 201, 4001])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 201, 4001])
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 def test_the_compiled_step_matches_the_numpy_stages_bit_for_bit(stages, n, theta):
     # theta = 1 takes the fused forward sweep's branch without explicit
-    # diffusion; n = 8 .. 11 end the four lanes of the bound in every tail
+    # diffusion; n = 4 .. 13 put the first and last rows of both sweeps, and
+    # the bound terms taken before, inside and after the back sweep's loop,
+    # at every place near the ends
     u, v = random_state(n, 100 + n)
-    chi, dx, dt = 1.7, 0.05, 0.004
-    flux_w, diff_w, dv_w = dt * chi / (2.0 * dx), dt * (1.0 - theta) * 3.0 / (dx * dx), dt / (2.0 * dx)
+    dx, dt = 0.05, 0.004
+    diff_w, dv_w = dt * (1.0 - theta) * 3.0 / (dx * dx), dt / (2.0 * dx)
 
-    def check(ws, u, v, a, planted=False):
+    def check(ws, u, v, a, chi, planted=False):
         ref = numpy_workspace(n)
+        flux_w = dt * chi / (2.0 * dx)
         got = _compiled_step(u, v, flux_w, diff_w, a, dv_w, chi, ws)
         with np.errstate(all="ignore"):
             want = solver._numpy_step(u, v, flux_w, diff_w, a, dv_w, chi, ref)
@@ -715,50 +727,31 @@ def test_the_compiled_step_matches_the_numpy_stages_bit_for_bit(stages, n, theta
         assert np.array_equal(np.isnan(got[0]), np.isnan(want[0]))
         assert np.array_equal(np.isnan(got[1]), np.isnan(want[1]))
 
-    for sequence in (PIVOT_AS, SHRINKING_AS):
-        ws = _Workspace(n)
-        for a in sequence:
-            check(ws, u, v, a)
-
-    # a non-finite or a large input in every lane position: at a = 0 the new
-    # state keeps it local, so the bound meets it, or its largest term, in
-    # the lane of its node
-    ws = _Workspace(n)
+    # some nodes below the positivity floor, an end and an interior -0.0; no speed
+    below = u - 1.5
+    below[0] = below[n // 2] = -0.0
+    states = ((below, v), (np.zeros(n), np.zeros(n)))
     places = range(n) if n < 12 else [*range(8), *range(n // 2, n // 2 + 4), *range(n - 8, n)]
-    for value in (np.nan, -np.nan, np.inf, -np.inf, 40.0):
-        for i in places:
-            for planted_in_u in (True, False):
-                u1, v1 = u.copy(), v.copy()
-                (u1 if planted_in_u else v1)[i] = value
-                for a in (0.0, 0.3):
-                    check(ws, u1, v1, a, planted=not math.isfinite(value))
+    for chi in (0.3, 1.7):
+        for sequence in (PIVOT_AS, SHRINKING_AS):
+            ws = _Workspace(n)
+            for a in sequence:
+                check(ws, u, v, a, chi)
+        for a in (0.0, 0.3):
+            for u1, v1 in states:
+                check(ws, u1, v1, a, chi)
 
-
-def test_compiled_speed_bound_matches_numpy_in_every_lane(stages):
-    # the compiled bound runs four lanes and hands inf and nan to its one-lane
-    # loop; n from 4 to 13 puts a planted value in every lane and every tail
-    def same(got, want):
-        return same_bits(got, want) or (math.isnan(got) and math.isnan(want))
-
-    for n in range(4, 14):
-        rng = np.random.default_rng(n)
-        u0 = rng.standard_normal(n) + 0.5  # some nodes below the positivity floor
-        u0[n // 2] = -0.0
-        v0 = rng.standard_normal(n)
-        zeros = np.zeros(n)
-        for chi in (0.3, 1.7):
-            cases = [(u0, v0), (zeros, zeros)]
-            for value in (np.nan, -np.nan, np.inf, -np.inf):
-                for i in range(n):
-                    for planted_in_u in (True, False):
-                        u, v = u0.copy(), v0.copy()
-                        (u if planted_in_u else v)[i] = value
-                        cases.append((u, v))
-            for u, v in cases:
-                got = stages.speed_bound(u.ctypes.data, v.ctypes.data, n, chi)
-                with np.errstate(invalid="ignore"):
-                    want = solver._speed_bound(u, v, chi)
-                assert same(got, want), (n, chi, u, v, got, want)
+        # a non-finite or a large input at every place near the ends and the
+        # middle: at a = 0 the new state keeps it local, so the bound meets
+        # it, or its largest term, at its own node
+        ws = _Workspace(n)
+        for value in (np.nan, -np.nan, np.inf, -np.inf, 40.0):
+            for i in places:
+                for planted_in_u in (True, False):
+                    u1, v1 = u.copy(), v.copy()
+                    (u1 if planted_in_u else v1)[i] = value
+                    for a in (0.0, 0.3):
+                        check(ws, u1, v1, a, chi, planted=not math.isfinite(value))
 
 
 def test_a_shrinking_pivot_head_leaves_no_stale_entry(stages):

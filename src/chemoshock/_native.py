@@ -111,7 +111,7 @@ def _load_stages():
     ptr, n, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     functions = [
         ("imex_step", None,
-         (ptr, ptr, n, real, real, real, ptr, ptr, ptr, n, real, real, real, ptr, ptr, ptr)),
+         (ptr, ptr, n, real, real, real, ptr, ptr, n, real, real, ptr, ptr, ptr, ptr)),
         ("printer_available", ctypes.c_int, ()),
     ]
     if lib.printer_available():

@@ -1,9 +1,11 @@
 """Smoothing of rough initial data with the standard compactly supported
 bump kernel of width delta.
 
-The kernel is normalized discretely (weights sum to exactly 1) so constants
-are reproduced exactly and mass conservation holds to rounding, not just to
-quadrature order.  Boundaries are handled by constant extension, matching the
+The kernel is normalized discretely: the weights are divided by their sum, so
+they sum to 1 up to rounding and mass conservation holds to rounding, not just
+to quadrature order.  A node whose whole window holds one value keeps that
+value, so constants and the far-field plateaus of rough data are reproduced
+exactly.  Boundaries are handled by constant extension, matching the
 far-field Dirichlet setup of the experiments.
 """
 
@@ -38,7 +40,8 @@ class MollifierSpec:
 
 
 def kernel_weights(spec: MollifierSpec, dx: float) -> np.ndarray:
-    """Discrete bump-kernel weights on node offsets, summing to exactly 1."""
+    """Discrete bump-kernel weights on node offsets, divided by their sum, so
+    they sum to 1 up to rounding."""
     m_max = int(math.ceil(spec.delta / dx)) - 1
     offsets = np.arange(-m_max, m_max + 1)
     r = offsets * dx / spec.delta
@@ -49,9 +52,16 @@ def kernel_weights(spec: MollifierSpec, dx: float) -> np.ndarray:
 
 
 def mollify(f: Field, spec: MollifierSpec) -> Field:
-    """Convolve f with the kernel; f is extended by its boundary values."""
+    """Convolve f with the kernel; f is extended by its boundary values, and a
+    node whose whole window holds one value keeps it."""
     spec.validate_for(f.grid)
     w = kernel_weights(spec, f.grid.dx)
     half = w.size // 2
     padded = np.pad(f.values, half, mode="edge")
-    return Field(f.grid, np.convolve(padded, w, mode="valid"))
+    out = np.convolve(padded, w, mode="valid")
+    # changes[j]: how many neighbours differ among padded[:j + 1]; node i's window
+    # padded[i:i + w.size] holds one value when none differ inside it
+    changes = np.concatenate(([0], np.cumsum(padded[1:] != padded[:-1])))
+    flat = changes[w.size - 1:] == changes[: out.size]
+    out[flat] = f.values[flat]
+    return Field(f.grid, out)

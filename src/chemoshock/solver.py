@@ -8,17 +8,40 @@ restates them.
 
 Diffusion is treated implicitly (theta-scheme), the coupling flux
 chi*(u v)_x explicitly by central differences, and v is updated pointwise from
-the freshly computed u so that constant states are fixed points to roundoff
-and the discrete v-mass identity holds per step.  The time step is recomputed
-every step from the characteristic speed bound, since v drifts.
+the freshly computed u so that the discrete v-mass identity holds per step.
+The time step is recomputed every step from the characteristic speed bound,
+since v drifts.
 
-The two Dirichlet rows are left out of the implicit system: the boundary
-values are folded into the first and last right-hand-side entries, and the
-remaining interior system I - a*Laplacian = tridiag(-a, 1+2a, -a) is
-symmetric positive definite and Toeplitz.  Its LDL^T pivots have a closed
-form (`_ldl_pivots`), so a step never factorizes: it fills the pivots and the
-unit lower bidiagonal factor and calls LAPACK's dpttrs, which solves in place
-into the interior of the new u.
+The implicit solve is in δ-form: the step solves (I - a*Laplacian) δ = r on
+the interior nodes, with δ = 0 at the two pinned ends, and sets u_new = u + δ.
+r is the whole step's increment of the theta-scheme,
+(uv_(i+1) - uv_(i-1))*flux_w + ((u_(i+1) + u_(i-1)) - 2u_i)*(diff_w + a),
+so on a state that is constant around a node it is exactly 0 there: constant
+states are exact fixed points, and far-field plateaus keep their bits.  The
+interior system I - a*Laplacian = tridiag(-a, 1+2a, -a) is symmetric positive
+definite and Toeplitz.  Its LDL^T pivots come from their recurrence, or from
+a closed form for a > `_A_MAX` (`_ldl_pivots`), so a step never factorizes:
+it fills the pivots and the unit lower bidiagonal factor and calls LAPACK's
+dpttrs, which solves in place.  The recurrence takes +, -, * and / only, and
+the closed form the C library's expm1 and log1p, which Python's math module
+calls too, so the pivots do not depend on numpy's SIMD code.  The solve runs
+on blocks of rows around r's nonzero entries only (`_implicit_solve`), whose
+margins end where δ has decayed by 2**-64: on a plateau δ would otherwise
+decay row by row into the subnormal numbers, where each multiply and divide
+costs the CPU ~100 cycles, and a compiled step on jump data took up to a
+third longer.
+
+An increment δ_i smaller than `_DEAD_BAND` = 2**-49 times |u_i|, eight units
+of roundoff of u_i and a few times the rounding error of δ_i itself, is
+dropped: u_new_i = u_i there.  Without it roundoff travels.  Rounding each
+u + δ to the nearest double turns the sub-ulp increments next to a few-ulp
+pattern into whole ulps, so such a pattern on a far-field plateau (u one and
+two ulps above 1, v one ulp below, as jump data leave behind them) moved one
+node per step, and whether one started on `perfbench`'s `shock_run` turned on
+the jump's position: its output ranged from 1.61 to 1.94 MB over the
+workload's 11 positions.  Four units of roundoff were the least that stopped
+it there (three let it start on every position), hence eight.  A dropped
+increment moves u by at most 2**-49 |u| per step.
 
 One array kernel, `_advance`, takes a step on raw nodal arrays.  It takes
 the speed bound of its input pair, from which it takes the CFL dt
@@ -28,8 +51,8 @@ first one from `_speed_bound`.  The step itself is one of two kernels of one
 signature, which return the same tuple (u_new, v_new, min(u_new), whether
 v_new is finite, the next bound).  `_numpy_step` composes three stages, each
 a module-level function of raw arrays and scalar weights: `_explicit_rhs`
-(coupling flux and explicit diffusion), `_implicit_solve` (pinned ends folded
-in, pivots, `dpttrs`) and `_update_v`, and then `_speed_bound`.  Each kernel
+(the δ-form's right-hand side), `_implicit_solve` (pivots, `dpttrs`), after
+which it adds u, and `_update_v`, and then `_speed_bound`.  Each kernel
 pins each end to its value in the input arrays, which by induction is the
 data's, and `_advance` performs every per-step check (LAPACK info, finite u
 and v, positivity) on what it returns.  The scratch buffers (pivots, factor,
@@ -38,10 +61,9 @@ run; the public `step()` builds its own.  The workspace keeps the factors
 (pivots and subdiagonal) of the last four values of a = theta*D*dt/dx**2 in
 as many slots, least recently used first out (`_Workspace.factor`), and a
 factor is computed only for an a, bit for bit, that no slot holds.  On jump
-data dt repeats on about half the steps, and on most of the rest it returns
-to a value one ulp from the last, as the bound sits on a far-field plateau
-whose roundoff flickers: on `perfbench`'s `shock_run` 357 of 8,100 steps
-compute a factor, where 3,731 did with one slot.  `run()` marches the
+data dt repeats on most steps, and on most of the rest it returns to a value
+one ulp from the last: on `perfbench`'s `shock_run` 345 of 8,100 steps
+compute a factor, where 1,440 would with one slot.  `run()` marches the
 arrays and builds `Field`/`SimState` only at the API boundary: at snapshots,
 for the plain `on_snapshot(index, state, prev)` callback, and for its
 `RunReport`.  The public `step()` wraps the same kernel for a single
@@ -51,19 +73,20 @@ The compiled step.  When the workspace holds the compiled library, the
 kernel is `_compiled_step`, one call of `imex_step` in `_stages.c`, which
 does `_numpy_step`'s IEEE operations in the same order, so both kernels give
 the same bytes.  It is two sweeps, dpttrs's own.  The forward sweep computes
-each node's right-hand side and folds in the pinned ends; the back sweep
-updates v one node behind the solve, finds min(u_new) and whether u_new and
-v_new are finite, and takes the next bound from each node's term where that
-node becomes final.  So a compiled run makes one library call per step.  For
-an a that no slot holds, Python computes only numpy's expm1 of the pivots'
-head (the entries that differ from their limit d_plus, ~100 of them), and
-the forward sweep stores each row of the slot's factor, head pivots formed
-from that expm1, where it first uses it.  The expm1 stays in numpy (see
-`_ldl_pivots`).  The max of the bound's finite terms does not depend on
-their order, so the back sweep meets them back to front; an inf or nan entry
-of the new state hands the bound to a loop in node order, as numpy meets
-them.  The numpy kernel stays as the reference the tests compare
-with, and as the path taken when no compiler or cache is usable.  The first
+each node's right-hand side, finds the blocks and runs their forward sweeps;
+the back sweep finishes δ, adds u, updates v one node behind the solve,
+finds min(u_new) and whether u_new and v_new are finite, and takes the next
+bound from each node's term where that node becomes final.  So a compiled
+run makes one library call per step, and no Python arithmetic fills a
+factor: for an a that no slot holds, `_Workspace.factor` only picks the
+slot, and the step runs the pivots' recurrence until a pivot repeats, then
+stores each later row in the forward sweep (or, for a > `_A_MAX`, fills the
+closed form on the C library's expm1 before it).  The max of the bound's finite
+terms does not depend on their order, so the back sweep meets them back to
+front; an inf or nan entry of the new state hands the bound to a loop in
+node order, as numpy meets them.  The numpy kernel stays as the reference
+the tests compare with, and as the path taken when no compiler or cache is
+usable.  The first
 `_Workspace` built on a machine compiles the source with $CC (default cc)
 into a private per-user cache,
 ${XDG_CACHE_HOME:-~/.cache}/chemoshock (`_native._load_stages`, which this
@@ -108,8 +131,18 @@ from .core import (
 
 _TINY_SPEED = 1e-14
 _TIME_SNAP = 1e-9
-# pivots past the head where q**i < eps/4 equal d_plus to the last bit
-_LOG_QUARTER_EPS = math.log(0.25 * np.finfo(float).eps)
+# the largest a whose pivots run their recurrence (`_ldl_pivots`); `_stages.c`
+# repeats it as A_MAX
+_A_MAX = 100.0
+# log(eps/4), as the literal that `_stages.c` repeats: the closed-form pivots
+# past the head where q**i < eps/4 equal d_plus to the last bit
+_LOG_QUARTER_EPS = -37.42994775023705
+# a block of the solve reaches as far past its nonzero right-hand side as δ
+# takes to decay by 2**-_BLOCK_BITS (`_block_margin`); `_stages.c` repeats it
+_BLOCK_BITS = 64
+# an increment δ_i smaller than _DEAD_BAND*|u_i|, eight units of roundoff of
+# u_i, is dropped, and u_i kept (`_numpy_step`); `_stages.c` repeats it
+_DEAD_BAND = 2.0**-49
 
 
 @dataclass(frozen=True)
@@ -152,45 +185,47 @@ def characteristic_speed_bound(state: SimState, params: ModelParams) -> float:
     return _speed_bound(state.u.values, state.v.values, params.chi)
 
 
-def _ldl_scalars(a: float, m: int) -> tuple[int, float, float]:
-    """(k, d_plus, log_q) of the m pivots of tridiag(-a, 1+2a, -a): the head
-    length k, the limit d_plus of the pivots and the log of their ratio q.
-
-    With d_plus = (1+2a+sqrt(1+4a))/2 and q = (a/d_plus)**2 the i-th pivot
-    (1-based) is d_plus*(1-q**(i+1))/(1-q**i), evaluated through expm1 so that
-    nothing cancels for small a.  Past the head where q**i < eps/4 it is d_plus.
-    log q is taken as -2*log1p((d_plus-a)/a), which stays nonzero for large a
-    where a/d_plus rounds to 1.  At a = 0 the head is empty (log_q is unused).
-    """
-    if a == 0.0:  # dt*D/dx**2 underflowed: the system is the identity
-        return 0, 1.0, 0.0
-    s = math.sqrt(1.0 + 4.0 * a)
-    d_plus = 0.5 * (1.0 + 2.0 * a + s)
-    log_q = -2.0 * math.log1p(0.5 * (1.0 + s) / a)
-    return min(m, int(_LOG_QUARTER_EPS / log_q) + 2), d_plus, log_q
-
-
-def _ldl_pivots(a: float, d: np.ndarray) -> tuple[int, float]:
+def _ldl_pivots(a: float, d: np.ndarray) -> int:
     """Fill d with the pivots D of tridiag(-a, 1+2a, -a) = L D L^T, size d.size,
-    and return (k, d_plus): every pivot from index k on equals d_plus.
+    and return k: every pivot from index k on equals d[k].
 
-    The head d[:k] is t[i+1]/t[i]*d_plus with t = expm1(log_q*(1, ..., k+1))
-    and (k, d_plus, log_q) from `_ldl_scalars`.  A compiled workspace
-    (`_Workspace.factor`) takes only t from numpy and forms the same
-    quotient and product in the compiled step, so both kernels share numpy's
-    expm1.  On a CPU with AVX-512, numpy runs its own expm1, which differs
-    from the C library's in the last bit on ~1% of arguments.  A head in C,
-    on the C library's expm1, was measured: on jump data the early steps
-    then leave a far-field plateau one or more ulps off its exact value, and
-    `perfbench`'s `shock_run` output grew by 0.9-5.1% with the text of those
-    values.
+    Up to a = `_A_MAX` the pivots run their recurrence d_0 = 1 + 2a,
+    d_(i+1) = (1 + 2a) - a*(a/d_i) until a pivot repeats, which fills the
+    rest.  It takes +, -, * and / only, so every CPU gives the same bits, and
+    the compiled step runs it too (`ldl_head`).  a*(a/d) does not
+    overflow where a*a/d would.  It is within 1 ulp of the exact pivots for
+    a <= 36 and 3 ulp at a = 100, but drifts further above (4 ulp at a = 200,
+    17 at a = 3000, m = 3999), so above `_A_MAX` the pivots take their
+    closed form.  With d_plus = (1+2a+sqrt(1+4a))/2 and q = (a/d_plus)**2
+    the i-th pivot (1-based) is d_plus*(1-q**(i+1))/(1-q**i), that is
+    t[i+1]/t[i]*d_plus with t = expm1(log_q*(1, ..., k+1)), and d_plus past
+    the head length k where q**i < eps/4.  log q is taken as
+    -2*log1p((d_plus-a)/a), which stays nonzero for large a where a/d_plus
+    rounds to 1.  The expm1 and log1p are Python's math functions, the C
+    library's, which the compiled step calls too (`ldl_closed`).
     """
-    k, d_plus, log_q = _ldl_scalars(a, d.size)
-    t = np.expm1(log_q * np.arange(1.0, k + 2.0))
-    np.divide(t[1:], t[:-1], out=d[:k])
-    d[:k] *= d_plus
-    d[k:] = d_plus
-    return k, d_plus
+    m = d.size
+    if a > _A_MAX:
+        s = math.sqrt(1.0 + 4.0 * a)
+        d_plus = 0.5 * (1.0 + 2.0 * a + s)
+        log_q = -2.0 * math.log1p(0.5 * (1.0 + s) / a)
+        head = _LOG_QUARTER_EPS / log_q
+        k = min(m, int(head) + 2) if head < m else m
+        t = np.array([math.expm1(log_q * i) for i in range(1, k + 2)])
+        np.divide(t[1:], t[:-1], out=d[:k])
+        d[:k] *= d_plus
+        d[k:] = d_plus
+        return min(k, m - 1)
+    b = p = 1.0 + 2.0 * a
+    for k in range(m - 1):
+        d[k] = p
+        p_next = b - a * (a / p)
+        if p_next == p:  # a fixed point: every later pivot is p
+            d[k:] = p
+            return k
+        p = p_next
+    d[m - 1] = p
+    return m - 1
 
 
 def solve_banded(*args, **kwargs):
@@ -246,7 +281,7 @@ class _Workspace:
     """
 
     __slots__ = ("n", "d", "e", "w", "a", "dpttrs", "lib", "u_out", "v_out", "checks",
-                 "_factors", "_ramp", "head", "_addr")
+                 "_factors", "_addr")
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -257,19 +292,17 @@ class _Workspace:
         self._factors = {object(): slot for slot in slots}
         self.a = math.nan  # the a that d and e hold the factor for
         self.d, self.e = slots[0]  # no factor yet; never an array of its own
-        self.w = np.empty(n)  # u*v, for the numpy stage
+        self.w = np.empty(n)  # scratch: u*v for the numpy stage, the compiled step's blocks
         self.lib = _load_stages()  # the compiled step loads here, not at import
         self.dpttrs = None
         if self.lib is None:
             self.dpttrs = _load_dpttrs()  # and LAPACK, only for the numpy stages
             return
-        self._ramp = np.arange(1.0, m + 2.0)  # 1, ..., m + 1: the head's exponents
-        self.head = np.empty(m + 1)  # expm1(log_q*ramp[:k+1]) for the compiled step
         self.u_out = (np.empty(n), np.empty(n))
         self.v_out = (np.empty(n), np.empty(n))
         self.checks = np.empty(3)  # what the compiled step returns: u-min, v finite, bound
-        owned = (*(x for slot in slots for x in slot), self.head,
-                 *self.u_out, *self.v_out, self.checks)
+        owned = (*(x for slot in slots for x in slot), *self.u_out, *self.v_out, self.checks,
+                 self.w)
         self._addr = {id(x): _address(x, x.size) for x in owned}
 
     def ptr(self, x: np.ndarray) -> int:
@@ -277,38 +310,31 @@ class _Workspace:
         addr = self._addr.get(id(x))
         return _address(x, self.n) if addr is None else addr
 
-    def factor(self, a: float) -> tuple[int, float]:
+    def factor(self, a: float) -> bool:
         """Make d and e name the factor of tridiag(-a, 1+2a, -a), and return
-        (k, d_plus) for the compiled step.
+        whether the compiled step must fill it.
 
-        A kept factor is used as it is, and k is -1.  Otherwise a takes the
-        least recently used slot.  A numpy workspace fills it here
-        (`_ldl_pivots`, then e_i = -a/d_i).  A compiled one leaves the
-        filling to the compiled step: it puts expm1(log_q*(1, ..., k+1)) of
-        `_ldl_scalars` into its head buffer and returns k >= 0 and d_plus.
-        The caller must then run the step, which fills the whole slot."""
+        A kept factor is used as it is.  Otherwise a takes the least recently
+        used slot.  A numpy workspace fills it here (`_ldl_pivots`, then
+        e_i = -a/d_i); a compiled one returns True, and the caller must then
+        run the compiled step, which fills the whole slot."""
         if a == self.a:
-            return -1, 0.0
-        k, d_plus = -1, 0.0
+            return False
         slot = self._factors.pop(a, None)
-        if slot is None:  # a miss: a takes the least recently used slot
+        fill = slot is None
+        if fill:  # a miss: a takes the least recently used slot
             slot = self._factors.pop(next(iter(self._factors)))
-            d, e = slot
             if self.lib is None:
-                k, d_plus = _ldl_pivots(a, d)
-                # e_i = -a/d_i; from index k on every d_i is d_plus, so one value fills e
-                head = e[:k]
-                np.divide(-a, d[: head.size], out=head)
-                e[k:] = -a / d_plus
-            else:
-                k, d_plus, log_q = _ldl_scalars(a, d.size)
-                t = self.head[: k + 1]
-                np.multiply(self._ramp[: k + 1], log_q, out=t)
-                np.expm1(t, out=t)
+                d, e = slot
+                k = _ldl_pivots(a, d)
+                # e_i = -a/d_i; from index k on every d_i is d[k], so one value fills e
+                np.divide(-a, d[:k], out=e[:k])
+                e[k:] = -a / d[k]
+                fill = False
         self._factors[a] = slot
         self.a = a
         self.d, self.e = slot
-        return k, d_plus
+        return fill
 
 
 def _cfl_step(bound: float, cfl: float, dx: float, dt_cap: float | None) -> float:
@@ -318,35 +344,75 @@ def _cfl_step(bound: float, cfl: float, dx: float, dt_cap: float | None) -> floa
 
 
 def _explicit_rhs(
-    u: np.ndarray, v: np.ndarray, flux_w: float, diff_w: float, w: np.ndarray
+    u: np.ndarray, v: np.ndarray, flux_w: float, lap_w: float, w: np.ndarray
 ) -> np.ndarray:
-    """A fresh array holding u + flux_w*(uv_(i+1) - uv_(i-1)) + diff_w*(u_(i+1) - 2u_i + u_(i-1))
-    on the interior nodes, its two ends left unset; w is scratch for uv."""
+    """A fresh array holding the right-hand side of the δ-form,
+    (uv_(i+1) - uv_(i-1))*flux_w + ((u_(i+1) + u_(i-1)) - 2u_i)*lap_w, on the
+    interior nodes, its two ends left unset; lap_w is diff_w + a, and w is
+    scratch for uv."""
     u_new = np.empty_like(u)
     rhs = u_new[1:-1]
     np.multiply(u, v, out=w)
     np.subtract(w[2:], w[:-2], out=rhs)
     rhs *= flux_w
-    rhs += u[1:-1]
-    if diff_w != 0.0:  # theta = 1 has no explicit diffusion
-        lap = u[2:] + u[:-2]
-        lap -= 2.0 * u[1:-1]
-        lap *= diff_w
-        rhs += lap
+    lap = u[2:] + u[:-2]
+    lap -= 2.0 * u[1:-1]
+    lap *= lap_w
+    rhs += lap
     return u_new
 
 
-def _implicit_solve(rhs: np.ndarray, a: float, left: float, right: float, ws: _Workspace) -> int:
-    """Overwrite rhs with the solution of (I - a*Laplacian) x = rhs on the interior
-    nodes, the pinned end values left and right moved to the rhs; return LAPACK's info.
+def _block_margin(rho: float, m: int) -> int:
+    """The rows a block of the solve adds on each side of its nonzero
+    right-hand side, at most m.  rho = a/d is the factor by which δ decays
+    per row away from the right-hand side; from the bound rho**8 < 2**ex,
+    g = ceil(8*_BLOCK_BITS/-ex) rows take it below 2**-_BLOCK_BITS.  It takes
+    only multiplies and the exponent of a double, so `_stages.c` gets the
+    same g."""
+    if rho == 0.0:
+        return 0
+    p2 = rho * rho
+    p4 = p2 * p2
+    p8 = p4 * p4
+    if p8 == 0.0:
+        return 1
+    ex = math.frexp(p8)[1]  # rho**8 < 2**ex
+    if ex >= 0:
+        return m
+    return min(m, (_BLOCK_BITS * 8 - ex - 1) // -ex)
 
-    ws is a numpy workspace: its `factor` fills the factor itself, and only
-    for an a, bit for bit, that none of its slots holds."""
+
+def _implicit_solve(rhs: np.ndarray, a: float, ws: _Workspace) -> int:
+    """Overwrite rhs with the solution δ of (I - a*Laplacian) δ = rhs, δ = 0
+    at the two ends, on the blocks of rows around its nonzero entries, and
+    return LAPACK's info; outside the blocks rhs is +-0 and is left as it is.
+
+    A block runs from g = `_block_margin` rows before a nonzero entry to g
+    rows after one, and blocks that touch are one: what it drops, the
+    coupling a*δ across its ends, is about a*2**-_BLOCK_BITS of δ, and its
+    sweeps stop before their tails decay into subnormal numbers, which cost
+    the compiled step's CPU ~100 cycles per operation.  A block of k rows is
+    the system tridiag(-a, 1+2a, -a) of size k, whose factor is the first k
+    rows of the full one.  ws is a numpy workspace: its `factor` fills the
+    factor itself, and only for an a, bit for bit, that none of its slots
+    holds."""
     ws.factor(a)
-    rhs[0] += a * left
-    rhs[-1] += a * right
-    _, info = ws.dpttrs(ws.d, ws.e, rhs, overwrite_b=True)
-    return info
+    rows = np.flatnonzero(rhs)  # a nan too
+    if rows.size == 0:
+        return 0
+    m = rhs.size
+    g = _block_margin(-float(ws.e[-1]), m)
+    cuts = np.flatnonzero(np.diff(rows) > 2 * g + 1)
+    firsts = rows[np.r_[0, cuts + 1]].tolist()
+    lasts = rows[np.r_[cuts, rows.size - 1]].tolist()
+    for first, last in zip(firsts, lasts):
+        s, t = max(first - g, 0), min(last + g, m - 1)
+        k = t - s + 1
+        # dpttrs reads no subdiagonal entry of a 1-row block but wants one
+        _, info = ws.dpttrs(ws.d[:k], ws.e[: max(k - 1, 1)], rhs[s : t + 1], overwrite_b=True)
+        if info != 0:
+            return info
+    return 0
 
 
 def _update_v(
@@ -372,16 +438,21 @@ def _numpy_step(
     u: np.ndarray, v: np.ndarray, flux_w: float, diff_w: float, a: float, dv_w: float,
     chi: float, ws: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray, float, bool, float]:
-    """The numpy stages `_explicit_rhs`, `_implicit_solve` (ends u[0] and
-    u[-1]) and `_update_v` (ends v[0] and v[-1]) with these weights.
+    """The numpy stages `_explicit_rhs` and `_implicit_solve`, which give δ,
+    then u_new = u + δ inside, where |δ| >= `_DEAD_BAND`*|u|, u elsewhere,
+    and u's ends, and `_update_v` (ends v[0] and v[-1]) with these weights.
 
     Returns (u_new, v_new, `_finite_min(u_new)`, whether every v_new is
     finite, `_speed_bound(u_new, v_new, chi)`); a nonzero LAPACK info raises
     a NumericalError that `_advance` completes with the step's place."""
-    u_new = _explicit_rhs(u, v, flux_w, diff_w, ws.w)
-    info = _implicit_solve(u_new[1:-1], a, u[0], u[-1], ws)
+    u_new = _explicit_rhs(u, v, flux_w, diff_w + a, ws.w)
+    delta = u_new[1:-1]
+    info = _implicit_solve(delta, a, ws)
     if info != 0:
         raise NumericalError(f"tridiagonal solve failed (LAPACK info={info})")
+    u_in = u[1:-1]
+    delta[np.abs(delta) < _DEAD_BAND * np.abs(u_in)] = 0.0
+    delta += u_in
     u_new[0] = u[0]
     u_new[-1] = u[-1]
     u_min = _finite_min(u_new)
@@ -403,16 +474,14 @@ def _compiled_step(
 
     u_new and v_new are the buffers of ws that are not u and v, so the step
     after next overwrites them.  The factor is one of ws's slots
-    (`_Workspace.factor`): a kept one is used as it is (k = -1); for a new
-    a, Python computes only numpy's expm1 of the head, and the compiled step
-    forms the head pivots from it and fills the rest of the slot."""
+    (`_Workspace.factor`): a kept one is used as it is, and for a new a the
+    compiled step fills the slot."""
     u_new = ws.u_out[1] if u is ws.u_out[0] else ws.u_out[0]
     v_new = ws.v_out[1] if v is ws.v_out[0] else ws.v_out[0]
     u_in, v_in = ws.ptr(u), ws.ptr(v)  # a bad input fails before a slot is taken
-    k, d_plus = ws.factor(a)
-    ws.lib.imex_step(u_in, v_in, ws.n, flux_w, diff_w, a, ws.ptr(ws.d), ws.ptr(ws.e),
-                     ws.ptr(ws.head), k, d_plus, dv_w, chi, ws.ptr(u_new), ws.ptr(v_new),
-                     ws.ptr(ws.checks))
+    fill = ws.factor(a)
+    ws.lib.imex_step(u_in, v_in, ws.n, flux_w, diff_w, a, ws.ptr(ws.d), ws.ptr(ws.e), fill,
+                     dv_w, chi, ws.ptr(u_new), ws.ptr(v_new), ws.ptr(ws.checks), ws.ptr(ws.w))
     u_min, v_finite, bound = ws.checks.tolist()
     return u_new, v_new, u_min, v_finite != 0.0, bound
 

@@ -25,6 +25,28 @@ def test_constant_field_is_reproduced_exactly():
     assert np.abs(out.values - 3.25).max() < 1e-12
 
 
+@pytest.mark.parametrize("length, n, delta", [(400.0, 4001, 1.0), (200.0, 2001, 5.0),
+                                              (600.0, 12001, 1.0)])
+def test_a_node_whose_window_holds_one_value_keeps_it(length, n, delta):
+    # the weights sum to 1 only up to rounding, so a plain convolution moves
+    # a constant 1.3 by an ulp or two on each of these grids
+    g = GridSpec(0.0, length, n)
+    spec = MollifierSpec(delta)
+    assert np.array_equal(mollify(Field.constant(g, 1.3), spec).values, np.full(n, 1.3))
+    # a step keeps both plateaus; every node whose window meets the jump
+    # keeps the plain convolution's bits
+    f = step_field(g, 50.0, 1.3, 0.4).values
+    out = mollify(Field(g, f), spec).values
+    w = kernel_weights(spec, g.dx)
+    plain = np.convolve(np.pad(f, w.size // 2, mode="edge"), w, mode="valid")
+    jump = int(np.flatnonzero(f != f[0])[0])  # the first node of the right plateau
+    near = np.zeros(n, dtype=bool)
+    near[jump - w.size // 2:jump + w.size // 2] = True  # the windows that hold both values
+    assert np.array_equal(out[~near], f[~near])
+    assert out[near].tobytes() == plain[near].tobytes()
+    assert np.all((out[near] < 1.3) & (out[near] > 0.4))
+
+
 def test_width_below_grid_resolution_rejected():
     g = GridSpec(0.0, 400.0, 401)  # dx = 1
     with pytest.raises(ConfigError):

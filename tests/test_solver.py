@@ -115,6 +115,44 @@ def test_constant_state_is_fixed_point():
     assert np.abs(state.v.values - 0.4).max() < 1e-12
 
 
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("u_val, v_val", [(1.3, 0.4), (1.0, 0.0), (2.0, 1.0), (0.7, -0.3)])
+def test_constant_states_are_exact_fixed_points(kernel, u_val, v_val, theta):
+    # the δ-form's right-hand side is exactly 0 on a constant state, so
+    # neither u nor v moves by a bit, through the public step() or run()
+    g = GridSpec(0.0, 100.0, 501)
+    cfg = SchemeConfig(t_end=5.0, snapshot_interval=1.0, diffusion_theta=theta)
+    want_u, want_v = np.full(g.n_nodes, u_val), np.full(g.n_nodes, v_val)
+    state = constant_state(g, u_val, v_val)
+    for _ in range(50):
+        state = step(state, P1, cfg)
+    assert same_bits(state.u.values, want_u) and same_bits(state.v.values, want_v)
+    seen = []
+    report = run(constant_state(g, u_val, v_val), P1, cfg, lambda i, s, prev: seen.append(s))
+    assert report.step_kernel == kernel and report.step_count > 50 and len(seen) == 6
+    for s in seen:
+        assert same_bits(s.u.values, want_u) and same_bits(s.v.values, want_v), s.t
+
+
+def test_roundoff_does_not_travel_along_a_plateau(kernel):
+    # a pattern of a few ulps on the plateau u = v = 1, as jump data leave
+    # behind them: u one and two ulps above 1, v one ulp below.  Rounding each
+    # u + δ to the nearest double rounds the neighbours' sub-ulp increments up
+    # to whole ulps: without the dead band the pattern spread over nodes
+    # 54..199 in 100 steps, one node per step to the right; with it no node
+    # outside the pattern moves
+    g = GridSpec(0.0, 40.0, 401)
+    cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0)
+    u, v = np.ones(g.n_nodes), np.ones(g.n_nodes)
+    u[93:100] += np.array([1, 2, 1, 2, 2, 1, 1]) * 2.0**-52
+    v[93:98] -= 2.0**-53
+    state = SimState(Field(g, u), Field(g, v), 0.0)
+    for _ in range(100):
+        state = step(state, P1, cfg)
+    moved = np.flatnonzero((state.u.values != 1.0) | (state.v.values != 1.0))
+    assert moved.min() >= 93 and moved.max() < 100, (moved.min(), moved.max())
+
+
 def test_grid_with_float_node_count_steps():
     # an integral float is accepted and stored as an int, so arrays can be sized by it
     g = GridSpec(0.0, 1.0, 11.0)
@@ -391,6 +429,23 @@ def test_ldl_pivots_match_high_precision_recurrence(m):
         assert np.all(np.abs(d - ref) <= 4 * np.spacing(ref)), a
 
 
+def test_ldl_pivots_on_both_sides_of_a_max():
+    # up to _A_MAX the recurrence, above it the closed form: both within the
+    # 4 ulp of test_ldl_pivots_match_high_precision_recurrence at m = 3999
+    mpmath = pytest.importorskip("mpmath")
+    m, a_max = 3999, solver._A_MAX
+    for a in [*np.geomspace(a_max / 2, 2 * a_max, 25), a_max, np.nextafter(a_max, np.inf)]:
+        with mpmath.workdps(40):
+            b, a2 = 1 + 2 * mpmath.mpf(a), mpmath.mpf(a) ** 2
+            ref = [b]
+            for _ in range(m - 1):
+                ref.append(b - a2 / ref[-1])
+            ref = np.array([float(x) for x in ref])
+        d = np.empty(m)
+        _ldl_pivots(float(a), d)
+        assert np.all(np.abs(d - ref) <= 4 * np.spacing(ref)), a
+
+
 def test_ldl_pivots_at_extreme_coupling():
     d = np.full(5, np.nan)
     _ldl_pivots(0.0, d)
@@ -458,12 +513,12 @@ def test_explicit_rhs_matches_per_node_loop(theta):
     v = rng.standard_normal(n)
     flux_w = dt * chi / (2.0 * dx)
     diff_w = dt * (1.0 - theta) * D / (dx * dx)
-    got = _explicit_rhs(u, v, flux_w, diff_w, np.empty(n))
+    lap_w = diff_w + theta * D * dt / (dx * dx)  # the δ-form's weight: explicit plus implicit
+    got = _explicit_rhs(u, v, flux_w, lap_w, np.empty(n))
     uf, vf = u.tolist(), v.tolist()
     for i in range(1, n - 1):
-        want = (uf[i + 1] * vf[i + 1] - uf[i - 1] * vf[i - 1]) * flux_w + uf[i]
-        if theta < 1.0:
-            want += ((uf[i + 1] + uf[i - 1]) - 2.0 * uf[i]) * diff_w
+        want = ((uf[i + 1] * vf[i + 1] - uf[i - 1] * vf[i - 1]) * flux_w
+                + ((uf[i + 1] + uf[i - 1]) - 2.0 * uf[i]) * lap_w)
         assert got[i] == want, i
 
 
@@ -480,18 +535,30 @@ def test_update_v_matches_per_node_loop():
 
 @pytest.mark.parametrize("m", [6, 7, 62])
 def test_implicit_solve_matches_dense_system(m):
-    # the numpy stage, and the compiled step where the library builds
-    solvers = [(numpy_workspace(m + 2), _implicit_solve)]
-    if solver._load_stages() is not None:
-        solvers.append((_Workspace(m + 2), compiled_solve))
+    # the numpy stage solves for δ, which is 0 at the pinned ends
+    ws = numpy_workspace(m + 2)
     lap = np.diag(np.full(m, -2.0)) + np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
-    for ws, solve in solvers:
+    rng = np.random.default_rng(m)
+    for a in np.logspace(-3, 3, 7):
+        rhs = rng.random(m) - 0.5
+        x = rhs.copy()
+        assert _implicit_solve(x, a, ws) == 0
+        want = np.linalg.solve(np.eye(m) - a * lap, rhs)
+        assert np.abs(x - want).max() <= 1e-13, a
+
+
+@pytest.mark.parametrize("m", [6, 7, 62])
+def test_a_step_without_flux_solves_the_implicit_system(m):
+    # each kernel, the compiled one where the library builds, takes u_new from
+    # (I - a*Laplacian) u_new = u with the pinned ends folded in
+    lap = np.diag(np.full(m, -2.0)) + np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
+    for ws, _ in kernel_workspaces(m + 2):
         rng = np.random.default_rng(m)
         for a in np.logspace(-3, 3, 7):
             rhs = 1.0 + rng.random(m)
             left, right = 1.3, 0.7
             x = rhs.copy()
-            assert solve(x, a, left, right, ws) == 0
+            stepped_solve(x, a, left, right, ws)
             b = rhs.copy()
             b[0] += a * left
             b[-1] += a * right
@@ -521,16 +588,21 @@ def test_advance_calls_each_stage_once_per_step(monkeypatch):
 
 
 class CountingLibrary:
-    """The compiled library, counting the calls of each of its functions."""
+    """The compiled library, counting the calls of each of its functions, and
+    appending to `fills` the a of each `imex_step` call that fills a factor."""
 
-    def __init__(self, lib):
-        self.lib, self.calls = lib, {}
+    def __init__(self, lib, fills=None):
+        self.lib, self.calls, self.fills = lib, {}, [] if fills is None else fills
 
     def __getattr__(self, name):
         fn = getattr(self.lib, name)
 
         def counted(*args):
             self.calls[name] = self.calls.get(name, 0) + 1
+            if name == "imex_step":
+                u, v, n, flux_w, diff_w, a, d, e, fill, *rest = args
+                if fill:
+                    self.fills.append(a)
             return fn(*args)
         return counted
 
@@ -545,6 +617,20 @@ def test_a_compiled_run_makes_one_library_call_per_step(stages, monkeypatch):
     report = run(state, P1, cfg)
     assert report.step_kernel == "compiled" and report.step_count > 0
     assert lib.calls == {"imex_step": report.step_count}
+
+
+def test_a_compiled_run_takes_no_numpy_expm1(stages, monkeypatch):
+    # a factor-cache miss fills the factor inside the compiled step, with no
+    # Python arithmetic: numpy's expm1 would tie the pivots to its SIMD code
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.expm1 called")
+
+    monkeypatch.setattr(np, "expm1", refuse)
+    lib = CountingLibrary(stages)
+    monkeypatch.setattr(solver, "_load_stages", lambda: lib)
+    report = run(_jump_state(201), P1, SchemeConfig(t_end=3.0, snapshot_interval=1.0))
+    assert report.step_kernel == "compiled" and report.step_count > 20
+    assert len(set(lib.fills)) > solver._FACTOR_SLOTS
 
 
 def _plant_nan_in_u(solve):
@@ -621,14 +707,15 @@ def random_state(n, seed):
     return 0.5 + 2.0 * rng.random(n), 0.8 * rng.standard_normal(n)
 
 
-def compiled_solve(x, a, left, right, ws):
-    """`_implicit_solve(x, a, left, right, ws)` through the compiled step of ws:
-    with u = (left, x, right), v = 0 and no flux or diffusion, its right-hand
-    side is x itself, bit for bit."""
+def stepped_solve(x, a, left, right, ws):
+    """x overwritten by the interior of u_new from one step of ws's kernel
+    with u = (left, x, right), v = 0 and no flux or explicit diffusion: the
+    solution of (I - a*Laplacian) u_new = u with the ends pinned, which both
+    kernels give with the same bits."""
     u = np.concatenate([[left], x, [right]])
-    u_new, *_ = _compiled_step(u, np.zeros(u.size), 0.0, 0.0, a, 0.0, 0.0, ws)
+    kernel = _numpy_step if ws.lib is None else _compiled_step
+    u_new, *_ = kernel(u, np.zeros(u.size), 0.0, 0.0, a, 0.0, 0.0, ws)
     x[:] = u_new[1:-1]
-    return 0
 
 
 def compiled_bound(u, v, chi, ws):
@@ -674,23 +761,27 @@ def test_each_compiled_stage_matches_its_numpy_stage_bit_for_bit(stages, n, thet
 
 @pytest.mark.parametrize("n", [4, 5, 8, 201, 4001])
 def test_pivots_are_reused_only_for_the_same_a(stages, n):
-    # the compiled step reads the factor that the numpy code fills; the head
-    # is 2 pivots at a = 1e-300 and all n - 2 of them at a = 1e300
+    # each kernel fills its own factor, with the same bits: the recurrence
+    # repeats its first pivot at a = 1e-300, and the closed form's head is
+    # all n - 2 pivots at a = 1e300
     ws = _Workspace(n)
     rhs = 1.0 + np.random.default_rng(n).random(n - 2)
     for a in PIVOT_AS:
         x = rhs.copy()
-        compiled_solve(x, a, 1.0, 2.0, ws)
+        stepped_solve(x, a, 1.0, 2.0, ws)
         ref = numpy_workspace(n)
         y = rhs.copy()
-        _implicit_solve(y, a, 1.0, 2.0, ref)
+        stepped_solve(y, a, 1.0, 2.0, ref)
         assert ws.a == a and same_bits(ws.d, ref.d) and same_bits(ws.e, ref.e)
         assert same_bits(x, y), a
 
 
-# a repeats, changes in its last bit, underflows, grows to where the head is every pivot
-PIVOT_AS = (0.3, 0.3, 0.30000000000000004, 0.0, 1e-300, 1e-12, 1e-3, 10.0, 3000.0, 1e300, 1e300)
-# the pivot head shrinks from ~104 (a = 30) to ~19 (a = 0.83) to 0 (a = 0), then grows back
+# a repeats, changes in its last bit, underflows, grows past _A_MAX (the recurrence's
+# last a, then the closed form's first) to where the head is every pivot
+PIVOT_AS = (0.3, 0.3, 0.30000000000000004, 0.0, 1e-300, 1e-12, 1e-3, 10.0, solver._A_MAX,
+            np.nextafter(solver._A_MAX, np.inf), 3000.0, 1e300, 1e300)
+# the pivots before the first repeated one shrink from 93 (a = 30) to 17 (a = 0.83) to 0
+# (a = 0), then grow back
 SHRINKING_AS = (30.0, 0.83, 0.0, 30.0)
 
 
@@ -754,8 +845,89 @@ def test_the_compiled_step_matches_the_numpy_stages_bit_for_bit(stages, n, theta
                         check(ws, u1, v1, a, chi, planted=not math.isfinite(value))
 
 
+def block_states(n):
+    """Constant states with a few nodes off the constant: at places closer
+    together and farther apart than a block's margins, and at the ends; and
+    a jump between two constant states.  On the states that are 0 but there,
+    u_new = u + δ is δ itself, whose every row then shows where the blocks
+    end."""
+    states = []
+    for base in (0.0, 1.3):
+        for places in ([n // 3], [1, n - 2],
+                       [n // 3, n // 3 + 5, n // 3 + 40, n // 3 + 200, n - 3]):
+            u, v = np.full(n, base), np.full(n, base / 3)
+            for p in places:
+                if 0 < p < n - 1:
+                    u[p] += 0.25
+                    v[p] -= 0.1
+            states.append((u, v))
+    jump = np.arange(n) < n // 2
+    states.append((np.where(jump, 2.0, 1.0), np.where(jump, 0.0, 1.0)))
+    return states
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 201, 1001])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_the_compiled_step_matches_the_numpy_stages_on_constant_stretches(stages, n, theta):
+    # the solve's blocks: one, several, merged, clipped at the ends, or the
+    # whole grid, for a from the identity to the closed-form pivots
+    dx, dt, chi = 0.05, 0.004, 1.7
+    flux_w, dv_w = dt * chi / (2.0 * dx), dt / (2.0 * dx)
+    for u, v in block_states(n):
+        ws = _Workspace(n)
+        for a in (0.0, 1e-12, 0.05, 0.3, 1.24, 36.0, solver._A_MAX, 3000.0, 0.3):
+            diff_w = a * (1.0 - theta) / theta
+            ref = numpy_workspace(n)
+            got = _compiled_step(u, v, flux_w, diff_w, a, dv_w, chi, ws)
+            want = _numpy_step(u, v, flux_w, diff_w, a, dv_w, chi, ref)
+            assert same_bits(ws.d, ref.d) and same_bits(ws.e, ref.e), a
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), a
+            assert got[2:] == want[2:], a
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_the_compiled_step_matches_the_numpy_stages_at_the_dead_band(stages, theta):
+    # u and v a few ulps off a plateau give increments on both sides of
+    # _DEAD_BAND*|u|: both kernels keep u_i, or add δ_i, at the same nodes
+    n = 1001
+    rng = np.random.default_rng(11)
+    dx, dt, chi = 0.1, 0.0247, 1.0
+    flux_w, dv_w = dt * chi / (2.0 * dx), dt / (2.0 * dx)
+    for c in (1.0, 2.0, 1.3):
+        u = c + rng.integers(-12, 13, n) * (c * 2.0**-52)
+        v = 1.0 + rng.integers(-3, 4, n) * 2.0**-53
+        for a in (1.24, 36.0):
+            diff_w = a * (1.0 - theta) / theta
+            ws, ref = _Workspace(n), numpy_workspace(n)
+            got = _compiled_step(u, v, flux_w, diff_w, a, dv_w, chi, ws)
+            want = _numpy_step(u, v, flux_w, diff_w, a, dv_w, chi, ref)
+            moved = want[0][1:-1] != u[1:-1]
+            assert 0 < moved.sum() < n - 2, (c, a, moved.sum())
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), (c, a)
+            assert got[2:] == want[2:], (c, a)
+
+
+@pytest.mark.parametrize("a", [1e-12, 0.05, 0.3, 1.24, 36.0])
+def test_the_block_solve_matches_the_full_system(a):
+    # the blocks drop a coupling of about a*2**-64 of δ, and leave the rows past
+    # their margins at the right-hand side's zero
+    m = 400
+    ws = numpy_workspace(m + 2)
+    lap = np.diag(np.full(m, -2.0)) + np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
+    rhs = np.zeros(m)
+    rows = [3, 150, 160, 300]
+    rhs[rows] = [1.0, -0.5, 0.25, 2.0]
+    x = rhs.copy()
+    assert _implicit_solve(x, a, ws) == 0
+    want = np.linalg.solve(np.eye(m) - a * lap, rhs)
+    assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max(), a
+    g = solver._block_margin(-float(ws.e[-1]), m)
+    far = np.min(np.abs(np.arange(m)[:, None] - np.array(rows)), axis=1) > g
+    assert np.all(x[far] == 0.0) and (g >= m or far.any()), (a, g)
+
+
 def test_a_shrinking_pivot_head_leaves_no_stale_entry(stages):
-    # k falls from ~104 (a = 30) to ~19 (a = 0.83) to 0 (a = 0): every pivot
+    # k falls from 93 (a = 30) to 17 (a = 0.83) to 0 (a = 0): every pivot
     # and factor entry the last a wrote past the new head must be refilled
     n = 4001
     ws = _Workspace(n)
@@ -764,7 +936,8 @@ def test_a_shrinking_pivot_head_leaves_no_stale_entry(stages):
     for a in SHRINKING_AS:
         ref = numpy_workspace(n)
         x, y = rhs.copy(), rhs.copy()
-        assert compiled_solve(x, a, 1.0, 2.0, ws) == _implicit_solve(y, a, 1.0, 2.0, ref) == 0
+        stepped_solve(x, a, 1.0, 2.0, ws)
+        stepped_solve(y, a, 1.0, 2.0, ref)
         assert same_bits(ws.d, ref.d) and same_bits(ws.e, ref.e), a
         assert same_bits(x, y), a
 
@@ -778,12 +951,18 @@ def kernel_workspaces(n):
     return found
 
 
-def count_heads(monkeypatch):
-    """The a of each head computation from now on (a call of `_ldl_scalars`,
-    which both kernels make once per factor they compute)."""
-    heads, real = [], solver._ldl_scalars
-    monkeypatch.setattr(solver, "_ldl_scalars", lambda a, m: heads.append(a) or real(a, m))
-    return heads
+def count_fills(monkeypatch):
+    """The a of each factor fill from now on, on either kernel: a call of
+    `_ldl_pivots`, which a numpy workspace makes once per factor it fills,
+    and each `imex_step` call that a compiled workspace built from now on
+    asks to fill a factor."""
+    fills, real = [], solver._ldl_pivots
+    monkeypatch.setattr(solver, "_ldl_pivots", lambda a, d: fills.append(a) or real(a, d))
+    lib = solver._load_stages()
+    if lib is not None:
+        counting = CountingLibrary(lib, fills)
+        monkeypatch.setattr(solver, "_load_stages", lambda: counting)
+    return fills
 
 
 def lru_misses(sequence, slots):
@@ -801,7 +980,7 @@ def lru_misses(sequence, slots):
     return misses
 
 
-# one more a than the workspace keeps factors for, with heads of 0 to all pivots
+# one more a than the workspace keeps factors for, from the recurrence and the closed form
 EVICTING_AS = (30.0, 0.83, 0.0, 1e-3, 3000.0)
 
 
@@ -813,8 +992,8 @@ def test_evicted_factors_are_refilled_on_both_kernels(monkeypatch, n):
     u, v = random_state(n, 31)
     chi, dx, dt, theta = 1.7, 0.05, 0.004, 0.5
     flux_w, diff_w, dv_w = dt * chi / (2.0 * dx), dt * (1.0 - theta) * 3.0 / (dx * dx), dt / (2.0 * dx)
+    fills = count_fills(monkeypatch)
     kernels = kernel_workspaces(n)
-    heads = count_heads(monkeypatch)
     for a in sequence:
         d = np.empty(n - 2)
         _ldl_pivots(a, d)
@@ -827,8 +1006,10 @@ def test_evicted_factors_are_refilled_on_both_kernels(monkeypatch, n):
             want = outputs[0]
             assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), a
             assert got[2:] == want[2:], a
-    # each kernel computed a head on each miss (the fresh fills above add one per a)
-    assert len(heads) == len(sequence) + 3 * len(EVICTING_AS) * len(kernels)
+    # each kernel filled a factor on each miss, and only then
+    misses = lru_misses(sequence, solver._FACTOR_SLOTS)
+    assert len(misses) == 3 * len(EVICTING_AS)
+    assert fills == [a for a in misses for _ in kernels]
 
 
 @pytest.mark.parametrize("kernel", ["compiled", "numpy"])
@@ -844,7 +1025,7 @@ def test_a_run_computes_a_factor_exactly_on_each_cache_miss(monkeypatch, tmp_pat
             return _step(u, v, flux_w, diff_w, a, *rest)
 
         monkeypatch.setattr(solver, name, recorded)
-    heads = count_heads(monkeypatch)
+    fills = count_fills(monkeypatch)
     path = tmp_path / "jump.cfg"  # jump data, long enough for dt to flicker on the plateau
     path.write_text(SMALL_CFG.replace("t_end = 2", "t_end = 20"))
     cfg = scenarios.scenario_from_config(scenarios.read_config(path), str(path))
@@ -852,7 +1033,7 @@ def test_a_run_computes_a_factor_exactly_on_each_cache_miss(monkeypatch, tmp_pat
     assert report.step_kernel == kernel and len(seen) == report.step_count
     misses = lru_misses(seen, solver._FACTOR_SLOTS)
     # a hit never computes a factor, and a miss always does; the run has both, and evicts
-    assert heads == misses
+    assert fills == misses
     changes = sum(a != b for a, b in zip(seen, seen[1:]))
     assert len(misses) < changes and len(set(seen)) > solver._FACTOR_SLOTS
 
@@ -1096,3 +1277,42 @@ print(json.dumps(solver._load_stages.cache_info().misses))
                    env=env, capture_output=True, timeout=120, check=True)
     assert log.read_text().split()[-1].endswith("_stages.c")
     assert "step_kernel = numpy" in (tmp_path / "out" / "manifest.txt").read_text()
+
+
+# numpy's AVX-512 code, which NPY_DISABLE_CPU_FEATURES can switch off
+_NUMPY_AVX512 = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+
+
+def _numpy_cpu_features():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+@pytest.mark.parametrize("kernel_name", ["compiled", "numpy"])
+def test_snapshots_do_not_depend_on_numpy_simd_level(request, tmp_path, kernel_name):
+    # jump data in two fresh interpreters, one with numpy's AVX-512 code
+    # switched off: no step takes a numpy transcendental, so the files agree
+    enabled = [f for f in _NUMPY_AVX512 if _numpy_cpu_features().get(f)]
+    if not enabled:
+        pytest.skip("numpy runs none of its AVX-512 code here")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    if kernel_name == "compiled":
+        request.getfixturevalue("stages")  # built into the session's cache, which env names
+    else:
+        env.update(CC="false", XDG_CACHE_HOME=str(tmp_path / "empty"))
+    cfg = tmp_path / "jump.cfg"
+    cfg.write_text(SMALL_CFG.replace("t_end = 2", "t_end = 20")
+                   .replace("snapshot_interval = 1", "snapshot_interval = 2"))
+    snapshots = []
+    for features in (None, " ".join(enabled)):
+        out = tmp_path / ("avx512_off" if features else "native")
+        child = dict(env, NPY_DISABLE_CPU_FEATURES=features) if features else env
+        subprocess.run([sys.executable, "-B", "-m", "chemoshock.cli", "run", str(cfg),
+                        "--out", str(out)], env=child, capture_output=True, timeout=120, check=True)
+        assert f"step_kernel = {kernel_name}" in (out / "manifest.txt").read_text()
+        snapshots.append({p.name: p.read_bytes() for p in sorted(out.glob("snap_*.dat"))})
+    assert len(snapshots[0]) == 11
+    assert snapshots[0] == snapshots[1]

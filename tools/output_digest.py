@@ -52,12 +52,14 @@ every output byte passes when this output is the same before and after it:
 The runs take ~6-17 s on one core of a 2-core x86-64 box.
 
 Listings, and `--compare` trees, are comparable only between runs on one CPU
-class: numpy's `expm1`, which the solver's pivots use, runs SIMD code chosen
-by CPU, and on an AVX-512 box it differs from the C library's on ~1% of
-arguments.  With `NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`
-set, 12 of the 13 output files of a `fig1_consistent` run change, and the
-run's output grows from 1,918,710 to 1,945,940 bytes; the benchmark's
-`shock_run` `output_mb` depends on the CPU class too.
+class.  The step takes no numpy transcendental, so the snapshots of jump and
+ramp data are the same on every CPU; but numpy runs SIMD code chosen by CPU
+for `exp`, `log` and powers, which on an AVX-512 box differs from the C
+library's in the last bit on some arguments.  With
+`NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"` set, 233 of the 385
+files change: the snapshots of `thm22`'s exact wave and of mollified data
+(their initial data takes numpy's `exp`), and every `series.csv` and manifest
+(their log, power and exp columns, and the decay fits).
 
 A change that may move outputs in their last bits is gated with `--compare`
 on the same two output directories instead.  It reads every file of both

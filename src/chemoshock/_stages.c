@@ -9,7 +9,7 @@
  * The step is one call of two sweeps of a δ-form solve, u_new = u + δ, on
  * blocks of rows around the right-hand side's nonzero entries: the forward
  * sweep computes the right-hand side as it goes, finds the blocks and runs
- * their forward sweeps, and stores a new factor's rows past its head; the
+ * their forward sweeps, and stores the factor's rows past its head; the
  * back sweep finishes δ, adds u, updates v one node behind the solve, runs
  * the finite checks and takes the next step's speed bound, which solver
  * carries to the next step.  Each stage inside it does the IEEE operations
@@ -105,7 +105,7 @@ static void ldl_closed(double a, long m, double *restrict d, double *restrict e)
     }
 }
 
-/* The head of a new factor for a <= A_MAX (solver._ldl_pivots): the pivots
+/* The head of the factor for a <= A_MAX (solver._ldl_pivots): the pivots
  * d_0 = 1 + 2a, d_(i+1) = (1 + 2a) + a*e_i with e_i = -a/d_i (the bits of
  * (1 + 2a) - a*(a/d_i)) until a pivot repeats, at row k, which it returns;
  * every later pivot is d[k] and every later e is e[k], which it stores in
@@ -190,9 +190,9 @@ static inline void finish_node(struct back_sweep *bs, long j, double y, const do
  * of k rows is tridiag(-a, 1+2a, -a) of size k, whose factor is the first k
  * rows of the full one.
  *
- * When fill is nonzero, d and e are a new factor's slot, and the step fills
- * it: all of it with ldl_closed for a > A_MAX, else its head with ldl_head
- * and every later row in the forward sweep.
+ * The step fills d and e with the factor of a: all of it with ldl_closed for
+ * a > A_MAX, else its head with ldl_head and every later row in the forward
+ * sweep.
  *
  * The forward sweep computes each interior node's right-hand side
  *     r_i = (u_(i+1)*v_(i+1) - u_(i-1)*v_(i-1))*flux_w
@@ -220,15 +220,15 @@ static inline void finish_node(struct back_sweep *bs, long j, double y, const do
  *
  * u_new, v_new and runs must not overlap u, v, d, e or each other. */
 void imex_step(const double *restrict u, const double *restrict v, long n, double flux_w,
-               double diff_w, double a, double *restrict d, double *restrict e, long fill,
-               double dv_w, double chi, double *restrict u_new, double *restrict v_new,
+               double diff_w, double a, double *restrict d, double *restrict e, double dv_w,
+               double chi, double *restrict u_new, double *restrict v_new,
                double *restrict checks, double *restrict runs)
 {
     const long m = n - 2; /* interior row i is node i + 1 */
-    long k = m; /* a new factor's rows past k are still to store */
-    if (fill && a > A_MAX)
+    long k = m; /* the factor's rows past k are still to store */
+    if (a > A_MAX)
         ldl_closed(a, m, d, e);
-    else if (fill)
+    else
         k = ldl_head(a, m, d, e);
     const double d_k = d[k < m ? k : 0], e_k = e[m - 2];
     const long g = block_margin(-e[m - 2], m);

@@ -57,16 +57,12 @@ pins each end to its value in the input arrays, which by induction is the
 data's, and `_advance` performs every per-step check (LAPACK info, finite u
 and v, positivity) on what it returns.  The scratch buffers (pivots, factor,
 u*v) and the routines live in a `_Workspace` that `run()` allocates once per
-run; the public `step()` builds its own.  The workspace keeps the factors
-(pivots and subdiagonal) of the last four values of a = theta*D*dt/dx**2 in
-as many slots, least recently used first out (`_Workspace.factor`), and a
-factor is computed only for an a, bit for bit, that no slot holds.  On jump
-data dt repeats on most steps, and on most of the rest it returns to a value
-one ulp from the last: on `perfbench`'s `shock_run` 345 of 8,100 steps
-compute a factor, where 1,440 would with one slot.  `run()` marches the
-arrays and builds `Field`/`SimState` only at the API boundary: at snapshots,
-for the plain `on_snapshot(index, state, prev)` callback, and for its
-`RunReport`.  The public `step()` wraps the same kernel for a single
+run; the public `step()` builds its own.  Each step fills the factor of its
+own a = theta*D*dt/dx**2: the pivots' recurrence runs only until a pivot
+repeats (20 rows at a = 1.24), and every later row takes that pivot.  `run()`
+marches the arrays and builds `Field`/`SimState` only at the API boundary:
+at snapshots, for the plain `on_snapshot(index, state, prev)` callback, and
+for its `RunReport`.  The public `step()` wraps the same kernel for a single
 `SimState`.
 
 The compiled step.  When the workspace holds the compiled library, the
@@ -78,8 +74,7 @@ the back sweep finishes δ, adds u, updates v one node behind the solve,
 finds min(u_new) and whether u_new and v_new are finite, and takes the next
 bound from each node's term where that node becomes final.  So a compiled
 run makes one library call per step, and no Python arithmetic fills a
-factor: for an a that no slot holds, `_Workspace.factor` only picks the
-slot, and the step runs the pivots' recurrence until a pivot repeats, then
+factor: the step runs the pivots' recurrence until a pivot repeats, then
 stores each later row in the forward sweep (or, for a > `_A_MAX`, fills the
 closed form on the C library's expm1 before it).  The max of the bound's finite
 terms does not depend on their order, so the back sweep meets them back to
@@ -258,40 +253,26 @@ def _load_dpttrs():
     return mod.dpttrs
 
 
-# The factors kept per workspace.  On jump data dt flickers between values one
-# ulp apart once the speed bound sits on a far-field plateau, so a returns to
-# one of a few recent values: on `perfbench`'s `shock_run` (seed 0, 8,100
-# steps) 3,374 of the 3,731 changes of a find their factor kept with 4 slots,
-# 3,074 with 2 and 3,379 with 8.
-_FACTOR_SLOTS = 4
-
-
 class _Workspace:
     """Scratch buffers of `_advance` for an n-node grid, reused step to step,
     and the routines it runs: the compiled step in `lib`, or, when it did not
     load (`lib` is None), LAPACK's `dpttrs` for the numpy solve (else None:
     the compiled step needs no LAPACK).
 
-    It keeps the factors (pivots and subdiagonal) of the last `_FACTOR_SLOTS`
-    values of a in as many slots; `factor(a)` makes `a`, `d` and `e` name the
-    one in use.  The compiled step writes u and v into two alternating pairs
-    of buffers owned here, so a step's output outlives the next step.  The
-    data address of each owned buffer, slots included, is looked up once;
-    the address table is keyed by id, so no owned buffer is ever dropped.
+    `d` and `e` hold the factor (pivots and subdiagonal) of the current step's
+    a, which each step fills anew.  The compiled step writes u and v into two
+    alternating pairs of buffers owned here, so a step's output outlives the
+    next step.  The data address of each owned buffer is looked up once; the
+    address table is keyed by id, so no owned buffer is ever dropped.
     """
 
-    __slots__ = ("n", "d", "e", "w", "a", "dpttrs", "lib", "u_out", "v_out", "checks",
-                 "_factors", "_addr")
+    __slots__ = ("n", "d", "e", "w", "dpttrs", "lib", "u_out", "v_out", "checks", "_addr")
 
     def __init__(self, n: int) -> None:
         self.n = n
         m = n - 2  # interior nodes: pivots, and m - 1 subdiagonal entries of L
-        slots = [(np.empty(m), np.empty(m - 1)) for _ in range(_FACTOR_SLOTS)]
-        # a -> its (d, e) slot, least recently used first; an unused slot is
-        # keyed by a placeholder that no a equals
-        self._factors = {object(): slot for slot in slots}
-        self.a = math.nan  # the a that d and e hold the factor for
-        self.d, self.e = slots[0]  # no factor yet; never an array of its own
+        self.d = np.empty(m)
+        self.e = np.empty(m - 1)
         self.w = np.empty(n)  # scratch: u*v for the numpy stage, the compiled step's blocks
         self.lib = _load_stages()  # the compiled step loads here, not at import
         self.dpttrs = None
@@ -301,40 +282,13 @@ class _Workspace:
         self.u_out = (np.empty(n), np.empty(n))
         self.v_out = (np.empty(n), np.empty(n))
         self.checks = np.empty(3)  # what the compiled step returns: u-min, v finite, bound
-        owned = (*(x for slot in slots for x in slot), *self.u_out, *self.v_out, self.checks,
-                 self.w)
+        owned = (self.d, self.e, *self.u_out, *self.v_out, self.checks, self.w)
         self._addr = {id(x): _address(x, x.size) for x in owned}
 
     def ptr(self, x: np.ndarray) -> int:
         """The data address of x, an owned buffer or any n contiguous doubles."""
         addr = self._addr.get(id(x))
         return _address(x, self.n) if addr is None else addr
-
-    def factor(self, a: float) -> bool:
-        """Make d and e name the factor of tridiag(-a, 1+2a, -a), and return
-        whether the compiled step must fill it.
-
-        A kept factor is used as it is.  Otherwise a takes the least recently
-        used slot.  A numpy workspace fills it here (`_ldl_pivots`, then
-        e_i = -a/d_i); a compiled one returns True, and the caller must then
-        run the compiled step, which fills the whole slot."""
-        if a == self.a:
-            return False
-        slot = self._factors.pop(a, None)
-        fill = slot is None
-        if fill:  # a miss: a takes the least recently used slot
-            slot = self._factors.pop(next(iter(self._factors)))
-            if self.lib is None:
-                d, e = slot
-                k = _ldl_pivots(a, d)
-                # e_i = -a/d_i; from index k on every d_i is d[k], so one value fills e
-                np.divide(-a, d[:k], out=e[:k])
-                e[k:] = -a / d[k]
-                fill = False
-        self._factors[a] = slot
-        self.a = a
-        self.d, self.e = slot
-        return fill
 
 
 def _cfl_step(bound: float, cfl: float, dx: float, dt_cap: float | None) -> float:
@@ -393,10 +347,13 @@ def _implicit_solve(rhs: np.ndarray, a: float, ws: _Workspace) -> int:
     sweeps stop before their tails decay into subnormal numbers, which cost
     the compiled step's CPU ~100 cycles per operation.  A block of k rows is
     the system tridiag(-a, 1+2a, -a) of size k, whose factor is the first k
-    rows of the full one.  ws is a numpy workspace: its `factor` fills the
-    factor itself, and only for an a, bit for bit, that none of its slots
-    holds."""
-    ws.factor(a)
+    rows of the full one.  ws is a numpy workspace, whose d and e this fills
+    with the factor of a: the pivots (`_ldl_pivots`), then e_i = -a/d_i."""
+    d, e = ws.d, ws.e
+    k = _ldl_pivots(a, d)
+    # from index k on every d_i is d[k], so one value fills e
+    np.divide(-a, d[:k], out=e[:k])
+    e[k:] = -a / d[k]
     rows = np.flatnonzero(rhs)  # a nan too
     if rows.size == 0:
         return 0
@@ -473,14 +430,11 @@ def _compiled_step(
     bytes.
 
     u_new and v_new are the buffers of ws that are not u and v, so the step
-    after next overwrites them.  The factor is one of ws's slots
-    (`_Workspace.factor`): a kept one is used as it is, and for a new a the
-    compiled step fills the slot."""
+    after next overwrites them.  The compiled step fills ws's d and e with
+    the factor of a."""
     u_new = ws.u_out[1] if u is ws.u_out[0] else ws.u_out[0]
     v_new = ws.v_out[1] if v is ws.v_out[0] else ws.v_out[0]
-    u_in, v_in = ws.ptr(u), ws.ptr(v)  # a bad input fails before a slot is taken
-    fill = ws.factor(a)
-    ws.lib.imex_step(u_in, v_in, ws.n, flux_w, diff_w, a, ws.ptr(ws.d), ws.ptr(ws.e), fill,
+    ws.lib.imex_step(ws.ptr(u), ws.ptr(v), ws.n, flux_w, diff_w, a, ws.ptr(ws.d), ws.ptr(ws.e),
                      dv_w, chi, ws.ptr(u_new), ws.ptr(v_new), ws.ptr(ws.checks), ws.ptr(ws.w))
     u_min, v_finite, bound = ws.checks.tolist()
     return u_new, v_new, u_min, v_finite != 0.0, bound

@@ -1,4 +1,3 @@
-import collections
 import gc
 import json
 import math
@@ -589,10 +588,10 @@ def test_advance_calls_each_stage_once_per_step(monkeypatch):
 
 class CountingLibrary:
     """The compiled library, counting the calls of each of its functions, and
-    appending to `fills` the a of each `imex_step` call that fills a factor."""
+    appending to `steps` the a of each `imex_step` call."""
 
-    def __init__(self, lib, fills=None):
-        self.lib, self.calls, self.fills = lib, {}, [] if fills is None else fills
+    def __init__(self, lib):
+        self.lib, self.calls, self.steps = lib, {}, []
 
     def __getattr__(self, name):
         fn = getattr(self.lib, name)
@@ -600,9 +599,7 @@ class CountingLibrary:
         def counted(*args):
             self.calls[name] = self.calls.get(name, 0) + 1
             if name == "imex_step":
-                u, v, n, flux_w, diff_w, a, d, e, fill, *rest = args
-                if fill:
-                    self.fills.append(a)
+                self.steps.append(args[5])
             return fn(*args)
         return counted
 
@@ -620,8 +617,8 @@ def test_a_compiled_run_makes_one_library_call_per_step(stages, monkeypatch):
 
 
 def test_a_compiled_run_takes_no_numpy_expm1(stages, monkeypatch):
-    # a factor-cache miss fills the factor inside the compiled step, with no
-    # Python arithmetic: numpy's expm1 would tie the pivots to its SIMD code
+    # each step fills its factor inside the compiled step, with no Python
+    # arithmetic: numpy's expm1 would tie the pivots to its SIMD code
     def refuse(*args, **kwargs):
         raise AssertionError("np.expm1 called")
 
@@ -630,7 +627,7 @@ def test_a_compiled_run_takes_no_numpy_expm1(stages, monkeypatch):
     monkeypatch.setattr(solver, "_load_stages", lambda: lib)
     report = run(_jump_state(201), P1, SchemeConfig(t_end=3.0, snapshot_interval=1.0))
     assert report.step_kernel == "compiled" and report.step_count > 20
-    assert len(set(lib.fills)) > solver._FACTOR_SLOTS
+    assert len(set(lib.steps)) > 4
 
 
 def _plant_nan_in_u(solve):
@@ -760,7 +757,7 @@ def test_each_compiled_stage_matches_its_numpy_stage_bit_for_bit(stages, n, thet
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 201, 4001])
-def test_pivots_are_reused_only_for_the_same_a(stages, n):
+def test_each_step_fills_the_factor_of_its_a(stages, n):
     # each kernel fills its own factor, with the same bits: the recurrence
     # repeats its first pivot at a = 1e-300, and the closed form's head is
     # all n - 2 pivots at a = 1e300
@@ -772,7 +769,7 @@ def test_pivots_are_reused_only_for_the_same_a(stages, n):
         ref = numpy_workspace(n)
         y = rhs.copy()
         stepped_solve(y, a, 1.0, 2.0, ref)
-        assert ws.a == a and same_bits(ws.d, ref.d) and same_bits(ws.e, ref.e)
+        assert same_bits(ws.d, ref.d) and same_bits(ws.e, ref.e), a
         assert same_bits(x, y), a
 
 
@@ -808,7 +805,7 @@ def test_the_compiled_step_matches_the_numpy_stages_bit_for_bit(stages, n, theta
             want = solver._numpy_step(u, v, flux_w, diff_w, a, dv_w, chi, ref)
             bound = solver._speed_bound(want[0], want[1], chi)
             own_bound = solver._speed_bound(got[0], got[1], chi)
-        assert ws.a == a and same_bits(ws.d, ref.d) and same_bits(ws.e, ref.e), a
+        assert same_bits(ws.d, ref.d) and same_bits(ws.e, ref.e), a
         assert same_or_both_nan(got[2], want[2]) and got[3] == want[3], (a, got[2:], want[2:])
         # the returned bound is the returned pair's, and numpy's
         assert same_or_both_nan(got[4], bound), (a, got[4], bound)
@@ -951,93 +948,6 @@ def kernel_workspaces(n):
     return found
 
 
-def count_fills(monkeypatch):
-    """The a of each factor fill from now on, on either kernel: a call of
-    `_ldl_pivots`, which a numpy workspace makes once per factor it fills,
-    and each `imex_step` call that a compiled workspace built from now on
-    asks to fill a factor."""
-    fills, real = [], solver._ldl_pivots
-    monkeypatch.setattr(solver, "_ldl_pivots", lambda a, d: fills.append(a) or real(a, d))
-    lib = solver._load_stages()
-    if lib is not None:
-        counting = CountingLibrary(lib, fills)
-        monkeypatch.setattr(solver, "_load_stages", lambda: counting)
-    return fills
-
-
-def lru_misses(sequence, slots):
-    """The values of `sequence` that a least-recently-used cache of `slots`
-    entries does not hold when they come."""
-    kept, misses = collections.OrderedDict(), []
-    for a in sequence:
-        if a in kept:
-            kept.move_to_end(a)
-            continue
-        misses.append(a)
-        kept[a] = None
-        if len(kept) > slots:
-            kept.popitem(last=False)
-    return misses
-
-
-# one more a than the workspace keeps factors for, from the recurrence and the closed form
-EVICTING_AS = (30.0, 0.83, 0.0, 1e-3, 3000.0)
-
-
-@pytest.mark.parametrize("n", [8, 201, 4001])
-def test_evicted_factors_are_refilled_on_both_kernels(monkeypatch, n):
-    assert len(EVICTING_AS) == solver._FACTOR_SLOTS + 1
-    # cycled three times, each a misses; then the four kept ones again, newest first, all hit
-    sequence = EVICTING_AS * 3 + EVICTING_AS[:0:-1]
-    u, v = random_state(n, 31)
-    chi, dx, dt, theta = 1.7, 0.05, 0.004, 0.5
-    flux_w, diff_w, dv_w = dt * chi / (2.0 * dx), dt * (1.0 - theta) * 3.0 / (dx * dx), dt / (2.0 * dx)
-    fills = count_fills(monkeypatch)
-    kernels = kernel_workspaces(n)
-    for a in sequence:
-        d = np.empty(n - 2)
-        _ldl_pivots(a, d)
-        e = -a / d[:-1]
-        outputs = []
-        for ws, kernel in kernels:
-            outputs.append(kernel(u, v, flux_w, diff_w, a, dv_w, chi, ws))
-            assert ws.a == a and same_bits(ws.d, d) and same_bits(ws.e, e), (kernel, a)
-        for got in outputs[1:]:
-            want = outputs[0]
-            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), a
-            assert got[2:] == want[2:], a
-    # each kernel filled a factor on each miss, and only then
-    misses = lru_misses(sequence, solver._FACTOR_SLOTS)
-    assert len(misses) == 3 * len(EVICTING_AS)
-    assert fills == [a for a in misses for _ in kernels]
-
-
-@pytest.mark.parametrize("kernel", ["compiled", "numpy"])
-def test_a_run_computes_a_factor_exactly_on_each_cache_miss(monkeypatch, tmp_path, kernel):
-    if kernel == "numpy":
-        monkeypatch.setattr(solver, "_load_stages", lambda: None)
-    elif solver._load_stages() is None:
-        pytest.skip("the compiled stages do not build here")
-    seen = []  # the a of every step
-    for name in ("_compiled_step", "_numpy_step"):
-        def recorded(u, v, flux_w, diff_w, a, *rest, _step=getattr(solver, name)):
-            seen.append(a)
-            return _step(u, v, flux_w, diff_w, a, *rest)
-
-        monkeypatch.setattr(solver, name, recorded)
-    fills = count_fills(monkeypatch)
-    path = tmp_path / "jump.cfg"  # jump data, long enough for dt to flicker on the plateau
-    path.write_text(SMALL_CFG.replace("t_end = 2", "t_end = 20"))
-    cfg = scenarios.scenario_from_config(scenarios.read_config(path), str(path))
-    report = run(scenarios.build_initial(cfg), cfg.params, cfg.scheme)
-    assert report.step_kernel == kernel and len(seen) == report.step_count
-    misses = lru_misses(seen, solver._FACTOR_SLOTS)
-    # a hit never computes a factor, and a miss always does; the run has both, and evicts
-    assert fills == misses
-    changes = sum(a != b for a, b in zip(seen, seen[1:]))
-    assert len(misses) < changes and len(set(seen)) > solver._FACTOR_SLOTS
-
-
 def held_arrays(ws):
     """The arrays that ws references, directly or through tuples, lists and dicts."""
     held, stack, seen = {}, [ws], set()
@@ -1059,10 +969,10 @@ def test_the_address_table_keeps_only_buffers_the_workspace_holds(stages):
     n = 41
     ws = _Workspace(n)
     u, v = random_state(n, 13)
-    for i in range(25 * solver._FACTOR_SLOTS):  # every slot taken and retaken
+    for i in range(100):
         u, v = u.copy(), v.copy()  # fresh inputs, free to take a freed array's id
         assert ws.ptr(u) == u.ctypes.data and ws.ptr(v) == v.ctypes.data, i
-        _compiled_step(u, v, 1e-3, 1e-3, 0.1 * (i % (2 * solver._FACTOR_SLOTS) + 1), 1e-3, 1.0, ws)
+        _compiled_step(u, v, 1e-3, 1e-3, 0.1 * (i % 8 + 1), 1e-3, 1.0, ws)
         held = held_arrays(ws)
         assert set(ws._addr) <= set(held), i
         assert all(held[key].ctypes.data == addr for key, addr in ws._addr.items())
@@ -1109,18 +1019,25 @@ def test_a_non_finite_value_fails_alike_on_both_paths(stages, monkeypatch, where
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])
-def test_an_overflowing_diffusion_weight_fails_on_both_paths(theta):
-    # a = theta*D*dt/dx**2 overflows to inf: the step fails before any factor is taken
+def test_an_overflowing_diffusion_weight_fails_on_both_paths(monkeypatch, theta):
+    # a = theta*D*dt/dx**2 overflows to inf: the step fails before any factor is
+    # taken, so neither the numpy pivots nor the compiled library are called
     n = 41
     g = GridSpec(0.0, 0.4, n)
     p = ModelParams.from_chi(1e308, 1.0)
     cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0, diffusion_theta=theta)
     u, v = random_state(n, 9)
+    pivots = []
+    real = solver._ldl_pivots
+    monkeypatch.setattr(solver, "_ldl_pivots", lambda a, d: pivots.append(a) or real(a, d))
     for ws, _ in kernel_workspaces(n):
+        if ws.lib is not None:
+            ws.lib = CountingLibrary(ws.lib)
         with pytest.raises(NumericalError, match=r"diffusion weights a=inf, diff_w=.* are not "
                            r"finite on step 3 \(t=0.5, dt=\d"):
             _advance(u, v, solver._speed_bound(u, v, p.chi), 0.5, 3, g, p, cfg, None, ws)
-        assert math.isnan(ws.a)
+        assert ws.lib is None or ws.lib.calls == {}
+    assert pivots == []
 
 
 def test_a_step_that_does_not_advance_t_fails_on_both_paths(stages, monkeypatch):

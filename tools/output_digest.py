@@ -26,11 +26,10 @@ Then it runs `run --emit-c` on `thm22` (theta = 0.5), `run` on `thm21`
 (theta = 1) and `run` on `fig1_consistent` once more, each in a subprocess
 with CC=false and an empty XDG_CACHE_HOME, so that the library cannot build
 and the numpy stages and the Python snapshot writer run.  `fig1_consistent`
-is jump data, the scenario of `perfbench`'s `shock_run`: a changes on about
-half its steps, mostly back to one of the few values the workspace keeps a
-factor for, so the two kernels' first speed bound, the bound each step
-returns for the next and the factor cache's hits, misses and evictions are
-compared over a long run.
+is jump data, the scenario of `perfbench`'s `shock_run`: each step refills
+its factor while a changes on about one step in six, so the two kernels'
+factors, their first speed bound and the bound each step returns for the
+next, carried over its ~8,100 steps, are compared over a long run.
 Their files are not digested; the script exits 1 when they differ from the
 compiled runs' files, or when a manifest does not say `step_kernel = numpy`.
 

@@ -22,7 +22,10 @@
  * compile to one instruction.
  *
  * Where |δ| < DEAD_BAND*|u| the back sweep keeps u, as the numpy stages do,
- * so that roundoff does not travel along a plateau (see solver).
+ * so that roundoff does not travel along a plateau (see solver).  So a far
+ * field keeps its bits, and the step sweeps only the rows between the two
+ * far-field plateaus that provably keep them, g = block_margin rows and a
+ * few more inside each plateau's edge (see imex_step).
  *
  * Arrays are contiguous doubles; n is the node count (n >= 4) and m = n - 2
  * the interior count.
@@ -147,6 +150,61 @@ static long block_margin(double rho, long m)
     return g < m ? g : m;
 }
 
+/* Whether x and y are the same 64 bits: == takes -0.0 for +0.0 and no nan
+ * for itself. */
+static inline int same_bits(double x, double y)
+{
+    uint64_t a, b;
+    memcpy(&a, &x, sizeof a);
+    memcpy(&b, &y, sizeof b);
+    return a == b;
+}
+
+/* Whether a run of nodes with the bits of end state (u, v) provably keeps
+ * them in a step with these weights.  At a node whose neighbours carry them
+ * too, the right-hand side is (u*v - u*v)*flux_w + ((u + u) - 2*u)*lap_w = +-0
+ * when u+u, u*v, flux_w and lap_w are finite; outside the blocks δ is that
+ * +-0, and u + (+-0) = u for u > 0, whatever the dead band; and
+ * (u - u)*dv_w + v = v for a finite dv_w and a finite v that is not -0.0
+ * (-0.0 + +0.0 is +0.0). */
+static int plateau_keeps(double u, double v, double flux_w, double lap_w, double dv_w)
+{
+    return u > 0.0 && isfinite(u + u) && isfinite(u * v) && !(v == 0.0 && signbit(v)) &&
+           isfinite(flux_w) && isfinite(lap_w) && isfinite(dv_w);
+}
+
+/* The number of nodes from node end on, going by dir (+1 or -1), whose u and
+ * v carry the bits of node end's: 1 up to most. */
+static long plateau_length(const double *u, const double *v, long end, long dir, long most)
+{
+    long p = 1;
+    while (p < most && same_bits(u[end + dir * p], u[end]) && same_bits(v[end + dir * p], v[end]))
+        p++;
+    return p;
+}
+
+/* x[from .. to-1] = value: one store, then each memcpy doubles the filled run,
+ * since libc's memcpy stores whole vectors where a loop of doubles stores one
+ * at a time. */
+static void fill(double *x, long from, long to, double value)
+{
+    if (to <= from)
+        return;
+    x += from;
+    const long count = to - from;
+    x[0] = value;
+    for (long done = 1; done < count; done *= 2)
+        memcpy(x + done, x, (size_t)(count - done < done ? count - done : done) * sizeof *x);
+}
+
+/* Rows from up to to - 1 of the factor past its head, whose pivot is d_k and
+ * whose e is e_k (e has m - 1 rows). */
+static void fill_factor(double *d, double *e, long from, long to, long m, double d_k, double e_k)
+{
+    fill(d, from, to, d_k);
+    fill(e, from, to < m - 1 ? to : m - 1, e_k);
+}
+
 /* What imex_step's back sweep carries from node to node: u_new at the two
  * nodes above the next one, min(u_new), the sums that turn nan when an entry
  * of u_new or v_new is inf or nan, and the largest bound term. */
@@ -190,9 +248,22 @@ static inline void finish_node(struct back_sweep *bs, long j, double y, const do
  * of k rows is tridiag(-a, 1+2a, -a) of size k, whose factor is the first k
  * rows of the full one.
  *
- * The step fills d and e with the factor of a: all of it with ldl_closed for
- * a > A_MAX, else its head with ldl_head and every later row in the forward
- * sweep.
+ * The step sweeps only the rows that can change.  A plateau is the run of p
+ * nodes at an end whose u and v carry the end node's bits.  When its end
+ * state passes plateau_keeps, r = +-0 on each row whose node and both
+ * neighbours lie in it.  On the left that is rows 0 .. p-3, so no block
+ * starts before row p-2-g, every earlier row has δ = +-0 and keeps u, and
+ * v_new, which takes u_new at both neighbours, keeps v up to node p-3-g.  So
+ * the rows from lo = p-3-g on can change; on the right, by the mirror
+ * argument, the rows before hi = n-p+g+1.  The sweeps run over rows
+ * [lo, hi); every node outside them takes its end node's u and v, and its
+ * bound term is the end node's, which the bound takes anyway.  Nothing is
+ * carried from one call to the next, and a state without such plateaus
+ * (lo = 0, hi = m) is swept whole.
+ *
+ * The step fills d and e, on every row, with the factor of a: all of it with
+ * ldl_closed for a > A_MAX, else its head with ldl_head, the rows of [lo, hi)
+ * past it in the forward sweep, and the others before it.
  *
  * The forward sweep computes each interior node's right-hand side
  *     r_i = (u_(i+1)*v_(i+1) - u_(i-1)*v_(i-1))*flux_w
@@ -205,9 +276,10 @@ static inline void finish_node(struct back_sweep *bs, long j, double y, const do
  * or u where |δ| < DEAD_BAND*|u|, and, one node behind it,
  *     v_new_i = (u_new_(i+1) - u_new_(i-1))*dv_w + v_i
  * once both neighbours are final: solver._update_v.  The ends of u_new and
- * v_new are those of u and v.  The solve's sweeps are chains of dependent
- * multiply-subtracts that leave the other execution ports idle, so the
- * right-hand side, the v update and the bound cost little inside them.
+ * v_new, and their skipped nodes, take the end values of u and v.  The solve's
+ * sweeps are chains of dependent multiply-subtracts that leave the other
+ * execution ports idle, so the right-hand side, the v update and the bound
+ * cost little inside them.
  *
  * checks[0] is min(u_new), nan when any entry is not finite
  * (solver._finite_min); checks[1] is 1 when every v_new is finite, else 0;
@@ -233,14 +305,28 @@ void imex_step(const double *restrict u, const double *restrict v, long n, doubl
     const double d_k = d[k < m ? k : 0], e_k = e[m - 2];
     const long g = block_margin(-e[m - 2], m);
 
+    /* the rows that can change, [lo, hi); the right plateau ends at the left
+     * one, so that lo < hi also on a constant state */
+    const double lap_w = diff_w + a;
+    long lo = 0, hi = m, p_left = 0;
+    if (plateau_keeps(u[0], v[0], flux_w, lap_w, dv_w)) {
+        p_left = plateau_length(u, v, 0, 1, n);
+        lo = p_left - 3 - g > 0 ? p_left - 3 - g : 0;
+    }
+    if (plateau_keeps(u[n - 1], v[n - 1], flux_w, lap_w, dv_w)) {
+        const long p_right = plateau_length(u, v, n - 1, -1, n - p_left);
+        hi = n - p_right + g + 1 < m ? n - p_right + g + 1 : m;
+    }
+    fill_factor(d, e, k + 1, lo, m, d_k, e_k);
+    fill_factor(d, e, hi > k + 1 ? hi : k + 1, m, m, d_k, e_k);
+
     /* forward sweep: r into u_new, and δ in place of it on the rows of the
      * blocks; the block being found starts at row start, last is its last
      * nonzero row, and x is δ at the row before */
-    const double lap_w = diff_w + a;
     long blocks = 0, start = -1, last = -1;
     double x = 0.0;
-    double w_lo = u[0] * v[0], w_mid = u[1] * v[1];
-    for (long i = 0; i < m; i++) {
+    double w_lo = u[lo] * v[lo], w_mid = u[lo + 1] * v[lo + 1];
+    for (long i = lo; i < hi; i++) {
         const double w_hi = u[i + 2] * v[i + 2];
         const double r = node_rhs(u, w_lo, w_hi, i + 1, flux_w, lap_w);
         w_lo = w_mid;
@@ -289,15 +375,16 @@ void imex_step(const double *restrict u, const double *restrict v, long n, doubl
         blocks++;
     }
 
-    /* back sweep over every node: the nodes above block b, where δ = r, then
-     * its rows from t down to s, where y is δ; bs carries the rest */
+    /* back sweep over the nodes of rows [lo, hi): the nodes above block b,
+     * where δ = r, then its rows from t down to s, where y is δ; bs carries
+     * the rest, and the nodes above hi carry the bits of u[n - 1] */
     const double left = u[0], right = u[n - 1];
     struct back_sweep bs = {.above = right, .ux = right, .u_min = left < right ? left : right,
                             .u_sum = left * 0.0 + right * 0.0,
                             .v_sum = v[0] * 0.0 + v[n - 1] * 0.0, .top = 0.0};
-    long j = m; /* the next node to finish */
+    long j = hi; /* the next node to finish */
     for (long b = blocks - 1;; b--) {
-        const long s = b >= 0 ? (long)runs[2 * b] : -1, t = b >= 0 ? (long)runs[2 * b + 1] : -1;
+        const long s = b >= 0 ? (long)runs[2 * b] : -1, t = b >= 0 ? (long)runs[2 * b + 1] : lo - 1;
         for (; j > t + 1; j--)
             finish_node(&bs, j, u_new[j], u, v, u_new, v_new, m, dv_w, chi);
         if (b < 0)
@@ -309,17 +396,17 @@ void imex_step(const double *restrict u, const double *restrict v, long n, doubl
             finish_node(&bs, j, y, u, v, u_new, v_new, m, dv_w, chi);
         }
     }
-    const double v1 = (bs.above - left) * dv_w + v[1];
-    v_new[1] = v1;
+    const double v1 = (bs.above - left) * dv_w + v[lo + 1];
+    v_new[lo + 1] = v1;
     const double v_sum = bs.v_sum + v1 * 0.0;
     const double c4 = 4.0 * chi;
     double top = max_term(bs.top, speed_term(bs.ux, v1, chi, c4));
     top = max_term(top, speed_term(left, v[0], chi, c4));
     top = max_term(top, speed_term(right, v[n - 1], chi, c4));
-    u_new[0] = left;
-    u_new[n - 1] = right;
-    v_new[0] = v[0];
-    v_new[n - 1] = v[n - 1];
+    fill(u_new, 0, lo + 1, left);
+    fill(v_new, 0, lo + 1, v[0]);
+    fill(u_new, hi + 1, n, right);
+    fill(v_new, hi + 1, n, v[n - 1]);
 
     checks[0] = bs.u_sum != 0.0 ? NAN : bs.u_min;
     checks[1] = v_sum == 0.0;

@@ -79,9 +79,25 @@ stores each later row in the forward sweep (or, for a > `_A_MAX`, fills the
 closed form on the C library's expm1 before it).  The max of the bound's finite
 terms does not depend on their order, so the back sweep meets them back to
 front; an inf or nan entry of the new state hands the bound to a loop in
-node order, as numpy meets them.  The numpy kernel stays as the reference
-the tests compare with, and as the path taken when no compiler or cache is
-usable.  The first
+node order, as numpy meets them.
+
+The compiled step sweeps only the rows that can change.  A far-field
+plateau, the run of p nodes at an end whose u and v carry the end node's
+bits, keeps them when its end u is > 0 with u + u and u*v finite, its end v
+is finite and not -0.0, and flux_w, diff_w + a and dv_w are finite: then
+r = +-0 at each of its nodes whose neighbours lie in it too, δ = +-0
+outside the blocks, u + (+-0) = u and v + (+-0) = v.  The first nonzero r
+is at the plateau's innermost node or beyond it, so no block reaches more
+than g = `_block_margin` rows into it, and v_new takes u_new at both
+neighbours: of a left plateau, nodes 0 .. p-3-g keep their bits, and of a
+right one nodes n-p+g+2 .. n-1.  The step sweeps the rows between, gives
+the others the end node's values and bound term, fills d and e on every
+row, and carries nothing from one call to the next.  Over the steps of
+`perfbench`'s seed-1 runs it skips a mean 54% of the rows on `shock_run`,
+68% on `snapshot_dense` and 8-19% on `grid_sweep` (n = 1001 to 12001).
+
+The numpy kernel stays as the reference the tests compare with, and as the
+path taken when no compiler or cache is usable.  The first
 `_Workspace` built on a machine compiles the source with $CC (default cc)
 into a private per-user cache,
 ${XDG_CACHE_HOME:-~/.cache}/chemoshock (`_native._load_stages`, which this
@@ -431,7 +447,8 @@ def _compiled_step(
 
     u_new and v_new are the buffers of ws that are not u and v, so the step
     after next overwrites them.  The compiled step fills ws's d and e with
-    the factor of a."""
+    the factor of a, and sweeps only the rows between the far-field plateaus
+    that keep their bits (see the module docstring)."""
     u_new = ws.u_out[1] if u is ws.u_out[0] else ws.u_out[0]
     v_new = ws.v_out[1] if v is ws.v_out[0] else ws.v_out[0]
     ws.lib.imex_step(ws.ptr(u), ws.ptr(v), ws.n, flux_w, diff_w, a, ws.ptr(ws.d), ws.ptr(ws.e),

@@ -904,6 +904,109 @@ def test_the_compiled_step_matches_the_numpy_stages_at_the_dead_band(stages, the
             assert got[2:] == want[2:], (c, a)
 
 
+def same_bits_but_nan(got, want):
+    """The same bits where want is not nan, and nan where it is: a nan's sign
+    and payload may differ between the kernels, its place may not."""
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and same_bits(got[~nan], want[~nan])
+
+
+def check_two_steps(u, v, flux_w, diff_w, a, dv_w, chi=1.7):
+    """Two chained steps of the compiled kernel against the numpy stages, bit
+    for bit with d and e, on a workspace whose two output pairs and factor
+    hold nan before the first step: a node or a factor row that a step skips
+    and does not write shows as a nan."""
+    n = u.size
+    ws = _Workspace(n)
+    for x in (*ws.u_out, *ws.v_out, ws.d, ws.e):
+        x.fill(np.nan)
+    got, want = (u, v), (u, v)
+    for pair in (0, 1):  # the second step writes the other output pair
+        ref = numpy_workspace(n)
+        got = _compiled_step(got[0], got[1], flux_w, diff_w, a, dv_w, chi, ws)
+        with np.errstate(all="ignore"):
+            want = _numpy_step(want[0], want[1], flux_w, diff_w, a, dv_w, chi, ref)
+        assert got[0] is ws.u_out[pair] and got[1] is ws.v_out[pair]
+        assert same_bits(ws.d, ref.d) and same_bits(ws.e, ref.e), pair
+        assert same_bits_but_nan(got[0], want[0]) and same_bits_but_nan(got[1], want[1]), pair
+        # min(u_new) of +0.0 and -0.0 may be either, as in the other parity tests
+        same_min = got[2] == want[2] or (math.isnan(got[2]) and math.isnan(want[2]))
+        assert same_min and got[3] == want[3], (pair, got[2:], want[2:])
+        assert same_or_both_nan(got[4], want[4]), (pair, got[4], want[4])
+
+
+def plateau_state(n, left, right, p_left, p_right, seed):
+    """A random state whose first p_left nodes carry the end state left = (u, v)
+    and whose last p_right carry right."""
+    u, v = random_state(n, seed)
+    u[:p_left], v[:p_left] = left
+    u[n - p_right:], v[n - p_right:] = right
+    return u, v
+
+
+def block_margin_of(a, m):
+    """g, the rows a block of the solve of a adds on each side, for m rows."""
+    d = np.empty(m)
+    _ldl_pivots(a, d)
+    return solver._block_margin(a / d[-1], m)
+
+
+# end states: fig1's far fields, and a steep jump on each side, where δ at a
+# block's last margin row is far above the dead band of the small end u and
+# above the last digit of v = 0, so that one row skipped too many changes v_new
+PLATEAU_ENDS = (((2.0, 0.0), (1.0, 1.0)), ((1e6, 0.3), (1e-9, 0.0)), ((1e-9, 0.0), (1e6, 0.3)))
+
+
+@pytest.mark.parametrize("a", [0.05, 1.24, 36.0, 3000.0])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_the_compiled_step_skips_only_the_plateaus_that_keep_their_bits(stages, a, theta):
+    # a step skips a plateau of p nodes when p > g + 3 (g the block margin):
+    # plateaus of g+1 .. g+5 nodes fall on both sides of that edge, the long
+    # ones and the constant state skip most of the grid, and at a = 3000 the
+    # margin is the whole grid, so nothing is skipped
+    n = 1201
+    m = n - 2
+    g = block_margin_of(a, m)
+    assert (g >= m) == (a == 3000.0)
+    dx, dt, chi = 0.05, 0.004, 1.7
+    flux_w, diff_w, dv_w = dt * chi / (2.0 * dx), a * (1.0 - theta) / theta, dt / (2.0 * dx)
+    lengths = sorted({min(g + j, n // 3) for j in range(1, 6)})
+    for seed, (left, right) in enumerate(PLATEAU_ENDS):
+        pairs = [(p, q) for p in lengths for q in lengths] + [(n // 2 - 10, n // 2 - 10), (n, 0)]
+        for p_left, p_right in pairs:
+            u, v = plateau_state(n, left, right, p_left, p_right, seed)
+            check_two_steps(u, v, flux_w, diff_w, a, dv_w, chi)
+
+
+@pytest.mark.parametrize("case", [
+    "v -0.0 at the end", "v -0.0 inside", "u 0 at the end", "u -0.0 at the end",
+    "u 1e308 at the end", "flux_w inf", "flux_w nan", "diff_w inf", "dv_w inf",
+])
+@pytest.mark.parametrize("a", [0.05, 1.24])
+def test_the_compiled_step_steps_the_plateaus_that_may_change(stages, case, a):
+    # each of these plateaus, or each plateau under these weights, may change
+    # its bits in a step, so the compiled step must step it as numpy does:
+    # -0.0 + +0.0 is +0.0, u + u overflows to inf, and inf*0 is nan.  A v of
+    # -0.0 inside a +0.0 plateau is equal to the end's by ==, not by bits, and
+    # keeps its -0.0 for a negative dv_w
+    n = 201
+    dx, dt, chi = 0.05, 0.004, 1.7
+    weights = {"flux_w": dt * chi / (2.0 * dx), "diff_w": 0.0, "dv_w": dt / (2.0 * dx)}
+    end = (1.5, 0.0)
+    if case.startswith("u "):
+        end = ({"0": 0.0, "-0.0": -0.0, "1e308": 1e308}[case.split()[1]], 0.5)
+    elif case == "v -0.0 at the end":
+        end = (1.5, -0.0)
+    elif case.split()[0] in weights:
+        weights[case.split()[0]] = float(case.split()[1])
+    u, v = plateau_state(n, end, end, 80, 80, 3)
+    if case == "v -0.0 inside":
+        v[20] = v[n - 21] = -0.0
+    flux_w, diff_w, dv_w = weights["flux_w"], weights["diff_w"], weights["dv_w"]
+    for w in (dv_w, -dv_w):
+        check_two_steps(u, v, flux_w, diff_w, a, w, chi)
+
+
 @pytest.mark.parametrize("a", [1e-12, 0.05, 0.3, 1.24, 36.0])
 def test_the_block_solve_matches_the_full_system(a):
     # the blocks drop a coupling of about a*2**-64 of δ, and leave the rows past
@@ -1071,9 +1174,9 @@ def _thm21_like(n_nodes):
     return scenarios.build_initial(cfg), cfg.params, cfg.scheme
 
 
-def test_run_is_the_same_on_both_paths(stages, monkeypatch):
-    state, params, scheme = _thm21_like(1001)
-
+def run_on_both_paths(monkeypatch, state, params, scheme):
+    """The report of a compiled run of the data, after checking that a numpy
+    run gives every snapshot and prev with the same bits."""
     def snapshots():
         seen = []
         report = run(state, params, scheme, lambda i, s, prev: seen.append((s, prev)))
@@ -1083,15 +1186,56 @@ def test_run_is_the_same_on_both_paths(stages, monkeypatch):
     monkeypatch.setattr(solver, "_load_stages", lambda: None)
     reference, seen_n = snapshots()
     assert (compiled.step_kernel, reference.step_kernel) == ("compiled", "numpy")
-    assert compiled.step_count == reference.step_count > 40
+    assert compiled.step_count == reference.step_count
     assert compiled.min_u == reference.min_u
-    assert len(seen_c) == len(seen_n) == 5
+    assert len(seen_c) == len(seen_n) == compiled.snapshot_count
     for (s, prev), (s_ref, prev_ref) in zip(seen_c, seen_n):
         assert s.t == s_ref.t
         assert same_bits(s.u.values, s_ref.u.values) and same_bits(s.v.values, s_ref.v.values)
+        assert (prev is None) == (prev_ref is None)
         if prev is not None:
             assert same_bits(prev.u.values, prev_ref.u.values)
             assert same_bits(prev.v.values, prev_ref.v.values)
+    return compiled
+
+
+def test_run_is_the_same_on_both_paths(stages, monkeypatch):
+    compiled = run_on_both_paths(monkeypatch, *_thm21_like(1001))
+    assert compiled.step_count > 40 and compiled.snapshot_count == 5
+
+
+def _plateau_length(u, v, end):
+    """The number of nodes from node 0 (end = 0) or node n - 1 (end = -1) on
+    whose u and v carry that node's bits."""
+    bits = np.stack([u.view(np.uint64), v.view(np.uint64)])
+    if end:
+        bits = bits[:, ::-1]
+    off = np.flatnonzero((bits != bits[:, :1]).any(axis=0))
+    return int(off[0]) if off.size else u.size
+
+
+def test_a_jump_run_is_the_same_on_both_paths_as_its_plateaus_shrink(stages, monkeypatch):
+    # fig1's far fields at n = 401: each plateau starts longer than the skip's
+    # margins and shrinks through them, the left one within ~90 steps and the
+    # right one near the end
+    g = GridSpec(0.0, 200.0, 401)
+    x = g.nodes()
+    state = SimState(Field(g, np.where(x < 60.0, 2.0, 1.0)), Field(g, np.where(x < 60.0, 0.0, 1.0)),
+                     0.0)
+    skips = []
+    real = solver._compiled_step
+
+    def recording(u, v, flux_w, diff_w, a, dv_w, chi, ws):
+        out = real(u, v, flux_w, diff_w, a, dv_w, chi, ws)
+        margin = solver._block_margin(-float(ws.e[-1]), u.size - 2) + 3
+        skips.append((_plateau_length(u, v, 0) > margin, _plateau_length(u, v, -1) > margin))
+        return out
+
+    monkeypatch.setattr(solver, "_compiled_step", recording)
+    compiled = run_on_both_paths(monkeypatch, state, P1,
+                                 SchemeConfig(t_end=120.0, snapshot_interval=10.0))
+    assert len(skips) == compiled.step_count > 900 and compiled.snapshot_count == 13
+    assert skips[0] == (True, True) and skips[-1] == (False, False)
 
 
 def test_the_ends_keep_the_initial_values_on_both_paths(stages, monkeypatch):

@@ -6,12 +6,11 @@ series.csv, and a manifest.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import copy
 import csv
 import difflib
 import math
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -19,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _native
 from . import diagnostics as diag
 from .cole_hopf import from_v
 from .core import (
@@ -465,7 +463,7 @@ def _fmt(val) -> str:
 
 # Manifest keys of measured times.  They are written with fixed decimals, so
 # the file's size does not follow the measured time.
-_TIMING_KEYS = ("snapshot_write_s", "snapshot_wait_s", "wall_time_s")
+_TIMING_KEYS = ("snapshot_write_s", "wall_time_s")
 
 
 def manifest_line(key: str, val) -> str:
@@ -499,107 +497,17 @@ def _front_speed(records) -> float | None:
     return float(np.polyfit(t, pos, 1)[0])
 
 
-class _SnapshotWriter:
-    """Writes a run's snapshot files one at a time, and appends each file's
-    record to `records` once the file is on disk.
-
-    With the compiled printer, whose `ctypes` call and file write release the
-    GIL, the files are written on one thread, started at the first `submit`,
-    while the caller steps on.  `_jobs` hands it each `(path, state, c)`, and
-    `None` to stop; `_done` hands back each write's error, or `None`.
-    `submit` and `close` first settle the write in flight: they wait for its
-    `_done` item, then append its record or re-raise its error.  Without the
-    printer the Python block writer would hold the GIL, so the same `_write`
-    runs inline.  The module's `write_snapshot` is looked up at each call.
-    `write_s` is the time spent writing and `wait_s` the time the caller was
-    blocked on the writer (all of `write_s` when inline)."""
-
-    def __init__(self, records: list) -> None:
-        self.records = records
-        self.background = _native.snapshot_printer() is not None
-        self.write_s = 0.0
-        self.wait_s = 0.0
-        self._thread: threading.Thread | None = None
-        self._jobs = queue.SimpleQueue()
-        self._done = queue.SimpleQueue()
-        self._pending = None  # (record,) while its file is being written
-
-    def _write(self, path, state: SimState, c: Field | None) -> float:
-        """Write one file, put its error or None on `_done`, return its time."""
-        start = time.perf_counter()
-        error = None
-        try:
-            write_snapshot(path, state, c=c)
-        except BaseException as exc:  # re-raised on the caller's thread
-            error = exc
-        elapsed = time.perf_counter() - start
-        self.write_s += elapsed
-        self._done.put(error)
-        return elapsed
-
-    def _serve(self) -> None:
-        """The writer thread: write each file handed over, until `None`."""
-        for job in iter(self._jobs.get, None):
-            self._write(*job)
-
-    def submit(self, path, state: SimState, c: Field | None, record) -> None:
-        """Write `state` (and c) to `path`, then append `record`."""
-        self._settle()
-        self._pending = (record,)
-        if self.background:
-            self._jobs.put((path, state, c))
-            if self._thread is None:
-                self._thread = threading.Thread(target=self._serve, daemon=True,
-                                                name="chemoshock-snapshot-writer")
-                self._thread.start()
-        else:
-            self.wait_s += self._write(path, state, c)
-            self._settle()
-
-    def _settle(self, reraise: bool = True) -> None:
-        """Wait for the write in flight, if any, and append its record, or
-        raise its error (dropped when not `reraise`)."""
-        if self._pending is None:
-            return
-        (record,), self._pending = self._pending, None
-        start = time.perf_counter()
-        error = self._done.get()
-        if self._thread is not None:
-            self.wait_s += time.perf_counter() - start
-        if error is None:
-            self.records.append(record)
-        elif reraise:
-            raise error
-
-    def close(self, reraise: bool = True) -> None:
-        """`_settle` the last write, then stop and join the thread."""
-        try:
-            self._settle(reraise)
-        finally:
-            if self._thread is not None:
-                start = time.perf_counter()
-                self._jobs.put(None)
-                self._thread.join()
-                self.wait_s += time.perf_counter() - start
-                self._thread = None
-
-
 def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[dict, list]:
     """Run one scenario and write snap_<i>.dat, series.csv, and manifest.txt
     into out_dir.  Returns (manifest, records): the manifest as a dict and
     the per-snapshot records, one per series.csv row.
 
-    Each snapshot's record is computed first; then its file is queued to a
-    `_SnapshotWriter`.  When the compiled printer is loaded, the writer's one
-    thread writes it while the run steps on, one file at a time; otherwise it
-    is written inline.  A record joins series.csv only once its file is on
-    disk.  A write error surfaces at the next snapshot or at the end of the
-    run, and stops it.  The writer thread is stopped and joined before
-    series.csv is written, whether the run succeeds or fails, so none outlives
-    the call.  When the run fails, series.csv still gets one row per snapshot
-    file on disk, and the error propagates: the run's own error when it
-    raised, else the write's.  A non-finite record, or a non-finite c with
-    `emit_c`, is a `NumericalError` naming the snapshot."""
+    Each snapshot's record is computed first, then its file is written; the
+    record joins series.csv only once its file is on disk.  A failed write
+    removes its partial file and stops the run with an `OSError` naming the
+    file.  When the run fails, series.csv still gets one row per snapshot file
+    on disk, and the error propagates.  A non-finite record, or a non-finite c
+    with `emit_c`, is a `NumericalError` naming the snapshot."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -621,9 +529,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[di
         )
 
     records: list[diag.DiagnosticsRecord] = []
-    writer = _SnapshotWriter(records)
+    write_s = 0.0
 
     def on_snapshot(index: int, state: SimState, prev: SimState | None) -> None:
+        nonlocal write_s
         try:
             record = diag.assemble_record(
                 state, prev, cfg.params, reference, probe_center, probe_halfwidth
@@ -637,17 +546,26 @@ def run_scenario(cfg: ScenarioConfig, out_dir, emit_c: bool = False) -> tuple[di
             except NumericalError as exc:  # exp overflows where v's integral is large
                 raise NumericalError(f"snapshot {index} (t={state.t:.6g}): "
                                      f"c column: {exc}") from exc
-        writer.submit(out / f"snap_{index:04d}.dat", state, c, record)
+        path = out / f"snap_{index:04d}.dat"
+        start = time.perf_counter()
+        try:
+            write_snapshot(path, state, c=c)
+        except BaseException as exc:  # no partial file is left without its series row
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+            if isinstance(exc, OSError):
+                raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
+            raise
+        write_s += time.perf_counter() - start
+        records.append(record)
 
     try:
         report = run(state0, cfg.params, cfg.scheme, on_snapshot)
-        writer.close()
     finally:
-        writer.close(reraise=False)  # the run's error, when it raised, wins; joins the thread
         diag.write_series(records, out / "series.csv")
 
     manifest = _build_manifest(cfg, state0, reference, records, report, probe_center,
-                               writer)
+                               write_s)
     write_manifest(manifest, out / "manifest.txt")
     return manifest, records
 
@@ -715,7 +633,7 @@ def _build_manifest(
     records,
     report: RunReport,
     probe_center: float,
-    writer: _SnapshotWriter,
+    write_s: float,
 ) -> dict:
     """The manifest, in file order.  `records` holds at least snapshot 0."""
     grid = cfg.grid
@@ -779,8 +697,7 @@ def _build_manifest(
         "snapshot_count": report.snapshot_count,
         "boundary_warning": near_edge,
         "step_kernel": report.step_kernel,
-        "snapshot_write_s": writer.write_s,
-        "snapshot_wait_s": writer.wait_s,
+        "snapshot_write_s": write_s,
         "wall_time_s": report.wall_time_s,
     }
 

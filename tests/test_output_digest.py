@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from chemoshock import scenarios
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -56,6 +58,12 @@ def test_identical_trees_pass(digest, tmp_path, capsys):
                          lambda run: _edit(run / "manifest.txt", "0.125", "0.5"))
     assert code == 0
     assert "1 differ" not in out and "FLAGGED" not in out
+
+
+def test_every_machine_dependent_manifest_key_is_dropped(digest):
+    # a run's measured times and the step that ran are not part of a digest
+    dropped = {key.decode().removesuffix(" =") for key in digest._MACHINE_KEYS}
+    assert set(scenarios._TIMING_KEYS) | {"step_kernel"} <= dropped
 
 
 def test_a_perturbed_cell_is_reported_by_file_column_and_delta(digest, tmp_path, capsys):

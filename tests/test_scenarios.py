@@ -1,15 +1,16 @@
 import csv
+import errno
 import importlib.util
 import math
+import os
 import sys
 import threading
-import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from chemoshock import _native, scenarios
+from chemoshock import _native, diagnostics, scenarios
 from chemoshock.cole_hopf import from_v
 from chemoshock.core import ConfigError, GridSpec, ModelParams, NumericalError, write_snapshot
 from chemoshock.diagnostics import ConstantReference, front_position, read_series, shift_x0
@@ -362,12 +363,24 @@ def test_run_scenario_outputs(tmp_path):
     assert np.all(series["sigma"] == np.minimum(1.0, series["t"]))
 
 
-@pytest.mark.parametrize("path", ["inline", "background"])
-def test_series_survives_a_failed_snapshot_write(request, tmp_path, monkeypatch, path):
-    if path == "background":
+@pytest.fixture
+def printer(stages):
+    """Skips where the compiled snapshot printer is not built."""
+    if _native.snapshot_printer() is None:
+        pytest.skip("the compiled snapshot printer is not built here")
+
+
+@pytest.fixture(params=["compiled", "python"])
+def either_printer(request, monkeypatch):
+    """Each snapshot printer in turn: the compiled one, and the Python one
+    that runs when the library does not load."""
+    if request.param == "compiled":
         request.getfixturevalue("printer")
     else:
         monkeypatch.setattr(_native, "_load_stages", lambda: None)  # as when CC=false
+
+
+def test_series_survives_a_failed_snapshot_write(either_printer, tmp_path, monkeypatch):
     real = scenarios.write_snapshot
     written = []
 
@@ -385,219 +398,115 @@ def test_series_survives_a_failed_snapshot_write(request, tmp_path, monkeypatch,
     assert not (tmp_path / "out" / "manifest.txt").exists()
 
 
-@pytest.fixture
-def printer(stages):
-    """The compiled snapshot printer, with which run_scenario writes its
-    snapshot files on a background thread."""
-    if _native.snapshot_printer() is None:
-        pytest.skip("the compiled snapshot printer is not built here")
-
-
-def test_snapshot_files_are_written_off_the_main_thread_one_at_a_time(printer, tmp_path,
-                                                                      monkeypatch):
+@pytest.mark.parametrize("error, code", [
+    (OSError, errno.EFBIG),  # as when the file size limit cuts a write short
+    (PermissionError, errno.EACCES),
+], ids=["EFBIG", "EACCES"])
+def test_a_failed_write_removes_its_partial_file_and_names_it(either_printer, tmp_path,
+                                                             monkeypatch, error, code):
     real = scenarios.write_snapshot
-    lock = threading.Lock()
-    in_flight, seen = [0], []
+    calls = []
 
-    def watched(path, state, c=None):
-        with lock:
-            in_flight[0] += 1
-            seen.append((threading.current_thread() is threading.main_thread(), in_flight[0]))
-        time.sleep(0.005)  # room for a second write to start, were one allowed to
+    def third_fails_after_writing(path, state, c=None):
+        calls.append(path)
         real(path, state, c=c)
-        with lock:
-            in_flight[0] -= 1
+        if len(calls) == 3:
+            raise error(code, os.strerror(code))
 
-    start = threading.active_count()
-    monkeypatch.setattr(scenarios, "write_snapshot", watched)
-    manifest, records = run_scenario(small_scenario(), tmp_path / "out")
-    assert seen == [(False, 1)] * 5
-    assert threading.active_count() == start
-    assert len(records) == len(read_series(tmp_path / "out" / "series.csv")["t"]) == 5
-    assert manifest["snapshot_write_s"] >= 5 * 0.005
+    monkeypatch.setattr(scenarios, "write_snapshot", third_fails_after_writing)
+    out = tmp_path / "out"
+    with pytest.raises(error) as caught:
+        run_scenario(small_scenario(), out)
+    assert type(caught.value) is error
+    assert caught.value.errno == code
+    assert caught.value.filename == str(out / "snap_0002.dat")
+    assert "snap_0002.dat" in str(caught.value)
+    assert sorted(path.name for path in out.glob("snap_*.dat")) == ["snap_0000.dat",
+                                                                   "snap_0001.dat"]
+    assert list(read_series(out / "series.csv")["t"]) == [0.0, 0.5]
+    assert not (out / "manifest.txt").exists()
 
 
-def test_background_snapshot_files_match_inline_write_snapshot(printer, tmp_path):
+def test_run_scenario_writes_the_same_files_as_write_snapshot(printer, tmp_path):
     cfg = small_scenario()
     run_scenario(cfg, tmp_path / "out", emit_c=True)
 
-    def inline(index, state, prev):
+    def direct(index, state, prev):
         c = from_v(state.v, cfg.params.mu, c_ref=1.0, x_ref_index=0)
-        write_snapshot(tmp_path / f"inline_{index:04d}.dat", state, c=c)
+        write_snapshot(tmp_path / f"direct_{index:04d}.dat", state, c=c)
 
-    run(build_initial(cfg), cfg.params, cfg.scheme, inline)
+    run(build_initial(cfg), cfg.params, cfg.scheme, direct)
     files = sorted((tmp_path / "out").glob("snap_*.dat"))
     assert [path.name for path in files] == [f"snap_{i:04d}.dat" for i in range(5)]
     for i, path in enumerate(files):
-        assert path.read_bytes() == (tmp_path / f"inline_{i:04d}.dat").read_bytes()
+        assert path.read_bytes() == (tmp_path / f"direct_{i:04d}.dat").read_bytes()
 
 
 @pytest.mark.parametrize("fails, on_disk", [
-    ("snap_0004.dat", 4),  # the last write: its error is found when the run ends
-    ("snap_0002.dat", 2),  # found when snapshot 3 is handed over, so it is not written
+    ("snap_0004.dat", 4),  # the last write
+    ("snap_0002.dat", 2),  # the run stops there: snapshot 3 is never reached
 ])
-def test_a_failed_background_write_leaves_one_series_row_per_file(printer, tmp_path,
-                                                                  monkeypatch, fails, on_disk):
+def test_a_failed_write_leaves_one_series_row_per_file(either_printer, tmp_path, monkeypatch,
+                                                       fails, on_disk):
     real = scenarios.write_snapshot
+    real_record = diagnostics.assemble_record
+    assembled = []
 
     def flaky(path, state, c=None):
         if path.name == fails:
             raise OSError("disk full")
         real(path, state, c=c)
 
+    def counted(*args, **kwargs):
+        assembled.append(args[0].t)
+        return real_record(*args, **kwargs)
+
     start = threading.active_count()
     monkeypatch.setattr(scenarios, "write_snapshot", flaky)
+    monkeypatch.setattr(diagnostics, "assemble_record", counted)
     out = tmp_path / "out"
     with pytest.raises(OSError, match="disk full"):
         run_scenario(small_scenario(), out)
     assert len(list(out.glob("snap_*.dat"))) == on_disk
     assert len(read_series(out / "series.csv")["t"]) == on_disk
+    assert len(assembled) == on_disk + 1  # the failed snapshot's record, and no later one
     assert not (out / "manifest.txt").exists()
     assert threading.active_count() == start
 
 
-def test_the_run_error_wins_over_a_failed_background_write(printer, tmp_path, monkeypatch):
-    def fails(path, state, c=None):
-        raise OSError("disk full")
-
-    def breaks(state0, params, scheme, on_snapshot):
-        on_snapshot(0, state0, None)  # its write fails on the writer's thread
-        raise NumericalError("u left the positive cone")
-
-    start = threading.active_count()
-    monkeypatch.setattr(scenarios, "write_snapshot", fails)
-    monkeypatch.setattr(scenarios, "run", breaks)
-    with pytest.raises(NumericalError, match="positive cone"):
-        run_scenario(small_scenario(), tmp_path / "out")
-    assert len(read_series(tmp_path / "out" / "series.csv")["t"]) == 0
-    assert threading.active_count() == start
-
-
-def test_without_the_compiled_printer_snapshots_are_written_inline(tmp_path, monkeypatch):
-    monkeypatch.setattr(_native, "_load_stages", lambda: None)  # as when CC=false
-    real = scenarios.write_snapshot
-    threads = []
+def test_a_run_writes_its_snapshots_on_the_main_thread_and_starts_no_thread(
+        either_printer, tmp_path, monkeypatch):
+    real_write = scenarios.write_snapshot
+    real_start = threading.Thread.start
+    writers, started = [], []
 
     def watched(path, state, c=None):
-        threads.append(threading.current_thread())
-        real(path, state, c=c)
-
-    start = threading.active_count()
-    monkeypatch.setattr(scenarios, "write_snapshot", watched)
-    manifest, _ = run_scenario(small_scenario(), tmp_path / "out")
-    assert threads == [threading.main_thread()] * 5
-    assert threading.active_count() == start
-    # the caller waits out every inline write
-    assert manifest["snapshot_wait_s"] == manifest["snapshot_write_s"] > 0
-
-
-@pytest.mark.parametrize("compiled", [True, False])
-def test_a_run_starts_one_writer_thread_or_none(request, tmp_path, monkeypatch, compiled):
-    if compiled:
-        request.getfixturevalue("printer")
-    else:
-        monkeypatch.setattr(_native, "_load_stages", lambda: None)  # as when CC=false
-    real_start = threading.Thread.start
-    started = []
+        writers.append(threading.current_thread())
+        real_write(path, state, c=c)
 
     def counting_start(thread):
         started.append(thread.name)
         real_start(thread)
 
     start = threading.active_count()
+    monkeypatch.setattr(scenarios, "write_snapshot", watched)
     monkeypatch.setattr(threading.Thread, "start", counting_start)
-    _, records = run_scenario(small_scenario(), tmp_path / "out")
+    manifest, records = run_scenario(small_scenario(), tmp_path / "out")
     assert len(records) == 5
-    assert started == (["chemoshock-snapshot-writer"] if compiled else [])
+    assert writers == [threading.main_thread()] * 5
+    assert started == []
     assert threading.active_count() == start
-
-
-@pytest.mark.parametrize("fails", [None, 200], ids=["every_write_succeeds", "write_200_fails"])
-def test_the_writer_thread_takes_every_file_in_order_under_a_short_switch_interval(
-        monkeypatch, fails):
-    written = []
-
-    def write(path, state, c=None):
-        if path == fails:
-            raise OSError("disk full")
-        written.append(path)
-
-    monkeypatch.setattr(scenarios, "write_snapshot", write)
-    records = []
-    writer = scenarios._SnapshotWriter(records)
-    writer.background = True  # a thread whatever the printer, as with the compiled one
-    start = threading.active_count()
-    errors = []
-
-    def submit_all():
-        try:
-            for i in range(400):
-                writer.submit(i, None, None, f"record {i}")
-                # every earlier file is on disk, and only then is its record kept
-                assert written[:i] == list(range(i))
-                assert records == [f"record {j}" for j in range(i)]
-        except Exception as exc:  # reported on the test's thread
-            errors.append((i, exc))
-        finally:
-            writer.close(reraise=False)
-
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        caller = threading.Thread(target=submit_all)
-        caller.start()
-        caller.join(timeout=60)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not caller.is_alive()
-    if fails is None:
-        assert errors == []
-    else:  # found when the next file is handed over, which is then not written
-        assert [(i, repr(exc)) for i, exc in errors] == [(fails + 1, "OSError('disk full')")]
-    kept = 400 if fails is None else fails
-    assert written == list(range(kept))
-    assert records == [f"record {i}" for i in range(kept)]
-    assert writer._thread is None
-    assert threading.active_count() == start
-
-
-@pytest.mark.parametrize("last_write_fails", [False, True])
-def test_close_joins_the_writer_thread(monkeypatch, last_write_fails):
-    def write(path, state, c=None):
-        if last_write_fails:
-            raise OSError("disk full")
-
-    real_join = threading.Thread.join
-    joined = []
-
-    def counting_join(thread, timeout=None):
-        joined.append(thread.name)
-        real_join(thread, timeout)
-
-    monkeypatch.setattr(scenarios, "write_snapshot", write)
-    monkeypatch.setattr(threading.Thread, "join", counting_join)
-    writer = scenarios._SnapshotWriter([])
-    writer.background = True
-    start = threading.active_count()
-    writer.submit(0, None, None, "record 0")
-    if last_write_fails:
-        with pytest.raises(OSError, match="disk full"):
-            writer.close()
-    else:
-        writer.close()
-    assert joined == ["chemoshock-snapshot-writer"]
-    assert writer.records == ([] if last_write_fails else ["record 0"])
-    assert threading.active_count() == start
+    assert manifest["snapshot_write_s"] > 0
 
 
 def test_manifest_times_the_snapshot_writer(tmp_path):
     manifest, _ = run_scenario(small_scenario(), tmp_path / "out")
-    timed = ["snapshot_write_s", "snapshot_wait_s", "wall_time_s"]
-    assert list(manifest)[-3:] == timed
+    timed = ["snapshot_write_s", "wall_time_s"]
+    assert list(manifest)[-2:] == timed
     on_disk = read_manifest(tmp_path / "out" / "manifest.txt")
     for key in timed:
         assert on_disk[key] == "%.6f" % manifest[key]
-    assert manifest["snapshot_write_s"] > 0 and manifest["snapshot_wait_s"] >= 0
+    assert manifest["snapshot_write_s"] > 0
 
 
 def test_build_initial_rejects_data_whose_speed_bound_overflows():
@@ -653,8 +562,6 @@ def test_boundary_warning_when_the_front_nears_an_edge(tmp_path):
 
 
 def test_front_is_located_once_per_snapshot(tmp_path, monkeypatch):
-    from chemoshock import diagnostics
-
     calls = []
     real = diagnostics.front_position
 
@@ -818,7 +725,7 @@ def test_sweep_bare_and_dotted_key_give_the_same_variants(tmp_path, scenario_dir
             texts = [
                 [line for line in (d / name).read_text().splitlines()
                  if not line.startswith(("scenario_name =", "snapshot_write_s =",
-                                         "snapshot_wait_s =", "wall_time_s ="))]
+                                         "wall_time_s ="))]
                 for d in (bare, dotted)
             ]
             assert texts[0] == texts[1], name

@@ -38,10 +38,11 @@ Each command's exit code is written to `exit_codes.txt` in OUT_DIR, one
 and the checkout written as OUT, CFG and `.`; a failed command does not stop
 the later ones, but the script then exits 2.
 
-Each manifest's `snapshot_write_s`, `snapshot_wait_s`, `wall_time_s` and
-`step_kernel` lines are deleted (they are facts about the machine, not the
-numerics), then one `sha256  relative/path`
-line is printed per output file, sorted by path.  A refactor that must keep
+Each manifest's `snapshot_write_s`, `wall_time_s` and `step_kernel` lines
+are deleted (they are facts about the machine, not the numerics), and so is
+the `snapshot_wait_s` line that manifests written before the snapshot writer
+thread was removed still carry, so an older tree digests the same.  Then one
+`sha256  relative/path` line is printed per output file, sorted by path.  A refactor that must keep
 every output byte passes when this output is the same before and after it:
 
     PYTHONPATH=<old>/src python tools/output_digest.py old_out > old.txt
@@ -98,7 +99,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
-# manifest lines that depend on the machine: the run's times and which step ran
+# manifest lines that depend on the machine: the run's times and which step ran.
+# `snapshot_wait_s` is written only by older trees, which must digest the same.
 _MACHINE_KEYS = (b"snapshot_write_s =", b"snapshot_wait_s =", b"wall_time_s =",
                  b"step_kernel =")
 # manifest lines that count what a run did: any change is flagged

@@ -474,8 +474,30 @@ def test_a_failed_write_leaves_one_series_row_per_file(either_printer, tmp_path,
     assert threading.active_count() == start
 
 
-def test_a_run_writes_its_snapshots_on_the_main_thread_and_starts_no_thread(
-        either_printer, tmp_path, monkeypatch):
+def test_without_the_compiled_printer_snapshots_are_written_inline(tmp_path, monkeypatch):
+    monkeypatch.setattr(_native, "_load_stages", lambda: None)  # as when CC=false
+    real = scenarios.write_snapshot
+    threads = []
+
+    def watched(path, state, c=None):
+        threads.append(threading.current_thread())
+        real(path, state, c=c)
+
+    start = threading.active_count()
+    monkeypatch.setattr(scenarios, "write_snapshot", watched)
+    manifest, _ = run_scenario(small_scenario(), tmp_path / "out")
+    assert threads == [threading.main_thread()] * 5
+    assert threading.active_count() == start
+    assert manifest["snapshot_write_s"] > 0
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_a_run_starts_one_writer_thread_or_none(request, tmp_path, monkeypatch, compiled):
+    """No printer starts a thread: every snapshot is written on the main thread."""
+    if compiled:
+        request.getfixturevalue("printer")
+    else:
+        monkeypatch.setattr(_native, "_load_stages", lambda: None)  # as when CC=false
     real_write = scenarios.write_snapshot
     real_start = threading.Thread.start
     writers, started = [], []
@@ -491,12 +513,11 @@ def test_a_run_writes_its_snapshots_on_the_main_thread_and_starts_no_thread(
     start = threading.active_count()
     monkeypatch.setattr(scenarios, "write_snapshot", watched)
     monkeypatch.setattr(threading.Thread, "start", counting_start)
-    manifest, records = run_scenario(small_scenario(), tmp_path / "out")
+    _, records = run_scenario(small_scenario(), tmp_path / "out")
     assert len(records) == 5
     assert writers == [threading.main_thread()] * 5
     assert started == []
     assert threading.active_count() == start
-    assert manifest["snapshot_write_s"] > 0
 
 
 def test_manifest_times_the_snapshot_writer(tmp_path):

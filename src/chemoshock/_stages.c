@@ -9,17 +9,18 @@
  * The step is one call of two sweeps of a δ-form solve, u_new = u + δ, on
  * blocks of rows around the right-hand side's nonzero entries: the forward
  * sweep computes the right-hand side as it goes, finds the blocks and runs
- * their forward sweeps, and stores the factor's rows past its head; the
- * back sweep finishes δ, adds u, updates v one node behind the solve, runs
- * the finite checks and takes the next step's speed bound, which solver
- * carries to the next step.  Each stage inside it does the IEEE operations
- * of its numpy stage, in the same order, so the results are the same bytes;
- * only the speed bound meets its terms in another order, which gives the
- * same max (see imex_step).  For a > A_MAX the pivots take their closed form
- * on libm's expm1 and log1p, which Python's math module calls too.  That
- * needs a build that fuses no multiply-add and reassociates nothing:
- * -ffp-contract=off, and no -ffast-math.  -fno-math-errno only lets sqrt
- * compile to one instruction.
+ * their forward sweeps; the back sweep finishes δ, adds u, updates v one
+ * node behind the solve, runs the finite checks and takes the next step's
+ * speed bound, which solver carries to the next step (nan for a step that
+ * fails the checks).  The factor is stored up to its head only, the row from
+ * which it repeats, and the sweeps read that row for every later one.  Each
+ * stage inside it does the IEEE operations of its numpy stage, in the same
+ * order, so the results are the same bytes; only the speed bound meets its
+ * terms in another order, which gives the same max (see imex_step).  For
+ * a > A_MAX the pivots take their closed form on libm's expm1 and log1p,
+ * which Python's math module calls too.  That needs a build that fuses no
+ * multiply-add and reassociates nothing: -ffp-contract=off, and no
+ * -ffast-math.  -fno-math-errno only lets sqrt compile to one instruction.
  *
  * Where |δ| < DEAD_BAND*|u| the back sweep keeps u, as the numpy stages do,
  * so that roundoff does not travel along a plateau (see solver).  So a far
@@ -57,20 +58,6 @@ static inline double speed_term(double u, double v, double chi, double c4)
 /* The larger of m and r: a tie, or a nan r, keeps m. */
 static inline double max_term(double m, double r) { return r > m ? r : m; }
 
-/* solver._speed_bound in node order: imex_step's bound of a state that is not
- * finite.  It returns the first nan term it meets, sign and payload. */
-static double speed_bound_ref(const double *u, const double *v, long n, double chi)
-{
-    const double c4 = 4.0 * chi;
-    double m = 0.0; /* every term is >= 0 or nan */
-    for (long i = 0; i < n; i++) {
-        const double r = speed_term(u[i], v[i], chi, c4);
-        if (r > m || r != r) /* once m is nan it stays nan */
-            m = r;
-    }
-    return 0.5 * m;
-}
-
 /* The explicit right-hand side of the δ-form at node j, with w_lo = u[j-1]*v[j-1],
  * w_hi = u[j+1]*v[j+1] and lap_w = diff_w + a: solver._explicit_rhs. */
 static inline double node_rhs(const double *u, double w_lo, double w_hi, long j, double flux_w,
@@ -79,13 +66,15 @@ static inline double node_rhs(const double *u, double w_lo, double w_hi, long j,
     return (w_hi - w_lo) * flux_w + ((u[j + 1] + u[j - 1]) - 2.0 * u[j]) * lap_w;
 }
 
-/* The closed form of the m pivots d of tridiag(-a, 1+2a, -a) and the m - 1
+/* The closed form of the pivots d of tridiag(-a, 1+2a, -a) of size m and the
  * entries e_i = -a/d_i of its unit factor, for a > A_MAX: solver._ldl_pivots
  * there, on the same libm functions as Python's math module.  With
  * d_plus = (1+2a+sqrt(1+4a))/2 and log q = -2*log1p((1+sqrt(1+4a))/(2a)),
  * pivot i is (t_(i+1)/t_i)*d_plus, t_i = expm1(log q*(i+1)), for i below the
- * head length k, and d_plus from k on. */
-static void ldl_closed(double a, long m, double *restrict d, double *restrict e)
+ * head length k, and d_plus from k on.  It stores rows 0 .. min(k, m - 1)
+ * only and returns min(k, m - 1), as _ldl_pivots does: every later pivot is
+ * d_plus, and every later e is -a/d_plus. */
+static long ldl_closed(double a, long m, double *restrict d, double *restrict e)
 {
     const double s = sqrt(1.0 + 4.0 * a);
     const double d_plus = 0.5 * (1.0 + 2.0 * a + s);
@@ -94,8 +83,9 @@ static void ldl_closed(double a, long m, double *restrict d, double *restrict e)
     long k = head < (double)m ? (long)head + 2 : m;
     if (k > m)
         k = m;
+    const long last = k < m ? k : m - 1;
     double t = expm1(log_q);
-    for (long i = 0; i < m; i++) {
+    for (long i = 0; i <= last; i++) {
         if (i < k) {
             const double t_next = expm1(log_q * (double)(i + 2));
             d[i] = (t_next / t) * d_plus;
@@ -106,13 +96,14 @@ static void ldl_closed(double a, long m, double *restrict d, double *restrict e)
         if (i < m - 1)
             e[i] = -a / d[i];
     }
+    return last;
 }
 
 /* The head of the factor for a <= A_MAX (solver._ldl_pivots): the pivots
  * d_0 = 1 + 2a, d_(i+1) = (1 + 2a) + a*e_i with e_i = -a/d_i (the bits of
- * (1 + 2a) - a*(a/d_i)) until a pivot repeats, at row k, which it returns;
- * every later pivot is d[k] and every later e is e[k], which it stores in
- * e[m - 2] too.  It stores the rows up to k; imex_step stores the others. */
+ * (1 + 2a) - a*(a/d_i)) until a pivot repeats, at row k, which it returns.
+ * It stores rows 0 .. k only: every later pivot is d[k] and every later e is
+ * e[k]. */
 static long ldl_head(double a, long m, double *restrict d, double *restrict e)
 {
     const double b = 1.0 + 2.0 * a;
@@ -121,14 +112,19 @@ static long ldl_head(double a, long m, double *restrict d, double *restrict e)
         d[i] = p;
         e[i] = -a / p;
         const double next = b + a * e[i];
-        if (next == p) {
-            e[m - 2] = e[i];
+        if (next == p)
             return i;
-        }
         p = next;
     }
     d[m - 1] = p;
     return m - 1;
+}
+
+/* Row i of a factor array stored up to row last, whose later rows all hold
+ * row last's value. */
+static inline double factor_row(const double *x, long i, long last)
+{
+    return x[i < last ? i : last];
 }
 
 /* solver._block_margin: the rows g that a block of the solve adds on each side
@@ -197,14 +193,6 @@ static void fill(double *x, long from, long to, double value)
         memcpy(x + done, x, (size_t)(count - done < done ? count - done : done) * sizeof *x);
 }
 
-/* Rows from up to to - 1 of the factor past its head, whose pivot is d_k and
- * whose e is e_k (e has m - 1 rows). */
-static void fill_factor(double *d, double *e, long from, long to, long m, double d_k, double e_k)
-{
-    fill(d, from, to, d_k);
-    fill(e, from, to < m - 1 ? to : m - 1, e_k);
-}
-
 /* What imex_step's back sweep carries from node to node: u_new at the two
  * nodes above the next one, min(u_new), the sums that turn nan when an entry
  * of u_new or v_new is inf or nan, and the largest bound term. */
@@ -261,9 +249,10 @@ static inline void finish_node(struct back_sweep *bs, long j, double y, const do
  * carried from one call to the next, and a state without such plateaus
  * (lo = 0, hi = m) is swept whole.
  *
- * The step fills d and e, on every row, with the factor of a: all of it with
- * ldl_closed for a > A_MAX, else its head with ldl_head, the rows of [lo, hi)
- * past it in the forward sweep, and the others before it.
+ * The step stores the factor of a in d and e up to its head only: rows
+ * 0 .. k, from ldl_closed for a > A_MAX, else from ldl_head, where k is the
+ * row from which every pivot is d[k] and every e is e[k].  The sweeps read
+ * row min(i, k) for row i, and min(i, k, m - 2) of e, which has m - 1 rows.
  *
  * The forward sweep computes each interior node's right-hand side
  *     r_i = (u_(i+1)*v_(i+1) - u_(i-1)*v_(i-1))*flux_w
@@ -283,12 +272,12 @@ static inline void finish_node(struct back_sweep *bs, long j, double y, const do
  *
  * checks[0] is min(u_new), nan when any entry is not finite
  * (solver._finite_min); checks[1] is 1 when every v_new is finite, else 0;
- * checks[2] is solver._speed_bound(u_new, v_new), the next step's bound.
- * The back sweep takes all three: each node's bound term where its u_new and
- * v_new become final, into a running max that a tie never replaces.  On a
- * finite state every term is >= +0 for chi > 0, or inf on overflow, so that
- * max is the same bits as numpy's, whatever the order.  A nan is not, so when
- * the finite checks find an inf or nan entry, speed_bound_ref decides.
+ * checks[2] is solver._speed_bound(u_new, v_new), the next step's bound, or
+ * nan when either finite check fails: solver._advance then raises before it
+ * reads the bound.  The back sweep takes all three: each node's bound term
+ * where its u_new and v_new become final, into a running max that a tie
+ * never replaces.  On a finite state every term is >= +0 for chi > 0, or inf
+ * on overflow, so that max is the same bits as numpy's, whatever the order.
  *
  * u_new, v_new and runs must not overlap u, v, d, e or each other. */
 void imex_step(const double *restrict u, const double *restrict v, long n, double flux_w,
@@ -297,13 +286,10 @@ void imex_step(const double *restrict u, const double *restrict v, long n, doubl
                double *restrict checks, double *restrict runs)
 {
     const long m = n - 2; /* interior row i is node i + 1 */
-    long k = m; /* the factor's rows past k are still to store */
-    if (a > A_MAX)
-        ldl_closed(a, m, d, e);
-    else
-        k = ldl_head(a, m, d, e);
-    const double d_k = d[k < m ? k : 0], e_k = e[m - 2];
-    const long g = block_margin(-e[m - 2], m);
+    /* the factor's last stored rows: of d, and of e */
+    const long k = a > A_MAX ? ldl_closed(a, m, d, e) : ldl_head(a, m, d, e);
+    const long ke = k < m - 2 ? k : m - 2;
+    const long g = block_margin(-e[ke], m);
 
     /* the rows that can change, [lo, hi); the right plateau ends at the left
      * one, so that lo < hi also on a constant state */
@@ -317,8 +303,6 @@ void imex_step(const double *restrict u, const double *restrict v, long n, doubl
         const long p_right = plateau_length(u, v, n - 1, -1, n - p_left);
         hi = n - p_right + g + 1 < m ? n - p_right + g + 1 : m;
     }
-    fill_factor(d, e, k + 1, lo, m, d_k, e_k);
-    fill_factor(d, e, hi > k + 1 ? hi : k + 1, m, m, d_k, e_k);
 
     /* forward sweep: r into u_new, and δ in place of it on the rows of the
      * blocks; the block being found starts at row start, last is its last
@@ -331,18 +315,13 @@ void imex_step(const double *restrict u, const double *restrict v, long n, doubl
         const double r = node_rhs(u, w_lo, w_hi, i + 1, flux_w, lap_w);
         w_lo = w_mid;
         w_mid = w_hi;
-        if (i > k) {
-            d[i] = d_k;
-            if (i < m - 1)
-                e[i] = e_k;
-        }
         if (r != 0.0) { /* a nan too */
             if (start >= 0 && i - last <= 2 * g + 1) { /* the rows since the margin, then i */
                 for (long j = last + g + 1; j < i; j++) {
-                    x = u_new[j + 1] - x * e[j - start - 1];
+                    x = u_new[j + 1] - x * factor_row(e, j - start - 1, ke);
                     u_new[j + 1] = x;
                 }
-                x = r - x * e[i - start - 1];
+                x = r - x * factor_row(e, i - start - 1, ke);
             } else { /* a new block: its rows before i hold r */
                 if (start >= 0) {
                     runs[2 * blocks] = (double)start;
@@ -354,15 +333,15 @@ void imex_step(const double *restrict u, const double *restrict v, long n, doubl
                 if (start < i) {
                     x = u_new[start + 1];
                     for (long j = start + 1; j < i; j++) {
-                        x = u_new[j + 1] - x * e[j - start - 1];
+                        x = u_new[j + 1] - x * factor_row(e, j - start - 1, ke);
                         u_new[j + 1] = x;
                     }
-                    x = r - x * e[i - start - 1];
+                    x = r - x * factor_row(e, i - start - 1, ke);
                 }
             }
             last = i;
         } else if (start >= 0 && i <= last + g) { /* the block's margin */
-            x = r - x * e[i - start - 1];
+            x = r - x * factor_row(e, i - start - 1, ke);
         } else { /* outside the blocks: δ = r */
             u_new[i + 1] = r;
             continue;
@@ -389,10 +368,10 @@ void imex_step(const double *restrict u, const double *restrict v, long n, doubl
             finish_node(&bs, j, u_new[j], u, v, u_new, v_new, m, dv_w, chi);
         if (b < 0)
             break;
-        double y = u_new[j] / d[t - s];
+        double y = u_new[j] / factor_row(d, t - s, k);
         finish_node(&bs, j, y, u, v, u_new, v_new, m, dv_w, chi);
         for (j--; j > s; j--) {
-            y = u_new[j] / d[j - 1 - s] - y * e[j - 1 - s];
+            y = u_new[j] / factor_row(d, j - 1 - s, k) - y * factor_row(e, j - 1 - s, ke);
             finish_node(&bs, j, y, u, v, u_new, v_new, m, dv_w, chi);
         }
     }
@@ -410,7 +389,7 @@ void imex_step(const double *restrict u, const double *restrict v, long n, doubl
 
     checks[0] = bs.u_sum != 0.0 ? NAN : bs.u_min;
     checks[1] = v_sum == 0.0;
-    checks[2] = bs.u_sum + v_sum != 0.0 ? speed_bound_ref(u_new, v_new, n, chi) : 0.5 * top;
+    checks[2] = bs.u_sum + v_sum != 0.0 ? NAN : 0.5 * top;
 }
 
 /* The snapshot printer: each value exactly as Python's '%.17g' % value

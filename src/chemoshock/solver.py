@@ -74,12 +74,13 @@ the back sweep finishes δ, adds u, updates v one node behind the solve,
 finds min(u_new) and whether u_new and v_new are finite, and takes the next
 bound from each node's term where that node becomes final.  So a compiled
 run makes one library call per step, and no Python arithmetic fills a
-factor: the step runs the pivots' recurrence until a pivot repeats, then
-stores each later row in the forward sweep (or, for a > `_A_MAX`, fills the
-closed form on the C library's expm1 before it).  The max of the bound's finite
-terms does not depend on their order, so the back sweep meets them back to
-front; an inf or nan entry of the new state hands the bound to a loop in
-node order, as numpy meets them.
+factor: the step runs the pivots' recurrence until a pivot repeats (or, for
+a > `_A_MAX`, the closed form on the C library's expm1), stores the factor
+up to that row only, and the sweeps read that row for every later one.  The
+max of the bound's finite terms does not depend on their order, so the back
+sweep meets them back to front.  A step whose u_new or v_new is not finite
+returns nan for the bound, on both kernels: `_advance` raises on it before
+it reads the bound.
 
 The compiled step sweeps only the rows that can change.  A far-field
 plateau, the run of p nodes at an end whose u and v carry the end node's
@@ -91,10 +92,10 @@ is at the plateau's innermost node or beyond it, so no block reaches more
 than g = `_block_margin` rows into it, and v_new takes u_new at both
 neighbours: of a left plateau, nodes 0 .. p-3-g keep their bits, and of a
 right one nodes n-p+g+2 .. n-1.  The step sweeps the rows between, gives
-the others the end node's values and bound term, fills d and e on every
-row, and carries nothing from one call to the next.  Over the steps of
-`perfbench`'s seed-1 runs it skips a mean 54% of the rows on `shock_run`,
-68% on `snapshot_dense` and 8-19% on `grid_sweep` (n = 1001 to 12001).
+the others the end node's values and bound term, and carries nothing from
+one call to the next.  Over the steps of `perfbench`'s seed-1 runs it skips
+a mean 54% of the rows on `shock_run`, 68% on `snapshot_dense` and 8-19% on
+`grid_sweep` (n = 1001 to 12001).
 
 The numpy kernel stays as the reference the tests compare with, and as the
 path taken when no compiler or cache is usable.  The first
@@ -171,12 +172,17 @@ class SchemeConfig:
         if not 0 <= self.t_end < math.inf:
             raise ConfigError(f"t_end must be finite and >= 0 (got {self.t_end})")
         # run() takes two times this close as one, so a shorter interval never steps
-        snap = _TIME_SNAP * max(1.0, self.t_end)
+        snap = self.time_tolerance
         if not snap < self.snapshot_interval < math.inf:
             raise ConfigError(
                 f"snapshot_interval must be finite and > {snap:g}, the time tolerance "
                 f"at t_end = {self.t_end:g} (got {self.snapshot_interval})"
             )
+
+    @property
+    def time_tolerance(self) -> float:
+        """How close two times are that `run()` takes as one."""
+        return _TIME_SNAP * max(1.0, self.t_end)
 
 
 def _speed_bound(u: np.ndarray, v: np.ndarray, chi: float) -> float:
@@ -276,7 +282,8 @@ class _Workspace:
     the compiled step needs no LAPACK).
 
     `d` and `e` hold the factor (pivots and subdiagonal) of the current step's
-    a, which each step fills anew.  The compiled step writes u and v into two
+    a: all of it on the numpy path, only its head on the compiled path, up to
+    the row from which it repeats.  The compiled step writes u and v into two
     alternating pairs of buffers owned here, so a step's output outlives the
     next step.  The data address of each owned buffer is looked up once; the
     address table is keyed by id, so no owned buffer is ever dropped.
@@ -416,8 +423,9 @@ def _numpy_step(
     and u's ends, and `_update_v` (ends v[0] and v[-1]) with these weights.
 
     Returns (u_new, v_new, `_finite_min(u_new)`, whether every v_new is
-    finite, `_speed_bound(u_new, v_new, chi)`); a nonzero LAPACK info raises
-    a NumericalError that `_advance` completes with the step's place."""
+    finite, `_speed_bound(u_new, v_new, chi)`), with nan for the bound when
+    u_new or v_new is not finite; a nonzero LAPACK info raises a
+    NumericalError that `_advance` completes with the step's place."""
     u_new = _explicit_rhs(u, v, flux_w, diff_w + a, ws.w)
     delta = u_new[1:-1]
     info = _implicit_solve(delta, a, ws)
@@ -435,6 +443,8 @@ def _numpy_step(
     else:
         v_new = _update_v(u_new, v, dv_w, v[0], v[-1])
     v_finite = not math.isnan(_finite_min(v_new))
+    if math.isnan(u_min) or not v_finite:  # `_advance` raises before it reads a bound
+        return u_new, v_new, u_min, v_finite, math.nan
     return u_new, v_new, u_min, v_finite, _speed_bound(u_new, v_new, chi)
 
 
@@ -446,9 +456,10 @@ def _compiled_step(
     bytes.
 
     u_new and v_new are the buffers of ws that are not u and v, so the step
-    after next overwrites them.  The compiled step fills ws's d and e with
-    the factor of a, and sweeps only the rows between the far-field plateaus
-    that keep their bits (see the module docstring)."""
+    after next overwrites them.  The compiled step stores the factor of a in
+    ws's d and e up to the row from which it repeats, and sweeps only the
+    rows between the far-field plateaus that keep their bits (see the module
+    docstring)."""
     u_new = ws.u_out[1] if u is ws.u_out[0] else ws.u_out[0]
     v_new = ws.v_out[1] if v is ws.v_out[0] else ws.v_out[0]
     ws.lib.imex_step(ws.ptr(u), ws.ptr(v), ws.n, flux_w, diff_w, a, ws.ptr(ws.d), ws.ptr(ws.e),
@@ -550,7 +561,7 @@ class RunReport:
 def _snapshot_times(cfg: SchemeConfig) -> Iterator[float]:
     """The snapshot times after t = 0, one at a time."""
     k = 1
-    while k * cfg.snapshot_interval < cfg.t_end - _TIME_SNAP * max(1.0, cfg.t_end):
+    while k * cfg.snapshot_interval < cfg.t_end - cfg.time_tolerance:
         yield k * cfg.snapshot_interval
         k += 1
     if cfg.t_end > 0:
@@ -578,7 +589,7 @@ def run(
 
     state = initial
     min_u = float(u.min())
-    eps = _TIME_SNAP * max(1.0, cfg.t_end)
+    eps = cfg.time_tolerance
     ws = _Workspace(grid.n_nodes)
     with np.errstate(over="ignore"):  # an overflowed bound fails in `_advance`
         bound = _speed_bound(u, v, params.chi)

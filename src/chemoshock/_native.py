@@ -7,6 +7,10 @@ ${XDG_CACHE_HOME:-~/.cache}/chemoshock; later processes load the cached
 library through ctypes.  When no compiler or cache is usable it returns None,
 and the numpy stages and the Python snapshot writer run instead.
 
+It owns the numbers `_stages.c` shares with Python, `_A_MAX` to `_VALUE_BYTES`
+below: `solver` and `core` import them, and `_build_stages` passes each to the
+compiler as a -D macro named without the underscore, so the C defines none.
+
 Importing this module builds and loads nothing: the solver loads the library
 when it builds a workspace, and `write_snapshot` when it writes.
 """
@@ -19,6 +23,25 @@ import importlib.util
 import os
 
 import numpy as np
+
+# the largest a whose pivots run their recurrence (`solver._ldl_pivots`)
+_A_MAX = 100.0
+# log(eps/4): the closed-form pivots past the head where q**i < eps/4 equal
+# d_plus to the last bit
+_LOG_QUARTER_EPS = -37.42994775023705
+# a block of the solve reaches as far past its nonzero right-hand side as δ
+# takes to decay by 2**-_BLOCK_BITS (`solver._block_margin`)
+_BLOCK_BITS = 64
+# an increment δ_i smaller than _DEAD_BAND*|u_i|, eight units of roundoff of
+# u_i, is dropped, and u_i kept (`solver._numpy_step`)
+_DEAD_BAND = 2.0**-49
+# The decimal exponents s = 16 - k of the powers 10**s that the printer scales
+# by, for k = floor(log10|x|) from -324 (the least subnormal) to 308 (DBL_MAX).
+_POW10_MIN, _POW10_MAX = 16 - 308, 16 + 324
+# Buffer bytes per value for the compiled printer: at most 24 for the text
+# ('-1.2345678901234567e-308'), one for the space or newline after it, and
+# one for the NUL of the C library's snprintf.
+_VALUE_BYTES = 26
 
 _STAGES_SOURCE = os.path.join(os.path.dirname(__file__), "_stages.c")
 # IEEE operations in source order (no fused multiply-add, no -ffast-math) keep
@@ -65,7 +88,13 @@ def _build_stages(cache: str) -> str:
     st = os.stat(exe)
     with open(_STAGES_SOURCE, "rb") as fh:
         source = fh.read()
-    build = (cc, _STAGES_CFLAGS, exe, st.st_size, st.st_mtime_ns, os.uname().machine)
+    shared = {"A_MAX": _A_MAX, "LOG_QUARTER_EPS": _LOG_QUARTER_EPS, "BLOCK_BITS": _BLOCK_BITS,
+              "DEAD_BAND": _DEAD_BAND, "POW10_MIN": _POW10_MIN, "POW10_MAX": _POW10_MAX,
+              "VALUE_BYTES": _VALUE_BYTES}
+    # a float as its exact hexadecimal literal, an int in decimal
+    flags = (*_STAGES_CFLAGS, *(f"-D{name}=({x.hex() if isinstance(x, float) else x})"
+                                for name, x in shared.items()))
+    build = (cc, flags, exe, st.st_size, st.st_mtime_ns, os.uname().machine)
     # the deterministic 64-bit hash that hash-based .pyc files use
     key = importlib.util.source_hash(source + repr(build).encode()).hex()
     lib = os.path.join(cache, f"stages-{key}.so")
@@ -80,7 +109,7 @@ def _build_stages(cache: str) -> str:
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
     os.close(fd)
     try:
-        subprocess.run([*cc, *_STAGES_CFLAGS, "-o", tmp, _STAGES_SOURCE],
+        subprocess.run([*cc, *flags, "-o", tmp, _STAGES_SOURCE],
                        capture_output=True, check=True, timeout=300)
         os.replace(tmp, lib)
     except subprocess.SubprocessError as exc:
@@ -132,12 +161,6 @@ def _address(x: np.ndarray, size: int) -> int:
     if iface["typestr"] != "<f8" or iface["strides"] is not None or iface["shape"] != (size,):
         raise ValueError(f"a compiled loop takes {size} contiguous float64 values")
     return iface["data"][0]
-
-
-# The decimal exponents s = 16 - k of the powers 10**s that the printer scales
-# by, for k = floor(log10|x|) from -324 (the least subnormal) to 308
-# (DBL_MAX): POW10_MIN and POW10_MAX in `_stages.c`.
-_POW10_MIN, _POW10_MAX = 16 - 308, 16 + 324
 
 
 @functools.cache

@@ -30,22 +30,16 @@
  *
  * Arrays are contiguous doubles; n is the node count (n >= 4) and m = n - 2
  * the interior count.
+ *
+ * The numbers this file shares with Python are defined once, in _native.py,
+ * whose build passes each as a -D macro: A_MAX, LOG_QUARTER_EPS, BLOCK_BITS,
+ * DEAD_BAND, POW10_MIN, POW10_MAX and VALUE_BYTES.  This file defines none.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <string.h>
-
-/* solver._A_MAX: above it the pivots take their closed form, below it their
- * recurrence */
-#define A_MAX 100.0
-/* solver._LOG_QUARTER_EPS, log(DBL_EPSILON/4), as the same literal */
-#define LOG_QUARTER_EPS (-37.42994775023705)
-/* solver._BLOCK_BITS: a block's margin lets δ decay by 2^-BLOCK_BITS */
-#define BLOCK_BITS 64
-/* solver._DEAD_BAND: an increment below DEAD_BAND*|u_j| is dropped */
-#define DEAD_BAND 0x1p-49
 
 /* One node's term of the speed bound: a + sqrt(4*chi*max(u, 0) + a*a), a = chi*|v|. */
 static inline double speed_term(double u, double v, double chi, double c4)
@@ -129,8 +123,8 @@ static inline double factor_row(const double *x, long i, long last)
 
 /* solver._block_margin: the rows g that a block of the solve adds on each side
  * of its nonzero right-hand side, at most m.  rho = a/d is the factor by
- * which δ decays per row; from the bound rho^8 < 2^ex, g = ceil(8*64/-ex)
- * rows take it below 2^-64. */
+ * which δ decays per row; from the bound rho^8 < 2^ex,
+ * g = ceil(8*BLOCK_BITS/-ex) rows take it below 2^-BLOCK_BITS. */
 static long block_margin(double rho, long m)
 {
     if (rho == 0.0)
@@ -231,10 +225,10 @@ static inline void finish_node(struct back_sweep *bs, long j, double y, const do
  * solver._implicit_solve does: a block runs from g = block_margin rows before
  * a nonzero entry of r to g rows after one, blocks that touch are one, and
  * outside them δ = r, which is +-0.  What a block drops, the coupling across
- * its ends, is about a*2^-64 of δ, and its sweeps end before δ decays into the
- * subnormal numbers, which cost ~100 cycles per multiply or divide.  A block
- * of k rows is tridiag(-a, 1+2a, -a) of size k, whose factor is the first k
- * rows of the full one.
+ * its ends, is about a*2^-BLOCK_BITS of δ, and its sweeps end before δ
+ * decays into the subnormal numbers, which cost ~100 cycles per multiply or
+ * divide.  A block of k rows is tridiag(-a, 1+2a, -a) of size k, whose factor
+ * is the first k rows of the full one.
  *
  * The step sweeps only the rows that can change.  A plateau is the run of p
  * nodes at an end whose u and v carry the end node's bits.  When its end
@@ -406,9 +400,6 @@ void imex_step(const double *restrict u, const double *restrict v, long n, doubl
  * instead.  An estimate of k that leaves D outside [10^16, 10^17) is moved by
  * one and tried again (Gay 1990; Adams, "Ryu revisited", 2019). */
 
-#define POW10_MIN (-292) /* 16 - 308: _native._POW10_MIN */
-#define POW10_MAX 340    /* 16 + 324: _native._POW10_MAX */
-
 struct pow10 {
     uint64_t hi, lo; /* P = hi*2^64 + lo, 2^127 <= P < 2^128 */
     int64_t q;
@@ -481,9 +472,9 @@ static char *layout_g17(char *p, uint64_t D, int k)
     return p;
 }
 
-/* Writes x as '%.17g' % x into out, which holds 26 bytes (the text takes at
- * most 24, and snprintf adds a NUL), and returns the length of the text,
- * negated when snprintf wrote it. */
+/* Writes x as '%.17g' % x into out, which holds VALUE_BYTES bytes (the text
+ * takes at most 24, and snprintf adds a NUL), and returns the length of the
+ * text, negated when snprintf wrote it. */
 static int g17(double x, const struct pow10 *pow10, char *out)
 {
     uint64_t bits;
@@ -540,7 +531,7 @@ static int g17(double x, const struct pow10 *pow10, char *out)
             return (int)(layout_g17(p, D, k) - out);
         }
     }
-    return -snprintf(out, 26, "%.17g", x);
+    return -snprintf(out, VALUE_BYTES, "%.17g", x);
 }
 
 /* g17, exported for the tests. */
@@ -549,8 +540,8 @@ int format_value(double x, const struct pow10 *pow10, char *out)
     return g17(x, pow10, out);
 }
 
-/* The rows 'x u v [c]' of a snapshot, each value as g17 writes it,
- * into out, which holds at least 26 bytes per value; c is NULL for three
+/* The rows 'x u v [c]' of a snapshot, each value as g17 writes it, into out,
+ * which holds at least VALUE_BYTES bytes per value; c is NULL for three
  * columns.  Returns the bytes written. */
 long format_rows(const double *x, const double *u, const double *v, const double *c, long n,
                  const struct pow10 *pow10, char *out)

@@ -217,10 +217,6 @@ class SimState:
 _FLOAT_FMT = "%.17g"
 # Rows formatted by one '%' operation; bounds the temporary tuple and string.
 _SNAPSHOT_BLOCK_ROWS = 1024
-# Buffer bytes per value for the compiled printer: at most 24 for the text
-# ('-1.2345678901234567e-308'), one for the space or newline after it, and
-# one for the NUL of the C library's snprintf.
-_SNAPSHOT_VALUE_BYTES = 26
 
 
 @functools.lru_cache(maxsize=8)
@@ -247,7 +243,7 @@ def write_snapshot(path, state: SimState, c: Field | None = None) -> None:
     if c is not None:
         cols.append(c.values)
     ptrs = [_native._address(col, n) for col in cols] + [None] * (4 - len(cols))
-    buf = np.empty(_SNAPSHOT_VALUE_BYTES * len(cols) * n, dtype=np.uint8)
+    buf = np.empty(_native._VALUE_BYTES * len(cols) * n, dtype=np.uint8)
     size = format_rows(*ptrs, n, table, buf.__array_interface__["data"][0])
     with open(path, "wb") as fh:
         fh.write(("# t=" + (_FLOAT_FMT % state.t) + "\n").encode())

@@ -68,19 +68,21 @@ for its `RunReport`.  The public `step()` wraps the same kernel for a single
 The compiled step.  When the workspace holds the compiled library, the
 kernel is `_compiled_step`, one call of `imex_step` in `_stages.c`, which
 does `_numpy_step`'s IEEE operations in the same order, so both kernels give
-the same bytes.  It is two sweeps, dpttrs's own.  The forward sweep computes
-each node's right-hand side, finds the blocks and runs their forward sweeps;
-the back sweep finishes δ, adds u, updates v one node behind the solve,
-finds min(u_new) and whether u_new and v_new are finite, and takes the next
-bound from each node's term where that node becomes final.  So a compiled
-run makes one library call per step, and no Python arithmetic fills a
-factor: the step runs the pivots' recurrence until a pivot repeats (or, for
-a > `_A_MAX`, the closed form on the C library's expm1), stores the factor
-up to that row only, and the sweeps read that row for every later one.  The
-max of the bound's finite terms does not depend on their order, so the back
-sweep meets them back to front.  A step whose u_new or v_new is not finite
-returns nan for the bound, on both kernels: `_advance` raises on it before
-it reads the bound.
+the same bytes.  The numbers both share, `_A_MAX`, `_LOG_QUARTER_EPS`,
+`_BLOCK_BITS` and `_DEAD_BAND`, are defined once, in `_native`, which
+compiles them into the library.  It is two sweeps, dpttrs's own.  The
+forward sweep computes each node's right-hand side, finds the blocks and
+runs their forward sweeps; the back sweep finishes δ, adds u, updates v one
+node behind the solve, finds min(u_new) and whether u_new and v_new are
+finite, and takes the next bound from each node's term where that node
+becomes final.  So a compiled run makes one library call per step, and no
+Python arithmetic fills a factor: the step runs the pivots' recurrence until
+a pivot repeats (or, for a > `_A_MAX`, the closed form on the C library's
+expm1), stores the factor up to that row only, and the sweeps read that row
+for every later one.  The max of the bound's finite terms does not depend on
+their order, so the back sweep meets them back to front.  A step whose u_new
+or v_new is not finite returns nan for the bound, on both kernels:
+`_advance` raises on it before it reads the bound.
 
 The compiled step sweeps only the rows that can change.  A far-field
 plateau, the run of p nodes at an end whose u and v carry the end node's
@@ -130,6 +132,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from ._native import _A_MAX, _BLOCK_BITS, _DEAD_BAND, _LOG_QUARTER_EPS
 from ._native import _address, _load_stages
 from .core import (
     ConfigError,
@@ -143,18 +146,6 @@ from .core import (
 
 _TINY_SPEED = 1e-14
 _TIME_SNAP = 1e-9
-# the largest a whose pivots run their recurrence (`_ldl_pivots`); `_stages.c`
-# repeats it as A_MAX
-_A_MAX = 100.0
-# log(eps/4), as the literal that `_stages.c` repeats: the closed-form pivots
-# past the head where q**i < eps/4 equal d_plus to the last bit
-_LOG_QUARTER_EPS = -37.42994775023705
-# a block of the solve reaches as far past its nonzero right-hand side as δ
-# takes to decay by 2**-_BLOCK_BITS (`_block_margin`); `_stages.c` repeats it
-_BLOCK_BITS = 64
-# an increment δ_i smaller than _DEAD_BAND*|u_i|, eight units of roundoff of
-# u_i, is dropped, and u_i kept (`_numpy_step`); `_stages.c` repeats it
-_DEAD_BAND = 2.0**-49
 
 
 @dataclass(frozen=True)
@@ -437,10 +428,7 @@ def _numpy_step(
     u_new[0] = u[0]
     u_new[-1] = u[-1]
     u_min = _finite_min(u_new)
-    if math.isnan(u_min):  # `_advance` rejects this u, whose inf - inf would warn
-        with np.errstate(invalid="ignore"):
-            v_new = _update_v(u_new, v, dv_w, v[0], v[-1])
-    else:
+    with np.errstate(invalid="ignore"):  # inf - inf in a u that `_advance` rejects
         v_new = _update_v(u_new, v, dv_w, v[0], v[-1])
     v_finite = not math.isnan(_finite_min(v_new))
     if math.isnan(u_min) or not v_finite:  # `_advance` raises before it reads a bound

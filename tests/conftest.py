@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import functools
 import importlib.util
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -15,6 +17,7 @@ import pytest
 
 import chemoshock
 import chemoshock.solver as solver
+from chemoshock import _native
 from chemoshock.diagnostics import read_series
 from chemoshock.scenarios import parse_scenario, run_scenario
 
@@ -41,14 +44,38 @@ def scenario_dir() -> Path:
     return SCENARIO_DIR
 
 
+@functools.cache
+def _compiler_works(cc: str) -> bool:
+    """Whether the compiler command cc builds a trivial C file with the
+    library's flags."""
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "trivial.c"
+        source.write_text("int trivial(void) { return 0; }\n")
+        try:
+            subprocess.run([*cc.split(), *_native._STAGES_CFLAGS, "-o", str(Path(tmp) / "t.so"),
+                            str(source)], capture_output=True, check=True, timeout=300)
+        except (OSError, subprocess.SubprocessError):
+            return False
+    return True
+
+
 @pytest.fixture
 def stages():
     """The compiled library, built into the session's cache.  Skips when no
-    compiler works here (the numpy stages then run everywhere)."""
+    compiler works here (the numpy stages then run everywhere); fails, with
+    the compiler's stderr, when one works and the library still does not
+    load."""
     load = solver._load_stages  # a test may replace it
     load.cache_clear()  # an earlier test may have loaded it from another cache
     lib = load()
-    yield lib if lib is not None else pytest.skip("the compiled stages do not build here")
+    if lib is None:
+        if not _compiler_works(os.environ.get("CC") or "cc"):
+            pytest.skip("no C compiler works here")
+        logs = sorted(Path(_native._stages_cache()).glob("stages-*.failed"))
+        pytest.fail("a C compiler works, but the compiled stages did not load:\n"
+                    + ("".join(f"{log}:\n{log.read_text(errors='replace')}" for log in logs)
+                       or "no stages-*.failed file in the cache"), pytrace=False)
+    yield lib
     load.cache_clear()  # the next load reads the restored environment
 
 

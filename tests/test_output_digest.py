@@ -66,6 +66,15 @@ def test_every_machine_dependent_manifest_key_is_dropped(digest):
     assert set(scenarios._TIMING_KEYS) | {"step_kernel"} <= dropped
 
 
+def test_a_run_that_took_the_numpy_stages_is_named(digest, tmp_path):
+    # the digest's runs must take the compiled step: a library that does not
+    # build would otherwise pass with the fallback's identical bytes
+    run = _tree(tmp_path)
+    assert digest._numpy_manifest(tmp_path) is None
+    _edit(run / "manifest.txt", "step_kernel = compiled", "step_kernel = numpy")
+    assert digest._numpy_manifest(tmp_path) == run / "manifest.txt"
+
+
 def test_a_perturbed_cell_is_reported_by_file_column_and_delta(digest, tmp_path, capsys):
     code, out = _compare(digest, tmp_path, capsys, lambda run: _edit(
         run / "series.csv", "1,1.0000000000000002,", "1,1.0000000000000004,"))

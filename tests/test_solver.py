@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -739,19 +740,32 @@ def compiled_bound(u, v, chi, ws):
     return bound
 
 
-def test_the_stages_source_repeats_the_python_constants():
-    # every #define of _stages.c repeats a constant of solver or _native; the
-    # parity tests check them only where a compiler is, this test everywhere
+# the numbers `_stages.c` shares with Python, by their names in C
+SHARED_NUMBERS = {"A_MAX": _native._A_MAX, "LOG_QUARTER_EPS": _native._LOG_QUARTER_EPS,
+                  "BLOCK_BITS": _native._BLOCK_BITS, "DEAD_BAND": _native._DEAD_BAND,
+                  "POW10_MIN": _native._POW10_MIN, "POW10_MAX": _native._POW10_MAX,
+                  "VALUE_BYTES": _native._VALUE_BYTES}
+
+
+def test_the_build_defines_each_shared_number_and_the_source_none(monkeypatch, tmp_path):
+    # the compile command, captured without a compiler, carries each number
+    # as -DNAME=(value), a float in hex; the parity tests check the compiled
+    # bits where a compiler is, this test everywhere
+    commands = []
+    monkeypatch.setattr(shutil, "which", lambda name: sys.executable)
+    monkeypatch.setattr(subprocess, "run", lambda argv, **kw: commands.append(argv))
+    lib = _native._build_stages(str(tmp_path))
+    defines = dict(arg[2:].split("=", 1) for arg in commands[0] if arg.startswith("-D"))
+    assert set(defines) == set(SHARED_NUMBERS)
+    for name, value in SHARED_NUMBERS.items():
+        text = defines[name].removeprefix("(").removesuffix(")")
+        assert (float.fromhex(text) if isinstance(value, float) else int(text)) == value, name
+    # the numbers are part of the library's name, so a changed one builds anew
+    monkeypatch.setattr(_native, "_DEAD_BAND", 2.0**-48)
+    assert _native._build_stages(str(tmp_path)) != lib and len(commands) == 2
+
     source = (Path(solver.__file__).parent / "_stages.c").read_text()
-    defines = dict(re.findall(r"^#define (\w+) (\S+)", source, re.M))
-    assert set(defines) == {"A_MAX", "LOG_QUARTER_EPS", "BLOCK_BITS", "DEAD_BAND", "POW10_MIN",
-                            "POW10_MAX"}
-    assert float(defines["A_MAX"]) == solver._A_MAX
-    assert float(defines["LOG_QUARTER_EPS"].strip("()")) == solver._LOG_QUARTER_EPS
-    assert int(defines["BLOCK_BITS"]) == solver._BLOCK_BITS
-    assert float.fromhex(defines["DEAD_BAND"]) == solver._DEAD_BAND
-    assert int(defines["POW10_MIN"].strip("()")) == _native._POW10_MIN
-    assert int(defines["POW10_MAX"]) == _native._POW10_MAX
+    assert not re.findall(rf"^\s*#\s*define\s+({'|'.join(SHARED_NUMBERS)})\b", source, re.M)
 
 
 @pytest.mark.parametrize("n", [8, 201, 4001])

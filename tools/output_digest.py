@@ -32,6 +32,9 @@ factors, their first speed bound and the bound each step returns for the
 next, carried over its ~8,100 steps, are compared over a long run.
 Their files are not digested; the script exits 1 when they differ from the
 compiled runs' files, or when a manifest does not say `step_kernel = numpy`.
+It also exits 1, naming the file, when a manifest of the other runs says
+`step_kernel = numpy`: those runs must take the compiled step, so the gate
+needs a working C compiler.
 
 Each command's exit code is written to `exit_codes.txt` in OUT_DIR, one
 `command = code` line per command, with OUT_DIR, the temporary directory
@@ -39,11 +42,10 @@ and the checkout written as OUT, CFG and `.`; a failed command does not stop
 the later ones, but the script then exits 2.
 
 Each manifest's `snapshot_write_s`, `wall_time_s` and `step_kernel` lines
-are deleted (they are facts about the machine, not the numerics), and so is
-the `snapshot_wait_s` line that manifests written before the snapshot writer
-thread was removed still carry, so an older tree digests the same.  Then one
-`sha256  relative/path` line is printed per output file, sorted by path.  A refactor that must keep
-every output byte passes when this output is the same before and after it:
+are deleted (they are facts about the machine, not the numerics).  Then one
+`sha256  relative/path` line is printed per output file, sorted by path.  A
+refactor that must keep every output byte passes when this output is the
+same before and after it:
 
     PYTHONPATH=<old>/src python tools/output_digest.py old_out > old.txt
     PYTHONPATH=<new>/src python tools/output_digest.py new_out > new.txt
@@ -99,10 +101,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
-# manifest lines that depend on the machine: the run's times and which step ran.
-# `snapshot_wait_s` is written only by older trees, which must digest the same.
-_MACHINE_KEYS = (b"snapshot_write_s =", b"snapshot_wait_s =", b"wall_time_s =",
-                 b"step_kernel =")
+# manifest lines that depend on the machine: the run's times and which step ran
+_MACHINE_KEYS = (b"snapshot_write_s =", b"wall_time_s =", b"step_kernel =")
 # manifest lines that count what a run did: any change is flagged
 _COUNT_KEYS = ("step_count", "snapshot_count")
 # the largest |delta| --compare lets through, relative to max(sup|column|, 1)
@@ -193,6 +193,12 @@ def _fallback_mismatch(out: Path, scratch: Path) -> str | None:
     return None
 
 
+def _numpy_manifest(out: Path) -> Path | None:
+    """The first manifest under `out` that says `step_kernel = numpy`, else None."""
+    return next((path for path in sorted(out.rglob("manifest.txt"))
+                 if b"step_kernel = numpy" in path.read_bytes()), None)
+
+
 def _digest(path: Path) -> str:
     data = path.read_bytes()
     if path.name == "manifest.txt":
@@ -232,6 +238,10 @@ def _digest_runs(out_dir: Path) -> int:
         mismatch = _fallback_mismatch(out_dir, Path(config_dir))
     if mismatch:
         print(f"fallback: {mismatch}", file=sys.stderr)
+        return 1
+    numpy_run = _numpy_manifest(out_dir)
+    if numpy_run:
+        print(f"{numpy_run}: a compiled run took the numpy stages", file=sys.stderr)
         return 1
     for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
         print(f"{_digest(path)}  {path.relative_to(out_dir).as_posix()}")

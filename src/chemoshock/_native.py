@@ -141,9 +141,8 @@ def _load_stages():
     functions = [
         ("imex_step", None,
          (ptr, ptr, n, real, real, real, ptr, ptr, real, real, ptr, ptr, ptr, ptr)),
-        ("printer_available", ctypes.c_int, ()),
     ]
-    if lib.printer_available():
+    if hasattr(lib, "format_rows"):  # the printer, built where C has 128-bit integers
         functions += [
             ("format_value", ctypes.c_int, (real, ptr, ptr)),
             ("format_rows", n, (ptr, ptr, ptr, ptr, n, ptr, ptr)),
@@ -187,8 +186,8 @@ def _pow10_table():
 
 def snapshot_printer():
     """(format_rows, table) of the compiled snapshot printer, or None when the
-    library did not load or was built without 128-bit integers."""
+    library did not load or exports no printer (a C without 128-bit integers)."""
     lib = _load_stages()
-    if lib is None or not lib.printer_available():
+    if lib is None or not hasattr(lib, "format_rows"):
         return None
     return lib.format_rows, _pow10_table()

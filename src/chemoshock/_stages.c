@@ -4,7 +4,9 @@
  * stages and the Python snapshot writer are the reference, and the fallback
  * when it does not build.  A run takes its first speed bound from numpy
  * (solver._speed_bound) and every later one from imex_step; the format_value
- * export is called only by the tests.
+ * export is called only by the tests.  The printer is compiled only where
+ * the compiler has 128-bit integers, and _native.py finds it by its
+ * format_rows export.
  *
  * The step is one call of two sweeps of a δ-form solve, u_new = u + δ, on
  * blocks of rows around the right-hand side's nonzero entries: the forward
@@ -388,8 +390,9 @@ void imex_step(const double *restrict u, const double *restrict v, long n, doubl
 
 /* The snapshot printer: each value exactly as Python's '%.17g' % value
  * writes it, that is correctly rounded to 17 significant digits, ties to even,
- * and laid out as %g does.  It needs 128-bit integers; without them
- * printer_available() is 0 and core.write_snapshot keeps its Python writer.
+ * and laid out as %g does.  It needs 128-bit integers; without them the
+ * library exports no format_rows, and core.write_snapshot keeps its Python
+ * writer.
  *
  * For a finite x = m*2^e and k = floor(log10|x|), the digits are
  * D = round(|x|*10^s) with s = 16 - k.  pow10[s - POW10_MIN] holds 10^s as
@@ -408,8 +411,6 @@ struct pow10 {
 #ifdef __SIZEOF_INT128__
 
 typedef unsigned __int128 u128;
-
-int printer_available(void) { return 1; }
 
 /* The 8 decimal digits of x < 10^8, leading zeros kept, at p. */
 static void put8(char *p, uint32_t x)
@@ -558,9 +559,5 @@ long format_rows(const double *x, const double *u, const double *v, const double
     }
     return (long)(p - out);
 }
-
-#else
-
-int printer_available(void) { return 0; }
 
 #endif

@@ -111,21 +111,15 @@ Building a workspace is what loads the compiled step, so it loads on the
 first step of a `run()` or `step()`; importing this module, and the CLI's
 `validate` and `wave`, need neither scipy nor a compiler.  Only the numpy
 stages call LAPACK, so a workspace loads it only when the compiled step did
-not load, and a compiled run imports no scipy module.  `dpttrs`
-comes straight from scipy's compiled f2py module `scipy.linalg._flapack`
-(`_load_dpttrs`), once per process, without running the `__init__` of `scipy`
-or `scipy.linalg`: those pull in most of scipy's Python layer (~0.16 s per
-process on a 2-core Xeon), while the extension alone loads in ~3 ms.  A later
-`import scipy.linalg` in the same process reuses the loaded extension.
+not load, and a compiled run imports no scipy module.  `dpttrs` is
+`scipy.linalg.lapack.dpttrs`, whose import loads the `scipy.linalg` package:
+~0.2-0.3 s once per process on a 2-core Xeon, paid only where the numpy
+stages run.
 """
 
 from __future__ import annotations
 
-import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -239,38 +233,17 @@ def _ldl_pivots(a: float, d: np.ndarray) -> int:
 def solve_banded(*args, **kwargs):
     """`scipy.linalg.solve_banded`, importing scipy on the first call."""
     # Nothing here calls it: it is the only hook perfbench/trace_child.py wraps
-    # by this name.  Delete it once the tracer wraps `_advance` (ROADMAP item 1).
+    # by this name.  Delete it once the tracer wraps `_advance` (ROADMAP item 23).
     from scipy.linalg import solve_banded as scipy_solve_banded
 
     return scipy_solve_banded(*args, **kwargs)
 
 
-@functools.cache
-def _load_dpttrs():
-    """LAPACK's dpttrs from scipy's compiled module `scipy.linalg._flapack`.
-
-    Finding the scipy package does not import it, and PathFinder picks the
-    extension's platform suffix itself.  A scipy that keeps the module
-    elsewhere gets the same routine through the public import.
-    """
-    scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
-    spec = importlib.machinery.PathFinder.find_spec(
-        "scipy.linalg._flapack", [os.path.join(p, "linalg") for p in scipy_dirs]
-    )
-    if spec is None:
-        from scipy.linalg.lapack import dpttrs
-
-        return dpttrs
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.dpttrs
-
-
 class _Workspace:
     """Scratch buffers of `_advance` for an n-node grid, reused step to step,
     and the routines it runs: the compiled step in `lib`, or, when it did not
-    load (`lib` is None), LAPACK's `dpttrs` for the numpy solve (else None:
-    the compiled step needs no LAPACK).
+    load (`lib` is None), `scipy.linalg.lapack.dpttrs` for the numpy solve
+    (else None: the compiled step needs no LAPACK).
 
     `d` and `e` hold the factor (pivots and subdiagonal) of the current step's
     a: all of it on the numpy path, only its head on the compiled path, up to
@@ -290,8 +263,10 @@ class _Workspace:
         self.w = np.empty(n)  # scratch: u*v for the numpy stage, the compiled step's blocks
         self.lib = _load_stages()  # the compiled step loads here, not at import
         self.dpttrs = None
-        if self.lib is None:
-            self.dpttrs = _load_dpttrs()  # and LAPACK, only for the numpy stages
+        if self.lib is None:  # then LAPACK, only for the numpy stages
+            from scipy.linalg.lapack import dpttrs
+
+            self.dpttrs = dpttrs
             return
         self.u_out = (np.empty(n), np.empty(n))
         self.v_out = (np.empty(n), np.empty(n))

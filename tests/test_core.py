@@ -1,5 +1,6 @@
 import ctypes
 import math
+import types
 
 import numpy as np
 import pytest
@@ -221,7 +222,7 @@ def _write_snapshot_per_value(path, state, c=None):
     "n_nodes", [100, _SNAPSHOT_BLOCK_ROWS, 2 * _SNAPSHOT_BLOCK_ROWS + 37]
 )
 @pytest.mark.parametrize("with_c", [False, True])
-def test_snapshot_bytes_match_per_value_formatting(tmp_path, n_nodes, with_c):
+def test_snapshot_bytes_match_per_value_formatting(monkeypatch, tmp_path, n_nodes, with_c):
     rng = np.random.default_rng(n_nodes)
     special = [-0.0, 1e-300, 2.0, 1.0 / 3.0]
     u = 1.0 + rng.random(n_nodes)
@@ -234,9 +235,12 @@ def test_snapshot_bytes_match_per_value_formatting(tmp_path, n_nodes, with_c):
         c = Field(g, np.exp(v)) if with_c else None
 
         write_snapshot(tmp_path / "block.dat", state, c=c)
+        with monkeypatch.context() as m:  # the Python writer, whether or not C builds here
+            m.setattr(_native, "_load_stages", lambda: None)
+            write_snapshot(tmp_path / "python.dat", state, c=c)
         _write_snapshot_per_value(tmp_path / "ref.dat", state, c=c)
         data = (tmp_path / "block.dat").read_bytes()
-        assert data == (tmp_path / "ref.dat").read_bytes()
+        assert data == (tmp_path / "python.dat").read_bytes() == (tmp_path / "ref.dat").read_bytes()
         assert data.endswith(b"\n") and data.count(b"\n") == n_nodes + 1
         assert data.splitlines()[1].split()[1] == b"-0"
 
@@ -355,3 +359,28 @@ def test_snapshot_bytes_are_the_same_on_both_writers(stages, monkeypatch, tmp_pa
     data = (tmp_path / "compiled.dat").read_bytes()
     assert data == (tmp_path / "python.dat").read_bytes() == (tmp_path / "ref.dat").read_bytes()
     assert data.count(b"\n") == n_nodes + 1
+
+
+def test_a_library_without_the_printer_keeps_the_python_writer(monkeypatch, tmp_path):
+    # A C without 128-bit integers builds imex_step but no format_rows; no
+    # compiler runs here: the library is a stub with the step's export only.
+    class StepOnly:
+        def __init__(self, path):
+            self.imex_step = types.SimpleNamespace()
+
+    monkeypatch.setattr(_native, "_build_stages", lambda cache: "stages-stub.so")
+    monkeypatch.setattr(ctypes, "CDLL", StepOnly)
+    _native._load_stages.cache_clear()
+    try:
+        lib = _native._load_stages()
+        assert isinstance(lib, StepOnly) and len(lib.imex_step.argtypes) == 14
+        assert _native.snapshot_printer() is None
+        g = GridSpec(-1.0, 3.0, 41)
+        rng = np.random.default_rng(41)
+        state = SimState(Field(g, 1.0 + rng.random(41)), Field(g, rng.standard_normal(41)),
+                         t=0.25)
+        write_snapshot(tmp_path / "stub.dat", state)
+        _write_snapshot_per_value(tmp_path / "ref.dat", state)
+        assert (tmp_path / "stub.dat").read_bytes() == (tmp_path / "ref.dat").read_bytes()
+    finally:
+        _native._load_stages.cache_clear()  # the next load finds the real library

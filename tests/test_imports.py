@@ -1,8 +1,7 @@
 """Which entry points load scipy.  Only the numpy step stages use LAPACK, so
 importing the package, `validate` and `wave` must not load scipy, and
 neither may a run on the compiled stages; on the numpy stages `run` and
-`step()` load it on the first step, and then only scipy's compiled LAPACK
-module, not the `scipy` and `scipy.linalg` packages.
+`step()` load it on the first step, for `scipy.linalg.lapack.dpttrs`.
 
 Each check runs in a fresh interpreter, because earlier tests have already
 loaded scipy into this one.  The checks of the LAPACK load take the numpy
@@ -89,8 +88,10 @@ mark("run")
 """,
         str(cfg), str(tmp_path / "out"),
     )
+    # the kernel first: a run that took the compiled step loads no scipy, and
+    # the check below would then fail without saying why
+    assert "step_kernel = numpy" in (tmp_path / "out" / "manifest.txt").read_text()
     assert stages == {"import cli": False, "run": True}
-    assert (tmp_path / "out" / "manifest.txt").exists()
 
 
 def test_step_loads_scipy_from_a_cold_start():
@@ -123,36 +124,6 @@ def test_solve_banded_forwards_to_scipy():
     )
 
 
-# one small public step, for the snippets below
-_STEP = """
-import numpy as np
-from chemoshock.core import Field, GridSpec, ModelParams, SimState
-from chemoshock.solver import SchemeConfig, step
-grid = GridSpec(x_min=0.0, x_max=1.0, n_nodes=11)
-state = SimState(u=Field(grid, np.linspace(2.0, 1.0, 11)), v=Field(grid, np.zeros(11)),
-                 t=0.0, step_count=0)
-cfg = SchemeConfig(t_end=1.0, snapshot_interval=1.0)
-params = ModelParams.from_chi(D=1.0, chi=1.0)
-"""
-
-
-def test_run_loads_only_the_compiled_lapack_module(tmp_path):
-    cfg = tmp_path / "small.cfg"
-    cfg.write_text(SMALL_CFG)
-    loaded = _run_fresh(
-        _NUMPY_STAGES
-        + """
-import json, sys
-from chemoshock.cli import main
-assert main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
-print(json.dumps({m: m in sys.modules
-                  for m in ("scipy.linalg._flapack", "scipy.linalg", "scipy")}))
-""",
-        str(cfg), str(tmp_path / "out"),
-    )
-    assert loaded == {"scipy.linalg._flapack": True, "scipy.linalg": False, "scipy": False}
-
-
 def test_compiled_run_loads_no_scipy(tmp_path, stages):
     # the compiled solve needs no LAPACK, so the workspace does not load it
     cfg = tmp_path / "small.cfg"
@@ -181,59 +152,6 @@ print(json.dumps(held is scipy.linalg.lapack.dpttrs))
 """,
     )
     assert same is True
-
-
-def test_steps_load_the_extension_once():
-    out = _run_fresh(
-        _NUMPY_STAGES
-        + _STEP
-        + """
-import importlib.util, json
-loads = []
-real = importlib.util.module_from_spec
-def counting(spec):
-    loads.append(spec.name)
-    return real(spec)
-importlib.util.module_from_spec = counting
-once = step(state, params, cfg)
-twice = step(once, params, cfg)
-print(json.dumps({"loads": loads, "steps": twice.step_count}))
-""",
-    )
-    assert out == {"loads": ["scipy.linalg._flapack"], "steps": 2}
-
-
-def test_fallback_when_the_extension_is_not_found():
-    out = _run_fresh(
-        _NUMPY_STAGES
-        + _STEP
-        + """
-import json, sys
-from importlib.machinery import PathFinder
-from chemoshock import solver
-# the first lookup of the extension finds nothing; the public import then
-# looks it up again and gets it
-misses = []
-real = PathFinder.find_spec.__func__
-def find_spec(cls, name, path=None, target=None):
-    if name == "scipy.linalg._flapack" and not misses:
-        misses.append(name)
-        return None
-    return real(cls, name, path, target)
-PathFinder.find_spec = classmethod(find_spec)
-new = step(state, params, cfg)
-import scipy.linalg.lapack
-print(json.dumps({
-    "misses": len(misses),
-    "same": solver._load_dpttrs() is scipy.linalg.lapack.dpttrs,
-    "u": new.u.values.tolist(),
-}))
-""",
-    )
-    ns = {}
-    exec(_STEP, ns)  # the same step in this process, through the direct load
-    want = ns["step"](ns["state"], ns["params"], ns["cfg"]).u.values.tolist()
-    assert out == {"misses": 1, "same": True, "u": want}
 
 
 def test_tracer_finds_every_name_it_wraps():

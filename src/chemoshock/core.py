@@ -230,28 +230,29 @@ def write_snapshot(path, state: SimState, c: Field | None = None) -> None:
     node, each value as '%.17g' % value writes it (17 significant digits).
 
     When the compiled library loads (`_native.snapshot_printer`), its exact
-    printer formats every row into one buffer, straight from the columns,
-    and the file is written in binary mode.  Otherwise `_write_snapshot_blocks`
-    formats the rows in Python; both give the same bytes."""
+    printer formats every row into one buffer, straight from the columns.
+    Otherwise `_snapshot_row_blocks` formats the rows in Python; both give
+    the same bytes, and the file is written in binary mode."""
     printer = _native.snapshot_printer()
     if printer is None:
-        _write_snapshot_blocks(path, state, c)
-        return
-    format_rows, table = printer
-    n = state.u.grid.n_nodes
-    cols = [_nodes(state.u.grid), state.u.values, state.v.values]
-    if c is not None:
-        cols.append(c.values)
-    ptrs = [_native._address(col, n) for col in cols] + [None] * (4 - len(cols))
-    buf = np.empty(_native._VALUE_BYTES * len(cols) * n, dtype=np.uint8)
-    size = format_rows(*ptrs, n, table, buf.__array_interface__["data"][0])
+        blocks = _snapshot_row_blocks(state, c)
+    else:
+        format_rows, table = printer
+        n = state.u.grid.n_nodes
+        cols = [_nodes(state.u.grid), state.u.values, state.v.values]
+        if c is not None:
+            cols.append(c.values)
+        ptrs = [_native._address(col, n) for col in cols] + [None] * (4 - len(cols))
+        buf = np.empty(_native._VALUE_BYTES * len(cols) * n, dtype=np.uint8)
+        size = format_rows(*ptrs, n, table, buf.__array_interface__["data"][0])
+        blocks = (buf[:size],)
     with open(path, "wb") as fh:
         fh.write(("# t=" + (_FLOAT_FMT % state.t) + "\n").encode())
-        fh.write(buf[:size])
+        fh.writelines(blocks)
 
 
-def _write_snapshot_blocks(path, state: SimState, c: Field | None = None) -> None:
-    """`write_snapshot` in Python, the reference for the compiled printer.
+def _snapshot_row_blocks(state: SimState, c: Field | None = None):
+    """`write_snapshot`'s rows in Python, encoded: the compiled printer's reference.
 
     Rows are formatted in blocks of _SNAPSHOT_BLOCK_ROWS by one row template
     repeated per block, which is byte-identical to applying '%.17g' to each
@@ -263,11 +264,9 @@ def _write_snapshot_blocks(path, state: SimState, c: Field | None = None) -> Non
         cols.append(c.values)
     data = np.column_stack(cols)
     row_fmt = " ".join(["%s"] + [_FLOAT_FMT] * (data.shape[1] - 1)) + "\n"
-    with open(path, "w") as fh:
-        fh.write("# t=" + (_FLOAT_FMT % state.t) + "\n")
-        for start in range(0, len(data), _SNAPSHOT_BLOCK_ROWS):
-            block = data[start : start + _SNAPSHOT_BLOCK_ROWS]
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    for start in range(0, len(data), _SNAPSHOT_BLOCK_ROWS):
+        block = data[start : start + _SNAPSHOT_BLOCK_ROWS]
+        yield ((row_fmt * len(block)) % tuple(block.ravel().tolist())).encode()
 
 
 def read_snapshot(path) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:

@@ -73,6 +73,9 @@ class WaveReference:
 
 Reference = ConstantReference | WaveReference
 
+# the default reference of the flux identity: the constant state (1, 0)
+_UNIT_REFERENCE = ConstantReference(1.0, 0.0)
+
 
 # ---------------------------------------------------------------------------
 # scalar functionals
@@ -134,7 +137,7 @@ def _effective_flux_values(
 
 
 def effective_flux(
-    state: SimState, params: ModelParams, reference: Reference | None = None
+    state: SimState, params: ModelParams, reference: Reference = _UNIT_REFERENCE
 ) -> Field:
     """F = D*(u - R_u)_x + chi*(u v - R_u R_v), whose x-derivative equals
     (u - R_u)_t along solutions.
@@ -143,8 +146,6 @@ def effective_flux(
     D*w_x + chi*(w + 1)*v for w = u - 1; a wave reference gives the
     shock-relative variant.
     """
-    if reference is None:
-        reference = ConstantReference(1.0, 0.0)
     ru, rv = reference.profile_arrays(state.u.grid, state.t)
     flux = _effective_flux_values(state, params, ru, rv, state.u.values - ru)
     return Field(state.u.grid, flux)
@@ -178,12 +179,10 @@ def flux_identity_residual(
     prev: SimState,
     next_state: SimState,
     params: ModelParams,
-    reference: Reference | None = None,
+    reference: Reference = _UNIT_REFERENCE,
 ) -> float:
     """L2 norm of d/dx F_mid - time difference quotient of (u - R_u), the
     discrete residual of the flux identity F_x = (u - R_u)_t."""
-    if reference is None:
-        reference = ConstantReference(1.0, 0.0)
     next_ref = reference.profile_arrays(next_state.u.grid, next_state.t)
     return _flux_residual(prev, reference.profile_arrays(prev.u.grid, prev.t), next_state,
                           next_ref, next_state.u.values - next_ref[0], params)
@@ -273,12 +272,6 @@ def regularity_probe(
         return ProbeResult(0.0, 0.0)
     width = float(np.count_nonzero(dq >= 0.5 * max_dq) * grid.dx)
     return ProbeResult(max_dq, width)
-
-
-def smooth_probe_reference(wave: TravelingWave) -> float:
-    """Probe level of an ideal smooth front: the steepest slope max|V'| that
-    the exact wave profile ever shows."""
-    return wave.max_slope_v
 
 
 def front_position(u: Field, level: float) -> float:

@@ -86,13 +86,16 @@ class ScenarioConfig:
                 raise _unknown("[initial]", "key", key, allowed)
         typed = {key: _get(p, key, "[initial]", cast=_INITIAL_CASTS.get(key, float)) for key in p}
         object.__setattr__(self, "initial_params", typed)
-        if not 0 <= self.mollify_delta < math.inf:
-            raise ConfigError(f"mollify_delta must be finite and >= 0 (got {self.mollify_delta})")
         grid, c, h = self.grid, self.probe_center, self.probe_halfwidth
+        if self.mollify_delta != 0:  # MollifierSpec takes a positive finite width only
+            try:
+                MollifierSpec(self.mollify_delta).validate_for(grid)
+            except ConfigError as exc:
+                raise ConfigError(f"bad value for [scenario]:mollify_delta: {exc}") from exc
         if not grid.dx <= h <= 0.5 * grid.length:
             raise ConfigError(
-                f"probe_halfwidth {h} must lie between the grid spacing {grid.dx} "
-                f"and half the grid length {0.5 * grid.length}"
+                f"bad value for [diagnostics]:probe_halfwidth: {h} must lie between the grid "
+                f"spacing {grid.dx} and half the grid length {0.5 * grid.length}"
             )
         if c is not None and not grid.x_min <= c - h <= c + h <= grid.x_max:  # false for nan
             raise ConfigError(
@@ -681,7 +684,7 @@ def _build_manifest(
         },
         "probe_center": probe_center,
         "probe_halfwidth": cfg.probe_halfwidth,
-        "probe_reference_level": None if wave is None else diag.smooth_probe_reference(wave),
+        "probe_reference_level": None if wave is None else wave.max_slope_v,
         "probe_max_initial": probes[0],
         "probe_max_peak": max(probes),
         "probe_max_final": probes[-1],

@@ -156,8 +156,12 @@ class SchemeConfig:
             raise ConfigError(f"diffusion_theta must lie in [0.5, 1] (got {self.diffusion_theta})")
         if not 0 <= self.t_end < math.inf:
             raise ConfigError(f"t_end must be finite and >= 0 (got {self.t_end})")
-        # run() takes two times this close as one, so a shorter interval never steps
+        # run() takes two times this close as one, so a shorter interval, or a
+        # horizon other than 0 this close to it, never steps
         snap = self.time_tolerance
+        if 0.0 < self.t_end <= snap:
+            raise ConfigError(f"t_end must be 0 or > {snap:g}, the time tolerance "
+                              f"(got {self.t_end})")
         if not snap < self.snapshot_interval < math.inf:
             raise ConfigError(
                 f"snapshot_interval must be finite and > {snap:g}, the time tolerance "

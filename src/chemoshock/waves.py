@@ -161,7 +161,7 @@ class TravelingWave:
 
     @property
     def max_slope_v(self) -> float:
-        """Steepest |V'| = max|U'| / s."""
+        """Steepest |V'| = max|U'| / s: the probe level of a smooth front."""
         return self.max_slope_u / self.s
 
     def derivative_bound_u(self) -> float:

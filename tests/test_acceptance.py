@@ -29,7 +29,6 @@ from chemoshock.diagnostics import (
     ab_functionals,
     entropy,
     flux_identity_residual,
-    smooth_probe_reference,
 )
 from chemoshock.mollifier import MollifierSpec, mollify
 from chemoshock.scenarios import build_initial, parse_scenario, read_config, sweep
@@ -214,7 +213,7 @@ def test_criterion_06_regularity_signature(
     widths = jump["dq_width"][:5]
 
     wave = TravelingWave.from_end_values(2.0, 1.0, 1.0, P1)
-    level = smooth_probe_reference(wave)
+    level = wave.max_slope_v
     ramp_mask = ramp["t"] <= 100.0
     ramp_max = ramp["max_dq_v"][ramp_mask].max()
 

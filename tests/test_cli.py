@@ -396,6 +396,8 @@ def test_bad_model_keys_are_config_errors(tmp_path, capsys, model, message):
     ("jump_x = 10", "jump_x = 10%", "[initial]:jump_x"),
     ("jump_x = 10", "jump_x = %(x_max)s", "[initial]:jump_x"),
     ("probe_center = 10", "probe_center = 1e6", "[diagnostics]:probe_center/probe_halfwidth"),
+    ("name = cli_small", "name = cli_small\nmollify_delta = 0.1", "[scenario]:mollify_delta"),
+    ("probe_halfwidth = 2", "probe_halfwidth = 30", "[diagnostics]:probe_halfwidth"),
 ])
 def test_bad_number_is_config_error(tmp_path, capsys, old, new, named):
     _assert_rejected_before_writing(tmp_path, SMALL_CFG.replace(old, new))

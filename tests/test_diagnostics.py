@@ -27,7 +27,6 @@ from chemoshock.diagnostics import (
     read_series,
     regularity_probe,
     shift_x0,
-    smooth_probe_reference,
     write_series,
 )
 from chemoshock.solver import SchemeConfig, step
@@ -444,7 +443,7 @@ def test_probe_window_validation():
 
 def test_smooth_probe_reference_is_max_wave_slope():
     w = TravelingWave.from_end_values(2.0, 1.0, 1.0, P1)
-    assert smooth_probe_reference(w) == pytest.approx(0.25, rel=1e-14)
+    assert w.max_slope_v == pytest.approx(0.25, rel=1e-14)
 
 
 def test_front_position_interpolates_crossing():

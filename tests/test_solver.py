@@ -89,6 +89,14 @@ def test_a_snapshot_interval_within_the_time_tolerance_is_rejected(t_end, snapsh
     SchemeConfig(t_end=t_end, snapshot_interval=1.01e-9 * max(1.0, t_end))
 
 
+@pytest.mark.parametrize("t_end", [5e-324, 1e-12, 1e-9])
+def test_a_horizon_within_the_time_tolerance_is_rejected(t_end):
+    # run() would take no step and write the initial state again, labelled t_end
+    with pytest.raises(ConfigError, match=r"t_end must be 0 or > 1e-09, the time tolerance"):
+        SchemeConfig(t_end=t_end, snapshot_interval=1.0)
+    SchemeConfig(t_end=1.01e-9, snapshot_interval=1.0)
+
+
 def test_the_cli_rejects_a_snapshot_interval_within_the_time_tolerance(tmp_path, capsys):
     cfg = tmp_path / "tiny_interval.cfg"
     cfg.write_text(SMALL_CFG.replace("snapshot_interval = 1", "snapshot_interval = 1e-9"))
@@ -414,17 +422,22 @@ def test_run_positivity_violation_names_step_node_and_time():
         run(state, p, cfg)
 
 
+def high_precision_pivots(a, m):
+    """The m pivots of tridiag(-a, 1+2a, -a), d_1 = 1+2a, d_i = 1+2a - a^2/d_(i-1),
+    in 40 digits, rounded to floats."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        b, a2 = 1 + 2 * mpmath.mpf(a), mpmath.mpf(a) ** 2
+        ref = [b]
+        for _ in range(m - 1):
+            ref.append(b - a2 / ref[-1])
+        return np.array([float(x) for x in ref])
+
+
 @pytest.mark.parametrize("m", [6, 7, 50, 3999])
 def test_ldl_pivots_match_high_precision_recurrence(m):
-    mpmath = pytest.importorskip("mpmath")
     for a in np.logspace(-8, 8):
-        # pivots of tridiag(-a, 1+2a, -a): d_1 = 1+2a, d_i = 1+2a - a^2/d_(i-1)
-        with mpmath.workdps(40):
-            b, a2 = 1 + 2 * mpmath.mpf(a), mpmath.mpf(a) ** 2
-            ref = [b]
-            for _ in range(m - 1):
-                ref.append(b - a2 / ref[-1])
-            ref = np.array([float(x) for x in ref])
+        ref = high_precision_pivots(a, m)
         d = np.empty(m)
         _ldl_pivots(float(a), d)
         assert np.all(np.abs(d - ref) <= 4 * np.spacing(ref)), a
@@ -433,15 +446,9 @@ def test_ldl_pivots_match_high_precision_recurrence(m):
 def test_ldl_pivots_on_both_sides_of_a_max():
     # up to _A_MAX the recurrence, above it the closed form: both within the
     # 4 ulp of test_ldl_pivots_match_high_precision_recurrence at m = 3999
-    mpmath = pytest.importorskip("mpmath")
     m, a_max = 3999, solver._A_MAX
     for a in [*np.geomspace(a_max / 2, 2 * a_max, 25), a_max, np.nextafter(a_max, np.inf)]:
-        with mpmath.workdps(40):
-            b, a2 = 1 + 2 * mpmath.mpf(a), mpmath.mpf(a) ** 2
-            ref = [b]
-            for _ in range(m - 1):
-                ref.append(b - a2 / ref[-1])
-            ref = np.array([float(x) for x in ref])
+        ref = high_precision_pivots(a, m)
         d = np.empty(m)
         _ldl_pivots(float(a), d)
         assert np.all(np.abs(d - ref) <= 4 * np.spacing(ref)), a
@@ -731,15 +738,6 @@ def stepped_solve(x, a, left, right, ws):
     x[:] = u_new[1:-1]
 
 
-def compiled_bound(u, v, chi, ws):
-    """The speed bound of (u, v) from the compiled step of ws: with a = 0 and
-    every weight 0 the step returns its inputs, up to the sign of an interior
-    -0.0, so the next bound it returns is theirs."""
-    u_new, v_new, *_, bound = _compiled_step(u, v, 0.0, 0.0, 0.0, 0.0, chi, ws)
-    assert np.array_equal(u_new, u) and np.array_equal(v_new, v)
-    return bound
-
-
 # the numbers `_stages.c` shares with Python, by their names in C
 SHARED_NUMBERS = {"A_MAX": _native._A_MAX, "LOG_QUARTER_EPS": _native._LOG_QUARTER_EPS,
                   "BLOCK_BITS": _native._BLOCK_BITS, "DEAD_BAND": _native._DEAD_BAND,
@@ -768,53 +766,17 @@ def test_the_build_defines_each_shared_number_and_the_source_none(monkeypatch, t
     assert not re.findall(rf"^\s*#\s*define\s+({'|'.join(SHARED_NUMBERS)})\b", source, re.M)
 
 
-@pytest.mark.parametrize("n", [8, 201, 4001])
-@pytest.mark.parametrize("theta", [0.5, 1.0])
-def test_each_compiled_stage_matches_its_numpy_stage_bit_for_bit(stages, n, theta):
-    # the stages now run inside the one compiled step, which is compared with
-    # the numpy stages composed with the same weights
-    u, v = random_state(n, n)
-    ws, ref = _Workspace(n), numpy_workspace(n)
-    assert ws.lib is stages and ref.lib is None
-    chi, dx = 1.7, 0.05
-    for w in (u, u - 1.5, np.zeros(n)):  # some nodes below the positivity floor, no speed
-        got = compiled_bound(w, v, chi, ws)
-        assert same_bits(got, solver._speed_bound(w, v, chi))
-    for cap in (None, 1e-3, 1e-9):
-        compiled_dt = _cfl_step(compiled_bound(u, v, chi, ws), 0.4, dx, cap)
-        assert compiled_dt == _cfl_step(solver._speed_bound(u, v, chi), 0.4, dx, cap)
-
-    dt = _cfl_step(solver._speed_bound(u, v, chi), 0.4, dx, None)
-    flux_w, diff_w = dt * chi / (2.0 * dx), dt * (1.0 - theta) * 3.0 / (dx * dx)
-    for a in (0.0, 1e300, theta * 3.0 * dt / (dx * dx)):
-        got = _compiled_step(u, v, flux_w, diff_w, a, dt / (2.0 * dx), chi, ws)
-        want = solver._numpy_step(u, v, flux_w, diff_w, a, dt / (2.0 * dx), chi, ref)
-        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), a
-        assert same_factor_head(ws, ref, a)
-        assert got[2:] == want[2:] and got[2] == want[0].min()
-        assert got[4] == solver._speed_bound(got[0], got[1], chi)
-    # the outputs alternate between the two buffer pairs of ws
-    assert got[0] is ws.u_out[0] and got[1] is ws.v_out[0]
-    again = _compiled_step(got[0], got[1], flux_w, diff_w, a, dt / (2.0 * dx), chi, ws)
-    assert again[0] is ws.u_out[1] and again[1] is ws.v_out[1]
-    assert solver._finite_min(u) == u.min()
-
-
-@pytest.mark.parametrize("n", [4, 5, 8, 201, 4001])
-def test_each_step_fills_the_factor_of_its_a(stages, n):
-    # each kernel fills its own factor, with the same bits up to the row from
-    # which it repeats: the recurrence repeats its first pivot at a = 1e-300,
-    # and the closed form's head is all n - 2 pivots at a = 1e300
-    ws = _Workspace(n)
-    rhs = 1.0 + np.random.default_rng(n).random(n - 2)
-    for a in PIVOT_AS:
-        x = rhs.copy()
-        stepped_solve(x, a, 1.0, 2.0, ws)
-        ref = numpy_workspace(n)
-        y = rhs.copy()
-        stepped_solve(y, a, 1.0, 2.0, ref)
-        assert same_factor_head(ws, ref, a), a
-        assert same_bits(x, y), a
+def test_the_stages_source_compiles_without_warnings(stages, monkeypatch, tmp_path):
+    # the library's own compile command, captured as above, run with every
+    # -Wall and -Wextra warning an error
+    commands, compile_ = [], subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda argv, **kw: commands.append(argv))
+    _native._build_stages(str(tmp_path))
+    argv = commands[0]
+    argv[argv.index("-o") + 1] = str(tmp_path / "strict.so")
+    done = compile_([*argv, "-Wall", "-Wextra", "-Werror"], capture_output=True, text=True,
+                    timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 # a repeats, changes in its last bit, underflows, grows past _A_MAX (the recurrence's
@@ -838,12 +800,12 @@ def test_the_compiled_step_matches_the_numpy_stages_bit_for_bit(stages, n, theta
     # the bound terms taken before, inside and after the back sweep's loop,
     # at every place near the ends
     u, v = random_state(n, 100 + n)
-    dx, dt = 0.05, 0.004
-    diff_w, dv_w = dt * (1.0 - theta) * 3.0 / (dx * dx), dt / (2.0 * dx)
+    dx = 0.05
 
-    def check(ws, u, v, a, chi, planted=False):
+    def check(ws, u, v, a, chi, planted=False, dt=0.004):
         ref = numpy_workspace(n)
-        flux_w = dt * chi / (2.0 * dx)
+        flux_w, dv_w = dt * chi / (2.0 * dx), dt / (2.0 * dx)
+        diff_w = dt * (1.0 - theta) * 3.0 / (dx * dx)
         got = _compiled_step(u, v, flux_w, diff_w, a, dv_w, chi, ws)
         with np.errstate(all="ignore"):
             want = solver._numpy_step(u, v, flux_w, diff_w, a, dv_w, chi, ref)
@@ -851,6 +813,7 @@ def test_the_compiled_step_matches_the_numpy_stages_bit_for_bit(stages, n, theta
             own_bound = solver._speed_bound(got[0], got[1], chi)
         assert same_factor_head(ws, ref, a), a
         assert same_or_both_nan(got[2], want[2]) and got[3] == want[3], (a, got[2:], want[2:])
+        assert math.isnan(got[2]) or got[2] == want[0].min(), (a, got[2])
         if math.isnan(got[2]) or not got[3]:  # `_advance` raises before it reads a bound
             assert math.isnan(got[4]) and math.isnan(want[4]), (a, got[4], want[4])
         else:  # the returned bound is the returned pair's, and numpy's
@@ -860,6 +823,7 @@ def test_the_compiled_step_matches_the_numpy_stages_bit_for_bit(stages, n, theta
             assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), a
         assert np.array_equal(np.isnan(got[0]), np.isnan(want[0]))
         assert np.array_equal(np.isnan(got[1]), np.isnan(want[1]))
+        return got
 
     # some nodes below the positivity floor, an end and an interior -0.0; no speed
     below = u - 1.5
@@ -874,6 +838,12 @@ def test_the_compiled_step_matches_the_numpy_stages_bit_for_bit(stages, n, theta
         for a in (0.0, 0.3):
             for u1, v1 in states:
                 check(ws, u1, v1, a, chi)
+        # with every weight 0 the step returns its inputs, up to the sign of an
+        # interior -0.0, and so their speed bound
+        for u1, v1 in ((u, v), *states):
+            got = check(ws, u1, v1, 0.0, chi, dt=0.0)
+            assert np.array_equal(got[0], u1) and np.array_equal(got[1], v1)
+            assert same_bits(got[4], solver._speed_bound(u1, v1, chi))
 
         # a non-finite or a large input at every place near the ends and the
         # middle: at a = 0 the new state keeps it local, so the bound meets
@@ -1071,23 +1041,6 @@ def test_the_block_solve_matches_the_full_system(a):
     g = solver._block_margin(-float(ws.e[-1]), m)
     far = np.min(np.abs(np.arange(m)[:, None] - np.array(rows)), axis=1) > g
     assert np.all(x[far] == 0.0) and (g >= m or far.any()), (a, g)
-
-
-def test_a_shrinking_pivot_head_leaves_no_stale_entry(stages):
-    # k falls from 93 (a = 30) to 17 (a = 0.83) to 0 (a = 0): the rows the
-    # last a wrote past the new head keep their stale values, which no sweep
-    # may read
-    n = 4001
-    ws = _Workspace(n)
-    assert ws.lib is stages
-    rhs = 1.0 + np.random.default_rng(7).random(n - 2)
-    for a in SHRINKING_AS:
-        ref = numpy_workspace(n)
-        x, y = rhs.copy(), rhs.copy()
-        stepped_solve(x, a, 1.0, 2.0, ws)
-        stepped_solve(y, a, 1.0, 2.0, ref)
-        assert same_factor_head(ws, ref, a), a
-        assert same_bits(x, y), a
 
 
 def kernel_workspaces(n):

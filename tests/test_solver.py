@@ -738,6 +738,15 @@ def stepped_solve(x, a, left, right, ws):
     x[:] = u_new[1:-1]
 
 
+def compiled_bound(u, v, chi, ws):
+    """The speed bound of (u, v) from the compiled step of ws: with a = 0 and
+    every weight 0 the step returns its inputs, up to the sign of an interior
+    -0.0, so the next bound it returns is theirs."""
+    u_new, v_new, *_, bound = _compiled_step(u, v, 0.0, 0.0, 0.0, 0.0, chi, ws)
+    assert np.array_equal(u_new, u) and np.array_equal(v_new, v)
+    return bound
+
+
 # the numbers `_stages.c` shares with Python, by their names in C
 SHARED_NUMBERS = {"A_MAX": _native._A_MAX, "LOG_QUARTER_EPS": _native._LOG_QUARTER_EPS,
                   "BLOCK_BITS": _native._BLOCK_BITS, "DEAD_BAND": _native._DEAD_BAND,
@@ -764,6 +773,55 @@ def test_the_build_defines_each_shared_number_and_the_source_none(monkeypatch, t
 
     source = (Path(solver.__file__).parent / "_stages.c").read_text()
     assert not re.findall(rf"^\s*#\s*define\s+({'|'.join(SHARED_NUMBERS)})\b", source, re.M)
+
+
+@pytest.mark.parametrize("n", [8, 201, 4001])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_each_compiled_stage_matches_its_numpy_stage_bit_for_bit(stages, n, theta):
+    # the stages now run inside the one compiled step, which is compared with
+    # the numpy stages composed with the same weights
+    u, v = random_state(n, n)
+    ws, ref = _Workspace(n), numpy_workspace(n)
+    assert ws.lib is stages and ref.lib is None
+    chi, dx = 1.7, 0.05
+    for w in (u, u - 1.5, np.zeros(n)):  # some nodes below the positivity floor, no speed
+        got = compiled_bound(w, v, chi, ws)
+        assert same_bits(got, solver._speed_bound(w, v, chi))
+    for cap in (None, 1e-3, 1e-9):
+        compiled_dt = _cfl_step(compiled_bound(u, v, chi, ws), 0.4, dx, cap)
+        assert compiled_dt == _cfl_step(solver._speed_bound(u, v, chi), 0.4, dx, cap)
+
+    dt = _cfl_step(solver._speed_bound(u, v, chi), 0.4, dx, None)
+    flux_w, diff_w = dt * chi / (2.0 * dx), dt * (1.0 - theta) * 3.0 / (dx * dx)
+    for a in (0.0, 1e300, theta * 3.0 * dt / (dx * dx)):
+        got = _compiled_step(u, v, flux_w, diff_w, a, dt / (2.0 * dx), chi, ws)
+        want = solver._numpy_step(u, v, flux_w, diff_w, a, dt / (2.0 * dx), chi, ref)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), a
+        assert same_factor_head(ws, ref, a)
+        assert got[2:] == want[2:] and got[2] == want[0].min()
+        assert got[4] == solver._speed_bound(got[0], got[1], chi)
+    # the outputs alternate between the two buffer pairs of ws
+    assert got[0] is ws.u_out[0] and got[1] is ws.v_out[0]
+    again = _compiled_step(got[0], got[1], flux_w, diff_w, a, dt / (2.0 * dx), chi, ws)
+    assert again[0] is ws.u_out[1] and again[1] is ws.v_out[1]
+    assert solver._finite_min(u) == u.min()
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 201, 4001])
+def test_each_step_fills_the_factor_of_its_a(stages, n):
+    # each kernel fills its own factor, with the same bits up to the row from
+    # which it repeats: the recurrence repeats its first pivot at a = 1e-300,
+    # and the closed form's head is all n - 2 pivots at a = 1e300
+    ws = _Workspace(n)
+    rhs = 1.0 + np.random.default_rng(n).random(n - 2)
+    for a in PIVOT_AS:
+        x = rhs.copy()
+        stepped_solve(x, a, 1.0, 2.0, ws)
+        ref = numpy_workspace(n)
+        y = rhs.copy()
+        stepped_solve(y, a, 1.0, 2.0, ref)
+        assert same_factor_head(ws, ref, a), a
+        assert same_bits(x, y), a
 
 
 def test_the_stages_source_compiles_without_warnings(stages, monkeypatch, tmp_path):
@@ -1041,6 +1099,23 @@ def test_the_block_solve_matches_the_full_system(a):
     g = solver._block_margin(-float(ws.e[-1]), m)
     far = np.min(np.abs(np.arange(m)[:, None] - np.array(rows)), axis=1) > g
     assert np.all(x[far] == 0.0) and (g >= m or far.any()), (a, g)
+
+
+def test_a_shrinking_pivot_head_leaves_no_stale_entry(stages):
+    # k falls from 93 (a = 30) to 17 (a = 0.83) to 0 (a = 0): the rows the
+    # last a wrote past the new head keep their stale values, which no sweep
+    # may read
+    n = 4001
+    ws = _Workspace(n)
+    assert ws.lib is stages
+    rhs = 1.0 + np.random.default_rng(7).random(n - 2)
+    for a in SHRINKING_AS:
+        ref = numpy_workspace(n)
+        x, y = rhs.copy(), rhs.copy()
+        stepped_solve(x, a, 1.0, 2.0, ws)
+        stepped_solve(y, a, 1.0, 2.0, ref)
+        assert same_factor_head(ws, ref, a), a
+        assert same_bits(x, y), a
 
 
 def kernel_workspaces(n):
